@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Union
 
 from ._gamma import gamma_value
-from .hypergeom import RationalPoly
+from .quadrature import _as_float_coeffs
 
 __all__ = [
     "CentralPrediction",
@@ -51,32 +51,6 @@ class CentralPrediction:
     c_nn_magnitude: float
 
 
-def _low_coeffs(P) -> tuple[float, float]:
-    if isinstance(P, RationalPoly):
-        cs = P.float_coeffs()
-    elif isinstance(P, (int, float, Fraction)):
-        cs = (float(P),)
-    else:
-        cs = tuple(float(c) for c in P)
-    if not cs:
-        raise ValueError("empty polynomial")
-    return cs[0], (cs[1] if len(cs) > 1 else 0.0)
-
-
-def _top_coeff_and_degree(P) -> tuple[float, int]:
-    if isinstance(P, RationalPoly):
-        cs = P.float_coeffs()
-    elif isinstance(P, (int, float, Fraction)):
-        cs = (float(P),)
-    else:
-        cs = tuple(float(c) for c in P)
-    while len(cs) > 1 and cs[-1] == 0.0:
-        cs = cs[:-1]
-    if not cs or cs[-1] == 0.0:
-        raise ValueError("zero polynomial has no top coefficient")
-    return cs[-1], len(cs) - 1
-
-
 def _half(x) -> object:
     """x/2 keeping Fractions exact so gamma can take its exact route."""
     if isinstance(x, (int, Fraction)):
@@ -93,7 +67,7 @@ def watson2(P, mu, kappa, nu, tau: float) -> float:
     is normalized to constant term c0 = 1, as every polynomial family used
     downstream is.
     """
-    c0, c1 = _low_coeffs(P)
+    c0, c1 = (_as_float_coeffs(P) + (0.0,))[:2]
     if isinstance(mu, (int, Fraction)) and isinstance(kappa, (int, Fraction)):
         r = Fraction(mu) + Fraction(kappa) + 1
     else:
@@ -113,7 +87,7 @@ def fseries2(P, kappa, nu) -> tuple[float, float]:
     For f(t) = P(-sinh^2 t) (sinh t / t)^kappa cosh(t)^nu with P(0) = 1:
     f(0) = c0 and f''(0)/2 = -c1 + kappa/6 + nu/2.
     """
-    c0, c1 = _low_coeffs(P)
+    c0, c1 = (_as_float_coeffs(P) + (0.0,))[:2]
     return c0, -c1 + float(kappa) / 6.0 + float(nu) / 2.0
 
 
@@ -160,7 +134,8 @@ def log_qp_large_tau(P, mu, kappa, nu, tau: float) -> tuple[float, float]:
         raise ValueError("need mu + kappa > -1")
     if tau <= 0.0:
         raise ValueError(f"need tau > 0, got {tau}")
-    cn, n = _top_coeff_and_degree(P)
+    cs = _as_float_coeffs(P)
+    cn, n = cs[-1], len(cs) - 1
     mu, kappa, nu = float(mu), float(kappa), float(nu)
     lam = kappa + nu + 2.0 * n
     logmag = (

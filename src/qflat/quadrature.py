@@ -5,7 +5,10 @@ Evaluates
     Q(tau) = int_0^inf exp(-t^2/tau) P(-sinh^2 t) t^mu sinh(t)^kappa cosh(t)^nu dt
 
 together with its first two log-derivatives in tau, by composite adaptive
-Gauss-Legendre panels on a truncated interval [0, T].
+Gauss-Legendre panels on a truncated interval [0, T].  Panels are kept as
+arrays, and each refinement level (the initial panels, then the children of
+every panel split in a round) is evaluated in one stacked call, so the cost
+per node is numpy arithmetic rather than Python overhead per panel.
 
 Two numerical realities shape the implementation:
 
@@ -28,7 +31,9 @@ t^4/tau^4 - 2 t^2/tau^3, so one pass over the nodes yields the moments
 needed for (log Q)' and (log Q)''.
 
 All operations are pure; results are bit-reproducible for fixed inputs and
-independent of evaluation order across calls.
+independent of evaluation order across calls.  The rule sums are numpy
+reductions in a fixed order, not BLAS products, so they do not depend on
+the kernel a BLAS build dispatches to either.
 """
 
 from __future__ import annotations
@@ -271,34 +276,30 @@ class _Weight:
 
 
 def _gl_rule(rows: np.ndarray) -> np.ndarray:
-    """Unscaled 15-node Gauss-Legendre sum of each row of ``rows``."""
-    return rows @ _GL_W
+    """Unscaled 15-node Gauss-Legendre sum of each row of a 2-D ``rows``.
+
+    A numpy reduction in a fixed order rather than a BLAS product, so the
+    sums do not depend on which kernel the BLAS build dispatches to.
+    """
+    return (rows * _GL_W).sum(axis=-1)
 
 
-@dataclass
-class _Panel:
-    a: float
-    b: float
-    depth: int
-    val: np.ndarray  # refined estimate (sum of two half rules), shape (3,)
-    err: np.ndarray  # |whole-rule - halves|
+def _eval_panels(weight: _Weight, scale: float, a: np.ndarray,
+                 b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Refined estimates and their errors, each of shape (3, P), of panels [a, b].
 
-
-def _eval_panel(weight: _Weight, scale: float, a: float, b: float,
-                depth: int) -> tuple[_Panel, int]:
+    Each panel gets the 15-node rule on the whole panel and on its two
+    halves (45 nodes); the halves give the estimate and |whole - halves| its
+    error.  All nodes of all panels go through one moments call.
+    """
     mid = 0.5 * (a + b)
-    half1 = 0.5 * (b - a)
-    xs = np.concatenate([
-        0.5 * (a + b) + half1 * _GL_X,
-        0.5 * (a + mid) + 0.5 * (mid - a) * _GL_X,
-        0.5 * (mid + b) + 0.5 * (b - mid) * _GL_X,
-    ])
-    rows = weight.moments(xs, scale)
-    w_whole = _gl_rule(rows[:, :15]) * half1
-    w_left = _gl_rule(rows[:, 15:30]) * (0.5 * (mid - a))
-    w_right = _gl_rule(rows[:, 30:]) * (0.5 * (b - mid))
-    halves = w_left + w_right
-    return _Panel(a, b, depth, halves, np.abs(w_whole - halves)), 45
+    centre = np.stack([mid, 0.5 * (a + mid), 0.5 * (mid + b)], axis=1)
+    half = np.stack([0.5 * (b - a), 0.5 * (mid - a), 0.5 * (b - mid)], axis=1)
+    xs = centre[:, :, None] + half[:, :, None] * _GL_X
+    rows = weight.moments(xs.ravel(), scale)
+    sums = _gl_rule(rows.reshape(-1, 15)).reshape(3, len(a), 3) * half
+    halves = sums[:, :, 1] + sums[:, :, 2]
+    return halves, np.abs(sums[:, :, 0] - halves)
 
 
 def _initial_breaks(weight: _Weight, T: float) -> list[float]:
@@ -325,10 +326,12 @@ def _initial_breaks(weight: _Weight, T: float) -> list[float]:
     return out
 
 
-def _sum_panels(panels: list[_Panel]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    I = np.array([math.fsum(p.val[k] for p in panels) for k in range(3)])
-    Iabs = np.array([math.fsum(abs(p.val[k]) for p in panels) for k in range(3)])
-    E = np.array([math.fsum(p.err[k] for p in panels) for k in range(3)])
+def _sum_panels(val: np.ndarray,
+                err: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # fsum is correctly rounded, so the sums do not depend on panel order
+    I = np.array([math.fsum(r) for r in val.tolist()])
+    Iabs = np.array([math.fsum(r) for r in np.abs(val).tolist()])
+    E = np.array([math.fsum(r) for r in err.tolist()])
     return I, Iabs, E
 
 
@@ -345,42 +348,50 @@ def _integrate_moments(
     g, _ = weight.log_mag_sign(tg)
     scale = float(np.max(g))
 
-    panels: list[_Panel] = []
-    nodes = 0
-    breaks = _initial_breaks(weight, T)
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        p, nn = _eval_panel(weight, scale, a, b, 0)
-        panels.append(p)
-        nodes += nn
+    breaks = np.array(_initial_breaks(weight, T))
+    a, b = breaks[:-1], breaks[1:]
+    depth = np.zeros(len(a), dtype=int)
+    val, err = _eval_panels(weight, scale, a, b)
+    nodes = 45 * len(a)
 
     budget_hit = False
     for _ in range(_MAX_ROUNDS):
-        I, Iabs, E = _sum_panels(panels)
+        I, Iabs, E = _sum_panels(val, err)
         target = _targets(I, Iabs, tol)
         if np.all(E <= target) or budget_hit:
             break
-        done: list[_Panel] = []
-        stack = list(reversed(panels))
-        while stack:
-            p = stack.pop()
-            share = _SAFETY * (p.b - p.a) / T
-            if np.all(p.err <= target * share) or p.depth >= _MAX_DEPTH:
-                done.append(p)
-                continue
-            if nodes + 90 > node_budget:
+        # split level by level; each panel is tested on its own against the
+        # round's fixed target, so the order of the splits does not matter
+        # until the node budget runs out
+        parts = []
+        while True:
+            share = _SAFETY * (b - a) / T
+            ok = np.all(err <= target[:, None] * share, axis=0)
+            fail = np.flatnonzero(~ok & (depth < _MAX_DEPTH))
+            room = max(0, (node_budget - nodes) // 90)
+            if len(fail) > room:
                 budget_hit = True
-                done.append(p)
-                done.extend(reversed(stack))
+                fail = fail[:room]
+            stay = np.ones(len(a), dtype=bool)
+            stay[fail] = False
+            parts.append(tuple(x[..., stay] for x in (a, b, depth, val, err)))
+            if len(fail) == 0:
                 break
-            mid = 0.5 * (p.a + p.b)
-            pl, n1 = _eval_panel(weight, scale, p.a, mid, p.depth + 1)
-            pr, n2 = _eval_panel(weight, scale, mid, p.b, p.depth + 1)
-            nodes += n1 + n2
-            stack.append(pr)
-            stack.append(pl)
-        panels = done
+            mid = 0.5 * (a[fail] + b[fail])
+            a = np.stack([a[fail], mid], axis=1).ravel()
+            b = np.stack([mid, b[fail]], axis=1).ravel()
+            depth = np.repeat(depth[fail] + 1, 2)
+            val, err = _eval_panels(weight, scale, a, b)
+            nodes += 45 * len(a)
+            if budget_hit:
+                parts.append((a, b, depth, val, err))
+                break
+        # back into left-to-right order, which the budget cut above follows
+        a, b, depth, val, err = (np.concatenate(x, axis=-1) for x in zip(*parts))
+        order = np.argsort(a)
+        a, b, depth, val, err = (x[..., order] for x in (a, b, depth, val, err))
 
-    I, Iabs, E = _sum_panels(panels)
+    I, Iabs, E = _sum_panels(val, err)
     converged = bool(np.all(E <= _targets(I, Iabs, tol)))
     return I, Iabs, E, scale, nodes, converged
 

@@ -59,6 +59,15 @@ class TestWatson2:
         assert got_exact == pytest.approx(got_float, rel=1e-13)
 
 
+    def test_zero_polynomial_rejected(self):
+        # a zero profile has no small-tau expansion; it must not be read as
+        # c0 = 0 with the first-order term alone
+        with pytest.raises(ValueError):
+            watson2(0, 0, 1, 1, 0.1)
+        with pytest.raises(ValueError):
+            fseries2([0.0], 1, 1)
+
+
 class TestFSeries2:
     def test_trivial(self):
         assert fseries2(1, 0, 0) == (1.0, 0.0)

@@ -4,6 +4,9 @@ import io
 import json
 import math
 import operator
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -262,6 +265,24 @@ class TestDeterminism:
             out, code = capture(argv)
             assert code == 0
             assert out == (GOLDEN / name).read_text(), name
+
+    def test_scan_json_independent_of_blas_kernel(self):
+        # JSON prints full float reprs, so it shows any roundoff that moves
+        # with the kernel an OpenBLAS build dispatches to
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in str(blas.get("name", "")).lower():
+            pytest.skip("numpy is not built on OpenBLAS")
+        argv = [sys.executable, "-m", "qflat.cli", "scan", "--spaces", "S2,S3",
+                "--n-max", "2", "--tau", "1"]
+        outs = []
+        for coretype in (None, "Prescott"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
     def test_thread_count_invisible(self):
         base = ["qtable", "--space", "S2,CP2", "--n", "0..2", "--tau", "1,2"]

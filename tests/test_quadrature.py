@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from qflat import quadrature
 from qflat.quadrature import (
     CancellationWarning,
     ConvergenceError,
@@ -24,6 +26,24 @@ def s3_q_closed(tau):
     # closed form obtained by completing the square in
     # (1/2) int_0^inf t e^(-t^2/tau) sinh(2t) dt
     return math.sqrt(math.pi) / 4.0 * tau ** 1.5 * math.exp(tau)
+
+
+def panel_one_at_a_time(weight, scale, a, b):
+    # the per-panel form of quadrature._eval_panels: rule on [a, b] against
+    # the sum of the rules on its halves
+    x = quadrature._GL_X
+    mid = 0.5 * (a + b)
+    half1 = 0.5 * (b - a)
+    xs = np.concatenate([
+        0.5 * (a + b) + half1 * x,
+        0.5 * (a + mid) + 0.5 * (mid - a) * x,
+        0.5 * (mid + b) + 0.5 * (b - mid) * x,
+    ])
+    rows = weight.moments(xs, scale)
+    whole = quadrature._gl_rule(rows[:, :15]) * half1
+    halves = (quadrature._gl_rule(rows[:, 15:30]) * (0.5 * (mid - a))
+              + quadrature._gl_rule(rows[:, 30:]) * (0.5 * (b - mid)))
+    return halves, np.abs(whole - halves)
 
 
 class TestIntegrand:
@@ -195,6 +215,50 @@ class TestQChi:
             q_chi(sp, 0, 500.0)
         with pytest.raises(ParameterRangeError):
             q_chi(sp, 0, -1.0)
+
+
+class TestRefinement:
+    """Cells that split panels, pinned to the node counts of the depth-first
+    recursion that the level-by-level refinement replaced."""
+
+    @pytest.mark.parametrize("params, tol, nodes", [
+        (QPParams(0.5, 0.0, 0.5, 1.0), 1e-13, 5220),
+        (QPParams(0.25, 1.0, 0.0, 0.3), 1e-13, 2925),
+        (QPParams(0.25, 1.0, 0.0, 0.3), 1e-11, 2475),
+    ])
+    def test_refining_cell_nodes(self, params, tol, nodes):
+        res = q_p(1, params, tol)
+        assert res.nodes == nodes
+        assert res.rel_error <= tol
+
+    def test_refined_value(self):
+        # reference from 30-digit tanh-sinh quadrature
+        res = q_p(1, QPParams(0.5, 0.0, 0.5, 1.0), 1e-13)
+        assert res.value == pytest.approx(0.723214354285265, rel=1e-13)
+
+    def test_budget_exhausted_cell(self):
+        with pytest.raises(ConvergenceError) as err:
+            q_chi(parse_space("S3"), 5, 400.0, 1e-13)
+        best = err.value.best
+        assert best.nodes <= quadrature._DEFAULT_BUDGET
+        assert best.nodes == 399960
+
+    def test_stacked_panels_match_one_at_a_time(self):
+        # the stacked layout gives each panel exactly the bits it gets alone
+        coeffs, params = quadrature._chi_setup(parse_space("CP2"), 2, 1.0, 1e-10)
+        weight = quadrature._Weight(coeffs, params.mu, params.kappa, params.nu,
+                                    params.tau)
+        T = 15.0
+        g, _ = weight.log_mag_sign(np.linspace(0.0, T, 801)[1:])
+        scale = float(np.max(g))
+        breaks = np.array(quadrature._initial_breaks(weight, T))
+        a, b = breaks[:-1], breaks[1:]
+        val, err = quadrature._eval_panels(weight, scale, a, b)
+        assert val.shape == err.shape == (3, len(a))
+        for i in range(len(a)):
+            v, e = panel_one_at_a_time(weight, scale, float(a[i]), float(b[i]))
+            assert np.array_equal(val[:, i], v)
+            assert np.array_equal(err[:, i], e)
 
 
 class TestTruncationSoundness:

@@ -12,8 +12,7 @@ Subcommands::
 Output is a single CSV or JSON document on stdout or to ``--out``.  All
 numerics are deterministic and the documents carry no timestamps unless
 ``--timestamps`` is given, so identical invocations produce byte-identical
-output; ``--threads k`` only distributes independent cells over a pool and
-never changes the result.
+output.
 
 Exit status: 0 on success, 1 on configuration errors, 2 when any cell
 failed numerically or when ``--expect-theorem`` verdicts do not match.
@@ -26,13 +25,11 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import ROUND_UP, Decimal
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .asymptotics import log_qp_large_tau, watson2
 from .flatness import (
@@ -83,7 +80,6 @@ class RunConfig:
     fmt: str = "csv"
     out: str | None = None
     mode: Mode = Mode.PREFACTOR_CORRECTED
-    threads: int = 1
     expect_theorem: bool = False
     timestamps: bool = False
 
@@ -122,17 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
                                  "quantizations.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, with_threads=True):
+    def common(p):
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        dest="fmt")
         p.add_argument("--out", default=None, metavar="PATH")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--timestamps", action="store_true")
-        if with_threads:
-            p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("list", help="catalog listing")
-    common(p, with_threads=False)
+    common(p)
 
     for name, hlp in (("qtable", "q_n(tau) table"),
                       ("curvature", "curvature grid")):
@@ -146,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("centrality", help="exact certificates")
     p.add_argument("--space", required=True)
     p.add_argument("--n", default="1..5")
-    common(p, with_threads=False)
+    common(p)
 
     p = sub.add_parser("scan", help="full flatness scan")
     p.add_argument("--spaces", default="all")
@@ -224,13 +218,6 @@ def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
     if not (TOL_MIN <= ns.tol <= TOL_MAX):
         fail(f"--tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {ns.tol:g}")
 
-    threads = getattr(ns, "threads", None)
-    if threads is None:
-        env = os.environ.get("QFLAT_THREADS", "").strip()
-        threads = int(env) if env else 1
-    if threads < 1:
-        fail(f"--threads must be at least 1, got {threads}")
-
     fmt = ns.fmt or ("json" if ns.subcommand == "scan" else "csv")
 
     return RunConfig(
@@ -243,7 +230,6 @@ def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
         fmt=fmt,
         out=ns.out,
         mode=Mode(getattr(ns, "mode", Mode.PREFACTOR_CORRECTED.value)),
-        threads=threads,
         expect_theorem=getattr(ns, "expect_theorem", False),
         timestamps=ns.timestamps,
     )
@@ -329,13 +315,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _map_cells(work: Callable, cells: list, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, cells))
-    return [work(c) for c in cells]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -375,7 +354,7 @@ def _rows_table(cfg: RunConfig, with_residual: bool) -> tuple[list[dict], bool]:
                 row["prefactor_residual"] = math.nan
         return row
 
-    rows = _map_cells(work, cells, cfg.threads)
+    rows = [work(c) for c in cells]
     return rows, all(r["status"] == "ok" for r in rows)
 
 
@@ -429,8 +408,7 @@ def _rows_asymptotics(cfg: RunConfig) -> tuple[list[dict], bool]:
             out.append(row)
         return out
 
-    nested = _map_cells(work, cells, cfg.threads)
-    rows = [r for chunk in nested for r in chunk]
+    rows = [r for c in cells for r in work(c)]
     return rows, all(r["status"] == "ok" for r in rows)
 
 
@@ -519,7 +497,7 @@ def run(cfg: RunConfig) -> int:
         reports = theorem_scan(
             [parse_space(lbl) for lbl in cfg.spaces],
             n_max=cfg.n_max, tau_grid=cfg.tau_values, tol=cfg.tol,
-            mode=cfg.mode, threads=cfg.threads,
+            mode=cfg.mode,
         )
         ok = all(not rep.failures for rep in reports)
         if cfg.expect_theorem:

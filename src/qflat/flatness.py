@@ -10,8 +10,9 @@ routes:
   must satisfy, checked in rational arithmetic with square roots tracked
   symbolically, so a failure is a tolerance-free certificate;
 * numeric route -- curvature samples from the quadrature module on a tau
-  grid, with a pass/fail corridor (1e-6 / 1e-3) wide enough that verdicts
-  never flap.
+  grid, judged by one pass/fail corridor (``_corridor``: 1e-6 / 1e-3) wide
+  enough that verdicts never flap.  An inconclusive judgement redoes the
+  grid once at tol/100 (``_judge_grid``, the only retry).
 
 Negative verdicts prefer the exact witness when both routes fail.
 
@@ -27,11 +28,10 @@ documentation of the discrepancy.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .quadrature import (
     DEFAULT_TOL,
@@ -388,9 +388,33 @@ def _residual(grid: CurvatureGrid, mode: Mode) -> float:
     return best
 
 
-def _refined_tol(tol: float) -> float | None:
+def _corridor(dev: float, passed, failed, undecided):
+    """``passed`` at dev <= 1e-6, ``failed`` at dev >= 1e-3, else (nan or in
+    the gap between) ``undecided``."""
+    if dev <= PASS_DEVIATION:
+        return passed
+    if dev >= FAIL_DEVIATION:
+        return failed
+    return undecided
+
+
+def _judge_grid(
+    space: RootData, n_max: int, tau_grid: Sequence[float], tol: float,
+    judge: Callable[[CurvatureGrid], tuple]
+) -> tuple:
+    """``judge(grid)`` -> (verdict, deviation) on the curvature grid at tol.
+
+    An inconclusive verdict redoes the grid once at max(tol/100, TOL_MIN).
+    Returns the last verdict and deviation with the grid they came from.
+    """
+    grid = curvature_samples(space, n_max, tau_grid, tol)
+    verdict, dev = judge(grid)
     finer = max(tol / 100.0, TOL_MIN)
-    return finer if finer < tol else None
+    # every verdict enum has an INCONCLUSIVE member
+    if verdict is type(verdict).INCONCLUSIVE and finer < tol:
+        grid = curvature_samples(space, n_max, tau_grid, finer)
+        verdict, dev = judge(grid)
+    return verdict, dev, grid
 
 
 def projective_test(
@@ -405,18 +429,15 @@ def projective_test(
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1 to compare isotypes, got {n_max}")
-    dev = _chi_deviation(curvature_samples(space, n_max, tau_grid, tol))
-    if math.isnan(dev) or PASS_DEVIATION < dev < FAIL_DEVIATION:
-        finer = _refined_tol(tol)
-        if finer is not None:
-            dev = _chi_deviation(curvature_samples(space, n_max, tau_grid, finer))
-    if math.isnan(dev):
-        return ProjectiveVerdict.INCONCLUSIVE, dev
-    if dev <= PASS_DEVIATION:
-        return ProjectiveVerdict.CONSISTENT, dev
-    if dev >= FAIL_DEVIATION:
-        return ProjectiveVerdict.NOT_PROJECTIVELY_FLAT, dev
-    return ProjectiveVerdict.INCONCLUSIVE, dev
+
+    def judge(grid: CurvatureGrid) -> tuple[ProjectiveVerdict, float]:
+        dev = _chi_deviation(grid)
+        return _corridor(dev, ProjectiveVerdict.CONSISTENT,
+                         ProjectiveVerdict.NOT_PROJECTIVELY_FLAT,
+                         ProjectiveVerdict.INCONCLUSIVE), dev
+
+    verdict, dev, _ = _judge_grid(space, n_max, tau_grid, tol, judge)
+    return verdict, dev
 
 
 def flat_test(
@@ -427,20 +448,14 @@ def flat_test(
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     mode = Mode(mode)
-    resid = _residual(curvature_samples(space, n_max, tau_grid, tol), mode)
-    if math.isnan(resid) or PASS_DEVIATION < resid < FAIL_DEVIATION:
-        finer = _refined_tol(tol)
-        if finer is not None:
-            resid = _residual(
-                curvature_samples(space, n_max, tau_grid, finer), mode
-            )
-    if math.isnan(resid):
-        return FlatVerdict.INCONCLUSIVE, resid
-    if resid <= PASS_DEVIATION:
-        return FlatVerdict.FLAT, resid
-    if resid >= FAIL_DEVIATION:
-        return FlatVerdict.NOT_FLAT, resid
-    return FlatVerdict.INCONCLUSIVE, resid
+
+    def judge(grid: CurvatureGrid) -> tuple[FlatVerdict, float]:
+        resid = _residual(grid, mode)
+        return _corridor(resid, FlatVerdict.FLAT, FlatVerdict.NOT_FLAT,
+                         FlatVerdict.INCONCLUSIVE), resid
+
+    verdict, resid, _ = _judge_grid(space, n_max, tau_grid, tol, judge)
+    return verdict, resid
 
 
 # ---------------------------------------------------------------------------
@@ -486,41 +501,18 @@ def _scan_one(
                 rationality.n_used, rationality.lhs, rationality.rhs, False
             )
 
-    grid = curvature_samples(space, n_max, tau_grid, tol)
-    dev = _chi_deviation(grid)
-    resid_pref = _residual(grid, Mode.PREFACTOR_CORRECTED)
-    resid_mode = resid_pref if mode is Mode.PREFACTOR_CORRECTED else _residual(
-        grid, Mode.LITERAL
-    )
-
-    def decide(dev: float, resid: float) -> FieldVerdict:
+    def judge(grid: CurvatureGrid) -> tuple[FieldVerdict, float]:
+        # projectively flat first (isotype spread), then flat (residual)
+        dev = _chi_deviation(grid)
         if witness is not None:
-            return FieldVerdict.NOT_PROJECTIVELY_FLAT
-        if math.isnan(dev):
-            return FieldVerdict.INCONCLUSIVE
-        if dev >= FAIL_DEVIATION:
-            return FieldVerdict.NOT_PROJECTIVELY_FLAT
-        if dev <= PASS_DEVIATION:
-            if math.isnan(resid):
-                return FieldVerdict.INCONCLUSIVE
-            if resid <= PASS_DEVIATION:
-                return FieldVerdict.FLAT
-            if resid >= FAIL_DEVIATION:
-                return FieldVerdict.PROJECTIVELY_FLAT_ONLY
-        return FieldVerdict.INCONCLUSIVE
+            return FieldVerdict.NOT_PROJECTIVELY_FLAT, dev
+        flat = _corridor(_residual(grid, mode), FieldVerdict.FLAT,
+                         FieldVerdict.PROJECTIVELY_FLAT_ONLY,
+                         FieldVerdict.INCONCLUSIVE)
+        return _corridor(dev, flat, FieldVerdict.NOT_PROJECTIVELY_FLAT,
+                         FieldVerdict.INCONCLUSIVE), dev
 
-    verdict = decide(dev, resid_mode)
-    if verdict is FieldVerdict.INCONCLUSIVE:
-        finer = _refined_tol(tol)
-        if finer is not None:
-            grid = curvature_samples(space, n_max, tau_grid, finer)
-            dev = _chi_deviation(grid)
-            resid_pref = _residual(grid, Mode.PREFACTOR_CORRECTED)
-            resid_mode = resid_pref if mode is Mode.PREFACTOR_CORRECTED else (
-                _residual(grid, Mode.LITERAL)
-            )
-            verdict = decide(dev, resid_mode)
-
+    verdict, dev, grid = _judge_grid(space, n_max, tau_grid, tol, judge)
     return FlatnessReport(
         space=space,
         mode=mode,
@@ -528,7 +520,7 @@ def _scan_one(
         tau_grid=grid.tau_grid,
         curvature=grid.values,
         max_chi_deviation=dev,
-        prefactor_residual=resid_pref,
+        prefactor_residual=_residual(grid, Mode.PREFACTOR_CORRECTED),
         verdict=verdict,
         exact_witness=witness,
         centrality=checks,
@@ -541,13 +533,11 @@ def theorem_scan(
     spaces: Sequence[RootData], n_max: int = 5,
     tau_grid: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
     tol: float = DEFAULT_TOL, mode: Mode = Mode.PREFACTOR_CORRECTED,
-    threads: int = 1,
 ) -> list[FlatnessReport]:
     """One flatness report per space, in input order.
 
-    Reports are assembled from independent pure computations, so any thread
-    count yields identical output.  Exact certificates are evaluated first;
-    a failed certificate is preferred over a numeric witness in the report.
+    Exact certificates are evaluated first; a failed certificate is
+    preferred over a numeric witness in the report.
     """
     spaces = list(spaces)
     if not spaces:
@@ -556,11 +546,4 @@ def theorem_scan(
         raise ValueError(f"need n_max >= 1, got {n_max}")
     mode = Mode(mode)
     grid = tuple(float(t) for t in tau_grid)
-
-    def job(space: RootData) -> FlatnessReport:
-        return _scan_one(space, n_max, grid, tol, mode)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(job, spaces))
-    return [job(s) for s in spaces]
+    return [_scan_one(s, n_max, grid, tol, mode) for s in spaces]

@@ -62,7 +62,7 @@ def test_criterion_01_theorem_scan():
     failures = []
     t0 = time.monotonic()
     reports = theorem_scan(default_scan_spaces(), n_max=5, tau_grid=GRID,
-                           tol=1e-10, threads=1)
+                           tol=1e-10)
     elapsed = time.monotonic() - t0
     for rep in reports:
         lbl = rep.space.label
@@ -252,17 +252,13 @@ def test_criterion_09_radial_reduction():
 def test_criterion_10_determinism():
     failures = []
     qt = ["qtable", "--space", "S2,S3,CP2", "--n", "0..2", "--tau", "0.5,1,2"]
-    a, _ = run_cli(qt + ["--threads", "1"])
-    b, _ = run_cli(qt + ["--threads", "8"])
+    a, _ = run_cli(qt)
+    b, _ = run_cli(qt)
     if a != b:
-        failures.append("qtable differs between --threads 1 and --threads 8")
-    c, _ = run_cli(qt + ["--threads", "1"])
-    if a != c:
         failures.append("qtable differs between repeated runs")
     sc = ["scan", "--spaces", "S2,S3", "--n-max", "2", "--tau", "0.5,1"]
     d1, _ = run_cli(sc)
-    d2, _ = run_cli(sc + ["--threads", "8"])
+    d2, _ = run_cli(sc)
     if d1 != d2:
-        failures.append("scan JSON differs between thread counts")
-    report(10, "byte-identical CSV/JSON across repeats and thread counts",
-           failures)
+        failures.append("scan JSON differs between repeated runs")
+    report(10, "byte-identical CSV/JSON across repeats", failures)

@@ -91,13 +91,20 @@ class TestParseArgs:
             parse_args(["--help"])
         assert exc.value.code == 0
 
-    def test_threads_env(self, monkeypatch):
-        monkeypatch.setenv("QFLAT_THREADS", "7")
-        cfg = parse_args(["qtable", "--space", "S3", "--n", "0", "--tau", "1"])
-        assert cfg.threads == 7
-        cfg = parse_args(["qtable", "--space", "S3", "--n", "0", "--tau", "1",
-                          "--threads", "2"])
-        assert cfg.threads == 2
+    def test_threads_removed(self, monkeypatch, capsys):
+        # there is no thread count: --threads is a configuration error and
+        # QFLAT_THREADS is ignored, however malformed
+        for argv in (["qtable", "--space", "S3"], ["curvature", "--space", "S3"],
+                     ["scan"], ["verify-asymptotics"]):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(argv + ["--threads", "2"])
+            assert exc.value.code == 1, argv
+            assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        for value in ("abc", "0"):
+            monkeypatch.setenv("QFLAT_THREADS", value)
+            out, code = capture(["list"])
+            assert code == 0, value
+            assert len(out.splitlines()) == 10
 
 
 class TestQTable:
@@ -284,12 +291,6 @@ class TestDeterminism:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
-    def test_thread_count_invisible(self):
-        base = ["qtable", "--space", "S2,CP2", "--n", "0..2", "--tau", "1,2"]
-        a, _ = capture(base + ["--threads", "1"])
-        b, _ = capture(base + ["--threads", "8"])
-        assert a == b
-
     def test_scan_json_identical(self):
         argv = ["scan", "--spaces", "S2,S3", "--n-max", "2", "--tau", "1"]
         a, _ = capture(argv)
@@ -367,6 +368,18 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 1
         assert "tau must be positive" in proc.stderr
+
+    def test_import_pulls_in_no_pool(self):
+        # the work is batched numpy on one thread; a pool would only add
+        # import time and GIL contention
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qflat.cli; "
+             "print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestRunList:

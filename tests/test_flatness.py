@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from qflat import flatness
 from qflat.flatness import (
     FAIL_DEVIATION,
     PASS_DEVIATION,
+    CurvatureGrid,
     FieldVerdict,
     FlatVerdict,
     Mode,
@@ -23,6 +25,7 @@ from qflat.flatness import (
     theorem_expected_verdict,
     theorem_scan,
 )
+from qflat.quadrature import TOL_MIN
 from qflat.spaces import default_scan_spaces, parse_space
 
 GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -281,12 +284,6 @@ class TestTheoremScan:
         b = theorem_scan(spaces, n_max=2, tau_grid=(0.5, 1.0), tol=1e-10)
         assert a == b
 
-    def test_thread_count_invariant(self):
-        spaces = [parse_space(s) for s in ("S2", "S3", "CP2")]
-        a = theorem_scan(spaces, n_max=2, tau_grid=(1.0,), tol=1e-10, threads=1)
-        b = theorem_scan(spaces, n_max=2, tau_grid=(1.0,), tol=1e-10, threads=3)
-        assert a == b
-
     @pytest.mark.parametrize("B", [0.5, 2.0])
     def test_scale_invariance_of_verdicts(self, B):
         # rescaling the root length moves tau = B^2 Im s and multiplies the
@@ -306,3 +303,90 @@ class TestTheoremScan:
             if rep.verdict in (FieldVerdict.FLAT,
                                FieldVerdict.PROJECTIVELY_FLAT_ONLY):
                 assert all(c.passed for c in rep.centrality)
+
+
+class TestRetry:
+    """An inconclusive judgement redoes the curvature grid once, at tol/100."""
+
+    IN_GAP = 5e-5  # row offset step; deviation and residual 1e-4, in the gap
+    DECISIVE = 1e-9  # deviation and residual 2e-9, below PASS_DEVIATION
+
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        # call k returns a grid whose row n is the flat S3 curvature
+        # -m/(2 tau^2) shifted by n * steps[k] (the last step repeats), so the
+        # isotype spread and the prefactor residual are both 2 * step at n_max 2
+        calls, steps = [], []
+
+        def samples(space, n_max, tau_grid, tol):
+            calls.append(tol)
+            step = steps[min(len(calls), len(steps)) - 1]
+            taus = tuple(float(t) for t in tau_grid)
+            rows = tuple(tuple(-0.5 * space.m / (t * t) + n * step for t in taus)
+                         for n in range(n_max + 1))
+            return CurvatureGrid(space, taus, rows, ())
+
+        monkeypatch.setattr(flatness, "curvature_samples", samples)
+        return calls, steps
+
+    @staticmethod
+    def judge(kind, tol):
+        sp = parse_space("S3")
+        if kind == "projective":
+            verdict, dev = projective_test(sp, 2, GRID, tol)
+            return verdict.value, dev, dev
+        if kind == "flat":
+            verdict, resid = flat_test(sp, 2, GRID, tol)
+            return verdict.value, resid, resid
+        rep = theorem_scan([sp], n_max=2, tau_grid=GRID, tol=tol)[0]
+        return rep.verdict.value, rep.max_chi_deviation, rep.prefactor_residual
+
+    PASSED = {"projective": ProjectiveVerdict.CONSISTENT.value,
+              "flat": FlatVerdict.FLAT.value, "scan": FieldVerdict.FLAT.value}
+    KINDS = ("projective", "flat", "scan")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("first", [IN_GAP, math.nan])
+    def test_inconclusive_retries_once_at_tol_over_100(self, fake, kind, first):
+        calls, steps = fake
+        steps += [first, self.DECISIVE]
+        verdict, dev, resid = self.judge(kind, 1e-10)
+        assert calls == [1e-10, 1e-10 / 100]
+        assert verdict == self.PASSED[kind]
+        # both numbers come from the second grid
+        assert dev == pytest.approx(2 * self.DECISIVE, rel=1e-3)
+        assert resid == pytest.approx(2 * self.DECISIVE, rel=1e-3)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_still_inconclusive_after_one_retry(self, fake, kind):
+        calls, steps = fake
+        steps.append(self.IN_GAP)
+        verdict, dev, _ = self.judge(kind, 1e-10)
+        assert calls == [1e-10, 1e-10 / 100]
+        assert verdict == "inconclusive"
+        assert dev == pytest.approx(2 * self.IN_GAP)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("first", [IN_GAP, math.nan])
+    def test_no_retry_at_tol_min(self, fake, kind, first):
+        calls, steps = fake
+        steps.append(first)
+        verdict, _, _ = self.judge(kind, TOL_MIN)
+        assert calls == [TOL_MIN]
+        assert verdict == "inconclusive"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_decisive_first_grid_is_not_redone(self, fake, kind):
+        calls, steps = fake
+        steps.append(self.DECISIVE)
+        verdict, _, _ = self.judge(kind, 1e-10)
+        assert calls == [1e-10]
+        assert verdict == self.PASSED[kind]
+
+    def test_exact_witness_needs_one_grid(self, fake):
+        calls, steps = fake
+        steps.append(self.IN_GAP)
+        rep = theorem_scan([parse_space("S2")], n_max=2, tau_grid=GRID,
+                           tol=1e-10)[0]
+        assert calls == [1e-10]
+        assert rep.verdict is FieldVerdict.NOT_PROJECTIVELY_FLAT

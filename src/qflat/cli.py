@@ -42,7 +42,9 @@ from .flatness import (
 from .hypergeom import hypergeom_poly
 from .quadrature import (
     DEFAULT_TOL,
+    MAX_DIM,
     MAX_TAU,
+    MIN_TAU,
     TOL_MAX,
     TOL_MIN,
     QuadratureError,
@@ -182,9 +184,14 @@ def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
                 fail("no spaces selected")
             for lbl in labels:
                 try:
-                    parse_space(lbl)
+                    sp = parse_space(lbl)
                 except ValueError as exc:
                     fail(str(exc))
+                # centrality certificates are exact and hold for any m; the
+                # quadrature behind every other subcommand stops at MAX_DIM
+                if ns.subcommand != "centrality" and sp.m > MAX_DIM:
+                    fail(f"space {lbl} has dimension m={sp.m}, "
+                         f"supported is m <= {MAX_DIM}")
             spaces = labels
 
     n_values: tuple[int, ...] = ()
@@ -210,6 +217,8 @@ def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
                 fail("tau must be positive")
             if t > MAX_TAU:
                 fail(f"tau must be at most {MAX_TAU:g}, got {t:g}")
+            if t < MIN_TAU:
+                fail(f"tau must be at least {MIN_TAU:g}, got {t:g}")
 
     n_max = getattr(ns, "n_max", 5)
     if not (1 <= n_max <= 16):

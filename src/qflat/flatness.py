@@ -36,6 +36,7 @@ from typing import Callable, Iterable, Sequence
 from .quadrature import (
     DEFAULT_TOL,
     MAX_TAU,
+    MIN_TAU,
     TOL_MIN,
     QuadratureError,
     q_chi_derivs,
@@ -333,7 +334,7 @@ def _validate_grid(space: RootData, tau_grid: Sequence[float]) -> tuple[float, .
     for t in grid:
         if not (t > 0.0):
             raise ValueError(f"tau grid values must be positive, got {t}")
-        if space.B * space.B * t > MAX_TAU:
+        if not (MIN_TAU <= space.B * space.B * t <= MAX_TAU):
             raise ValueError(
                 f"B^2*tau = {space.B * space.B * t:g} outside the quadrature box"
             )

@@ -10,6 +10,17 @@ arrays, and each refinement level (the initial panels, then the children of
 every panel split in a round) is evaluated in one stacked call, so the cost
 per node is numpy arithmetic rather than Python overhead per panel.
 
+The fixed cost of a cell is kept small as well.  Everything about isotype n
+of a catalog space that does not depend on tau (the float coefficients of
+its hypergeometric polynomial, the exponents mu, kappa, nu and the tables
+the node evaluation reads) is one read-only record, built once per
+(space, n) and cached; the scale B never enters it.  Integrals of arbitrary
+polynomials (``q_p``) build their record afresh and leave the cache alone.
+Within a cell, the 800-point grid that fixes the common log-scale and the
+nodes of the first panel level go through one node evaluation, and a
+refinement round whose panels all meet their targets ends the integration
+with the sums it has already formed.
+
 Two numerical realities shape the implementation:
 
 * Before the Gaussian takes over, the integrand grows like exp(lambda*t)
@@ -38,11 +49,12 @@ the kernel a BLAS build dispatches to either.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -67,6 +79,8 @@ __all__ = [
     "TOL_MIN",
     "TOL_MAX",
     "MAX_DEGREE",
+    "MAX_DIM",
+    "MIN_TAU",
     "MAX_TAU",
     "MAX_POWER",
     "DEFAULT_TOL",
@@ -94,8 +108,14 @@ DEFAULT_TOL = 1e-10
 # exponent limits at every node; outside it the operations refuse to run
 # rather than degrade silently.
 MAX_DEGREE = 16
-MAX_TAU = 400.0
+MAX_DIM = 16
 MAX_POWER = 8.0
+MAX_TAU = 400.0
+# Far above the first failure of a sweep of the catalog (OP2 stops settling
+# its truncation tail at tau = 1e-60, and tau**4 underflows the curvature
+# near 1e-77), and high enough that q ~ tau^(r/2) with r <= 2 MAX_POWER + 1
+# stays a normal double: (1e-30)^8.5 = 1e-255.
+MIN_TAU = 1e-30
 
 _MAX_DEPTH = 46
 _MAX_ROUNDS = 6
@@ -186,17 +206,23 @@ def _as_float_coeffs(P: PolyLike) -> tuple[float, ...]:
     return cs
 
 
-def _check_box(coeffs: Sequence[float], params: QPParams, tol: float) -> None:
+def _check_tau_tol(tau: float, tol: float) -> None:
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ParameterRangeError(
             f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {tol:g}"
         )
+    if tau > MAX_TAU:
+        raise ParameterRangeError(f"tau {tau} exceeds supported {MAX_TAU}")
+    if not (tau >= MIN_TAU):
+        raise ParameterRangeError(f"tau must be at least {MIN_TAU:g}, got {tau}")
+
+
+def _check_box(coeffs: Sequence[float], params: QPParams, tol: float) -> None:
+    _check_tau_tol(params.tau, tol)
     if len(coeffs) - 1 > MAX_DEGREE:
         raise ParameterRangeError(
             f"polynomial degree {len(coeffs) - 1} exceeds supported {MAX_DEGREE}"
         )
-    if params.tau > MAX_TAU:
-        raise ParameterRangeError(f"tau {params.tau} exceeds supported {MAX_TAU}")
     for name in ("mu", "kappa", "nu"):
         if abs(getattr(params, name)) > MAX_POWER:
             raise ParameterRangeError(
@@ -223,39 +249,83 @@ def _log_cosh(t: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Tables(NamedTuple):
+    """The tau-independent part of a weight: exponents and node-evaluation
+    tables.  The arrays are read-only, so one record can serve every tau."""
+
+    coeffs: np.ndarray
+    mu: float
+    kappa: float
+    nu: float
+    lam: float
+    logc: np.ndarray   # log|c_j| as a column
+    j2: np.ndarray     # 2 j as a column
+    tsign: np.ndarray  # sign(c_j) (-1)^j as a column
+    log_tail_const: float
+
+
+def _make_tables(coeffs: Sequence[float], mu: float, kappa: float,
+                 nu: float) -> _Tables:
+    c = np.array(coeffs, dtype=float)
+    deg = len(c) - 1
+    kappa, nu = float(kappa), float(nu)
+    with np.errstate(divide="ignore"):
+        logc = np.log(np.abs(c))
+    j = np.arange(deg + 1)
+    tsign = np.sign(c) * np.where(j % 2 == 0, 1.0, -1.0)
+    # majorant constant: |P(-sh^2 t)| sh^k ch^v <= C exp(lam t) t^0 with
+    # C = sum |c_j| 4^-j * 2^-kappa  (uses sh t <= e^t/2, ch t <= e^t)
+    log_tail_const = (
+        math.log(float(np.sum(np.abs(c) * 4.0 ** -j))) - kappa * _LN2
+    )
+    logc, j2, tsign = logc[:, None], (2.0 * j)[:, None], tsign[:, None]
+    for x in (c, logc, j2, tsign):
+        x.flags.writeable = False
+    return _Tables(c, float(mu), kappa, nu, kappa + nu + 2.0 * deg,
+                   logc, j2, tsign, log_tail_const)
+
+
+@functools.lru_cache(maxsize=512)
+def _isotype(space: RootData, n: int) -> _Tables:
+    """The record of isotype n of ``space``, which must be given at B = 1.
+
+    512 entries hold every catalog space with m <= MAX_DIM at every
+    n <= MAX_DEGREE; the callers validate n and m before the lookup.
+    """
+    ch = chi_params(space, n)
+    coeffs = _as_float_coeffs(hypergeom_poly(ch.A, n, ch.c))
+    return _make_tables(coeffs, ch.mu, ch.kappa, ch.nu)
+
+
 class _Weight:
     """Log-space evaluator of the integrand and its even tau-moments."""
 
     def __init__(self, coeffs: Sequence[float], mu: float, kappa: float,
                  nu: float, tau: float):
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.deg = len(coeffs) - 1
-        self.mu = float(mu)
-        self.kappa = float(kappa)
-        self.nu = float(nu)
+        self._bind(_make_tables(coeffs, mu, kappa, nu), tau)
+
+    @classmethod
+    def at(cls, tables: _Tables, tau: float) -> "_Weight":
+        """A weight at ``tau`` that shares the given tables."""
+        weight = cls.__new__(cls)
+        weight._bind(tables, tau)
+        return weight
+
+    def _bind(self, tables: _Tables, tau: float) -> None:
+        self.tables = tables
+        self.mu, self.kappa, self.nu = tables.mu, tables.kappa, tables.nu
+        self.lam = tables.lam
         self.tau = float(tau)
-        self.lam = self.kappa + self.nu + 2.0 * self.deg
-        with np.errstate(divide="ignore"):
-            self._logc = np.log(np.abs(self.coeffs))
-        j = np.arange(self.deg + 1)
-        self._csign = np.sign(self.coeffs)
-        self._j2 = (2.0 * j)[:, None]
-        self._tsign = (self._csign * np.where(j % 2 == 0, 1.0, -1.0))[:, None]
-        # majorant constant: |P(-sh^2 t)| sh^k ch^v <= C exp(lam t) t^0 with
-        # C = sum |c_j| 4^-j * 2^-kappa  (uses sh t <= e^t/2, ch t <= e^t)
-        self.log_tail_const = (
-            math.log(float(np.sum(np.abs(self.coeffs) * 4.0 ** -j)))
-            - self.kappa * _LN2
-        )
 
     def log_mag_sign(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log|integrand|, sign) elementwise; t must be positive."""
+        tb = self.tables
         logsh = _log_sinh(t)
         # P(-sinh^2 t) as a scaled signed sum of exponentials of
         # log|c_j| + 2 j log sinh t; stable for any magnitude of sinh
-        lt = self._logc[:, None] + self._j2 * logsh[None, :]
+        lt = tb.logc + tb.j2 * logsh[None, :]
         top = np.max(lt, axis=0)
-        acc = np.sum(self._tsign * np.exp(lt - top[None, :]), axis=0)
+        acc = np.sum(tb.tsign * np.exp(lt - top[None, :]), axis=0)
         sign = np.sign(acc)
         with np.errstate(divide="ignore"):
             g = top + np.log(np.abs(acc)) - t * t / self.tau
@@ -270,9 +340,14 @@ class _Weight:
     def moments(self, t: np.ndarray, scale: float) -> np.ndarray:
         """Rows (w, t^2 w, t^4 w) with w = sign * exp(log|integrand| - scale)."""
         g, sign = self.log_mag_sign(t)
-        w = sign * np.exp(g - scale)
-        t2 = t * t
-        return np.stack([w, t2 * w, t2 * t2 * w])
+        return _moment_rows(t, g, sign, scale)
+
+
+def _moment_rows(t: np.ndarray, g: np.ndarray, sign: np.ndarray,
+                 scale: float) -> np.ndarray:
+    w = sign * np.exp(g - scale)
+    t2 = t * t
+    return np.stack([w, t2 * w, t2 * t2 * w])
 
 
 def _gl_rule(rows: np.ndarray) -> np.ndarray:
@@ -284,6 +359,24 @@ def _gl_rule(rows: np.ndarray) -> np.ndarray:
     return (rows * _GL_W).sum(axis=-1)
 
 
+def _panel_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (P, 3, 15) and half-widths (P, 3) of the 15-node rule on each
+    panel [a, b] and on its two halves."""
+    mid = 0.5 * (a + b)
+    centre = np.stack([mid, 0.5 * (a + mid), 0.5 * (mid + b)], axis=1)
+    half = np.stack([0.5 * (b - a), 0.5 * (mid - a), 0.5 * (b - mid)], axis=1)
+    return centre[:, :, None] + half[:, :, None] * _GL_X, half
+
+
+def _apply_rules(rows: np.ndarray,
+                 half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Refined estimates and their errors, each of shape (3, P), from the
+    moment rows at the nodes of ``_panel_nodes``."""
+    sums = _gl_rule(rows.reshape(-1, 15)).reshape(3, len(half), 3) * half
+    halves = sums[:, :, 1] + sums[:, :, 2]
+    return halves, np.abs(sums[:, :, 0] - halves)
+
+
 def _eval_panels(weight: _Weight, scale: float, a: np.ndarray,
                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Refined estimates and their errors, each of shape (3, P), of panels [a, b].
@@ -292,14 +385,8 @@ def _eval_panels(weight: _Weight, scale: float, a: np.ndarray,
     halves (45 nodes); the halves give the estimate and |whole - halves| its
     error.  All nodes of all panels go through one moments call.
     """
-    mid = 0.5 * (a + b)
-    centre = np.stack([mid, 0.5 * (a + mid), 0.5 * (mid + b)], axis=1)
-    half = np.stack([0.5 * (b - a), 0.5 * (mid - a), 0.5 * (b - mid)], axis=1)
-    xs = centre[:, :, None] + half[:, :, None] * _GL_X
-    rows = weight.moments(xs.ravel(), scale)
-    sums = _gl_rule(rows.reshape(-1, 15)).reshape(3, len(a), 3) * half
-    halves = sums[:, :, 1] + sums[:, :, 2]
-    return halves, np.abs(sums[:, :, 0] - halves)
+    xs, half = _panel_nodes(a, b)
+    return _apply_rules(weight.moments(xs.ravel(), scale), half)
 
 
 def _initial_breaks(weight: _Weight, T: float) -> list[float]:
@@ -344,21 +431,27 @@ def _targets(I: np.ndarray, Iabs: np.ndarray, tol: float) -> np.ndarray:
 def _integrate_moments(
     weight: _Weight, T: float, tol: float, node_budget: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, bool]:
-    tg = np.linspace(0.0, T, 801)[1:]
-    g, _ = weight.log_mag_sign(tg)
-    scale = float(np.max(g))
-
     breaks = np.array(_initial_breaks(weight, T))
     a, b = breaks[:-1], breaks[1:]
     depth = np.zeros(len(a), dtype=int)
-    val, err = _eval_panels(weight, scale, a, b)
+    # the common scale is the peak over an 800-point grid; that grid and the
+    # first level's nodes share one node evaluation
+    xs, half = _panel_nodes(a, b)
+    t = np.concatenate([np.linspace(0.0, T, 801)[1:], xs.ravel()])
+    g, sign = weight.log_mag_sign(t)
+    scale = float(np.max(g[:800]))
+    val, err = _apply_rules(_moment_rows(t[800:], g[800:], sign[800:], scale),
+                            half)
     nodes = 45 * len(a)
 
     budget_hit = False
-    for _ in range(_MAX_ROUNDS):
+    for rnd in range(_MAX_ROUNDS + 1):
+        # the round that meets its targets (or may split no further) returns
+        # the sums it has formed
         I, Iabs, E = _sum_panels(val, err)
         target = _targets(I, Iabs, tol)
-        if np.all(E <= target) or budget_hit:
+        converged = bool(np.all(E <= target))
+        if converged or budget_hit or rnd == _MAX_ROUNDS:
             break
         # split level by level; each panel is tested on its own against the
         # round's fixed target, so the order of the splits does not matter
@@ -391,8 +484,6 @@ def _integrate_moments(
         order = np.argsort(a)
         a, b, depth, val, err = (x[..., order] for x in (a, b, depth, val, err))
 
-    I, Iabs, E = _sum_panels(val, err)
-    converged = bool(np.all(E <= _targets(I, Iabs, tol)))
     return I, Iabs, E, scale, nodes, converged
 
 
@@ -408,7 +499,7 @@ def _log_tail_bound(weight: _Weight, T: float) -> float:
     if D <= 0.0:
         return math.inf
     return (
-        weight.log_tail_const
+        weight.tables.log_tail_const
         - T * T / tau
         + lam * T
         + mu * math.log(T)
@@ -442,12 +533,10 @@ def _build_result(
 
 
 def _q_engine(
-    coeffs: Sequence[float], mu: float, kappa: float, nu: float, tau: float,
-    tol: float, node_budget: int
+    weight: _Weight, tol: float, node_budget: int
 ) -> tuple[np.ndarray, QuadratureResult]:
-    weight = _Weight(coeffs, mu, kappa, nu, tau)
     L = math.log(1.0 / tol) + 40.0
-    lam = weight.lam
+    lam, tau = weight.lam, weight.tau
     root = 0.5 * (lam * tau + math.sqrt(lam * lam * tau * tau + 4.0 * L * tau))
     T0 = max(8.0 * math.sqrt(tau), root)
 
@@ -564,34 +653,35 @@ def q_p(P: PolyLike, params: QPParams, tol: float = DEFAULT_TOL, *,
     """
     coeffs = _as_float_coeffs(P)
     _check_box(coeffs, params, tol)
-    _, res = _q_engine(
-        coeffs, params.mu, params.kappa, params.nu, params.tau, tol, node_budget
-    )
+    weight = _Weight(coeffs, params.mu, params.kappa, params.nu, params.tau)
+    _, res = _q_engine(weight, tol, node_budget)
     return res
 
 
-def _chi_setup(space: RootData, n: int, tau: float, tol: float):
+def _chi_setup(space: RootData, n: int, tau: float,
+               tol: float) -> tuple[np.ndarray, _Weight]:
+    """The float coefficients of isotype n of ``space`` and its weight at tau.
+
+    Both come from the cached isotype record; the weight carries mu, kappa,
+    nu and tau as attributes.  Everything is validated before the lookup, so
+    the cache only ever holds records inside the box.
+    """
     if n < 0 or n > MAX_DEGREE:
         raise ParameterRangeError(f"isotype index n must be in [0, {MAX_DEGREE}], got {n}")
-    if space.m > 16:
-        raise ParameterRangeError(f"dimension m={space.m} exceeds supported 16")
-    ch = chi_params(space, n)
-    params = QPParams(
-        mu=float(ch.mu), kappa=float(ch.kappa), nu=float(ch.nu), tau=float(tau)
-    )
-    poly = hypergeom_poly(ch.A, n, ch.c)
-    coeffs = _as_float_coeffs(poly)
-    _check_box(coeffs, params, tol)
-    return coeffs, params
+    if space.m > MAX_DIM:
+        raise ParameterRangeError(
+            f"dimension m={space.m} exceeds supported {MAX_DIM}"
+        )
+    _check_tau_tol(tau, tol)
+    tables = _isotype(space if space.B == 1.0 else space.with_scale(1.0), n)
+    return tables.coeffs, _Weight.at(tables, tau)
 
 
 def q_chi(space: RootData, n: int, tau: float, tol: float = DEFAULT_TOL, *,
           node_budget: int = _DEFAULT_BUDGET) -> QuadratureResult:
     """The isotype-n radial integral q_n(tau) of a catalog space."""
-    coeffs, params = _chi_setup(space, n, tau, tol)
-    _, res = _q_engine(
-        coeffs, params.mu, params.kappa, params.nu, params.tau, tol, node_budget
-    )
+    _, weight = _chi_setup(space, n, tau, tol)
+    _, res = _q_engine(weight, tol, node_budget)
     return res
 
 
@@ -604,11 +694,9 @@ def q_chi_derivs(
     The second log-derivative is assembled as Q''/Q - (Q'/Q)^2, which can
     cancel; losing more than six digits triggers a CancellationWarning.
     """
-    coeffs, params = _chi_setup(space, n, tau, tol)
-    I, res = _q_engine(
-        coeffs, params.mu, params.kappa, params.nu, params.tau, tol, node_budget
-    )
-    tau = params.tau
+    _, weight = _chi_setup(space, n, tau, tol)
+    I, res = _q_engine(weight, tol, node_budget)
+    tau = weight.tau
     ratio2 = float(I[1]) / float(I[0])
     ratio4 = float(I[2]) / float(I[0])
     d1 = ratio2 / tau**2

@@ -70,6 +70,37 @@ class TestParseArgs:
             parse_args(["qtable", "--space", "S3", "--n", "0", "--tau", "450"])
         assert exc.value.code == 1
 
+    def test_tau_below_floor_rejected(self, capsys):
+        for tau in ("1e-200", "1e-31"):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(["qtable", "--space", "S3", "--n", "0", "--tau", tau])
+            assert exc.value.code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err[-1] == f"qflat: error: tau must be at least 1e-30, got {tau}"
+        cfg = parse_args(["qtable", "--space", "S3", "--n", "0", "--tau", "1e-30"])
+        assert cfg.tau_values == (quadrature.MIN_TAU,)
+
+    def test_tau_at_floor_runs(self):
+        out, code = capture(["curvature", "--space", "S3,OP2", "--n", "0,16",
+                             "--tau", "1e-30"])
+        assert code == 0
+        assert "nan" not in out
+
+    def test_dimension_above_box_rejected(self, capsys):
+        for argv in (["qtable", "--space", "S3,S20"], ["curvature", "--space", "CP9"],
+                     ["scan", "--spaces", "S17"], ["verify-asymptotics", "--space", "HP5"]):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(argv)
+            assert exc.value.code == 1, argv
+            err = capsys.readouterr().err.splitlines()
+            assert "supported is m <= 16" in err[-1], argv
+        for lbl in ("S16", "CP8", "HP4", "OP2"):
+            assert parse_args(["qtable", "--space", lbl]).spaces == (lbl,)
+        # exact certificates hold for any dimension
+        out, code = capture(["centrality", "--space", "S40", "--n", "1..2"])
+        assert code == 0
+        assert out.count("S40,") == 2
+
     def test_unknown_selector_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(["qtable", "--space", "Q5", "--n", "0", "--tau", "1"])

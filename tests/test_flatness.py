@@ -206,6 +206,15 @@ class TestCurvatureSamples:
             curvature_samples(sp, 1, (500.0,), 1e-10)
 
 
+    def test_rejects_grid_below_tau_floor(self):
+        # the box applies to B^2 tau, the width the quadrature sees
+        with pytest.raises(ValueError):
+            curvature_samples(parse_space("S3"), 1, (1e-31,), 1e-10)
+        with pytest.raises(ValueError):
+            curvature_samples(parse_space("S3", B=0.1), 1, (1e-29,), 1e-10)
+        grid = curvature_samples(parse_space("S3", B=0.1), 1, (1e-28,), 1e-10)
+        assert not grid.failures
+
 class TestProjectiveTest:
     def test_s3_consistent(self):
         verdict, dev = projective_test(parse_space("S3"), 5, GRID, 1e-10)

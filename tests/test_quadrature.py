@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from qflat.quadrature import (
     q_chi_derivs,
     q_p,
 )
-from qflat.spaces import chi_params, parse_space
+from qflat.spaces import chi_params, default_scan_spaces, parse_space
 from qflat.hypergeom import hypergeom_poly
 
 
@@ -387,3 +388,135 @@ class TestPChi:
             p_chi(parse_space("S3"), 0, 1.0 - 1j)
         with pytest.raises(ParameterRangeError):
             p_chi(parse_space("S3"), 0, 3.0)
+
+
+def _bits(res, d1=None, d2=None):
+    return (res.value, res.log_value, res.abs_error, res.rel_error, res.nodes,
+            res.truncation_t, d1, d2)
+
+
+class TestIsotypeCache:
+    # every default space at the box corners in n and tau
+    CELLS = [(lbl, n, tau) for lbl in ("S2", "S3", "S4", "S5", "S7", "CP2",
+                                       "CP3", "HP2", "OP2")
+             for n in (0, 8, 16) for tau in (0.05, 1.0, 400.0)]
+
+    @pytest.mark.parametrize("label,n,tau", CELLS)
+    def test_cold_and_warm_bit_identical(self, label, n, tau):
+        sp = parse_space(label)
+        cache = quadrature._isotype
+        cache.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CancellationWarning)
+            cold = _bits(*q_chi_derivs(sp, n, tau))
+            assert cache.cache_info().misses == 1
+            warm = _bits(*q_chi_derivs(sp, n, tau))
+        assert cache.cache_info().hits == 1
+        assert cache.cache_info().currsize == 1
+        assert cold == warm
+
+    def test_record_is_read_only(self):
+        tables = quadrature._isotype(parse_space("CP2"), 3)
+        for name in ("coeffs", "logc", "j2", "tsign"):
+            arr = getattr(tables, name)
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        coeffs, _ = quadrature._chi_setup(parse_space("CP2"), 3, 1.0, 1e-10)
+        with pytest.raises(ValueError):
+            coeffs[0] = 1.0
+
+    def test_scale_does_not_enter_the_key(self):
+        cache = quadrature._isotype
+        cache.cache_clear()
+        a = q_chi(parse_space("S4"), 2, 1.5)
+        b = q_chi(parse_space("S4", B=2.0), 2, 1.5)
+        assert cache.cache_info().currsize == 1
+        assert cache.cache_info().hits == 1
+        assert _bits(a) == _bits(b)
+        ca, _ = quadrature._chi_setup(parse_space("S4"), 2, 1.5, 1e-10)
+        cb, _ = quadrature._chi_setup(parse_space("S4", B=2.0), 2, 1.5, 1e-10)
+        assert ca is cb
+
+    def test_arbitrary_polynomials_stay_out(self):
+        quadrature._isotype(parse_space("S3"), 1)
+        before = quadrature._isotype.cache_info()
+        for P in (1, [1.0, -2.0], [0.5, 0.0, 3.0, -1.0], [1.0] * 17):
+            for params in (QPParams(0.5, 0.5, 0.0, 1.0), QPParams(2.0, 1.0, 3.0, 20.0)):
+                q_p(P, params)
+        after = quadrature._isotype.cache_info()
+        assert after.currsize == before.currsize
+        assert after.misses == before.misses
+
+    def test_rejected_cells_stay_out(self):
+        quadrature._isotype.cache_clear()
+        for args in ((parse_space("S3"), 17, 1.0), (parse_space("S20"), 0, 1.0),
+                     (parse_space("S3"), 0, 500.0), (parse_space("S3"), 0, 1e-31)):
+            with pytest.raises(ParameterRangeError):
+                q_chi(*args)
+        assert quadrature._isotype.cache_info().currsize == 0
+
+    def test_miss_builds_through_module_globals(self, monkeypatch):
+        # a miss looks up chi_params and hypergeom_poly on the module, where
+        # instrumentation can see it; a hit calls neither
+        calls = []
+        for name in ("chi_params", "hypergeom_poly"):
+            fn = getattr(quadrature, name)
+            monkeypatch.setattr(
+                quadrature, name,
+                lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        quadrature._isotype.cache_clear()
+        sp = parse_space("HP2")
+        first = q_chi(sp, 4, 0.5)
+        q_chi(sp, 4, 2.0)
+        q_chi_derivs(sp, 4, 8.0)
+        assert calls == ["chi_params", "hypergeom_poly"]
+        ch = chi_params(sp, 4)
+        coeffs = quadrature._as_float_coeffs(hypergeom_poly(ch.A, 4, ch.c))
+        direct = q_p(coeffs, QPParams(float(ch.mu), float(ch.kappa), float(ch.nu), 0.5))
+        assert _bits(first) == _bits(direct)
+
+
+class TestSharedNodeCall:
+    CASES = [("S3", 0, 0.05, 1e-10), ("CP2", 5, 1.0, 1e-13), ("OP2", 16, 400.0, 1e-10),
+             ("HP2", 3, 20.0, 1e-4)]
+
+    @pytest.mark.parametrize("label,n,tau,tol", CASES)
+    def test_scale_is_the_800_point_probe(self, label, n, tau, tol):
+        # the scale still comes from the 800-point grid, not from the panel
+        # nodes it now shares a node evaluation with, and the first level
+        # gets the bits a separate moments call gives it
+        _, weight = quadrature._chi_setup(parse_space(label), n, tau, tol)
+        T = q_chi(parse_space(label), n, tau, tol).truncation_t
+        I, Iabs, E, scale, nodes, conv = quadrature._integrate_moments(
+            weight, T, 0.5 * tol, quadrature._DEFAULT_BUDGET)
+        g, _ = weight.log_mag_sign(np.linspace(0.0, T, 801)[1:])
+        assert scale == float(np.max(g))
+        breaks = np.array(quadrature._initial_breaks(weight, T))
+        val, err = quadrature._eval_panels(weight, scale, breaks[:-1], breaks[1:])
+        assert nodes == 45 * (len(breaks) - 1)
+        assert conv
+        for got, want in zip((I, Iabs, E), quadrature._sum_panels(val, err)):
+            assert np.array_equal(got, want)
+
+
+class TestTauFloor:
+    def test_tiny_tau_rejected(self):
+        sp = parse_space("S3")
+        for tau in (1e-100, 1e-200, 0.5 * quadrature.MIN_TAU, 0.0, -1.0, math.nan):
+            with pytest.raises(ParameterRangeError):
+                q_chi_derivs(sp, 0, tau)
+        with pytest.raises(ParameterRangeError):
+            q_p(1, QPParams(0, 0, 0, 1e-31))
+
+    @pytest.mark.parametrize("tol", [quadrature.TOL_MIN, 1e-10, quadrature.TOL_MAX])
+    def test_floor_is_inside_the_working_range(self, tol):
+        # at the floor every default space succeeds up to n = 16, with a
+        # normal double value and the small-tau law (log q)'' -> -(m/2)/tau^2
+        tau = quadrature.MIN_TAU
+        for sp in default_scan_spaces():
+            for n in (0, 16):
+                res, _, d2 = q_chi_derivs(sp, n, tau, tol)
+                assert res.value > 2.3e-308
+                assert d2 == pytest.approx(-0.5 * sp.m / tau**2, rel=1e-9)
+        res = q_p([1.0] * 17, QPParams(8.0, 8.0, 8.0, tau), tol)
+        assert res.value > 2.3e-308

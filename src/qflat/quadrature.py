@@ -5,10 +5,13 @@ Evaluates
     Q(tau) = int_0^inf exp(-t^2/tau) P(-sinh^2 t) t^mu sinh(t)^kappa cosh(t)^nu dt
 
 together with its first two log-derivatives in tau, by composite adaptive
-Gauss-Legendre panels on a truncated interval [0, T].  Panels are kept as
-arrays, and each refinement level (the initial panels, then the children of
-every panel split in a round) is evaluated in one stacked call, so the cost
-per node is numpy arithmetic rather than Python overhead per panel.
+Gauss-Kronrod 7/15 panels on a truncated interval [0, T].  Each panel costs
+15 node evaluations: the 15-point Kronrod rule gives its value and the
+7-point Gauss rule on every other node its error estimate |K15 - G7|
+(the embedded pair of QUADPACK's qk15).  Panels are kept as arrays, and
+each refinement level (the initial panels, then the children of every
+panel split in a round) is evaluated in one stacked call, so the cost per
+node is numpy arithmetic rather than Python overhead per panel.
 
 The fixed cost of a cell is kept small as well.  Everything about isotype n
 of a catalog space that does not depend on tau (the float coefficients of
@@ -16,10 +19,10 @@ its hypergeometric polynomial, the exponents mu, kappa, nu and the tables
 the node evaluation reads) is one read-only record, built once per
 (space, n) and cached; the scale B never enters it.  Integrals of arbitrary
 polynomials (``q_p``) build their record afresh and leave the cache alone.
-Within a cell, the 800-point grid that fixes the common log-scale and the
-nodes of the first panel level go through one node evaluation, and a
-refinement round whose panels all meet their targets ends the integration
-with the sums it has already formed.
+Within a cell, the common log-scale is the peak of the integrand over the
+first panel level's own nodes, and a refinement round whose panels all
+meet their targets ends the integration with the sums it has already
+formed.
 
 Two numerical realities shape the implementation:
 
@@ -88,16 +91,40 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _EPS = 2.0 ** -52
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
+
+# The Gauss-Kronrod 7/15 pair of QUADPACK's qk15 (Kronrod 1965; Piessens et
+# al., QUADPACK, 1983): the Kronrod abscissae of [0, 1) from the outside in,
+# their weights, and the weights of the 7-point Gauss rule on the abscissae
+# of odd index.  Mirrored below into the 15 nodes of [-1, 1] in ascending
+# order, so the Gauss nodes are those of odd index there too.
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.000000000000000000000000000000000,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+])
+_K15_X = np.concatenate([-_XGK, _XGK[-2::-1]])
+_K15_W = np.concatenate([_WGK, _WGK[-2::-1]])
+_G7_W = np.concatenate([_WG, _WG[-2::-1]])
 
 # Rounding floor of the reported panel error, in units of eps * int |f|.
-# Each 15-node rule is a dot product and a scaling, so its computed value is
-# off by at most gamma_16 * sum w|f| (inner-product bound, Higham, Accuracy
-# and Stability of Numerical Algorithms, sec. 3.1; gamma_k = k u / (1 - k u),
-# u = eps / 2), and the sum of the two halves by gamma_17 * sum w|f|.  The
-# estimate |whole - halves| thus carries up to (gamma_16 + gamma_17) int |f|
-# of noise and the returned value gamma_17 int |f| of its own rounding:
-# about 50 u = 25 eps in all, rounded up to a power of two here.
+# Each rule is a dot product and a scaling by the half-width, so the
+# computed K15 is off by at most gamma_16 * sum w|f| (inner-product bound,
+# Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1;
+# gamma_k = k u / (1 - k u), u = eps / 2) and G7 by gamma_8 * sum w|f|.
+# The estimate |K15 - G7| thus carries up to (gamma_16 + gamma_8) int |f| of
+# noise and the returned value gamma_16 int |f| of its own rounding: about
+# 40 u = 20 eps in all, rounded up to a power of two here.
 _ROUND_C = 32.0
 
 TOL_MIN = 1e-13
@@ -300,22 +327,15 @@ def _isotype(space: RootData, n: int) -> _Tables:
 class _Weight:
     """Log-space evaluator of the integrand and its even tau-moments."""
 
-    def __init__(self, coeffs: Sequence[float], mu: float, kappa: float,
-                 nu: float, tau: float):
-        self._bind(_make_tables(coeffs, mu, kappa, nu), tau)
-
     @classmethod
     def at(cls, tables: _Tables, tau: float) -> "_Weight":
         """A weight at ``tau`` that shares the given tables."""
-        weight = cls.__new__(cls)
-        weight._bind(tables, tau)
+        weight = cls()
+        weight.tables = tables
+        weight.mu, weight.kappa, weight.nu = tables.mu, tables.kappa, tables.nu
+        weight.lam = tables.lam
+        weight.tau = float(tau)
         return weight
-
-    def _bind(self, tables: _Tables, tau: float) -> None:
-        self.tables = tables
-        self.mu, self.kappa, self.nu = tables.mu, tables.kappa, tables.nu
-        self.lam = tables.lam
-        self.tau = float(tau)
 
     def log_mag_sign(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log|integrand|, sign) elementwise; t must be positive."""
@@ -350,40 +370,40 @@ def _moment_rows(t: np.ndarray, g: np.ndarray, sign: np.ndarray,
     return np.stack([w, t2 * w, t2 * t2 * w])
 
 
-def _gl_rule(rows: np.ndarray) -> np.ndarray:
-    """Unscaled 15-node Gauss-Legendre sum of each row of a 2-D ``rows``.
+def _gl_rule(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unscaled sum of each row of a 2-D ``rows`` against the rule weights ``w``.
 
     A numpy reduction in a fixed order rather than a BLAS product, so the
     sums do not depend on which kernel the BLAS build dispatches to.
     """
-    return (rows * _GL_W).sum(axis=-1)
+    return (rows * w).sum(axis=-1)
 
 
 def _panel_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (P, 3, 15) and half-widths (P, 3) of the 15-node rule on each
-    panel [a, b] and on its two halves."""
-    mid = 0.5 * (a + b)
-    centre = np.stack([mid, 0.5 * (a + mid), 0.5 * (mid + b)], axis=1)
-    half = np.stack([0.5 * (b - a), 0.5 * (mid - a), 0.5 * (b - mid)], axis=1)
-    return centre[:, :, None] + half[:, :, None] * _GL_X, half
+    """Nodes (P, 15) and half-widths (P,) of the 15-node Kronrod rule on
+    each panel [a, b]."""
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b))[:, None] + half[:, None] * _K15_X, half
 
 
 def _apply_rules(rows: np.ndarray,
                  half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Refined estimates and their errors, each of shape (3, P), from the
-    moment rows at the nodes of ``_panel_nodes``."""
-    sums = _gl_rule(rows.reshape(-1, 15)).reshape(3, len(half), 3) * half
-    halves = sums[:, :, 1] + sums[:, :, 2]
-    return halves, np.abs(sums[:, :, 0] - halves)
+    """Estimates K15 and their errors |K15 - G7|, each of shape (3, P), from
+    the moment rows at the nodes of ``_panel_nodes``; G7 reads the nodes of
+    odd index."""
+    rows = rows.reshape(-1, 15)
+    k15 = _gl_rule(rows, _K15_W).reshape(3, len(half)) * half
+    g7 = _gl_rule(rows[:, 1::2], _G7_W).reshape(3, len(half)) * half
+    return k15, np.abs(k15 - g7)
 
 
 def _eval_panels(weight: _Weight, scale: float, a: np.ndarray,
                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Refined estimates and their errors, each of shape (3, P), of panels [a, b].
+    """Estimates and their errors, each of shape (3, P), of panels [a, b].
 
-    Each panel gets the 15-node rule on the whole panel and on its two
-    halves (45 nodes); the halves give the estimate and |whole - halves| its
-    error.  All nodes of all panels go through one moments call.
+    Each panel gets the Gauss-Kronrod 7/15 pair on its 15 nodes: K15 is the
+    estimate and |K15 - G7| its error.  All nodes of all panels go through
+    one moments call.
     """
     xs, half = _panel_nodes(a, b)
     return _apply_rules(weight.moments(xs.ravel(), scale), half)
@@ -434,15 +454,13 @@ def _integrate_moments(
     breaks = np.array(_initial_breaks(weight, T))
     a, b = breaks[:-1], breaks[1:]
     depth = np.zeros(len(a), dtype=int)
-    # the common scale is the peak over an 800-point grid; that grid and the
-    # first level's nodes share one node evaluation
+    # the common scale is the peak over the first level's own nodes
     xs, half = _panel_nodes(a, b)
-    t = np.concatenate([np.linspace(0.0, T, 801)[1:], xs.ravel()])
+    t = xs.ravel()
     g, sign = weight.log_mag_sign(t)
-    scale = float(np.max(g[:800]))
-    val, err = _apply_rules(_moment_rows(t[800:], g[800:], sign[800:], scale),
-                            half)
-    nodes = 45 * len(a)
+    scale = float(np.max(g))
+    val, err = _apply_rules(_moment_rows(t, g, sign, scale), half)
+    nodes = 15 * len(a)
 
     budget_hit = False
     for rnd in range(_MAX_ROUNDS + 1):
@@ -461,7 +479,7 @@ def _integrate_moments(
             share = _SAFETY * (b - a) / T
             ok = np.all(err <= target[:, None] * share, axis=0)
             fail = np.flatnonzero(~ok & (depth < _MAX_DEPTH))
-            room = max(0, (node_budget - nodes) // 90)
+            room = max(0, (node_budget - nodes) // 30)
             if len(fail) > room:
                 budget_hit = True
                 fail = fail[:room]
@@ -475,7 +493,7 @@ def _integrate_moments(
             b = np.stack([mid, b[fail]], axis=1).ravel()
             depth = np.repeat(depth[fail] + 1, 2)
             val, err = _eval_panels(weight, scale, a, b)
-            nodes += 45 * len(a)
+            nodes += 15 * len(a)
             if budget_hit:
                 parts.append((a, b, depth, val, err))
                 break
@@ -629,8 +647,8 @@ def integrand(P: PolyLike, params: QPParams, t: float) -> float:
         raise ParameterRangeError(f"t must be nonnegative, got {t}")
     coeffs = _as_float_coeffs(P)
     if t > 0.0:
-        weight = _Weight(coeffs, params.mu, params.kappa, params.nu, params.tau)
-        g, _ = weight.log_mag_sign(np.array([t]))
+        tables = _make_tables(coeffs, params.mu, params.kappa, params.nu)
+        g, _ = _Weight.at(tables, params.tau).log_mag_sign(np.array([t]))
         if float(g[0]) > 709.0:
             raise OverflowError(
                 f"integrand magnitude exp({float(g[0]):.1f}) exceeds double range"
@@ -653,8 +671,8 @@ def q_p(P: PolyLike, params: QPParams, tol: float = DEFAULT_TOL, *,
     """
     coeffs = _as_float_coeffs(P)
     _check_box(coeffs, params, tol)
-    weight = _Weight(coeffs, params.mu, params.kappa, params.nu, params.tau)
-    _, res = _q_engine(weight, tol, node_budget)
+    tables = _make_tables(coeffs, params.mu, params.kappa, params.nu)
+    _, res = _q_engine(_Weight.at(tables, params.tau), tol, node_budget)
     return res
 
 

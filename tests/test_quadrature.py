@@ -29,22 +29,55 @@ def s3_q_closed(tau):
     return math.sqrt(math.pi) / 4.0 * tau ** 1.5 * math.exp(tau)
 
 
+def s3_log_q_closed(n, tau):
+    # log of (sqrt(pi)/4) tau^(3/2) e^((n+1)^2 tau), the closed form above
+    # shifted by the isotype factor e^(n(n+2) tau), at 30 digits
+    import mpmath as mp
+
+    with mp.workdps(30):
+        tau = mp.mpf(tau)
+        return mp.log(mp.sqrt(mp.pi) / 4) + 1.5 * mp.log(tau) + (n + 1) ** 2 * tau
+
+
 def panel_one_at_a_time(weight, scale, a, b):
-    # the per-panel form of quadrature._eval_panels: rule on [a, b] against
-    # the sum of the rules on its halves
-    x = quadrature._GL_X
-    mid = 0.5 * (a + b)
-    half1 = 0.5 * (b - a)
-    xs = np.concatenate([
-        0.5 * (a + b) + half1 * x,
-        0.5 * (a + mid) + 0.5 * (mid - a) * x,
-        0.5 * (mid + b) + 0.5 * (b - mid) * x,
-    ])
+    # the per-panel form of quadrature._eval_panels: K15 on [a, b] against
+    # G7 on its nodes of odd index
+    half = 0.5 * (b - a)
+    xs = 0.5 * (a + b) + half * quadrature._K15_X
     rows = weight.moments(xs, scale)
-    whole = quadrature._gl_rule(rows[:, :15]) * half1
-    halves = (quadrature._gl_rule(rows[:, 15:30]) * (0.5 * (mid - a))
-              + quadrature._gl_rule(rows[:, 30:]) * (0.5 * (b - mid)))
-    return halves, np.abs(whole - halves)
+    k15 = quadrature._gl_rule(rows, quadrature._K15_W) * half
+    g7 = quadrature._gl_rule(rows[:, 1::2], quadrature._G7_W) * half
+    return k15, np.abs(k15 - g7)
+
+
+class TestKronrodRule:
+    # exactness to degree 22 pins the 15-node Kronrod extension of the
+    # 7-point Gauss rule, so a mistyped digit in a constant fails here
+    X, WK, WG = quadrature._K15_X, quadrature._K15_W, quadrature._G7_W
+
+    @staticmethod
+    def defect(w, x, d):
+        return abs(math.fsum(w * x ** d) - (2.0 / (d + 1) if d % 2 == 0 else 0.0))
+
+    def test_k15_exact_to_degree_22(self):
+        for d in range(23):
+            assert self.defect(self.WK, self.X, d) <= 1e-14, d
+        assert self.defect(self.WK, self.X, 24) > 1e-10
+
+    def test_g7_exact_to_degree_13(self):
+        for d in range(14):
+            assert self.defect(self.WG, self.X[1::2], d) <= 1e-14, d
+        assert self.defect(self.WG, self.X[1::2], 14) > 1e-6
+
+    def test_g7_nodes_are_gauss_legendre(self):
+        x7, _ = np.polynomial.legendre.leggauss(7)
+        assert len(self.X) == 15 and len(self.WG) == 7
+        assert np.all(np.diff(self.X) > 0)
+        np.testing.assert_array_max_ulp(self.X[1::2], x7, maxulp=1)
+
+    def test_weights_sum_to_two(self):
+        assert math.fsum(self.WK) == pytest.approx(2.0, abs=1e-15)
+        assert math.fsum(self.WG) == pytest.approx(2.0, abs=1e-15)
 
 
 class TestIntegrand:
@@ -219,13 +252,13 @@ class TestQChi:
 
 
 class TestRefinement:
-    """Cells that split panels, pinned to the node counts of the depth-first
-    recursion that the level-by-level refinement replaced."""
+    """Cells that split panels, pinned to their node counts: 15 per panel of
+    the first level and 30 per split."""
 
     @pytest.mark.parametrize("params, tol, nodes", [
-        (QPParams(0.5, 0.0, 0.5, 1.0), 1e-13, 5220),
-        (QPParams(0.25, 1.0, 0.0, 0.3), 1e-13, 2925),
-        (QPParams(0.25, 1.0, 0.0, 0.3), 1e-11, 2475),
+        (QPParams(0.5, 0.0, 0.5, 1.0), 1e-13, 2160),
+        (QPParams(0.25, 1.0, 0.0, 0.3), 1e-13, 1215),
+        (QPParams(0.25, 1.0, 0.0, 0.3), 1e-11, 945),
     ])
     def test_refining_cell_nodes(self, params, tol, nodes):
         res = q_p(1, params, tol)
@@ -242,18 +275,16 @@ class TestRefinement:
             q_chi(parse_space("S3"), 5, 400.0, 1e-13)
         best = err.value.best
         assert best.nodes <= quadrature._DEFAULT_BUDGET
-        assert best.nodes == 399960
+        assert best.nodes == 399990
 
     def test_stacked_panels_match_one_at_a_time(self):
         # the stacked layout gives each panel exactly the bits it gets alone
-        coeffs, params = quadrature._chi_setup(parse_space("CP2"), 2, 1.0, 1e-10)
-        weight = quadrature._Weight(coeffs, params.mu, params.kappa, params.nu,
-                                    params.tau)
+        _, weight = quadrature._chi_setup(parse_space("CP2"), 2, 1.0, 1e-10)
         T = 15.0
-        g, _ = weight.log_mag_sign(np.linspace(0.0, T, 801)[1:])
-        scale = float(np.max(g))
         breaks = np.array(quadrature._initial_breaks(weight, T))
         a, b = breaks[:-1], breaks[1:]
+        g, _ = weight.log_mag_sign(quadrature._panel_nodes(a, b)[0].ravel())
+        scale = float(np.max(g))
         val, err = quadrature._eval_panels(weight, scale, a, b)
         assert val.shape == err.shape == (3, len(a))
         for i in range(len(a)):
@@ -269,14 +300,15 @@ class TestTruncationSoundness:
     def test_internal_majorant(self, label, n, tau):
         # the analytic tail bound at the returned truncation point must sit
         # below tol/2 relative to the value
-        from qflat.quadrature import _Weight, _as_float_coeffs, _log_tail_bound
+        from qflat.quadrature import (_Weight, _as_float_coeffs, _log_tail_bound,
+                                      _make_tables)
 
         tol = 1e-10
         sp = parse_space(label)
         res = q_chi(sp, n, tau, tol)
         ch = chi_params(sp, n)
         coeffs = _as_float_coeffs(hypergeom_poly(ch.A, n, ch.c))
-        w = _Weight(coeffs, float(ch.mu), float(ch.kappa), float(ch.nu), tau)
+        w = _Weight.at(_make_tables(coeffs, ch.mu, ch.kappa, ch.nu), tau)
         assert _log_tail_bound(w, res.truncation_t) <= math.log(tol / 2.0) + res.log_value
 
     @pytest.mark.parametrize("label,n,tau", [("S3", 0, 1.0), ("S2", 1, 0.01),
@@ -476,27 +508,47 @@ class TestIsotypeCache:
         assert _bits(first) == _bits(direct)
 
 
-class TestSharedNodeCall:
+class TestFirstLevel:
     CASES = [("S3", 0, 0.05, 1e-10), ("CP2", 5, 1.0, 1e-13), ("OP2", 16, 400.0, 1e-10),
              ("HP2", 3, 20.0, 1e-4)]
 
     @pytest.mark.parametrize("label,n,tau,tol", CASES)
-    def test_scale_is_the_800_point_probe(self, label, n, tau, tol):
-        # the scale still comes from the 800-point grid, not from the panel
-        # nodes it now shares a node evaluation with, and the first level
-        # gets the bits a separate moments call gives it
+    def test_scale_is_the_peak_over_first_level_nodes(self, label, n, tau, tol):
+        # the scale is the max of log|integrand| over the first level's own
+        # nodes, and that level gets the bits a separate moments call gives it
         _, weight = quadrature._chi_setup(parse_space(label), n, tau, tol)
         T = q_chi(parse_space(label), n, tau, tol).truncation_t
         I, Iabs, E, scale, nodes, conv = quadrature._integrate_moments(
             weight, T, 0.5 * tol, quadrature._DEFAULT_BUDGET)
-        g, _ = weight.log_mag_sign(np.linspace(0.0, T, 801)[1:])
-        assert scale == float(np.max(g))
         breaks = np.array(quadrature._initial_breaks(weight, T))
+        xs, _ = quadrature._panel_nodes(breaks[:-1], breaks[1:])
+        g, _ = weight.log_mag_sign(xs.ravel())
+        assert scale == float(np.max(g))
         val, err = quadrature._eval_panels(weight, scale, breaks[:-1], breaks[1:])
-        assert nodes == 45 * (len(breaks) - 1)
         assert conv
         for got, want in zip((I, Iabs, E), quadrature._sum_panels(val, err)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("label,n,tau,tol", CASES)
+    def test_nodes_are_fifteen_per_panel(self, label, n, tau, tol):
+        # these cells converge on their first level, which costs 15 nodes a
+        # panel and nothing besides
+        res = q_chi(parse_space(label), n, tau, tol)
+        _, weight = quadrature._chi_setup(parse_space(label), n, tau, tol)
+        panels = len(quadrature._initial_breaks(weight, res.truncation_t)) - 1
+        assert res.nodes == 15 * panels
+
+
+class TestS3ClosedFormSweep:
+    # q_n of S3 is (sqrt(pi)/4) tau^(3/2) e^((n+1)^2 tau) at every n, so its
+    # log pins the relative error of q across the box in n and tau
+    @pytest.mark.parametrize("tol", [1e-10, 1e-4])
+    def test_log_value_within_tol(self, tol):
+        sp = parse_space("S3")
+        for n in range(17):
+            for tau in (0.05, 0.25, 1.0, 4.0, 20.0, 100.0, 400.0):
+                got = q_chi(sp, n, tau, tol).log_value
+                assert abs(got - s3_log_q_closed(n, tau)) <= tol, (n, tau)
 
 
 class TestTauFloor:

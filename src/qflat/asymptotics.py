@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Union
 
 from ._gamma import gamma_value
-from .quadrature import _as_float_coeffs
+from .quadrature import _as_float_coeffs, _exp_or_inf
 
 __all__ = [
     "CentralPrediction",
@@ -67,7 +67,7 @@ def watson2(P, mu, kappa, nu, tau: float) -> float:
     is normalized to constant term c0 = 1, as every polynomial family used
     downstream is.
     """
-    c0, c1 = (_as_float_coeffs(P) + (0.0,))[:2]
+    c0, coef = fseries2(P, kappa, nu)
     if isinstance(mu, (int, Fraction)) and isinstance(kappa, (int, Fraction)):
         r = Fraction(mu) + Fraction(kappa) + 1
     else:
@@ -76,7 +76,6 @@ def watson2(P, mu, kappa, nu, tau: float) -> float:
         raise ValueError(f"need r = mu + kappa + 1 > 0, got {r}")
     g0 = gamma_value(_half(r))
     g1 = gamma_value(_half(r) + 1 if isinstance(r, (int, Fraction)) else float(r) / 2.0 + 1.0)
-    coef = -c1 + float(kappa) / 6.0 + float(nu) / 2.0
     rr = float(r)
     return tau ** (rr / 2.0) / 2.0 * (g0 * c0 + g1 * coef * tau)
 
@@ -115,10 +114,7 @@ def log_tail_gauss_exp(a: float, lam: float, mu: float, tau: float) -> float:
 
 def tail_gauss_exp(a: float, lam: float, mu: float, tau: float) -> float:
     """Plain-value counterpart of :func:`log_tail_gauss_exp`."""
-    try:
-        return math.exp(log_tail_gauss_exp(a, lam, mu, tau))
-    except OverflowError:
-        return math.inf
+    return _exp_or_inf(log_tail_gauss_exp(a, lam, mu, tau))
 
 
 def log_qp_large_tau(P, mu, kappa, nu, tau: float) -> tuple[float, float]:
@@ -153,10 +149,7 @@ def log_qp_large_tau(P, mu, kappa, nu, tau: float) -> tuple[float, float]:
 def qp_large_tau(P, mu, kappa, nu, tau: float) -> float:
     """Plain-value counterpart of :func:`log_qp_large_tau`."""
     logmag, sign = log_qp_large_tau(P, mu, kappa, nu, tau)
-    try:
-        return sign * math.exp(logmag)
-    except OverflowError:
-        return sign * math.inf
+    return sign * _exp_or_inf(logmag)
 
 
 def central_predict(n: int, mu: Rational, kappa: Rational,

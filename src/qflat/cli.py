@@ -42,6 +42,7 @@ from .flatness import (
 from .hypergeom import hypergeom_poly
 from .quadrature import (
     DEFAULT_TOL,
+    MAX_DEGREE,
     MAX_DIM,
     MAX_TAU,
     MIN_TAU,
@@ -165,9 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
     parser = build_parser()
     ns = parser.parse_args(argv)
-
-    def fail(msg: str) -> None:
-        parser.error(msg)
+    fail = parser.error
 
     spaces: tuple[str, ...] = ()
     raw = getattr(ns, "spaces", None)
@@ -203,8 +202,8 @@ def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
         for n in n_values:
             if n < 0:
                 fail(f"n must be nonnegative, got {n}")
-            if n > 16:
-                fail(f"n must be at most 16, got {n}")
+            if n > MAX_DEGREE:
+                fail(f"n must be at most {MAX_DEGREE}, got {n}")
 
     tau_values: tuple[float, ...] = ()
     if hasattr(ns, "tau"):
@@ -221,8 +220,8 @@ def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
                 fail(f"tau must be at least {MIN_TAU:g}, got {t:g}")
 
     n_max = getattr(ns, "n_max", 5)
-    if not (1 <= n_max <= 16):
-        fail(f"--n-max must lie in [1, 16], got {n_max}")
+    if not (1 <= n_max <= MAX_DEGREE):
+        fail(f"--n-max must lie in [1, {MAX_DEGREE}], got {n_max}")
 
     if not (TOL_MIN <= ns.tol <= TOL_MAX):
         fail(f"--tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {ns.tol:g}")
@@ -255,11 +254,6 @@ def _fmt_sci(x: float) -> str:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return f"{x:.8e}"
-
-
-def _jf(x: float):
-    # JSON has no inf/nan literals; fall back to strings for those
-    return x if math.isfinite(x) else _fmt_sci(x)
 
 
 def _csv_cell(v) -> str:
@@ -300,7 +294,7 @@ def _round_out_2sig(x: float) -> float:
 def _sanitize(obj):
     # JSON has no inf/nan literals; stringify them wherever they appear
     if isinstance(obj, float):
-        return _jf(obj)
+        return obj if math.isfinite(obj) else _fmt_sci(obj)
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -343,27 +337,23 @@ def _rows_list(cfg: RunConfig) -> list[dict]:
 
 
 def _rows_table(cfg: RunConfig, with_residual: bool) -> tuple[list[dict], bool]:
-    cells = [(lbl, n, tau) for lbl in cfg.spaces for n in cfg.n_values
-             for tau in cfg.tau_values]
-
-    def work(cell):
-        lbl, n, tau = cell
+    rows = []
+    for lbl in cfg.spaces:
         sp = parse_space(lbl)
-        row = {"space": lbl, "n": n, "tau": tau}
-        try:
-            res, _, d2 = q_chi_derivs(sp, n, tau, cfg.tol)
-            row.update(q=res.value, log_q=res.log_value,
-                       abs_err=res.abs_error, dlogq2=d2, status="ok")
-            if with_residual:
-                row["prefactor_residual"] = abs(d2 + 0.5 * sp.m / (tau * tau))
-        except QuadratureError as exc:
-            row.update(q=math.nan, log_q=math.nan, abs_err=math.nan,
-                       dlogq2=math.nan, status=f"error: {exc}")
-            if with_residual:
-                row["prefactor_residual"] = math.nan
-        return row
-
-    rows = [work(c) for c in cells]
+        for n in cfg.n_values:
+            for tau in cfg.tau_values:
+                row = {"space": lbl, "n": n, "tau": tau}
+                try:
+                    res, _, d2 = q_chi_derivs(sp, n, tau, cfg.tol)
+                    row.update(q=res.value, log_q=res.log_value,
+                               abs_err=res.abs_error, dlogq2=d2, status="ok")
+                except QuadratureError as exc:
+                    d2 = math.nan
+                    row.update(q=math.nan, log_q=math.nan, abs_err=math.nan,
+                               dlogq2=math.nan, status=f"error: {exc}")
+                if with_residual:
+                    row["prefactor_residual"] = abs(d2 + 0.5 * sp.m / (tau * tau))
+                rows.append(row)
     return rows, all(r["status"] == "ok" for r in rows)
 
 
@@ -386,38 +376,30 @@ def _rows_centrality(cfg: RunConfig) -> list[dict]:
 
 
 def _rows_asymptotics(cfg: RunConfig) -> tuple[list[dict], bool]:
-    cells = [(lbl, n) for lbl in cfg.spaces for n in cfg.n_values]
-
-    def work(cell):
-        lbl, n = cell
+    rows = []
+    for lbl in cfg.spaces:
         sp = parse_space(lbl)
-        ch = chi_params(sp, n)
-        poly = hypergeom_poly(ch.A, n, ch.c)
-        out = []
-        for tau in _SMALL_TAUS:
-            row = {"space": lbl, "n": n, "regime": "small_tau", "tau": tau}
-            try:
-                q = q_chi(sp, n, tau, cfg.tol).value
-                w = watson2(poly, ch.mu, ch.kappa, ch.nu, tau)
-                row.update(deviation=abs(q - w) / q, status="ok")
-            except QuadratureError as exc:
-                row.update(deviation=math.nan, status=f"error: {exc}")
-            out.append(row)
-        for tau in _LARGE_TAUS:
-            row = {"space": lbl, "n": n, "regime": "large_tau", "tau": tau}
-            try:
-                res = q_chi(sp, n, tau, cfg.tol)
-                logasym, _ = log_qp_large_tau(
-                    poly, float(ch.mu), float(ch.kappa), float(ch.nu), tau
-                )
-                row.update(deviation=abs(math.expm1(res.log_value - logasym)),
-                           status="ok")
-            except QuadratureError as exc:
-                row.update(deviation=math.nan, status=f"error: {exc}")
-            out.append(row)
-        return out
-
-    rows = [r for c in cells for r in work(c)]
+        for n in cfg.n_values:
+            ch = chi_params(sp, n)
+            poly = hypergeom_poly(ch.A, n, ch.c)
+            for tau in _SMALL_TAUS + _LARGE_TAUS:
+                small = tau in _SMALL_TAUS
+                row = {"space": lbl, "n": n,
+                       "regime": "small_tau" if small else "large_tau", "tau": tau}
+                try:
+                    res = q_chi(sp, n, tau, cfg.tol)
+                    if small:
+                        w = watson2(poly, ch.mu, ch.kappa, ch.nu, tau)
+                        deviation = abs(res.value - w) / res.value
+                    else:
+                        logasym, _ = log_qp_large_tau(
+                            poly, float(ch.mu), float(ch.kappa), float(ch.nu), tau
+                        )
+                        deviation = abs(math.expm1(res.log_value - logasym))
+                    row.update(deviation=deviation, status="ok")
+                except QuadratureError as exc:
+                    row.update(deviation=math.nan, status=f"error: {exc}")
+                rows.append(row)
     return rows, all(r["status"] == "ok" for r in rows)
 
 
@@ -454,8 +436,8 @@ def _scan_payload(reports: list[FlatnessReport], cfg: RunConfig) -> dict:
             "m_half": rep.space.m_half,
             "B": rep.space.B,
             "verdict": rep.verdict.value,
-            "max_chi_deviation": _jf(rep.max_chi_deviation),
-            "prefactor_residual": _jf(rep.prefactor_residual),
+            "max_chi_deviation": rep.max_chi_deviation,
+            "prefactor_residual": rep.prefactor_residual,
             "exact_witness": None if wn is None else
                 {"n": wn, "lhs": wl, "rhs": wr, "pass": False},
             "centrality": [
@@ -471,7 +453,7 @@ def _scan_payload(reports: list[FlatnessReport], cfg: RunConfig) -> dict:
                 "conclusion": rep.rationality.conclusion,
             },
             "tau_grid": list(rep.tau_grid),
-            "curvature": [[_jf(v) for v in row] for row in rep.curvature],
+            "curvature": rep.curvature,
             "failures": [
                 {"n": n, "tau_index": i, "message": msg}
                 for n, i, msg in rep.failures

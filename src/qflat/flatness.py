@@ -33,6 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from .hypergeom import closed_coeffs
 from .quadrature import (
     DEFAULT_TOL,
     MAX_TAU,
@@ -236,9 +237,8 @@ def centrality_check(space: RootData, n_set: Iterable[int]) -> list[CentralityCh
     for n in sorted(set(int(n) for n in n_set)):
         if n < 1:
             raise ValueError(f"centrality indices must be positive, got {n}")
-        lhs = Fraction(1)
-        for j in range(n):
-            lhs = lhs * (A + n + j) / (c + j)
+        # |c_nn| = prod_{j<n} (A+n+j)/(c+j), the top coefficient's magnitude
+        lhs = abs(closed_coeffs(A, n, c)[1])
         rho = A / (A + 2 * n)
         rhs = _pow_half_integer(rho, mu).scaled(Fraction(4) ** n)
         passed = rhs.is_rational and rhs.rat == lhs

@@ -147,7 +147,7 @@ MIN_TAU = 1e-30
 _MAX_DEPTH = 46
 _MAX_ROUNDS = 6
 _SAFETY = 0.5
-_DEFAULT_BUDGET = 400_000
+_NODE_BUDGET = 400_000
 
 
 class QuadratureError(Exception):
@@ -159,7 +159,12 @@ class ParameterRangeError(QuadratureError, ValueError):
 
 
 class ConvergenceError(QuadratureError):
-    """Tolerance not reached within the node budget; carries the best estimate."""
+    """Tolerance not reached; carries the best estimate.
+
+    Refinement stops at 400,000 nodes per cell or at the maximum depth; its
+    message then gives ``best.nodes``, the panel target tol/2 and the worst
+    moment row's relative panel error, which exceeds that target.
+    """
 
     def __init__(self, message: str, best: "QuadratureResult | None" = None):
         super().__init__(message)
@@ -324,47 +329,30 @@ def _isotype(space: RootData, n: int) -> _Tables:
     return _make_tables(coeffs, ch.mu, ch.kappa, ch.nu)
 
 
-class _Weight:
-    """Log-space evaluator of the integrand and its even tau-moments."""
-
-    @classmethod
-    def at(cls, tables: _Tables, tau: float) -> "_Weight":
-        """A weight at ``tau`` that shares the given tables."""
-        weight = cls()
-        weight.tables = tables
-        weight.mu, weight.kappa, weight.nu = tables.mu, tables.kappa, tables.nu
-        weight.lam = tables.lam
-        weight.tau = float(tau)
-        return weight
-
-    def log_mag_sign(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(log|integrand|, sign) elementwise; t must be positive."""
-        tb = self.tables
-        logsh = _log_sinh(t)
-        # P(-sinh^2 t) as a scaled signed sum of exponentials of
-        # log|c_j| + 2 j log sinh t; stable for any magnitude of sinh
-        lt = tb.logc + tb.j2 * logsh[None, :]
-        top = np.max(lt, axis=0)
-        acc = np.sum(tb.tsign * np.exp(lt - top[None, :]), axis=0)
-        sign = np.sign(acc)
-        with np.errstate(divide="ignore"):
-            g = top + np.log(np.abs(acc)) - t * t / self.tau
-        if self.mu != 0.0:
-            g = g + self.mu * np.log(t)
-        if self.kappa != 0.0:
-            g = g + self.kappa * logsh
-        if self.nu != 0.0:
-            g = g + self.nu * _log_cosh(t)
-        return g, sign
-
-    def moments(self, t: np.ndarray, scale: float) -> np.ndarray:
-        """Rows (w, t^2 w, t^4 w) with w = sign * exp(log|integrand| - scale)."""
-        g, sign = self.log_mag_sign(t)
-        return _moment_rows(t, g, sign, scale)
+def _log_mag_sign(tables: _Tables, tau: float,
+                  t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log|integrand|, sign) elementwise at ``tau``; t must be positive."""
+    logsh = _log_sinh(t)
+    # P(-sinh^2 t) as a scaled signed sum of exponentials of
+    # log|c_j| + 2 j log sinh t; stable for any magnitude of sinh
+    lt = tables.logc + tables.j2 * logsh[None, :]
+    top = np.max(lt, axis=0)
+    acc = np.sum(tables.tsign * np.exp(lt - top[None, :]), axis=0)
+    sign = np.sign(acc)
+    with np.errstate(divide="ignore"):
+        g = top + np.log(np.abs(acc)) - t * t / tau
+    if tables.mu != 0.0:
+        g = g + tables.mu * np.log(t)
+    if tables.kappa != 0.0:
+        g = g + tables.kappa * logsh
+    if tables.nu != 0.0:
+        g = g + tables.nu * _log_cosh(t)
+    return g, sign
 
 
 def _moment_rows(t: np.ndarray, g: np.ndarray, sign: np.ndarray,
                  scale: float) -> np.ndarray:
+    """Rows (w, t^2 w, t^4 w) with w = sign * exp(g - scale)."""
     w = sign * np.exp(g - scale)
     t2 = t * t
     return np.stack([w, t2 * w, t2 * t2 * w])
@@ -397,22 +385,23 @@ def _apply_rules(rows: np.ndarray,
     return k15, np.abs(k15 - g7)
 
 
-def _eval_panels(weight: _Weight, scale: float, a: np.ndarray,
+def _eval_panels(tables: _Tables, tau: float, scale: float, a: np.ndarray,
                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Estimates and their errors, each of shape (3, P), of panels [a, b].
 
     Each panel gets the Gauss-Kronrod 7/15 pair on its 15 nodes: K15 is the
     estimate and |K15 - G7| its error.  All nodes of all panels go through
-    one moments call.
+    one node call.
     """
     xs, half = _panel_nodes(a, b)
-    return _apply_rules(weight.moments(xs.ravel(), scale), half)
+    t = xs.ravel()
+    g, sign = _log_mag_sign(tables, tau, t)
+    return _apply_rules(_moment_rows(t, g, sign, scale), half)
 
 
-def _initial_breaks(weight: _Weight, T: float) -> list[float]:
-    tau = weight.tau
+def _initial_breaks(tables: _Tables, tau: float, T: float) -> list[float]:
     sig = math.sqrt(tau / 2.0)
-    tpk = weight.lam * tau / 2.0
+    tpk = tables.lam * tau / 2.0
     cand = {0.0, T}
     for k in range(1, 8):
         cand.add(T * k / 8.0)
@@ -449,15 +438,15 @@ def _targets(I: np.ndarray, Iabs: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _integrate_moments(
-    weight: _Weight, T: float, tol: float, node_budget: int
+    tables: _Tables, tau: float, T: float, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, bool]:
-    breaks = np.array(_initial_breaks(weight, T))
+    breaks = np.array(_initial_breaks(tables, tau, T))
     a, b = breaks[:-1], breaks[1:]
     depth = np.zeros(len(a), dtype=int)
     # the common scale is the peak over the first level's own nodes
     xs, half = _panel_nodes(a, b)
     t = xs.ravel()
-    g, sign = weight.log_mag_sign(t)
+    g, sign = _log_mag_sign(tables, tau, t)
     scale = float(np.max(g))
     val, err = _apply_rules(_moment_rows(t, g, sign, scale), half)
     nodes = 15 * len(a)
@@ -479,7 +468,7 @@ def _integrate_moments(
             share = _SAFETY * (b - a) / T
             ok = np.all(err <= target[:, None] * share, axis=0)
             fail = np.flatnonzero(~ok & (depth < _MAX_DEPTH))
-            room = max(0, (node_budget - nodes) // 30)
+            room = max(0, (_NODE_BUDGET - nodes) // 30)
             if len(fail) > room:
                 budget_hit = True
                 fail = fail[:room]
@@ -492,7 +481,7 @@ def _integrate_moments(
             a = np.stack([a[fail], mid], axis=1).ravel()
             b = np.stack([mid, b[fail]], axis=1).ravel()
             depth = np.repeat(depth[fail] + 1, 2)
-            val, err = _eval_panels(weight, scale, a, b)
+            val, err = _eval_panels(tables, tau, scale, a, b)
             nodes += 15 * len(a)
             if budget_hit:
                 parts.append((a, b, depth, val, err))
@@ -505,19 +494,19 @@ def _integrate_moments(
     return I, Iabs, E, scale, nodes, converged
 
 
-def _log_tail_bound(weight: _Weight, T: float) -> float:
+def _log_tail_bound(tables: _Tables, tau: float, T: float) -> float:
     """Log of an analytic bound on the integral over [T, inf).
 
     On [T, inf) the exponent -t^2/tau + lam t decays with slope at least
     D = 2T/tau - lam, and t^mu <= T^mu exp(mu_+ (t-T)/T), so the tail is at
     most C T^mu exp(-T^2/tau + lam T) / (D - mu_+/T).
     """
-    tau, lam, mu = weight.tau, weight.lam, weight.mu
+    lam, mu = tables.lam, tables.mu
     D = 2.0 * T / tau - lam - max(mu, 0.0) / T
     if D <= 0.0:
         return math.inf
     return (
-        weight.tables.log_tail_const
+        tables.log_tail_const
         - T * T / tau
         + lam * T
         + mu * math.log(T)
@@ -550,11 +539,10 @@ def _build_result(
     return QuadratureResult(value, abs_err, nodes, T, log_value, rel)
 
 
-def _q_engine(
-    weight: _Weight, tol: float, node_budget: int
-) -> tuple[np.ndarray, QuadratureResult]:
+def _q_engine(tables: _Tables, tau: float,
+              tol: float) -> tuple[np.ndarray, QuadratureResult]:
     L = math.log(1.0 / tol) + 40.0
-    lam, tau = weight.lam, weight.tau
+    lam = tables.lam
     root = 0.5 * (lam * tau + math.sqrt(lam * lam * tau * tau + 4.0 * L * tau))
     T0 = max(8.0 * math.sqrt(tau), root)
 
@@ -562,17 +550,20 @@ def _q_engine(
         T = T0 * 1.3 ** attempt
         # split the tolerance: half for the panels, half for the tail
         I, Iabs, E, scale, nodes, conv = _integrate_moments(
-            weight, T, 0.5 * tol, node_budget
+            tables, tau, T, 0.5 * tol
         )
         if not conv:
+            # some moment row missed tol/2, so the worst E/|I| exceeds it
+            with np.errstate(divide="ignore", invalid="ignore"):
+                worst = float(np.max(E / np.abs(I)))
             best = _build_result(I, Iabs, E, scale, nodes, T, 0.0)
             raise ConvergenceError(
-                f"panel refinement did not reach tol={tol:g} within "
-                f"{node_budget} nodes (reached rel error "
-                f"{best.rel_error:.3g})",
+                f"panel refinement did not reach tol={tol:g}: after "
+                f"{best.nodes} nodes the worst moment's relative error "
+                f"{worst:.4g} exceeds the panel target {0.5 * tol:g}",
                 best,
             )
-        log_tail = _log_tail_bound(weight, T)
+        log_tail = _log_tail_bound(tables, tau, T)
         if I[0] != 0.0:
             log_value = scale + math.log(abs(float(I[0])))
             if log_tail <= math.log(tol / 2.0) + log_value:
@@ -648,41 +639,43 @@ def integrand(P: PolyLike, params: QPParams, t: float) -> float:
     coeffs = _as_float_coeffs(P)
     if t > 0.0:
         tables = _make_tables(coeffs, params.mu, params.kappa, params.nu)
-        g, _ = _Weight.at(tables, params.tau).log_mag_sign(np.array([t]))
+        g, _ = _log_mag_sign(tables, float(params.tau), np.array([t]))
         if float(g[0]) > 709.0:
             raise OverflowError(
                 f"integrand magnitude exp({float(g[0]):.1f}) exceeds double range"
             )
     if t < 1e-4:
-        return integrand_regrouped(P, params, t)
-    return integrand_direct(P, params, t)
+        return integrand_regrouped(coeffs, params, t)
+    return integrand_direct(coeffs, params, t)
 
 
-def q_p(P: PolyLike, params: QPParams, tol: float = DEFAULT_TOL, *,
-        node_budget: int = _DEFAULT_BUDGET) -> QuadratureResult:
+def q_p(P: PolyLike, params: QPParams,
+        tol: float = DEFAULT_TOL) -> QuadratureResult:
     """The radial integral for an arbitrary polynomial and weight exponents.
 
     The relative error estimate of the panels and the tail is at most
-    ``tol`` on success; otherwise a ConvergenceError carrying the best
-    estimate is raised.  The reported ``rel_error`` adds the rounding floor
-    described at QuadratureResult; that floor is not part of the test and
-    can exceed a ``tol`` near TOL_MIN when the integrand cancels heavily.
+    ``tol`` on success.  Otherwise a ConvergenceError carrying the best
+    estimate is raised; when refinement stops at the node budget or the
+    maximum depth, its message gives the nodes spent and the worst moment's
+    relative panel error against the panel target tol/2.  The reported
+    ``rel_error`` adds the rounding floor described at QuadratureResult;
+    that floor is not part of the test and can exceed a ``tol`` near
+    TOL_MIN when the integrand cancels heavily.
     Deterministic: identical inputs give bit-identical results.
     """
     coeffs = _as_float_coeffs(P)
     _check_box(coeffs, params, tol)
     tables = _make_tables(coeffs, params.mu, params.kappa, params.nu)
-    _, res = _q_engine(_Weight.at(tables, params.tau), tol, node_budget)
+    _, res = _q_engine(tables, float(params.tau), tol)
     return res
 
 
-def _chi_setup(space: RootData, n: int, tau: float,
-               tol: float) -> tuple[np.ndarray, _Weight]:
-    """The float coefficients of isotype n of ``space`` and its weight at tau.
+def _checked_isotype(space: RootData, n: int, tau: float,
+                     tol: float) -> _Tables:
+    """The cached record of isotype n of ``space``.
 
-    Both come from the cached isotype record; the weight carries mu, kappa,
-    nu and tau as attributes.  Everything is validated before the lookup, so
-    the cache only ever holds records inside the box.
+    Everything is validated before the lookup, so the cache only ever holds
+    records inside the box.
     """
     if n < 0 or n > MAX_DEGREE:
         raise ParameterRangeError(f"isotype index n must be in [0, {MAX_DEGREE}], got {n}")
@@ -691,30 +684,27 @@ def _chi_setup(space: RootData, n: int, tau: float,
             f"dimension m={space.m} exceeds supported {MAX_DIM}"
         )
     _check_tau_tol(tau, tol)
-    tables = _isotype(space if space.B == 1.0 else space.with_scale(1.0), n)
-    return tables.coeffs, _Weight.at(tables, tau)
+    return _isotype(space if space.B == 1.0 else space.with_scale(1.0), n)
 
 
-def q_chi(space: RootData, n: int, tau: float, tol: float = DEFAULT_TOL, *,
-          node_budget: int = _DEFAULT_BUDGET) -> QuadratureResult:
+def q_chi(space: RootData, n: int, tau: float,
+          tol: float = DEFAULT_TOL) -> QuadratureResult:
     """The isotype-n radial integral q_n(tau) of a catalog space."""
-    _, weight = _chi_setup(space, n, tau, tol)
-    _, res = _q_engine(weight, tol, node_budget)
+    tau = float(tau)
+    _, res = _q_engine(_checked_isotype(space, n, tau, tol), tau, tol)
     return res
 
 
 def q_chi_derivs(
-    space: RootData, n: int, tau: float, tol: float = DEFAULT_TOL, *,
-    node_budget: int = _DEFAULT_BUDGET
+    space: RootData, n: int, tau: float, tol: float = DEFAULT_TOL
 ) -> tuple[QuadratureResult, float, float]:
     """One-pass (q_n(tau), (log q_n)'(tau), (log q_n)''(tau)).
 
     The second log-derivative is assembled as Q''/Q - (Q'/Q)^2, which can
     cancel; losing more than six digits triggers a CancellationWarning.
     """
-    _, weight = _chi_setup(space, n, tau, tol)
-    I, res = _q_engine(weight, tol, node_budget)
-    tau = weight.tau
+    tau = float(tau)
+    I, res = _q_engine(_checked_isotype(space, n, tau, tol), tau, tol)
     ratio2 = float(I[1]) / float(I[0])
     ratio4 = float(I[2]) / float(I[0])
     d1 = ratio2 / tau**2
@@ -734,17 +724,16 @@ def q_chi_derivs(
 
 
 def dlogq(space: RootData, n: int, tau: float, order: int,
-          tol: float = DEFAULT_TOL, *,
-          node_budget: int = _DEFAULT_BUDGET) -> float:
+          tol: float = DEFAULT_TOL) -> float:
     """First or second derivative of log q_n at tau."""
     if order not in (1, 2):
         raise ParameterRangeError(f"order must be 1 or 2, got {order}")
-    _, d1, d2 = q_chi_derivs(space, n, tau, tol, node_budget=node_budget)
+    _, d1, d2 = q_chi_derivs(space, n, tau, tol)
     return d1 if order == 1 else d2
 
 
-def p_chi(space: RootData, n: int, s: complex, tol: float = DEFAULT_TOL, *,
-          node_budget: int = _DEFAULT_BUDGET) -> float:
+def p_chi(space: RootData, n: int, s: complex,
+          tol: float = DEFAULT_TOL) -> float:
     """The polarization-family matrix coefficient p_n(s), up to its constant.
 
     Depends on s only through Im s: equals
@@ -755,7 +744,7 @@ def p_chi(space: RootData, n: int, s: complex, tol: float = DEFAULT_TOL, *,
     if im <= 0.0:
         raise ParameterRangeError(f"need Im s > 0, got {im}")
     tau = space.B * space.B * im
-    res = q_chi(space, n, tau, tol, node_budget=node_budget)
+    res = q_chi(space, n, tau, tol)
     pref = (
         sphere_volume(space.m)
         * 2.0 ** (space.m / 2.0)

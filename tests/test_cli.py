@@ -1,5 +1,6 @@
 import csv
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -100,6 +101,18 @@ class TestParseArgs:
         out, code = capture(["centrality", "--space", "S40", "--n", "1..2"])
         assert code == 0
         assert out.count("S40,") == 2
+
+    def test_degree_bounds_follow_max_degree(self, capsys):
+        top = quadrature.MAX_DEGREE
+        for argv in (["qtable", "--space", "S3", "--n", str(top + 1)],
+                     ["scan", "--n-max", str(top + 1)],
+                     ["scan", "--n-max", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(argv)
+            assert exc.value.code == 1, argv
+            capsys.readouterr()
+        assert parse_args(["qtable", "--space", "S3", "--n", str(top)]).n_values == (top,)
+        assert parse_args(["scan", "--n-max", str(top)]).n_max == top
 
     def test_unknown_selector_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -420,3 +433,17 @@ class TestRunList:
         assert lines[0].startswith("space,family,size,m,m_beta,m_half")
         assert len(lines) == 10  # header + 9 spaces
         assert lines[1].startswith("S2,Sphere,2,2,1,0")
+
+
+class TestBenchmarkTraceTargets:
+    def test_every_target_resolves_to_a_callable(self):
+        # the benchmark wraps these names on the live modules and has no
+        # fallback, so a refactor that drops one must fail here first
+        path = Path(__file__).parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing.TARGETS
+        for mod_name, attr, _ in tracing.TARGETS:
+            fn = getattr(importlib.import_module(mod_name), attr, None)
+            assert callable(fn), (mod_name, attr)

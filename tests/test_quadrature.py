@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -39,12 +40,13 @@ def s3_log_q_closed(n, tau):
         return mp.log(mp.sqrt(mp.pi) / 4) + 1.5 * mp.log(tau) + (n + 1) ** 2 * tau
 
 
-def panel_one_at_a_time(weight, scale, a, b):
+def panel_one_at_a_time(tables, tau, scale, a, b):
     # the per-panel form of quadrature._eval_panels: K15 on [a, b] against
     # G7 on its nodes of odd index
     half = 0.5 * (b - a)
     xs = 0.5 * (a + b) + half * quadrature._K15_X
-    rows = weight.moments(xs, scale)
+    g, sign = quadrature._log_mag_sign(tables, tau, xs)
+    rows = quadrature._moment_rows(xs, g, sign, scale)
     k15 = quadrature._gl_rule(rows, quadrature._K15_W) * half
     g7 = quadrature._gl_rule(rows[:, 1::2], quadrature._G7_W) * half
     return k15, np.abs(k15 - g7)
@@ -171,12 +173,13 @@ class TestQP:
             with pytest.raises(ParameterRangeError):
                 q_p(1, QPParams(0, 0, 0, 1.0), tol)
 
-    def test_budget_failure_carries_best(self):
+    def test_budget_failure_carries_best(self, monkeypatch):
         # fractional mu puts a t^(1/2) kink at the origin; bisection cannot
         # settle it to 1e-13 within 1000 nodes
+        monkeypatch.setattr(quadrature, "_NODE_BUDGET", 1000)
         params = QPParams(0.5, 0.0, 0.5, 1.0)
         with pytest.raises(ConvergenceError) as err:
-            q_p(1, params, 1e-13, node_budget=1000)
+            q_p(1, params, 1e-13)
         best = err.value.best
         assert best is not None
         # reference from 30-digit tanh-sinh quadrature
@@ -274,21 +277,39 @@ class TestRefinement:
         with pytest.raises(ConvergenceError) as err:
             q_chi(parse_space("S3"), 5, 400.0, 1e-13)
         best = err.value.best
-        assert best.nodes <= quadrature._DEFAULT_BUDGET
+        assert best.nodes <= quadrature._NODE_BUDGET
         assert best.nodes == 399990
+
+    @pytest.mark.parametrize("call", [
+        lambda: q_chi(parse_space("S7"), 8, 20.0, 1e-13),
+        lambda: q_chi(parse_space("HP2"), 8, 20.0, 1e-13),
+        # stops at the maximum depth, far inside the node budget
+        lambda: q_p([1.0], QPParams(-0.45, 0.0, 0.0, 1e-3), 1e-10),
+    ])
+    def test_failure_message_quotes_the_missed_target(self, call):
+        with pytest.raises(ConvergenceError) as err:
+            call()
+        msg = str(err.value)
+        num = r"([0-9.]+(?:e[-+]?[0-9]+)?)"
+        error = float(re.search(r"relative error " + num, msg).group(1))
+        target = float(re.search(r"panel target " + num, msg).group(1))
+        assert error > target
+        assert str(err.value.best.nodes) in msg
 
     def test_stacked_panels_match_one_at_a_time(self):
         # the stacked layout gives each panel exactly the bits it gets alone
-        _, weight = quadrature._chi_setup(parse_space("CP2"), 2, 1.0, 1e-10)
+        tau = 1.0
+        tables = quadrature._checked_isotype(parse_space("CP2"), 2, tau, 1e-10)
         T = 15.0
-        breaks = np.array(quadrature._initial_breaks(weight, T))
+        breaks = np.array(quadrature._initial_breaks(tables, tau, T))
         a, b = breaks[:-1], breaks[1:]
-        g, _ = weight.log_mag_sign(quadrature._panel_nodes(a, b)[0].ravel())
+        g, _ = quadrature._log_mag_sign(
+            tables, tau, quadrature._panel_nodes(a, b)[0].ravel())
         scale = float(np.max(g))
-        val, err = quadrature._eval_panels(weight, scale, a, b)
+        val, err = quadrature._eval_panels(tables, tau, scale, a, b)
         assert val.shape == err.shape == (3, len(a))
         for i in range(len(a)):
-            v, e = panel_one_at_a_time(weight, scale, float(a[i]), float(b[i]))
+            v, e = panel_one_at_a_time(tables, tau, scale, float(a[i]), float(b[i]))
             assert np.array_equal(val[:, i], v)
             assert np.array_equal(err[:, i], e)
 
@@ -300,16 +321,16 @@ class TestTruncationSoundness:
     def test_internal_majorant(self, label, n, tau):
         # the analytic tail bound at the returned truncation point must sit
         # below tol/2 relative to the value
-        from qflat.quadrature import (_Weight, _as_float_coeffs, _log_tail_bound,
-                                      _make_tables)
+        from qflat.quadrature import _as_float_coeffs, _log_tail_bound, _make_tables
 
         tol = 1e-10
         sp = parse_space(label)
         res = q_chi(sp, n, tau, tol)
         ch = chi_params(sp, n)
         coeffs = _as_float_coeffs(hypergeom_poly(ch.A, n, ch.c))
-        w = _Weight.at(_make_tables(coeffs, ch.mu, ch.kappa, ch.nu), tau)
-        assert _log_tail_bound(w, res.truncation_t) <= math.log(tol / 2.0) + res.log_value
+        tables = _make_tables(coeffs, ch.mu, ch.kappa, ch.nu)
+        assert (_log_tail_bound(tables, tau, res.truncation_t)
+                <= math.log(tol / 2.0) + res.log_value)
 
     @pytest.mark.parametrize("label,n,tau", [("S3", 0, 1.0), ("S2", 1, 0.01),
                                              ("CP2", 1, 0.25)])
@@ -387,6 +408,14 @@ class TestDlogQ:
         with pytest.warns(CancellationWarning):
             dlogq(parse_space("OP2"), 3, 400.0, 2, 1e-9)
 
+    def test_single_precision_tau_is_widened(self):
+        # tau enters every power in double precision, whatever its type
+        sp = parse_space("CP2")
+        tau = np.float32(0.3)
+        wide = q_chi_derivs(sp, 2, float(tau))
+        assert _bits(*q_chi_derivs(sp, 2, tau)) == _bits(*wide)
+        assert _bits(q_chi(sp, 2, tau)) == _bits(wide[0])
+
     def test_one_pass_derivs_match(self):
         sp = parse_space("HP2")
         res, d1, d2 = q_chi_derivs(sp, 1, 0.5, 1e-10)
@@ -453,7 +482,7 @@ class TestIsotypeCache:
             arr = getattr(tables, name)
             with pytest.raises(ValueError):
                 arr[0] = 1.0
-        coeffs, _ = quadrature._chi_setup(parse_space("CP2"), 3, 1.0, 1e-10)
+        coeffs = quadrature._checked_isotype(parse_space("CP2"), 3, 1.0, 1e-10).coeffs
         with pytest.raises(ValueError):
             coeffs[0] = 1.0
 
@@ -465,9 +494,9 @@ class TestIsotypeCache:
         assert cache.cache_info().currsize == 1
         assert cache.cache_info().hits == 1
         assert _bits(a) == _bits(b)
-        ca, _ = quadrature._chi_setup(parse_space("S4"), 2, 1.5, 1e-10)
-        cb, _ = quadrature._chi_setup(parse_space("S4", B=2.0), 2, 1.5, 1e-10)
-        assert ca is cb
+        ta = quadrature._checked_isotype(parse_space("S4"), 2, 1.5, 1e-10)
+        tb = quadrature._checked_isotype(parse_space("S4", B=2.0), 2, 1.5, 1e-10)
+        assert ta is tb
 
     def test_arbitrary_polynomials_stay_out(self):
         quadrature._isotype(parse_space("S3"), 1)
@@ -516,15 +545,15 @@ class TestFirstLevel:
     def test_scale_is_the_peak_over_first_level_nodes(self, label, n, tau, tol):
         # the scale is the max of log|integrand| over the first level's own
         # nodes, and that level gets the bits a separate moments call gives it
-        _, weight = quadrature._chi_setup(parse_space(label), n, tau, tol)
+        tables = quadrature._checked_isotype(parse_space(label), n, tau, tol)
         T = q_chi(parse_space(label), n, tau, tol).truncation_t
         I, Iabs, E, scale, nodes, conv = quadrature._integrate_moments(
-            weight, T, 0.5 * tol, quadrature._DEFAULT_BUDGET)
-        breaks = np.array(quadrature._initial_breaks(weight, T))
+            tables, tau, T, 0.5 * tol)
+        breaks = np.array(quadrature._initial_breaks(tables, tau, T))
         xs, _ = quadrature._panel_nodes(breaks[:-1], breaks[1:])
-        g, _ = weight.log_mag_sign(xs.ravel())
+        g, _ = quadrature._log_mag_sign(tables, tau, xs.ravel())
         assert scale == float(np.max(g))
-        val, err = quadrature._eval_panels(weight, scale, breaks[:-1], breaks[1:])
+        val, err = quadrature._eval_panels(tables, tau, scale, breaks[:-1], breaks[1:])
         assert conv
         for got, want in zip((I, Iabs, E), quadrature._sum_panels(val, err)):
             assert np.array_equal(got, want)
@@ -534,8 +563,8 @@ class TestFirstLevel:
         # these cells converge on their first level, which costs 15 nodes a
         # panel and nothing besides
         res = q_chi(parse_space(label), n, tau, tol)
-        _, weight = quadrature._chi_setup(parse_space(label), n, tau, tol)
-        panels = len(quadrature._initial_breaks(weight, res.truncation_t)) - 1
+        tables = quadrature._checked_isotype(parse_space(label), n, tau, tol)
+        panels = len(quadrature._initial_breaks(tables, tau, res.truncation_t)) - 1
         assert res.nodes == 15 * panels
 
 

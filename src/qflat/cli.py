@@ -49,6 +49,7 @@ from .quadrature import (
     TOL_MAX,
     TOL_MIN,
     QuadratureError,
+    prefetch,
     q_chi,
     q_chi_derivs,
 )
@@ -341,6 +342,7 @@ def _rows_table(cfg: RunConfig, with_residual: bool) -> tuple[list[dict], bool]:
     for lbl in cfg.spaces:
         sp = parse_space(lbl)
         for n in cfg.n_values:
+            prefetch(sp, n, cfg.tau_values, cfg.tol)
             for tau in cfg.tau_values:
                 row = {"space": lbl, "n": n, "tau": tau}
                 try:
@@ -382,6 +384,7 @@ def _rows_asymptotics(cfg: RunConfig) -> tuple[list[dict], bool]:
         for n in cfg.n_values:
             ch = chi_params(sp, n)
             poly = hypergeom_poly(ch.A, n, ch.c)
+            prefetch(sp, n, _SMALL_TAUS + _LARGE_TAUS, cfg.tol)
             for tau in _SMALL_TAUS + _LARGE_TAUS:
                 small = tau in _SMALL_TAUS
                 row = {"space": lbl, "n": n,

@@ -40,6 +40,7 @@ from .quadrature import (
     MIN_TAU,
     TOL_MIN,
     QuadratureError,
+    prefetch,
     q_chi_derivs,
 )
 from .spaces import Family, RootData, chi_params
@@ -350,13 +351,15 @@ def curvature_samples(
         raise ValueError(f"need n_max >= 0, got {n_max}")
     grid = _validate_grid(space, tau_grid)
     b4 = space.B ** 4
+    taus = [space.B * space.B * sig for sig in grid]
     rows = []
     failures = []
     for n in range(n_max + 1):
+        prefetch(space, n, taus, tol)
         row = []
-        for i, sig in enumerate(grid):
+        for i, tau in enumerate(taus):
             try:
-                _, _, d2 = q_chi_derivs(space, n, space.B * space.B * sig, tol)
+                _, _, d2 = q_chi_derivs(space, n, tau, tol)
                 row.append(b4 * d2)
             except QuadratureError as exc:
                 row.append(math.nan)

@@ -22,7 +22,12 @@ polynomials (``q_p``) build their record afresh and leave the cache alone.
 Within a cell, the common log-scale is the peak of the integrand over the
 first panel level's own nodes, and a refinement round whose panels all
 meet their targets ends the integration with the sums it has already
-formed.
+formed.  Most cells converge on that first level, so a row of taus of one
+(space, n) can be computed together with ``prefetch``: the first levels of
+the whole row go through one stacked node call (a few, for long rows),
+with tau as a per-panel column, and each cell's outcome waits for its own
+``q_chi`` / ``q_chi_derivs`` call.  A cell computed alone is a row of one,
+so both ways give the same bits.
 
 Two numerical realities shape the implementation:
 
@@ -77,6 +82,7 @@ __all__ = [
     "q_p",
     "q_chi",
     "q_chi_derivs",
+    "prefetch",
     "p_chi",
     "dlogq",
     "TOL_MIN",
@@ -148,6 +154,9 @@ _MAX_DEPTH = 46
 _MAX_ROUNDS = 6
 _SAFETY = 0.5
 _NODE_BUDGET = 400_000
+# Nodes per stacked node call of the first levels of a row of cells (about
+# ten cells): larger stacks save little time and cost peak memory.
+_STACK_NODES = 5_000
 
 
 class QuadratureError(Exception):
@@ -290,9 +299,9 @@ class _Tables(NamedTuple):
     kappa: float
     nu: float
     lam: float
-    logc: np.ndarray   # log|c_j| as a column
-    j2: np.ndarray     # 2 j as a column
-    tsign: np.ndarray  # sign(c_j) (-1)^j as a column
+    logc: np.ndarray   # log|c_j|
+    j2: np.ndarray     # 2 j
+    tsign: np.ndarray  # sign(c_j) (-1)^j
     log_tail_const: float
 
 
@@ -310,7 +319,7 @@ def _make_tables(coeffs: Sequence[float], mu: float, kappa: float,
     log_tail_const = (
         math.log(float(np.sum(np.abs(c) * 4.0 ** -j))) - kappa * _LN2
     )
-    logc, j2, tsign = logc[:, None], (2.0 * j)[:, None], tsign[:, None]
+    j2 = 2.0 * j
     for x in (c, logc, j2, tsign):
         x.flags.writeable = False
     return _Tables(c, float(mu), kappa, nu, kappa + nu + 2.0 * deg,
@@ -329,15 +338,23 @@ def _isotype(space: RootData, n: int) -> _Tables:
     return _make_tables(coeffs, ch.mu, ch.kappa, ch.nu)
 
 
-def _log_mag_sign(tables: _Tables, tau: float,
+def _log_mag_sign(tables: _Tables, tau: float | np.ndarray,
                   t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log|integrand|, sign) elementwise at ``tau``; t must be positive."""
+    """(log|integrand|, sign) elementwise at ``tau``, a float or an array
+    that broadcasts against ``t``; t must be positive."""
     logsh = _log_sinh(t)
     # P(-sinh^2 t) as a scaled signed sum of exponentials of
-    # log|c_j| + 2 j log sinh t; stable for any magnitude of sinh
-    lt = tables.logc + tables.j2 * logsh[None, :]
-    top = np.max(lt, axis=0)
-    acc = np.sum(tables.tsign * np.exp(lt - top[None, :]), axis=0)
+    # log|c_j| + 2 j log sinh t; stable for any magnitude of sinh.  One
+    # coefficient at a time, so temporaries stay the size of t; the order of
+    # the additions is that of a sum over the coefficient axis.
+    (lc0, j20, ts0), *rest = zip(tables.logc.tolist(), tables.j2.tolist(),
+                                 tables.tsign.tolist())
+    top = lc0 + j20 * logsh
+    for lc, j2, _ in rest:
+        np.maximum(top, lc + j2 * logsh, out=top)
+    acc = ts0 * np.exp(lc0 + j20 * logsh - top)
+    for lc, j2, ts in rest:
+        acc += ts * np.exp(lc + j2 * logsh - top)
     sign = np.sign(acc)
     with np.errstate(divide="ignore"):
         g = top + np.log(np.abs(acc)) - t * t / tau
@@ -394,9 +411,8 @@ def _eval_panels(tables: _Tables, tau: float, scale: float, a: np.ndarray,
     one node call.
     """
     xs, half = _panel_nodes(a, b)
-    t = xs.ravel()
-    g, sign = _log_mag_sign(tables, tau, t)
-    return _apply_rules(_moment_rows(t, g, sign, scale), half)
+    g, sign = _log_mag_sign(tables, tau, xs)
+    return _apply_rules(_moment_rows(xs, g, sign, scale), half)
 
 
 def _initial_breaks(tables: _Tables, tau: float, T: float) -> list[float]:
@@ -422,6 +438,45 @@ def _initial_breaks(tables: _Tables, tau: float, T: float) -> list[float]:
     return out
 
 
+# A cell's first panel level: panels a and b, estimates, errors, scale.
+_Level = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]
+
+
+def _first_levels(tables: _Tables, taus: Sequence[float],
+                  Ts: Sequence[float]) -> list[_Level]:
+    """The first panel level of each cell (tau, T) of one isotype.
+
+    Returns per cell its panels a and b, their estimates and errors, each
+    of shape (3, P), and its scale: the peak of log|integrand| over the
+    cell's own nodes.  The cells' panels are concatenated into stacked node
+    calls of at most _STACK_NODES nodes (or one cell, if it has more), with
+    tau as a per-panel column.  Every step is elementwise, per panel or per
+    cell, so each cell gets the bits it gets in a stack of its own.
+    """
+    breaks = [np.array(_initial_breaks(tables, tau, T)) for tau, T in zip(taus, Ts)]
+    panels = [len(br) - 1 for br in breaks]
+    out = []
+    lo = 0
+    while lo < len(breaks):
+        hi = lo + 1
+        while hi < len(breaks) and 15 * sum(panels[lo:hi + 1]) <= _STACK_NODES:
+            hi += 1
+        counts = np.array(panels[lo:hi])
+        starts = np.cumsum(counts) - counts
+        a = np.concatenate([br[:-1] for br in breaks[lo:hi]])
+        b = np.concatenate([br[1:] for br in breaks[lo:hi]])
+        xs, half = _panel_nodes(a, b)
+        g, sign = _log_mag_sign(
+            tables, np.repeat(np.array(taus[lo:hi], dtype=float), counts)[:, None], xs)
+        scales = np.maximum.reduceat(g.ravel(), 15 * starts)
+        val, err = _apply_rules(
+            _moment_rows(xs, g, sign, np.repeat(scales, counts)[:, None]), half)
+        for s, e, scale in zip(starts, starts + counts, scales.tolist()):
+            out.append((a[s:e], b[s:e], val[:, s:e], err[:, s:e], scale))
+        lo = hi
+    return out
+
+
 def _sum_panels(val: np.ndarray,
                 err: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # fsum is correctly rounded, so the sums do not depend on panel order
@@ -438,17 +493,16 @@ def _targets(I: np.ndarray, Iabs: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _integrate_moments(
-    tables: _Tables, tau: float, T: float, tol: float
+    tables: _Tables, tau: float, T: float, tol: float,
+    first: _Level | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, bool]:
-    breaks = np.array(_initial_breaks(tables, tau, T))
-    a, b = breaks[:-1], breaks[1:]
+    """Refine from the cell's first level, an entry of ``_first_levels``
+    (computed here as a row of one when not given), until the panels meet
+    ``tol``."""
+    if first is None:
+        (first,) = _first_levels(tables, [tau], [T])
+    a, b, val, err, scale = first
     depth = np.zeros(len(a), dtype=int)
-    # the common scale is the peak over the first level's own nodes
-    xs, half = _panel_nodes(a, b)
-    t = xs.ravel()
-    g, sign = _log_mag_sign(tables, tau, t)
-    scale = float(np.max(g))
-    val, err = _apply_rules(_moment_rows(t, g, sign, scale), half)
     nodes = 15 * len(a)
 
     budget_hit = False
@@ -539,18 +593,25 @@ def _build_result(
     return QuadratureResult(value, abs_err, nodes, T, log_value, rel)
 
 
-def _q_engine(tables: _Tables, tau: float,
-              tol: float) -> tuple[np.ndarray, QuadratureResult]:
+def _first_truncation(tables: _Tables, tau: float, tol: float) -> float:
+    """T of the first attempt: where the exponent t^2/tau - lam t has
+    dropped a fixed factor below tol."""
     L = math.log(1.0 / tol) + 40.0
     lam = tables.lam
     root = 0.5 * (lam * tau + math.sqrt(lam * lam * tau * tau + 4.0 * L * tau))
-    T0 = max(8.0 * math.sqrt(tau), root)
+    return max(8.0 * math.sqrt(tau), root)
 
+
+def _q_engine(tables: _Tables, tau: float, tol: float,
+              first: _Level | None = None) -> tuple[np.ndarray, QuadratureResult]:
+    """One cell; ``first`` is its first level at the first attempt's T, if
+    it was computed with its row."""
+    T0 = _first_truncation(tables, tau, tol)
     for attempt in range(5):
         T = T0 * 1.3 ** attempt
         # split the tolerance: half for the panels, half for the tail
         I, Iabs, E, scale, nodes, conv = _integrate_moments(
-            tables, tau, T, 0.5 * tol
+            tables, tau, T, 0.5 * tol, first if attempt == 0 else None
         )
         if not conv:
             # some moment row missed tol/2, so the worst E/|I| exceeds it
@@ -670,6 +731,11 @@ def q_p(P: PolyLike, params: QPParams,
     return res
 
 
+def _unit_scale(space: RootData) -> RootData:
+    # the scale B never enters a cell's integral
+    return space if space.B == 1.0 else space.with_scale(1.0)
+
+
 def _checked_isotype(space: RootData, n: int, tau: float,
                      tol: float) -> _Tables:
     """The cached record of isotype n of ``space``.
@@ -684,14 +750,61 @@ def _checked_isotype(space: RootData, n: int, tau: float,
             f"dimension m={space.m} exceeds supported {MAX_DIM}"
         )
     _check_tau_tol(tau, tol)
-    return _isotype(space if space.B == 1.0 else space.with_scale(1.0), n)
+    return _isotype(_unit_scale(space), n)
+
+
+# The cells of the last prefetched row: (I, result), or the QuadratureError
+# the cell raises, keyed by (space at B = 1, n, tau, tol).
+_ROW: dict = {}
+
+
+def prefetch(space: RootData, n: int, taus: Sequence[float],
+             tol: float = DEFAULT_TOL) -> None:
+    """Compute the cells of a row of taus of isotype n ahead of their calls.
+
+    The first panel levels of the whole row go through stacked node calls;
+    the rest of each cell (refinement, tail test, larger T) runs per cell.
+    Each outcome waits in a one-row memo, which every call here replaces,
+    until ``q_chi`` or ``q_chi_derivs`` takes it for the same space (at any
+    B), n, tau and tol.  Those calls give the bits, and raise the errors,
+    they give without it.  Cells outside the box are left to their calls.
+    """
+    _ROW.clear()
+    cells = []
+    for tau in taus:
+        tau = float(tau)
+        try:
+            tables = _checked_isotype(space, n, tau, tol)
+        except ParameterRangeError:
+            continue
+        cells.append(tau)
+    if not cells:
+        return
+    Ts = [_first_truncation(tables, tau, tol) for tau in cells]
+    key = _unit_scale(space)
+    for tau, first in zip(cells, _first_levels(tables, cells, Ts)):
+        try:
+            _ROW[key, n, tau, tol] = _q_engine(tables, tau, tol, first)
+        except QuadratureError as exc:
+            _ROW[key, n, tau, tol] = exc
+
+
+def _cell(space: RootData, n: int, tau: float,
+          tol: float) -> tuple[np.ndarray, QuadratureResult]:
+    """One cell, from the prefetched row or else computed as a row of one."""
+    tables = _checked_isotype(space, n, tau, tol)
+    out = _ROW.pop((_unit_scale(space), n, tau, tol), None)
+    if out is None:
+        return _q_engine(tables, tau, tol)
+    if isinstance(out, QuadratureError):
+        raise out.with_traceback(None)
+    return out
 
 
 def q_chi(space: RootData, n: int, tau: float,
           tol: float = DEFAULT_TOL) -> QuadratureResult:
     """The isotype-n radial integral q_n(tau) of a catalog space."""
-    tau = float(tau)
-    _, res = _q_engine(_checked_isotype(space, n, tau, tol), tau, tol)
+    _, res = _cell(space, n, float(tau), tol)
     return res
 
 
@@ -704,7 +817,7 @@ def q_chi_derivs(
     cancel; losing more than six digits triggers a CancellationWarning.
     """
     tau = float(tau)
-    I, res = _q_engine(_checked_isotype(space, n, tau, tol), tau, tol)
+    I, res = _cell(space, n, tau, tol)
     ratio2 = float(I[1]) / float(I[0])
     ratio4 = float(I[2]) / float(I[0])
     d1 = ratio2 / tau**2

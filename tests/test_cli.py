@@ -447,3 +447,37 @@ class TestBenchmarkTraceTargets:
         for mod_name, attr, _ in tracing.TARGETS:
             fn = getattr(importlib.import_module(mod_name), attr, None)
             assert callable(fn), (mod_name, attr)
+
+    @pytest.mark.filterwarnings("ignore::qflat.quadrature.CancellationWarning")
+    @pytest.mark.parametrize("argv,cells", [
+        (["curvature", "--space", "S3,OP2", "--n", "0,5", "--tau", "0.05,1,400"], 12),
+        (["verify-asymptotics", "--space", "S2,CP2", "--n", "0,3"], 16),
+        (["scan", "--spaces", "S3,CP2", "--n-max", "2", "--tau", "0.5,1,2"], 18),
+    ])
+    def test_every_cell_is_one_traced_call(self, monkeypatch, argv, cells):
+        # the benchmark records and checks cells only through these per-cell
+        # lookups, so a prefetched row must still call each cell once and
+        # hand back what the cell gives alone
+        import qflat.cli
+        import qflat.flatness
+
+        calls = []
+
+        def wrap(fn):
+            def traced(space, n, tau, tol):
+                out = fn(space, n, tau, tol)
+                res = out[0] if isinstance(out, tuple) else out
+                calls.append((space, n, tau, tol, res.log_value))
+                return out
+            return traced
+
+        for mod, attr in ((qflat.cli, "q_chi_derivs"),
+                          (qflat.flatness, "q_chi_derivs"), (qflat.cli, "q_chi")):
+            monkeypatch.setattr(mod, attr, wrap(getattr(mod, attr)))
+        _, code = capture(argv)
+        assert code == 0
+        keys = [(sp.label, n, tau, tol) for sp, n, tau, tol, _ in calls]
+        assert len(set(keys)) == len(keys) == cells
+        quadrature._ROW.clear()
+        for sp, n, tau, tol, log_value in calls:
+            assert quadrature.q_chi(sp, n, tau, tol).log_value == log_value

@@ -568,6 +568,165 @@ class TestFirstLevel:
         assert res.nodes == 15 * panels
 
 
+ROW_TAUS = (quadrature.MIN_TAU, 1e-3, 0.05, 1.0, 20.0, 400.0)
+
+
+@pytest.fixture
+def empty_row():
+    # a test that prefetches leaves no cell behind for the next one
+    quadrature._ROW.clear()
+    yield quadrature._ROW
+    quadrature._ROW.clear()
+
+
+def _quiet_derivs(*args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CancellationWarning)
+        return q_chi_derivs(*args)
+
+
+class TestStackedRow:
+    CELLS = [(lbl, n) for lbl in ("S2", "CP2", "HP2", "OP2") for n in (0, 8, 16)]
+
+    @pytest.mark.parametrize("label,n", CELLS)
+    def test_row_slices_equal_rows_of_one(self, label, n):
+        tol = 1e-10
+        tables = quadrature._checked_isotype(parse_space(label), n, 1.0, tol)
+        Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
+        row = quadrature._first_levels(tables, ROW_TAUS, Ts)
+        assert len(row) == len(ROW_TAUS)
+        for tau, T, cell in zip(ROW_TAUS, Ts, row):
+            (alone,) = quadrature._first_levels(tables, [tau], [T])
+            for got, want in zip(cell, alone):
+                assert np.array_equal(got, want), (tau, T)
+
+    @pytest.mark.parametrize("label,n", CELLS)
+    def test_prefetched_cells_equal_cells_alone(self, label, n, empty_row):
+        sp = parse_space(label)
+        alone = [_quiet_derivs(sp, n, tau) for tau in ROW_TAUS]
+        quadrature.prefetch(sp, n, ROW_TAUS)
+        assert len(empty_row) == len(ROW_TAUS)
+        for tau, (res, d1, d2) in zip(ROW_TAUS, alone):
+            got, g1, g2 = _quiet_derivs(sp, n, tau)
+            assert got == res
+            assert _bits(got, g1, g2) == _bits(res, d1, d2)
+        assert not empty_row
+
+    def test_stacks_are_capped(self, monkeypatch):
+        # a cap below one cell's nodes gives stacks of one, with the same bits
+        tol = 1e-10
+        tables = quadrature._checked_isotype(parse_space("CP2"), 4, 1.0, tol)
+        Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
+        whole = quadrature._first_levels(tables, ROW_TAUS, Ts)
+        monkeypatch.setattr(quadrature, "_STACK_NODES", 1)
+        calls = []
+        log_mag_sign = quadrature._log_mag_sign
+        monkeypatch.setattr(quadrature, "_log_mag_sign",
+                            lambda *a: calls.append(a[2].shape) or log_mag_sign(*a))
+        capped = quadrature._first_levels(tables, ROW_TAUS, Ts)
+        assert len(calls) == len(ROW_TAUS)
+        for a, b in zip(whole, capped):
+            for got, want in zip(a, b):
+                assert np.array_equal(got, want)
+
+
+def _log_mag_sign_2d(tables, tau, t):
+    # the log-sum-exp over a (deg+1, N) array that the per-coefficient
+    # loop of quadrature._log_mag_sign replaced, kept as its reference
+    logc, j2, tsign = (x[:, None] for x in (tables.logc, tables.j2, tables.tsign))
+    logsh = quadrature._log_sinh(t)
+    lt = logc + j2 * logsh[None, :]
+    top = np.max(lt, axis=0)
+    acc = np.sum(tsign * np.exp(lt - top[None, :]), axis=0)
+    sign = np.sign(acc)
+    with np.errstate(divide="ignore"):
+        g = top + np.log(np.abs(acc)) - t * t / tau
+    if tables.mu != 0.0:
+        g = g + tables.mu * np.log(t)
+    if tables.kappa != 0.0:
+        g = g + tables.kappa * logsh
+    if tables.nu != 0.0:
+        g = g + tables.nu * quadrature._log_cosh(t)
+    return g, sign
+
+
+class TestRowwiseLogSumExp:
+    T = np.geomspace(1e-15, 17200.0, 4001)
+    CATALOG = [(lbl, n) for lbl in ("S2", "S3", "CP2", "HP2", "OP2")
+               for n in (0, 1, 8, 16)]
+    # zero coefficients (log|c| = -inf) and mixed signs, as q_p accepts them
+    POLYS = [[1.0, 0.0, -2.0, 0.0, 3.0], [0.0, 1.0, 0.5, 0.0, 0.0, 7.0],
+             [-1.0, 1.0] * 8 + [2.0], [1.0] * 17]
+
+    @staticmethod
+    def same(tables, tau, t):
+        g, sign = quadrature._log_mag_sign(tables, tau, t)
+        g_ref, sign_ref = _log_mag_sign_2d(tables, tau, t)
+        return np.array_equal(g, g_ref) and np.array_equal(sign, sign_ref)
+
+    @pytest.mark.parametrize("label,n", CATALOG)
+    def test_catalog_bit_identical(self, label, n):
+        tables = quadrature._isotype(parse_space(label), n)
+        for tau in (1e-3, 1.0, 400.0):
+            assert self.same(tables, tau, self.T)
+
+    @pytest.mark.parametrize("coeffs", POLYS)
+    def test_zeros_and_mixed_signs_bit_identical(self, coeffs):
+        coeffs = quadrature._as_float_coeffs(coeffs)
+        tables = quadrature._make_tables(coeffs, 0.5, 1.5, 2.0)
+        assert np.any(tables.tsign < 0) and np.any(tables.tsign > 0)
+        for tau in (1e-3, 1.0, 400.0):
+            assert self.same(tables, tau, self.T)
+
+
+class TestPrefetch:
+    def test_error_cell_raises_the_same_error(self, empty_row):
+        sp = parse_space("S3")
+        with pytest.raises(ConvergenceError) as alone:
+            q_chi(sp, 5, 400.0, 1e-13)
+        quadrature.prefetch(sp, 5, [1.0, 400.0], 1e-13)
+        with pytest.raises(ConvergenceError) as fetched:
+            q_chi(sp, 5, 400.0, 1e-13)
+        assert str(fetched.value) == str(alone.value)
+        assert fetched.value.best.nodes == alone.value.best.nodes == 399990
+        assert fetched.value.best == alone.value.best
+
+    def test_out_of_box_tau_is_left_to_its_call(self, empty_row):
+        sp = parse_space("S3")
+        quadrature.prefetch(sp, 0, [1.0, 500.0, 1e-31, math.nan])
+        assert len(empty_row) == 1
+        for tau in (500.0, 1e-31):
+            with pytest.raises(ParameterRangeError):
+                q_chi(sp, 0, tau)
+        for args in ((sp, 17, [1.0]), (parse_space("S20"), 0, [1.0])):
+            quadrature.prefetch(*args)
+            assert not empty_row
+        quadrature.prefetch(sp, 0, [1.0], 1e-14)
+        assert not empty_row
+
+    def test_scale_is_keyed_at_one(self, empty_row):
+        quadrature.prefetch(parse_space("S4", B=2.0), 2, [1.5])
+        assert list(empty_row) == [(parse_space("S4"), 2, 1.5, quadrature.DEFAULT_TOL)]
+        got = q_chi(parse_space("S4"), 2, 1.5)
+        assert not empty_row
+        assert _bits(got) == _bits(q_chi(parse_space("S4", B=2.0), 2, 1.5))
+
+    def test_one_row_at_a_time(self, empty_row):
+        sp = parse_space("CP2")
+        quadrature.prefetch(sp, 1, [0.5, 1.0, 2.0])
+        assert {k[1:3] for k in empty_row} == {(1, 0.5), (1, 1.0), (1, 2.0)}
+        quadrature.prefetch(sp, 2, [0.5, 4.0])
+        assert {k[1:3] for k in empty_row} == {(2, 0.5), (2, 4.0)}
+        q_chi(sp, 1, 0.5)  # not in the row: computed alone, memo untouched
+        assert len(empty_row) == 2
+        q_chi(sp, 2, 0.5, 1e-8)  # another tol is another cell
+        assert len(empty_row) == 2
+        q_chi(sp, 2, 0.5)
+        assert {k[1:3] for k in empty_row} == {(2, 4.0)}
+        _quiet_derivs(sp, 2, 4.0)
+        assert not empty_row
+
+
 class TestS3ClosedFormSweep:
     # q_n of S3 is (sqrt(pi)/4) tau^(3/2) e^((n+1)^2 tau) at every n, so its
     # log pins the relative error of q across the box in n and tau

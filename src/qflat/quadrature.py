@@ -15,8 +15,8 @@ node is numpy arithmetic rather than Python overhead per panel.
 
 The fixed cost of a cell is kept small as well.  Everything about isotype n
 of a catalog space that does not depend on tau (the float coefficients of
-its hypergeometric polynomial, the exponents mu, kappa, nu and the tables
-the node evaluation reads) is one read-only record, built once per
+its hypergeometric polynomial, the exponents mu, kappa, nu and the constant
+of the tail bound) is one read-only record, built once per
 (space, n) and cached; the scale B never enters it.  Integrals of arbitrary
 polynomials (``q_p``) build their record afresh and leave the cache alone.
 Within a cell, the common log-scale is the peak of the integrand over the
@@ -37,7 +37,10 @@ Two numerical realities shape the implementation:
   relative quantity of interest is tame.  Node evaluation therefore happens
   in log space, panels are accumulated after subtracting one common scale,
   and the result records log(value) alongside the value itself (which may
-  legitimately overflow to inf within the allowed parameter box).
+  legitimately overflow to inf within the allowed parameter box).  At a
+  node, log|integrand| is closed-form logs of t, sinh t and cosh t plus the
+  log of one Horner sum of P in a variable x in [-1, 0), so no term of it
+  can overflow (``_log_mag_sign``).
 * The truncation point T comes from the exponent t^2/tau - lambda*t, placed
   where the integrand has dropped a fixed factor below the requested
   tolerance.  An analytic majorant of the discarded tail is checked
@@ -170,9 +173,9 @@ class ParameterRangeError(QuadratureError, ValueError):
 class ConvergenceError(QuadratureError):
     """Tolerance not reached; carries the best estimate.
 
-    Refinement stops at 400,000 nodes per cell or at the maximum depth; its
-    message then gives ``best.nodes``, the panel target tol/2 and the worst
-    moment row's relative panel error, which exceeds that target.
+    Refinement stops at ``_NODE_BUDGET`` nodes per cell or at the maximum
+    depth; its message then gives ``best.nodes``, the panel target tol/2 and
+    the worst moment row's relative panel error, which exceeds that target.
     """
 
     def __init__(self, message: str, best: "QuadratureResult | None" = None):
@@ -272,36 +275,21 @@ def _check_box(coeffs: Sequence[float], params: QPParams, tol: float) -> None:
 
 
 def _log_sinh(t: np.ndarray) -> np.ndarray:
-    # requires t > 0; switch form before sinh overflows
-    out = np.empty_like(t)
-    small = t <= 20.0
-    out[small] = np.log(np.sinh(t[small]))
-    tl = t[~small]
-    out[~small] = tl - _LN2 + np.log1p(-np.exp(-2.0 * tl))
-    return out
-
-
-def _log_cosh(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    small = t <= 20.0
-    out[small] = np.log(np.cosh(t[small]))
-    tl = t[~small]
-    out[~small] = tl - _LN2 + np.log1p(np.exp(-2.0 * tl))
-    return out
+    # requires t > 0; expm1 keeps 1 - exp(-2t) accurate for tiny t
+    return t - _LN2 + np.log(-np.expm1(-2.0 * t))
 
 
 class _Tables(NamedTuple):
-    """The tau-independent part of a weight: exponents and node-evaluation
-    tables.  The arrays are read-only, so one record can serve every tau."""
+    """The tau-independent part of a weight: the float coefficients of P
+    (read-only, so one record can serve every tau), the exponents mu, kappa,
+    nu, the growth rate lam = kappa + nu + 2 deg(P) and the log of the tail
+    majorant's constant."""
 
     coeffs: np.ndarray
     mu: float
     kappa: float
     nu: float
     lam: float
-    logc: np.ndarray   # log|c_j|
-    j2: np.ndarray     # 2 j
-    tsign: np.ndarray  # sign(c_j) (-1)^j
     log_tail_const: float
 
 
@@ -310,20 +298,15 @@ def _make_tables(coeffs: Sequence[float], mu: float, kappa: float,
     c = np.array(coeffs, dtype=float)
     deg = len(c) - 1
     kappa, nu = float(kappa), float(nu)
-    with np.errstate(divide="ignore"):
-        logc = np.log(np.abs(c))
     j = np.arange(deg + 1)
-    tsign = np.sign(c) * np.where(j % 2 == 0, 1.0, -1.0)
     # majorant constant: |P(-sh^2 t)| sh^k ch^v <= C exp(lam t) t^0 with
     # C = sum |c_j| 4^-j * 2^-kappa  (uses sh t <= e^t/2, ch t <= e^t)
     log_tail_const = (
         math.log(float(np.sum(np.abs(c) * 4.0 ** -j))) - kappa * _LN2
     )
-    j2 = 2.0 * j
-    for x in (c, logc, j2, tsign):
-        x.flags.writeable = False
+    c.flags.writeable = False
     return _Tables(c, float(mu), kappa, nu, kappa + nu + 2.0 * deg,
-                   logc, j2, tsign, log_tail_const)
+                   log_tail_const)
 
 
 @functools.lru_cache(maxsize=512)
@@ -341,29 +324,35 @@ def _isotype(space: RootData, n: int) -> _Tables:
 def _log_mag_sign(tables: _Tables, tau: float | np.ndarray,
                   t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log|integrand|, sign) elementwise at ``tau``, a float or an array
-    that broadcasts against ``t``; t must be positive."""
+    that broadcasts against ``t``; t must be positive.
+
+    P(-sinh^2 t) is one Horner sum in x = -exp(-2 |log sinh t|), which lies
+    in [-1, 0): x = -sinh^2 t up to sinh t = 1, with the coefficients taken
+    from the top down, and x = -1/sinh^2 t beyond it, with them taken from
+    the bottom up (the reversed polynomial, times (-sinh^2 t)^deg).
+    """
     logsh = _log_sinh(t)
-    # P(-sinh^2 t) as a scaled signed sum of exponentials of
-    # log|c_j| + 2 j log sinh t; stable for any magnitude of sinh.  One
-    # coefficient at a time, so temporaries stay the size of t; the order of
-    # the additions is that of a sum over the coefficient axis.
-    (lc0, j20, ts0), *rest = zip(tables.logc.tolist(), tables.j2.tolist(),
-                                 tables.tsign.tolist())
-    top = lc0 + j20 * logsh
-    for lc, j2, _ in rest:
-        np.maximum(top, lc + j2 * logsh, out=top)
-    acc = ts0 * np.exp(lc0 + j20 * logsh - top)
-    for lc, j2, ts in rest:
-        acc += ts * np.exp(lc + j2 * logsh - top)
-    sign = np.sign(acc)
+    up = np.maximum(logsh, 0.0)
+    x = -np.exp(-2.0 * np.abs(logsh))
+    big = logsh > 0.0
+    cs = tables.coeffs.tolist()
+    deg = len(cs) - 1
+    p = np.where(big, cs[0], cs[-1])
+    for lo, hi in zip(cs[-2::-1], cs[1:]):
+        p *= x
+        p += np.where(big, hi, lo)
+    sign = np.sign(p)
+    if deg % 2:
+        sign = np.where(big, -sign, sign)
     with np.errstate(divide="ignore"):
-        g = top + np.log(np.abs(acc)) - t * t / tau
+        g = np.log(np.abs(p)) + 2.0 * deg * up - t * t / tau
     if tables.mu != 0.0:
         g = g + tables.mu * np.log(t)
     if tables.kappa != 0.0:
         g = g + tables.kappa * logsh
     if tables.nu != 0.0:
-        g = g + tables.nu * _log_cosh(t)
+        # cosh^2 t = 1 + sinh^2 t, so log cosh t = up + log1p(-x) / 2
+        g = g + tables.nu * (up + 0.5 * np.log1p(-x))
     return g, sign
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import warnings
@@ -478,10 +479,8 @@ class TestIsotypeCache:
 
     def test_record_is_read_only(self):
         tables = quadrature._isotype(parse_space("CP2"), 3)
-        for name in ("coeffs", "logc", "j2", "tsign"):
-            arr = getattr(tables, name)
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
+        with pytest.raises(ValueError):
+            tables.coeffs[0] = 1.0
         coeffs = quadrature._checked_isotype(parse_space("CP2"), 3, 1.0, 1e-10).coeffs
         with pytest.raises(ValueError):
             coeffs[0] = 1.0
@@ -630,53 +629,73 @@ class TestStackedRow:
                 assert np.array_equal(got, want)
 
 
-def _log_mag_sign_2d(tables, tau, t):
-    # the log-sum-exp over a (deg+1, N) array that the per-coefficient
-    # loop of quadrature._log_mag_sign replaced, kept as its reference
-    logc, j2, tsign = (x[:, None] for x in (tables.logc, tables.j2, tables.tsign))
-    logsh = quadrature._log_sinh(t)
-    lt = logc + j2 * logsh[None, :]
-    top = np.max(lt, axis=0)
-    acc = np.sum(tsign * np.exp(lt - top[None, :]), axis=0)
-    sign = np.sign(acc)
-    with np.errstate(divide="ignore"):
-        g = top + np.log(np.abs(acc)) - t * t / tau
-    if tables.mu != 0.0:
-        g = g + tables.mu * np.log(t)
-    if tables.kappa != 0.0:
-        g = g + tables.kappa * logsh
-    if tables.nu != 0.0:
-        g = g + tables.nu * quadrature._log_cosh(t)
-    return g, sign
+@functools.lru_cache(maxsize=None)
+def _mp_node_terms(t):
+    # (sinh^2 t, log t, log sinh t, log cosh t) at 60 digits
+    import mpmath as mp
+
+    with mp.workdps(60):
+        t = mp.mpf(t)
+        return mp.sinh(t) ** 2, mp.log(t), mp.log(mp.sinh(t)), mp.log(mp.cosh(t))
 
 
-class TestRowwiseLogSumExp:
-    T = np.geomspace(1e-15, 17200.0, 4001)
-    CATALOG = [(lbl, n) for lbl in ("S2", "S3", "CP2", "HP2", "OP2")
+class TestNodeAccuracy:
+    # log|integrand| and its sign at the nodes against 60-digit mpmath, from
+    # the smallest node to the largest T of the box; the error is counted in
+    # units of eps (1 + |g| + t^2/tau), the rounding of the terms of g
+    T = np.geomspace(1e-15, 17200.0, 161)
+    TAUS = (quadrature.MIN_TAU, 1e-3, 1.0, 400.0)
+    CATALOG = [(lbl, n) for lbl in ("S2", "S3", "S16", "CP2", "CP8", "HP2",
+                                    "HP4", "OP2")
                for n in (0, 1, 8, 16)]
-    # zero coefficients (log|c| = -inf) and mixed signs, as q_p accepts them
+    # zero coefficients and mixed signs, as q_p accepts them
     POLYS = [[1.0, 0.0, -2.0, 0.0, 3.0], [0.0, 1.0, 0.5, 0.0, 0.0, 7.0],
              [-1.0, 1.0] * 8 + [2.0], [1.0] * 17]
 
-    @staticmethod
-    def same(tables, tau, t):
-        g, sign = quadrature._log_mag_sign(tables, tau, t)
-        g_ref, sign_ref = _log_mag_sign_2d(tables, tau, t)
-        return np.array_equal(g, g_ref) and np.array_equal(sign, sign_ref)
+    def sweep(self, tables):
+        """Per tau and t: (g, sign, error in units, reference sign, condition
+        number sum |c_j| s^j / |P(-s)|)."""
+        mp = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        cs = tables.coeffs.tolist()
+        out = []
+        with mp.workdps(60):
+            ref = []
+            for t in self.T.tolist():
+                s, log_t, log_sh, log_ch = _mp_node_terms(t)
+                P = mp.fsum(c * (-s) ** j for j, c in enumerate(cs))
+                size = mp.fsum(abs(c) * s ** j for j, c in enumerate(cs))
+                rest = tables.mu * log_t + tables.kappa * log_sh + tables.nu * log_ch
+                ref.append((mp.log(abs(P)) + rest, mp.sign(P), float(size / abs(P))))
+            for tau in self.TAUS:
+                with np.errstate(over="raise", invalid="raise"):
+                    g, sign = quadrature._log_mag_sign(tables, tau, self.T)
+                for t, gi, si, (base, sr, cond) in zip(self.T.tolist(), g.tolist(),
+                                                       sign.tolist(), ref):
+                    err = abs(mp.mpf(gi) - (base - mp.mpf(t) ** 2 / tau))
+                    units = float(err) / (eps * (1.0 + abs(gi) + t * t / tau))
+                    out.append((tau, t, gi, si, units, int(sr), cond))
+        return out
 
     @pytest.mark.parametrize("label,n", CATALOG)
-    def test_catalog_bit_identical(self, label, n):
-        tables = quadrature._isotype(parse_space(label), n)
-        for tau in (1e-3, 1.0, 400.0):
-            assert self.same(tables, tau, self.T)
+    def test_catalog_within_bound(self, label, n):
+        # every term of P(-s) is positive, so Horner loses no digits
+        for tau, t, g, sign, units, ref_sign, cond in self.sweep(
+                quadrature._isotype(parse_space(label), n)):
+            assert sign == ref_sign == 1, (tau, t)
+            assert units <= 32.0, (tau, t, g)
 
     @pytest.mark.parametrize("coeffs", POLYS)
-    def test_zeros_and_mixed_signs_bit_identical(self, coeffs):
-        coeffs = quadrature._as_float_coeffs(coeffs)
-        tables = quadrature._make_tables(coeffs, 0.5, 1.5, 2.0)
-        assert np.any(tables.tsign < 0) and np.any(tables.tsign > 0)
-        for tau in (1e-3, 1.0, 400.0):
-            assert self.same(tables, tau, self.T)
+    def test_zeros_and_mixed_signs_within_bound(self, coeffs):
+        # the terms c_j (-s)^j of P(-s) take both signs
+        terms = [math.copysign(1.0, c) * (-1) ** j for j, c in enumerate(coeffs) if c]
+        assert min(terms) < 0 < max(terms)
+        tables = quadrature._make_tables(quadrature._as_float_coeffs(coeffs),
+                                         0.5, 1.5, 2.0)
+        for tau, t, g, sign, units, ref_sign, cond in self.sweep(tables):
+            assert units <= 32.0 * cond, (tau, t, g, cond)
+            if cond < 1e8:
+                assert sign == ref_sign, (tau, t, cond)
 
 
 class TestPrefetch:

@@ -10,6 +10,7 @@ target needed here.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -18,11 +19,14 @@ __all__ = ["gamma_half_exact", "gamma_value", "SQRT_PI"]
 SQRT_PI = math.sqrt(math.pi)
 
 
+@functools.lru_cache(maxsize=256)
 def gamma_half_exact(x: Fraction | int) -> tuple[Fraction, bool]:
     """Exact Gamma at a positive integer or half-integer argument.
 
     Returns ``(q, half)`` with Gamma(x) = q * sqrt(pi) when ``half`` is true
-    and Gamma(x) = q otherwise.
+    and Gamma(x) = q otherwise.  Memoized: the result depends on the
+    rational value of x alone, so equal keys of any numeric type (1.5 and
+    Fraction(3, 2) hash alike) share one immutable entry.
     """
     x = Fraction(x)
     if x <= 0:
@@ -40,6 +44,8 @@ def gamma_half_exact(x: Fraction | int) -> tuple[Fraction, bool]:
 
 def gamma_value(x) -> float:
     """Gamma as a float; exact route for rational integer/half-integer input."""
+    # not memoized itself: 1.5 == Fraction(3, 2) share a cache key, and a
+    # float argument must get math.gamma's value, not the exact route's
     if isinstance(x, (int, Fraction)) and Fraction(x).denominator in (1, 2):
         q, half = gamma_half_exact(Fraction(x))
         v = q.numerator / q.denominator

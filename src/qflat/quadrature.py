@@ -23,11 +23,12 @@ Within a cell, the common log-scale is the peak of the integrand over the
 first panel level's own nodes, and a refinement round whose panels all
 meet their targets ends the integration with the sums it has already
 formed.  Most cells converge on that first level, so a row of taus of one
-(space, n) can be computed together with ``prefetch``: the first levels of
-the whole row go through one stacked node call (a few, for long rows),
-with tau as a per-panel column, and each cell's outcome waits for its own
-``q_chi`` / ``q_chi_derivs`` call.  A cell computed alone is a row of one,
-so both ways give the same bits.
+(space, n) can be computed together with ``prefetch``: the break points of
+the whole row come from one array pass, its first levels go through one
+stacked node call (a few, for long rows) with tau as a per-panel column,
+the panel sums of a stack come from one pass, and each cell's outcome
+waits for its own ``q_chi`` / ``q_chi_derivs`` call.  A cell computed
+alone is a row of one, so both ways give the same bits.
 
 Two numerical realities shape the implementation:
 
@@ -61,6 +62,7 @@ the kernel a BLAS build dispatches to either.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -404,31 +406,68 @@ def _eval_panels(tables: _Tables, tau: float, scale: float, a: np.ndarray,
     return _apply_rules(_moment_rows(xs, g, sign, scale), half)
 
 
-def _initial_breaks(tables: _Tables, tau: float, T: float) -> list[float]:
-    sig = math.sqrt(tau / 2.0)
-    tpk = tables.lam * tau / 2.0
-    cand = {0.0, T}
-    for k in range(1, 8):
-        cand.add(T * k / 8.0)
-    for jj in range(-12, 13):
-        x = tpk + jj * sig
-        if 0.0 < x < T:
-            cand.add(x)
-    for e in (0.25, 0.5, 1.0, 2.0, 4.0):
-        x = e * math.sqrt(tau)
-        if 0.0 < x < T:
-            cand.add(x)
-    br = sorted(cand)
-    out = [br[0]]
-    for x in br[1:]:
-        if x - out[-1] > 1e-10 * T:
-            out.append(x)
-    out[-1] = T
+# Candidate break points of a cell, as multiples: of T the grid k / 8
+# (k = 0..8), of sigma = sqrt(tau / 2) the offsets j about the peak
+# lam tau / 2 (|j| <= 12), and of sqrt(tau) the factors e.
+_GRID = np.arange(9.0) / 8.0
+_PEAK_J = np.arange(-12.0, 13.0)
+_ROOT_E = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+
+
+def _initial_breaks(tables: _Tables, taus: Sequence[float],
+                    Ts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The initial break points of each cell (tau, T) of one isotype.
+
+    Returns the break points of all cells, concatenated, and the number of
+    each cell's.  A cell's candidates are the grid T k / 8, and the points
+    lam tau / 2 + j sigma and e sqrt(tau) that fall inside (0, T); sorted,
+    less any candidate within 1e-10 T of its predecessor, with the last
+    break moved onto T.  The whole row is one array pass.  Dropping against
+    the predecessor keeps the points that dropping against the last point
+    kept does unless three candidates fall within 2e-10 T; those of one
+    kind lie much farther apart, so that takes all three kinds meeting to
+    ten digits.
+    """
+    tau = np.array(taus, dtype=float)[:, None]
+    half = 0.5 * tau
+    T = np.array(Ts, dtype=float)[:, None]
+    # halving and eighths are exact, so every candidate has the bits of its
+    # scalar formula; one outside (0, T) is clipped onto a copy of 0 or T,
+    # which the thinning drops
+    extra = np.minimum(np.maximum(np.concatenate(
+        [tables.lam * half + _PEAK_J * np.sqrt(half), _ROOT_E * np.sqrt(tau)],
+        axis=1), 0.0), T)
+    cand = np.sort(np.concatenate([T * _GRID, extra], axis=1), axis=1)
+    keep = np.empty(cand.shape, dtype=bool)
+    keep[:, 0] = True
+    np.greater(cand[:, 1:] - cand[:, :-1], 1e-10 * T, out=keep[:, 1:])
+    breaks = cand[keep]
+    counts = keep.sum(axis=1)
+    breaks[np.cumsum(counts) - 1] = T[:, 0]
+    return breaks, counts
+
+
+# The sums (I, Iabs, E) of a run of panels, each of shape (3,).
+_Sums = tuple[np.ndarray, np.ndarray, np.ndarray]
+# A cell's first panel level: panels a and b, estimates, errors, scale and
+# their sums.
+_Level = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, _Sums]
+
+
+def _sum_panels(val: np.ndarray, err: np.ndarray,
+                counts: Sequence[int]) -> list[_Sums]:
+    """The sums of the estimates, of their magnitudes and of their errors
+    over each run of ``counts`` consecutive panels."""
+    # fsum is correctly rounded, so the sums do not depend on panel order;
+    # one tolist serves every run
+    rows = np.concatenate([val, np.abs(val), err]).tolist()
+    out = []
+    s = 0
+    for e in itertools.accumulate(counts):
+        sums = np.array([math.fsum(r[s:e]) for r in rows])
+        out.append((sums[:3], sums[3:6], sums[6:]))
+        s = e
     return out
-
-
-# A cell's first panel level: panels a and b, estimates, errors, scale.
-_Level = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]
 
 
 def _first_levels(tables: _Tables, taus: Sequence[float],
@@ -436,43 +475,41 @@ def _first_levels(tables: _Tables, taus: Sequence[float],
     """The first panel level of each cell (tau, T) of one isotype.
 
     Returns per cell its panels a and b, their estimates and errors, each
-    of shape (3, P), and its scale: the peak of log|integrand| over the
-    cell's own nodes.  The cells' panels are concatenated into stacked node
-    calls of at most _STACK_NODES nodes (or one cell, if it has more), with
-    tau as a per-panel column.  Every step is elementwise, per panel or per
-    cell, so each cell gets the bits it gets in a stack of its own.
+    of shape (3, P), its scale (the peak of log|integrand| over the cell's
+    own nodes) and the sums of ``_sum_panels``.  The cells' panels are
+    concatenated into stacked node calls of at most _STACK_NODES nodes (or
+    one cell, if it has more), with tau as a per-panel column.  Every step
+    is elementwise, per panel or per cell, so each cell gets the bits it
+    gets in a stack of its own.
     """
-    breaks = [np.array(_initial_breaks(tables, tau, T)) for tau, T in zip(taus, Ts)]
-    panels = [len(br) - 1 for br in breaks]
+    breaks, nbreaks = _initial_breaks(tables, taus, Ts)
+    # the panels of the row join consecutive breaks of one cell
+    inner = np.ones(len(breaks) - 1, dtype=bool)
+    inner[np.cumsum(nbreaks[:-1]) - 1] = False
+    a_row, b_row = breaks[:-1][inner], breaks[1:][inner]
+    panels = (nbreaks - 1).tolist()
     out = []
-    lo = 0
-    while lo < len(breaks):
+    lo = p0 = 0
+    while lo < len(panels):
         hi = lo + 1
-        while hi < len(breaks) and 15 * sum(panels[lo:hi + 1]) <= _STACK_NODES:
+        while hi < len(panels) and 15 * sum(panels[lo:hi + 1]) <= _STACK_NODES:
             hi += 1
         counts = np.array(panels[lo:hi])
         starts = np.cumsum(counts) - counts
-        a = np.concatenate([br[:-1] for br in breaks[lo:hi]])
-        b = np.concatenate([br[1:] for br in breaks[lo:hi]])
+        p1 = p0 + int(counts.sum())
+        a, b = a_row[p0:p1], b_row[p0:p1]
         xs, half = _panel_nodes(a, b)
         g, sign = _log_mag_sign(
             tables, np.repeat(np.array(taus[lo:hi], dtype=float), counts)[:, None], xs)
         scales = np.maximum.reduceat(g.ravel(), 15 * starts)
         val, err = _apply_rules(
             _moment_rows(xs, g, sign, np.repeat(scales, counts)[:, None]), half)
-        for s, e, scale in zip(starts, starts + counts, scales.tolist()):
-            out.append((a[s:e], b[s:e], val[:, s:e], err[:, s:e], scale))
-        lo = hi
+        sums = _sum_panels(val, err, panels[lo:hi])
+        for s, e, scale, cell_sums in zip(starts, starts + counts,
+                                          scales.tolist(), sums):
+            out.append((a[s:e], b[s:e], val[:, s:e], err[:, s:e], scale, cell_sums))
+        lo, p0 = hi, p1
     return out
-
-
-def _sum_panels(val: np.ndarray,
-                err: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # fsum is correctly rounded, so the sums do not depend on panel order
-    I = np.array([math.fsum(r) for r in val.tolist()])
-    Iabs = np.array([math.fsum(r) for r in np.abs(val).tolist()])
-    E = np.array([math.fsum(r) for r in err.tolist()])
-    return I, Iabs, E
 
 
 def _targets(I: np.ndarray, Iabs: np.ndarray, tol: float) -> np.ndarray:
@@ -490,7 +527,7 @@ def _integrate_moments(
     ``tol``."""
     if first is None:
         (first,) = _first_levels(tables, [tau], [T])
-    a, b, val, err, scale = first
+    a, b, val, err, scale, sums = first
     depth = np.zeros(len(a), dtype=int)
     nodes = 15 * len(a)
 
@@ -498,7 +535,7 @@ def _integrate_moments(
     for rnd in range(_MAX_ROUNDS + 1):
         # the round that meets its targets (or may split no further) returns
         # the sums it has formed
-        I, Iabs, E = _sum_panels(val, err)
+        I, Iabs, E = sums
         target = _targets(I, Iabs, tol)
         converged = bool(np.all(E <= target))
         if converged or budget_hit or rnd == _MAX_ROUNDS:
@@ -533,6 +570,7 @@ def _integrate_moments(
         a, b, depth, val, err = (np.concatenate(x, axis=-1) for x in zip(*parts))
         order = np.argsort(a)
         a, b, depth, val, err = (x[..., order] for x in (a, b, depth, val, err))
+        (sums,) = _sum_panels(val, err, [len(a)])
 
     return I, Iabs, E, scale, nodes, converged
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from qflat import quadrature
+from qflat._gamma import SQRT_PI, gamma_half_exact, gamma_value
 from qflat.asymptotics import (
     central_predict,
     fseries2,
@@ -14,7 +16,12 @@ from qflat.asymptotics import (
 )
 from qflat.hypergeom import closed_coeffs, hypergeom_poly
 from qflat.quadrature import q_chi
-from qflat.spaces import chi_params, default_scan_spaces, parse_space
+from qflat.spaces import (
+    DEFAULT_SCAN_SELECTORS,
+    chi_params,
+    default_scan_spaces,
+    parse_space,
+)
 
 SQPI = math.sqrt(math.pi)
 
@@ -251,3 +258,63 @@ class TestOracleAgreementLargeTau:
             # noise floor as a tie satisfying the shrinking law
             if max(devs.values()) >= 1e-7:
                 assert devs[400.0] < devs[100.0] < devs[25.0]
+
+
+# every integer and half-integer in (0, 19.5]
+HALF_INTEGERS = [Fraction(k, 2) for k in range(1, 40)]
+
+
+class TestGammaMemo:
+    def test_float_argument_keeps_math_gamma_after_the_exact_route(self):
+        # 1.5 == Fraction(3, 2) and both hash alike, so a memo keyed on the
+        # argument of gamma_value would hand the float the exact route's bits
+        for x in HALF_INTEGERS:
+            gamma_value(x)
+            assert gamma_value(float(x)).hex() == math.gamma(float(x)).hex(), x
+
+    def test_exact_route_is_q_sqrt_pi(self):
+        for x in HALF_INTEGERS:
+            q, half = gamma_half_exact(x)
+            k = math.floor(x)
+            if x.denominator == 1:
+                # Gamma(k) = (k - 1)!
+                assert (q, half) == (Fraction(math.factorial(k - 1)), False)
+            else:
+                # Gamma(k + 1/2) = (2k)! / (4^k k!) sqrt(pi)
+                want = Fraction(math.factorial(2 * k), 4 ** k * math.factorial(k))
+                assert (q, half) == (want, True)
+            v = q.numerator / q.denominator
+            assert gamma_value(x) == (v * SQRT_PI if half else v)
+
+    def test_exact_route_is_memoized(self):
+        gamma_half_exact(Fraction(19, 2))
+        hits = gamma_half_exact.cache_info().hits
+        assert gamma_half_exact(Fraction(19, 2)) == gamma_half_exact(9.5)
+        assert gamma_half_exact.cache_info().hits == hits + 2
+
+
+ORACLE_SPACES = DEFAULT_SCAN_SELECTORS + ("S16", "CP8", "HP4")
+
+
+def _hex(x):
+    return tuple(v.hex() for v in x) if isinstance(x, tuple) else x.hex()
+
+
+class TestOracleReferences:
+    @pytest.mark.parametrize("label", ORACLE_SPACES)
+    def test_cached_record_gives_the_exact_polynomials_bits(self, label):
+        # the oracle rows read the float coefficients of the cached isotype
+        # record instead of rebuilding the exact polynomial
+        sp = parse_space(label)
+        for n in range(quadrature.MAX_DEGREE + 1):
+            ch = chi_params(sp, n)
+            exact = hypergeom_poly(ch.A, n, ch.c)
+            coeffs = quadrature._isotype(quadrature._unit_scale(sp), n).coeffs
+            for cached in (coeffs, coeffs.tolist()):
+                for tau in (1e-3, 1e-2):
+                    assert _hex(watson2(cached, ch.mu, ch.kappa, ch.nu, tau)) == _hex(
+                        watson2(exact, ch.mu, ch.kappa, ch.nu, tau)), (n, tau)
+                for tau in (100.0, 400.0):
+                    args = (float(ch.mu), float(ch.kappa), float(ch.nu), tau)
+                    assert _hex(log_qp_large_tau(cached, *args)) == _hex(
+                        log_qp_large_tau(exact, *args)), (n, tau)

@@ -21,7 +21,12 @@ from qflat.quadrature import (
     q_chi_derivs,
     q_p,
 )
-from qflat.spaces import chi_params, default_scan_spaces, parse_space
+from qflat.spaces import (
+    DEFAULT_SCAN_SELECTORS,
+    chi_params,
+    default_scan_spaces,
+    parse_space,
+)
 from qflat.hypergeom import hypergeom_poly
 
 
@@ -302,7 +307,7 @@ class TestRefinement:
         tau = 1.0
         tables = quadrature._checked_isotype(parse_space("CP2"), 2, tau, 1e-10)
         T = 15.0
-        breaks = np.array(quadrature._initial_breaks(tables, tau, T))
+        breaks, _ = quadrature._initial_breaks(tables, [tau], [T])
         a, b = breaks[:-1], breaks[1:]
         g, _ = quadrature._log_mag_sign(
             tables, tau, quadrature._panel_nodes(a, b)[0].ravel())
@@ -548,13 +553,13 @@ class TestFirstLevel:
         T = q_chi(parse_space(label), n, tau, tol).truncation_t
         I, Iabs, E, scale, nodes, conv = quadrature._integrate_moments(
             tables, tau, T, 0.5 * tol)
-        breaks = np.array(quadrature._initial_breaks(tables, tau, T))
+        breaks, _ = quadrature._initial_breaks(tables, [tau], [T])
         xs, _ = quadrature._panel_nodes(breaks[:-1], breaks[1:])
         g, _ = quadrature._log_mag_sign(tables, tau, xs.ravel())
         assert scale == float(np.max(g))
         val, err = quadrature._eval_panels(tables, tau, scale, breaks[:-1], breaks[1:])
         assert conv
-        for got, want in zip((I, Iabs, E), quadrature._sum_panels(val, err)):
+        for got, want in zip((I, Iabs, E), quadrature._sum_panels(val, err, [val.shape[1]])[0]):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("label,n,tau,tol", CASES)
@@ -563,7 +568,7 @@ class TestFirstLevel:
         # panel and nothing besides
         res = q_chi(parse_space(label), n, tau, tol)
         tables = quadrature._checked_isotype(parse_space(label), n, tau, tol)
-        panels = len(quadrature._initial_breaks(tables, tau, res.truncation_t)) - 1
+        panels = len(quadrature._initial_breaks(tables, [tau], [res.truncation_t])[0]) - 1
         assert res.nodes == 15 * panels
 
 
@@ -627,6 +632,95 @@ class TestStackedRow:
         for a, b in zip(whole, capped):
             for got, want in zip(a, b):
                 assert np.array_equal(got, want)
+
+
+def scalar_breaks(tables, tau, T):
+    """One cell's initial break points as a Python set of candidates,
+    sorted and thinned against the last point kept: the reference for the
+    row pass of ``_initial_breaks``."""
+    sig = math.sqrt(tau / 2.0)
+    tpk = tables.lam * tau / 2.0
+    cand = {0.0, T}
+    for k in range(1, 8):
+        cand.add(T * k / 8.0)
+    for jj in range(-12, 13):
+        x = tpk + jj * sig
+        if 0.0 < x < T:
+            cand.add(x)
+    for e in (0.25, 0.5, 1.0, 2.0, 4.0):
+        x = e * math.sqrt(tau)
+        if 0.0 < x < T:
+            cand.add(x)
+    br = sorted(cand)
+    out = [br[0]]
+    for x in br[1:]:
+        if x - out[-1] > 1e-10 * T:
+            out.append(x)
+    out[-1] = T
+    return out
+
+
+class TestRowBreaks:
+    SPACES = DEFAULT_SCAN_SELECTORS + ("S16", "CP8", "HP4")
+
+    def test_row_pass_equals_scalar_construction(self):
+        # seeded log-uniform taus over the whole box plus its two ends, at
+        # the truncation point of a random attempt, in rows of 42 cells
+        rng = np.random.default_rng(10)
+        lo, hi = math.log(quadrature.MIN_TAU), math.log(quadrature.MAX_TAU)
+        cells = 0
+        with np.errstate(all="raise"):
+            for label in self.SPACES:
+                sp = parse_space(label)
+                for n in range(quadrature.MAX_DEGREE + 1):
+                    tables = quadrature._checked_isotype(sp, n, 1.0, 1e-10)
+                    for tol in (1e-13, 1e-10, 1e-4):
+                        taus = np.exp(rng.uniform(lo, hi, 40)).tolist()
+                        taus += [quadrature.MIN_TAU, quadrature.MAX_TAU]
+                        Ts = [quadrature._first_truncation(tables, tau, tol) * 1.3 ** k
+                              for tau, k in zip(taus, rng.integers(0, 5, len(taus)))]
+                        breaks, counts = quadrature._initial_breaks(tables, taus, Ts)
+                        assert counts.sum() == len(breaks)
+                        cell = np.split(breaks, np.cumsum(counts)[:-1])
+                        for got, tau, T in zip(cell, taus, Ts):
+                            assert got.tolist() == scalar_breaks(tables, tau, T), (
+                                label, n, tau, T)
+                        cells += len(taus)
+        assert cells >= 20_000
+
+    def test_last_break_moves_onto_T(self):
+        # a candidate just below T is kept in T's place
+        tables = quadrature._checked_isotype(parse_space("HP2"), 3, 1.0, 1e-10)
+        taus = [1.0, 20.0]
+        near = [tables.lam * tau / 2.0 + 12.0 * math.sqrt(tau / 2.0) for tau in taus]
+        Ts = [x * (1.0 + 5e-11) for x in near]
+        breaks, counts = quadrature._initial_breaks(tables, taus, Ts)
+        cell = np.split(breaks, np.cumsum(counts)[:-1])
+        for got, tau, T, x in zip(cell, taus, Ts, near):
+            assert got.tolist() == scalar_breaks(tables, tau, T)
+            assert got[-1] == T and got[-2] < x
+
+    def test_one_breaks_and_sums_pass_per_stack(self, monkeypatch, empty_row):
+        # a prefetched row builds its break points in one call and sums each
+        # stack of first levels in one call; these cells converge there
+        sp = parse_space("CP2")
+        taus = (0.25, 0.5, 1.0, 2.0, 4.0)
+        calls = {}
+        for name in ("_initial_breaks", "_sum_panels", "_log_mag_sign"):
+            fn = getattr(quadrature, name)
+            monkeypatch.setattr(
+                quadrature, name,
+                lambda *a, _fn=fn, _name=name: calls.setdefault(_name, []).append(a)
+                or _fn(*a))
+        quadrature.prefetch(sp, 2, taus)
+        assert len(calls["_initial_breaks"]) == 1
+        assert len(calls["_sum_panels"]) == len(calls["_log_mag_sign"]) == 1
+        assert len(calls["_sum_panels"][0][2]) == len(taus)
+        for tau in taus:
+            res = q_chi(sp, 2, tau)
+            tables = quadrature._checked_isotype(sp, 2, tau, quadrature.DEFAULT_TOL)
+            (breaks,) = quadrature._initial_breaks(tables, [tau], [res.truncation_t])[1]
+            assert res.nodes == 15 * (breaks - 1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ integrals they approximate, so log variants are provided alongside.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,6 +69,17 @@ def watson2(P, mu, kappa, nu, tau: float) -> float:
     downstream is.
     """
     c0, coef = fseries2(P, kappa, nu)
+    rr, g0, g1 = _watson_gammas(mu, kappa)
+    return tau ** (rr / 2.0) / 2.0 * (g0 * c0 + g1 * coef * tau)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _watson_gammas(mu, kappa) -> tuple[float, float, float]:
+    """r = mu + kappa + 1, Gamma(r/2) and Gamma(r/2 + 1) as floats.
+
+    Typed, so float arguments keep math.gamma's values although 1.5 and
+    Fraction(3, 2) hash alike; exact arguments take the exact route.
+    """
     if isinstance(mu, (int, Fraction)) and isinstance(kappa, (int, Fraction)):
         r = Fraction(mu) + Fraction(kappa) + 1
     else:
@@ -76,8 +88,7 @@ def watson2(P, mu, kappa, nu, tau: float) -> float:
         raise ValueError(f"need r = mu + kappa + 1 > 0, got {r}")
     g0 = gamma_value(_half(r))
     g1 = gamma_value(_half(r) + 1 if isinstance(r, (int, Fraction)) else float(r) / 2.0 + 1.0)
-    rr = float(r)
-    return tau ** (rr / 2.0) / 2.0 * (g0 * c0 + g1 * coef * tau)
+    return float(r), g0, g1
 
 
 def fseries2(P, kappa, nu) -> tuple[float, float]:

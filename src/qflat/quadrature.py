@@ -23,12 +23,17 @@ Within a cell, the common log-scale is the peak of the integrand over the
 first panel level's own nodes, and a refinement round whose panels all
 meet their targets ends the integration with the sums it has already
 formed.  Most cells converge on that first level, so a row of taus of one
-(space, n) can be computed together with ``prefetch``: the break points of
-the whole row come from one array pass, its first levels go through one
-stacked node call (a few, for long rows) with tau as a per-panel column,
-the panel sums of a stack come from one pass, and each cell's outcome
-waits for its own ``q_chi`` / ``q_chi_derivs`` call.  A cell computed
-alone is a row of one, so both ways give the same bits.
+(space, n) is computed together with ``prefetch``.  The break points of
+the whole row come from one array pass, and its first levels go through
+one stacked node call (a few, for long rows) with tau as a per-panel
+column.  The panel sums of a stack come from one pass, which skips the
+sums of |estimate| when no estimate is negative, as on every catalog
+isotype (they are then the sums of the estimates), and the first-round
+targets of all its cells are tested together.  A cell that meets them
+never enters refinement; the others refine from the stored targets.  Each
+outcome waits for its own ``q_chi`` / ``q_chi_derivs`` call, which neither
+validates it nor computes its truncation point again.  A cell computed
+alone is a stack of one, so both ways give the same bits.
 
 Two numerical realities shape the implementation:
 
@@ -447,40 +452,50 @@ def _initial_breaks(tables: _Tables, taus: Sequence[float],
     return breaks, counts
 
 
+def _targets(I: np.ndarray, Iabs: np.ndarray, tol: float) -> np.ndarray:
+    # the 4e-16 floor stops futile refinement once a moment is dominated by
+    # cancellation noise; failure to reach tol is then reported honestly
+    return np.maximum(tol * np.abs(I), 4e-16 * Iabs)
+
+
 # The sums (I, Iabs, E) of a run of panels, each of shape (3,).
 _Sums = tuple[np.ndarray, np.ndarray, np.ndarray]
-# A cell's first panel level: panels a and b, estimates, errors, scale and
-# their sums.
-_Level = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, _Sums]
+# A cell's first panel level: panels a and b, estimates, errors, scale,
+# sums, the targets of the first round and whether the errors meet them.
+_Level = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, _Sums,
+               np.ndarray, bool]
 
 
-def _sum_panels(val: np.ndarray, err: np.ndarray,
-                counts: Sequence[int]) -> list[_Sums]:
-    """The sums of the estimates, of their magnitudes and of their errors
-    over each run of ``counts`` consecutive panels."""
+def _sum_panels(val: np.ndarray, err: np.ndarray, counts: Sequence[int]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sums I of the estimates, Iabs of their magnitudes and E of their
+    errors over each run of ``counts`` consecutive panels, each of shape
+    (runs, 3).  When no estimate is negative, Iabs is I: the magnitudes are
+    the estimates, so their sums have the same bits."""
     # fsum is correctly rounded, so the sums do not depend on panel order;
     # one tolist serves every run
-    rows = np.concatenate([val, np.abs(val), err]).tolist()
-    out = []
-    s = 0
-    for e in itertools.accumulate(counts):
-        sums = np.array([math.fsum(r[s:e]) for r in rows])
-        out.append((sums[:3], sums[3:6], sums[6:]))
-        s = e
-    return out
+    signed = not np.all(val >= 0.0)
+    rows = np.concatenate([val, np.abs(val), err] if signed else [val, err]).tolist()
+    ends = list(itertools.accumulate(counts))
+    sums = np.array([[math.fsum(r[s:e]) for r in rows]
+                     for s, e in zip([0] + ends[:-1], ends)])
+    I = sums[:, :3]
+    return I, sums[:, 3:6] if signed else I, sums[:, -3:]
 
 
-def _first_levels(tables: _Tables, taus: Sequence[float],
-                  Ts: Sequence[float]) -> list[_Level]:
-    """The first panel level of each cell (tau, T) of one isotype.
+def _first_levels(tables: _Tables, taus: Sequence[float], Ts: Sequence[float],
+                  tol: float) -> list[_Level]:
+    """The first panel level of each cell (tau, T) of one isotype, tested
+    against the panel tolerance ``tol``.
 
     Returns per cell its panels a and b, their estimates and errors, each
     of shape (3, P), its scale (the peak of log|integrand| over the cell's
-    own nodes) and the sums of ``_sum_panels``.  The cells' panels are
-    concatenated into stacked node calls of at most _STACK_NODES nodes (or
-    one cell, if it has more), with tau as a per-panel column.  Every step
-    is elementwise, per panel or per cell, so each cell gets the bits it
-    gets in a stack of its own.
+    own nodes), the sums of ``_sum_panels``, the targets of its first round
+    and whether its errors meet them.  The cells' panels are concatenated
+    into stacked node calls of at most _STACK_NODES nodes (or one cell, if
+    it has more), with tau as a per-panel column; the targets of a stack
+    are one call and one comparison.  Every step is elementwise, per panel
+    or per cell, so each cell gets the bits it gets in a stack of its own.
     """
     breaks, nbreaks = _initial_breaks(tables, taus, Ts)
     # the panels of the row join consecutive breaks of one cell
@@ -504,18 +519,15 @@ def _first_levels(tables: _Tables, taus: Sequence[float],
         scales = np.maximum.reduceat(g.ravel(), 15 * starts)
         val, err = _apply_rules(
             _moment_rows(xs, g, sign, np.repeat(scales, counts)[:, None]), half)
-        sums = _sum_panels(val, err, panels[lo:hi])
-        for s, e, scale, cell_sums in zip(starts, starts + counts,
-                                          scales.tolist(), sums):
-            out.append((a[s:e], b[s:e], val[:, s:e], err[:, s:e], scale, cell_sums))
+        I, Iabs, E = _sum_panels(val, err, panels[lo:hi])
+        target = _targets(I, Iabs, tol)
+        met = np.all(E <= target, axis=1).tolist()
+        for k, (s, e, scale) in enumerate(zip(starts, starts + counts,
+                                              scales.tolist())):
+            out.append((a[s:e], b[s:e], val[:, s:e], err[:, s:e], scale,
+                        (I[k], Iabs[k], E[k]), target[k], met[k]))
         lo, p0 = hi, p1
     return out
-
-
-def _targets(I: np.ndarray, Iabs: np.ndarray, tol: float) -> np.ndarray:
-    # the 4e-16 floor stops futile refinement once a moment is dominated by
-    # cancellation noise; failure to reach tol is then reported honestly
-    return np.maximum(tol * np.abs(I), 4e-16 * Iabs)
 
 
 def _integrate_moments(
@@ -524,22 +536,17 @@ def _integrate_moments(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, bool]:
     """Refine from the cell's first level, an entry of ``_first_levels``
     (computed here as a row of one when not given), until the panels meet
-    ``tol``."""
+    ``tol``; a first level that meets it is returned as it is."""
     if first is None:
-        (first,) = _first_levels(tables, [tau], [T])
-    a, b, val, err, scale, sums = first
-    depth = np.zeros(len(a), dtype=int)
+        (first,) = _first_levels(tables, [tau], [T], tol)
+    a, b, val, err, scale, (I, Iabs, E), target, converged = first
     nodes = 15 * len(a)
+    if converged:
+        return I, Iabs, E, scale, nodes, True
+    depth = np.zeros(len(a), dtype=int)
 
     budget_hit = False
-    for rnd in range(_MAX_ROUNDS + 1):
-        # the round that meets its targets (or may split no further) returns
-        # the sums it has formed
-        I, Iabs, E = sums
-        target = _targets(I, Iabs, tol)
-        converged = bool(np.all(E <= target))
-        if converged or budget_hit or rnd == _MAX_ROUNDS:
-            break
+    for _ in range(_MAX_ROUNDS):
         # split level by level; each panel is tested on its own against the
         # round's fixed target, so the order of the splits does not matter
         # until the node budget runs out
@@ -570,7 +577,13 @@ def _integrate_moments(
         a, b, depth, val, err = (np.concatenate(x, axis=-1) for x in zip(*parts))
         order = np.argsort(a)
         a, b, depth, val, err = (x[..., order] for x in (a, b, depth, val, err))
-        (sums,) = _sum_panels(val, err, [len(a)])
+        # the round that meets its targets (or may split no further) returns
+        # the sums it has formed
+        I, Iabs, E = (x[0] for x in _sum_panels(val, err, [len(a)]))
+        target = _targets(I, Iabs, tol)
+        converged = bool(np.all(E <= target))
+        if converged or budget_hit:
+            break
 
     return I, Iabs, E, scale, nodes, converged
 
@@ -629,11 +642,12 @@ def _first_truncation(tables: _Tables, tau: float, tol: float) -> float:
     return max(8.0 * math.sqrt(tau), root)
 
 
-def _q_engine(tables: _Tables, tau: float, tol: float,
+def _q_engine(tables: _Tables, tau: float, tol: float, T0: float | None = None,
               first: _Level | None = None) -> tuple[np.ndarray, QuadratureResult]:
-    """One cell; ``first`` is its first level at the first attempt's T, if
-    it was computed with its row."""
-    T0 = _first_truncation(tables, tau, tol)
+    """One cell; ``T0`` is the first attempt's T and ``first`` its first
+    level at the panel tolerance tol/2, if they were computed with its row."""
+    if T0 is None:
+        T0 = _first_truncation(tables, tau, tol)
     for attempt in range(5):
         T = T0 * 1.3 ** attempt
         # split the tolerance: half for the panels, half for the tail
@@ -809,20 +823,21 @@ def prefetch(space: RootData, n: int, taus: Sequence[float],
         return
     Ts = [_first_truncation(tables, tau, tol) for tau in cells]
     key = _unit_scale(space)
-    for tau, first in zip(cells, _first_levels(tables, cells, Ts)):
+    # the panels get tol/2, as in _q_engine
+    for tau, T, first in zip(cells, Ts, _first_levels(tables, cells, Ts, 0.5 * tol)):
         try:
-            _ROW[key, n, tau, tol] = _q_engine(tables, tau, tol, first)
+            _ROW[key, n, tau, tol] = _q_engine(tables, tau, tol, T, first)
         except QuadratureError as exc:
             _ROW[key, n, tau, tol] = exc
 
 
 def _cell(space: RootData, n: int, tau: float,
           tol: float) -> tuple[np.ndarray, QuadratureResult]:
-    """One cell, from the prefetched row or else computed as a row of one."""
-    tables = _checked_isotype(space, n, tau, tol)
+    """One cell, from the prefetched row (which validated it) or else
+    validated and computed as a row of one."""
     out = _ROW.pop((_unit_scale(space), n, tau, tol), None)
     if out is None:
-        return _q_engine(tables, tau, tol)
+        return _q_engine(_checked_isotype(space, n, tau, tol), tau, tol)
     if isinstance(out, QuadratureError):
         raise out.with_traceback(None)
     return out

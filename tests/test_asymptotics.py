@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qflat import quadrature
+from qflat import asymptotics, quadrature
 from qflat._gamma import SQRT_PI, gamma_half_exact, gamma_value
 from qflat.asymptotics import (
     central_predict,
@@ -291,6 +291,59 @@ class TestGammaMemo:
         hits = gamma_half_exact.cache_info().hits
         assert gamma_half_exact(Fraction(19, 2)) == gamma_half_exact(9.5)
         assert gamma_half_exact.cache_info().hits == hits + 2
+
+
+def watson2_uncached(P, mu, kappa, nu, tau):
+    """The two-term Watson formula with r and both Gammas formed afresh."""
+    c0, coef = fseries2(P, kappa, nu)
+    if isinstance(mu, (int, Fraction)) and isinstance(kappa, (int, Fraction)):
+        r = Fraction(mu) + Fraction(kappa) + 1
+        g0, g1 = gamma_value(r / 2), gamma_value(r / 2 + 1)
+    else:
+        r = float(mu) + float(kappa) + 1.0
+        g0, g1 = gamma_value(r / 2.0), gamma_value(r / 2.0 + 1.0)
+    return tau ** (float(r) / 2.0) / 2.0 * (g0 * c0 + g1 * coef * tau)
+
+
+class TestWatsonGammaCache:
+    # mu = 3/2, kappa = 1/2 give r = 3, where the exact route and math.gamma
+    # differ in the last bit of both Gamma(3/2) and Gamma(5/2)
+    EXACT = (Fraction(3, 2), Fraction(1, 2))
+    FLOAT = (1.5, 0.5)
+    MIXED = (Fraction(3, 2), 0.5)
+    # P, nu and tau of every call
+    REST = ([1.0, -0.25], Fraction(5, 2), 0.01)
+
+    def uncached(self, args):
+        P, nu, tau = self.REST
+        return watson2_uncached(P, *args, nu, tau)
+
+    @pytest.mark.parametrize("order", [(EXACT, FLOAT, MIXED), (MIXED, FLOAT, EXACT)])
+    def test_each_call_gives_the_uncached_bits(self, order):
+        cache = asymptotics._watson_gammas
+        cache.cache_clear()
+        for args in order:
+            P, nu, tau = self.REST
+            want = self.uncached(args)
+            for hits in (0, 1):
+                info = cache.cache_info()
+                got = watson2(P, *args, nu, tau)
+                assert got.hex() == want.hex(), args
+                assert cache.cache_info().hits == info.hits + hits
+        # one entry per argument types: 1.5 == Fraction(3, 2) hash alike
+        assert cache.cache_info().currsize == 3
+
+    def test_routes_really_differ(self):
+        assert gamma_value(Fraction(3, 2)).hex() != math.gamma(1.5).hex()
+        assert gamma_value(Fraction(5, 2)).hex() != math.gamma(2.5).hex()
+        assert self.uncached(self.EXACT).hex() != self.uncached(self.FLOAT).hex()
+
+    def test_nonpositive_r_raises_on_every_call(self):
+        for mu, kappa in ((-1, 0), (-1.0, 0.0), (Fraction(-3, 2), Fraction(1, 2)),
+                          (-2.5, 0.5)):
+            for _ in range(3):
+                with pytest.raises(ValueError, match="mu \\+ kappa \\+ 1 > 0"):
+                    watson2(1, mu, kappa, 0, 0.01)
 
 
 ORACLE_SPACES = DEFAULT_SCAN_SELECTORS + ("S16", "CP8", "HP4")

@@ -559,8 +559,11 @@ class TestFirstLevel:
         assert scale == float(np.max(g))
         val, err = quadrature._eval_panels(tables, tau, scale, breaks[:-1], breaks[1:])
         assert conv
-        for got, want in zip((I, Iabs, E), quadrature._sum_panels(val, err, [val.shape[1]])[0]):
-            assert np.array_equal(got, want)
+        sums = quadrature._sum_panels(val, err, [val.shape[1]])
+        assert len(sums) == 3
+        for got, want in zip((I, Iabs, E), sums):
+            assert want.shape == (1, 3)
+            assert np.array_equal(got, want[0])
 
     @pytest.mark.parametrize("label,n,tau,tol", CASES)
     def test_nodes_are_fifteen_per_panel(self, label, n, tau, tol):
@@ -597,10 +600,11 @@ class TestStackedRow:
         tol = 1e-10
         tables = quadrature._checked_isotype(parse_space(label), n, 1.0, tol)
         Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
-        row = quadrature._first_levels(tables, ROW_TAUS, Ts)
+        row = quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol)
         assert len(row) == len(ROW_TAUS)
         for tau, T, cell in zip(ROW_TAUS, Ts, row):
-            (alone,) = quadrature._first_levels(tables, [tau], [T])
+            (alone,) = quadrature._first_levels(tables, [tau], [T], 0.5 * tol)
+            assert len(cell) == len(alone) == 8
             for got, want in zip(cell, alone):
                 assert np.array_equal(got, want), (tau, T)
 
@@ -621,17 +625,153 @@ class TestStackedRow:
         tol = 1e-10
         tables = quadrature._checked_isotype(parse_space("CP2"), 4, 1.0, tol)
         Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
-        whole = quadrature._first_levels(tables, ROW_TAUS, Ts)
+        whole = quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol)
         monkeypatch.setattr(quadrature, "_STACK_NODES", 1)
         calls = []
         log_mag_sign = quadrature._log_mag_sign
         monkeypatch.setattr(quadrature, "_log_mag_sign",
                             lambda *a: calls.append(a[2].shape) or log_mag_sign(*a))
-        capped = quadrature._first_levels(tables, ROW_TAUS, Ts)
+        capped = quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol)
         assert len(calls) == len(ROW_TAUS)
         for a, b in zip(whole, capped):
             for got, want in zip(a, b):
                 assert np.array_equal(got, want)
+
+
+def _hexbits(res):
+    return tuple(x.hex() if isinstance(x, float) else x for x in (
+        res.value, res.log_value, res.abs_error, res.rel_error, res.nodes,
+        res.truncation_t))
+
+
+def _failure(exc):
+    return type(exc), str(exc), _hexbits(exc.best) if exc.best else None
+
+
+def _outcome(call):
+    """(I bits, result fields) of a cell, or (error type, message, fields of
+    its best estimate)."""
+    try:
+        I, res = call()
+    except quadrature.QuadratureError as exc:
+        return _failure(exc)
+    return I.tobytes(), _hexbits(res)
+
+
+# q_p polynomial whose profile 1 - 3 sinh^2 t changes sign, with its weight
+MIXED = ([1.0, 3.0], 0.5, 1.5, 2.0)
+
+
+class TestStackedFirstRound:
+    """A stack's first-round targets are tested together; each cell must
+    still get the bits, or the error, of a row of one."""
+
+    TOLS = (1e-13, 1e-10, 1e-4)
+
+    @pytest.mark.parametrize("label,n", TestStackedRow.CELLS)
+    def test_prefetched_cells_equal_rows_of_one(self, label, n, empty_row,
+                                                monkeypatch):
+        sp = parse_space(label)
+        seen = []
+        cell = quadrature._cell
+
+        def spy(*args):
+            try:
+                I, res = cell(*args)
+            except quadrature.QuadratureError as exc:
+                seen.append(_failure(exc))
+                raise
+            seen.append((I.tobytes(), _hexbits(res)))
+            return I, res
+
+        def derivs(tau, tol):
+            # the outcome of the one _cell call of q_chi_derivs, and d1, d2
+            seen.clear()
+            try:
+                _, d1, d2 = _quiet_derivs(sp, n, tau, tol)
+                d12 = d1.hex(), d2.hex()
+            except quadrature.QuadratureError:
+                d12 = None
+            (out,) = seen
+            return out, d12
+
+        monkeypatch.setattr(quadrature, "_cell", spy)
+        for tol in self.TOLS:
+            alone = [derivs(tau, tol) for tau in ROW_TAUS]
+            quadrature.prefetch(sp, n, ROW_TAUS, tol)
+            assert len(empty_row) == len(ROW_TAUS)
+            for tau, want in zip(ROW_TAUS, alone):
+                assert derivs(tau, tol) == want, (tol, tau)
+            assert not empty_row
+            if tol == 1e-13:
+                # settled cells share their stacks with cells that are not
+                kinds = {self.kind(sp, n, tau, tol, out) for tau, (out, _)
+                         in zip(ROW_TAUS, alone)}
+                assert "settled" in kinds and len(kinds) > 1, kinds
+
+    @staticmethod
+    def kind(sp, n, tau, tol, out):
+        if isinstance(out[0], type):
+            return "error"
+        tables = quadrature._checked_isotype(sp, n, tau, tol)
+        nodes, T = out[1][4], float.fromhex(out[1][5])
+        if T != quadrature._first_truncation(tables, tau, tol):
+            return "larger T"
+        panels = len(quadrature._initial_breaks(tables, [tau], [T])[0]) - 1
+        return "settled" if nodes == 15 * panels else "refined"
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_mixed_sign_stack_equals_rows_of_one(self, tol):
+        P, mu, kappa, nu = MIXED
+        tables = quadrature._make_tables(quadrature._as_float_coeffs(P), mu, kappa, nu)
+        Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
+        stack = quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol)
+        assert any(np.any(level[2] < 0.0) for level in stack)
+        for tau, T, first in zip(ROW_TAUS, Ts, stack):
+            want = _outcome(lambda: quadrature._q_engine(tables, tau, tol))
+            assert _outcome(lambda: quadrature._q_engine(tables, tau, tol, T, first)) == want
+            public = _outcome(lambda: (np.empty(0), q_p(P, QPParams(mu, kappa, nu, tau), tol)))
+            assert public[1:] == want[1:], tau
+
+
+class TestSumPanels:
+    """``_sum_panels`` skips the magnitude sums only when no estimate of the
+    stack is negative."""
+
+    def stack(self, tables, tol=1e-10):
+        Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
+        levels = quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol)
+        val = np.concatenate([level[2] for level in levels], axis=1)
+        err = np.concatenate([level[3] for level in levels], axis=1)
+        return val, err, [level[2].shape[1] for level in levels]
+
+    @staticmethod
+    def fsums(x, counts):
+        ends = np.cumsum(counts).tolist()
+        return np.array([[math.fsum(row[s:e]) for row in x.tolist()]
+                         for s, e in zip([0] + ends[:-1], ends)])
+
+    @pytest.mark.parametrize("label,n", [("S2", 0), ("CP2", 8), ("OP2", 16)])
+    def test_catalog_stack_reuses_the_estimate_sums(self, label, n):
+        val, err, counts = self.stack(quadrature._isotype(parse_space(label), n))
+        assert np.all(val >= 0.0)
+        I, Iabs, E = quadrature._sum_panels(val, err, counts)
+        assert I.shape == Iabs.shape == E.shape == (len(counts), 3)
+        assert Iabs is I
+        assert np.array_equal(Iabs, self.fsums(np.abs(val), counts))
+        assert np.array_equal(I, self.fsums(val, counts))
+        assert np.array_equal(E, self.fsums(err, counts))
+
+    def test_negative_estimate_takes_the_magnitude_sums(self):
+        P, mu, kappa, nu = MIXED
+        tables = quadrature._make_tables(quadrature._as_float_coeffs(P), mu, kappa, nu)
+        val, err, counts = self.stack(tables)
+        assert np.any(val < 0.0)
+        I, Iabs, E = quadrature._sum_panels(val, err, counts)
+        assert Iabs is not I
+        assert np.array_equal(Iabs, self.fsums(np.abs(val), counts))
+        assert np.array_equal(I, self.fsums(val, counts))
+        assert np.any(Iabs > np.abs(I))
 
 
 def scalar_breaks(tables, tau, T):

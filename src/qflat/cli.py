@@ -345,8 +345,8 @@ def _rows_table(cfg: RunConfig, with_residual: bool) -> tuple[list[dict], bool]:
     rows = []
     for lbl in cfg.spaces:
         sp = parse_space(lbl)
+        prefetch(sp, cfg.n_values, cfg.tau_values, cfg.tol)
         for n in cfg.n_values:
-            prefetch(sp, n, cfg.tau_values, cfg.tol)
             for tau in cfg.tau_values:
                 row = {"space": lbl, "n": n, "tau": tau}
                 try:
@@ -385,12 +385,14 @@ def _rows_asymptotics(cfg: RunConfig) -> tuple[list[dict], bool]:
     rows = []
     for lbl in cfg.spaces:
         sp = parse_space(lbl)
+        # mu, kappa, nu depend on the space only; watson2 takes them exact
+        ch = chi_params(sp, 0)
+        mu, kappa, nu = float(ch.mu), float(ch.kappa), float(ch.nu)
+        prefetch(sp, cfg.n_values, _SMALL_TAUS + _LARGE_TAUS, cfg.tol)
         for n in cfg.n_values:
-            ch = chi_params(sp, n)
             # the float coefficients of the cached record are those of the
             # exact polynomial; n and m were validated at parse time
             coeffs = _isotype(_unit_scale(sp), n).coeffs.tolist()
-            prefetch(sp, n, _SMALL_TAUS + _LARGE_TAUS, cfg.tol)
             for tau in _SMALL_TAUS + _LARGE_TAUS:
                 small = tau in _SMALL_TAUS
                 row = {"space": lbl, "n": n,
@@ -401,9 +403,7 @@ def _rows_asymptotics(cfg: RunConfig) -> tuple[list[dict], bool]:
                         w = watson2(coeffs, ch.mu, ch.kappa, ch.nu, tau)
                         deviation = abs(res.value - w) / res.value
                     else:
-                        logasym, _ = log_qp_large_tau(
-                            coeffs, float(ch.mu), float(ch.kappa), float(ch.nu), tau
-                        )
+                        logasym, _ = log_qp_large_tau(coeffs, mu, kappa, nu, tau)
                         deviation = abs(math.expm1(res.log_value - logasym))
                     row.update(deviation=deviation, status="ok")
                 except QuadratureError as exc:

@@ -354,8 +354,8 @@ def curvature_samples(
     taus = [space.B * space.B * sig for sig in grid]
     rows = []
     failures = []
+    prefetch(space, range(n_max + 1), taus, tol)
     for n in range(n_max + 1):
-        prefetch(space, n, taus, tol)
         row = []
         for i, tau in enumerate(taus):
             try:

@@ -22,18 +22,21 @@ polynomials (``q_p``) build their record afresh and leave the cache alone.
 Within a cell, the common log-scale is the peak of the integrand over the
 first panel level's own nodes, and a refinement round whose panels all
 meet their targets ends the integration with the sums it has already
-formed.  Most cells converge on that first level, so a row of taus of one
-(space, n) is computed together with ``prefetch``.  The break points of
-the whole row come from one array pass, and its first levels go through
-one stacked node call (a few, for long rows) with tau as a per-panel
-column.  The panel sums of a stack come from one pass, which skips the
-sums of |estimate| when no estimate is negative, as on every catalog
-isotype (they are then the sums of the estimates), and the first-round
-targets of all its cells are tested together.  A cell that meets them
-never enters refinement; the others refine from the stored targets.  Each
-outcome waits for its own ``q_chi`` / ``q_chi_derivs`` call, which neither
-validates it nor computes its truncation point again.  A cell computed
-alone is a stack of one, so both ways give the same bits.
+formed.  Most cells converge on that first level, so a grid of isotypes
+n and taus of one space is computed together with ``prefetch``.  The break
+points of the whole grid come from one array pass, with lam as a per-cell
+column, and its first levels go through stacked node calls that span
+isotypes, with tau as a per-panel column.  The exponents mu, kappa, nu
+depend on the space only, so the isotypes of a stack differ only in the
+coefficients of P, which ``_log_mag_sign`` takes as columns zero-padded to
+the stack's top degree.  The panel sums of a stack come from one pass,
+which skips the sums of |estimate| when no estimate is negative, as on
+every catalog isotype (they are then the sums of the estimates), and the
+first-round targets of all its cells are tested together.  A cell that
+meets them never enters refinement; the others refine from the stored
+targets.  Each outcome waits for its own ``q_chi`` / ``q_chi_derivs``
+call, which neither validates it nor computes its truncation point again.
+A cell computed alone is a stack of one, so both ways give the same bits.
 
 Two numerical realities shape the implementation:
 
@@ -72,7 +75,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -164,8 +167,8 @@ _MAX_DEPTH = 46
 _MAX_ROUNDS = 6
 _SAFETY = 0.5
 _NODE_BUDGET = 400_000
-# Nodes per stacked node call of the first levels of a row of cells (about
-# ten cells): larger stacks save little time and cost peak memory.
+# Nodes per stacked node call of the first levels of a grid of cells
+# (about ten cells): larger stacks save little time and cost peak memory.
 _STACK_NODES = 5_000
 
 
@@ -328,8 +331,9 @@ def _isotype(space: RootData, n: int) -> _Tables:
     return _make_tables(coeffs, ch.mu, ch.kappa, ch.nu)
 
 
-def _log_mag_sign(tables: _Tables, tau: float | np.ndarray,
-                  t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _log_mag_sign(tables: _Tables | Sequence[_Tables], tau: float | np.ndarray,
+                  t: np.ndarray, runs: int | Sequence[int] = 1
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """(log|integrand|, sign) elementwise at ``tau``, a float or an array
     that broadcasts against ``t``; t must be positive.
 
@@ -337,22 +341,43 @@ def _log_mag_sign(tables: _Tables, tau: float | np.ndarray,
     in [-1, 0): x = -sinh^2 t up to sinh t = 1, with the coefficients taken
     from the top down, and x = -1/sinh^2 t beyond it, with them taken from
     the bottom up (the reversed polynomial, times (-sinh^2 t)^deg).
+
+    ``tables`` is one record, or a stack of records that share mu, kappa and
+    nu (as the isotypes of one space do) whose nodes are runs of ``runs``
+    rows of a 2-D t (a row each by default).  Each Horner step reads the
+    coefficients of every record both ways round, zero-padded at the front
+    to the top degree, and each node takes its own record's, on its side of
+    sinh t = 1, by index; degree and parity are per-row columns.
+    0 x + c = c exactly, so each record gets the bits it gets alone.
     """
     logsh = _log_sinh(t)
     up = np.maximum(logsh, 0.0)
     x = -np.exp(-2.0 * np.abs(logsh))
     big = logsh > 0.0
-    cs = tables.coeffs.tolist()
-    deg = len(cs) - 1
-    p = np.where(big, cs[0], cs[-1])
-    for lo, hi in zip(cs[-2::-1], cs[1:]):
+    one = isinstance(tables, _Tables)
+    recs = [tables] if one else tables
+    sizes = [len(tb.coeffs) for tb in recs]
+    steps = np.zeros((max(sizes), len(recs), 2))
+    for k, (tb, size) in enumerate(zip(recs, sizes)):
+        steps[-size:, k, 0], steps[-size:, k, 1] = tb.coeffs[::-1], tb.coeffs
+    steps = steps.reshape(len(steps), -1)
+    deg = np.array(sizes) - 1
+    if one:
+        pick, deg = big.astype(np.intp), deg[0]
+    else:
+        pick = np.repeat(2 * np.arange(len(recs)), runs)[:, None] + big
+        deg = np.repeat(deg, runs)[:, None]
+    p = steps[0].take(pick)
+    for c in steps[1:]:
         p *= x
-        p += np.where(big, hi, lo)
+        p += c.take(pick)
     sign = np.sign(p)
-    if deg % 2:
-        sign = np.where(big, -sign, sign)
+    odd = deg % 2 == 1
+    if np.any(odd):
+        sign = np.where(big & odd, -sign, sign)
     with np.errstate(divide="ignore"):
         g = np.log(np.abs(p)) + 2.0 * deg * up - t * t / tau
+    tables = recs[0]
     if tables.mu != 0.0:
         g = g + tables.mu * np.log(t)
     if tables.kappa != 0.0:
@@ -419,28 +444,31 @@ _PEAK_J = np.arange(-12.0, 13.0)
 _ROOT_E = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
 
 
-def _initial_breaks(tables: _Tables, taus: Sequence[float],
+def _initial_breaks(tables: _Tables | Sequence[_Tables], taus: Sequence[float],
                     Ts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """The initial break points of each cell (tau, T) of one isotype.
+    """The initial break points of each cell (tau, T) of one record, or of
+    a sequence of records, one per cell.
 
     Returns the break points of all cells, concatenated, and the number of
     each cell's.  A cell's candidates are the grid T k / 8, and the points
     lam tau / 2 + j sigma and e sqrt(tau) that fall inside (0, T); sorted,
     less any candidate within 1e-10 T of its predecessor, with the last
-    break moved onto T.  The whole row is one array pass.  Dropping against
-    the predecessor keeps the points that dropping against the last point
-    kept does unless three candidates fall within 2e-10 T; those of one
-    kind lie much farther apart, so that takes all three kinds meeting to
-    ten digits.
+    break moved onto T.  All cells are one array pass, with lam as a
+    per-cell column for a sequence.  Dropping against the predecessor keeps
+    the points that dropping against the last point kept does unless three
+    candidates fall within 2e-10 T; those of one kind lie much farther
+    apart, so that takes all three kinds meeting to ten digits.
     """
     tau = np.array(taus, dtype=float)[:, None]
     half = 0.5 * tau
+    lam = (tables.lam if isinstance(tables, _Tables)
+           else np.array([tb.lam for tb in tables])[:, None])
     T = np.array(Ts, dtype=float)[:, None]
     # halving and eighths are exact, so every candidate has the bits of its
     # scalar formula; one outside (0, T) is clipped onto a copy of 0 or T,
     # which the thinning drops
     extra = np.minimum(np.maximum(np.concatenate(
-        [tables.lam * half + _PEAK_J * np.sqrt(half), _ROOT_E * np.sqrt(tau)],
+        [lam * half + _PEAK_J * np.sqrt(half), _ROOT_E * np.sqrt(tau)],
         axis=1), 0.0), T)
     cand = np.sort(np.concatenate([T * _GRID, extra], axis=1), axis=1)
     keep = np.empty(cand.shape, dtype=bool)
@@ -483,51 +511,64 @@ def _sum_panels(val: np.ndarray, err: np.ndarray, counts: Sequence[int]
     return I, sums[:, 3:6] if signed else I, sums[:, -3:]
 
 
-def _first_levels(tables: _Tables, taus: Sequence[float], Ts: Sequence[float],
-                  tol: float) -> list[_Level]:
-    """The first panel level of each cell (tau, T) of one isotype, tested
-    against the panel tolerance ``tol``.
+def _first_levels(tables: _Tables | Sequence[_Tables], taus: Sequence[float],
+                  Ts: Sequence[float], tol: float) -> Iterator[_Level]:
+    """The first panel level of each cell (tau, T), tested against the panel
+    tolerance ``tol``; the cells are of one record ``tables``, or of a
+    sequence of records, one per cell, that share mu, kappa and nu, as the
+    isotypes of one space do.
 
-    Returns per cell its panels a and b, their estimates and errors, each
+    Yields per cell its panels a and b, their estimates and errors, each
     of shape (3, P), its scale (the peak of log|integrand| over the cell's
     own nodes), the sums of ``_sum_panels``, the targets of its first round
     and whether its errors meet them.  The cells' panels are concatenated
     into stacked node calls of at most _STACK_NODES nodes (or one cell, if
-    it has more), with tau as a per-panel column; the targets of a stack
-    are one call and one comparison.  Every step is elementwise, per panel
-    or per cell, so each cell gets the bits it gets in a stack of its own.
+    it has more), across records, with tau as a per-panel column; the
+    targets of a stack are one call and one comparison.  A stack is
+    computed when its first cell is asked for, and its arrays are freed
+    once the caller has let go of its cells.  Every step is elementwise,
+    per panel or per cell, so each cell gets the bits it gets in a stack of
+    its own.
     """
+    cells = [tables] * len(taus) if isinstance(tables, _Tables) else tables
     breaks, nbreaks = _initial_breaks(tables, taus, Ts)
-    # the panels of the row join consecutive breaks of one cell
+    # the panels of the grid join consecutive breaks of one cell
     inner = np.ones(len(breaks) - 1, dtype=bool)
     inner[np.cumsum(nbreaks[:-1]) - 1] = False
     a_row, b_row = breaks[:-1][inner], breaks[1:][inner]
+    del breaks, inner
     panels = (nbreaks - 1).tolist()
-    out = []
     lo = p0 = 0
     while lo < len(panels):
-        hi = lo + 1
-        while hi < len(panels) and 15 * sum(panels[lo:hi + 1]) <= _STACK_NODES:
+        hi, size = lo + 1, panels[lo]
+        while hi < len(panels) and 15 * (size + panels[hi]) <= _STACK_NODES:
+            size += panels[hi]
             hi += 1
         counts = np.array(panels[lo:hi])
         starts = np.cumsum(counts) - counts
-        p1 = p0 + int(counts.sum())
+        p1 = p0 + size
         a, b = a_row[p0:p1], b_row[p0:p1]
         xs, half = _panel_nodes(a, b)
+        # a stack of one isotype takes its coefficients as numbers
+        stack = cells[lo:hi]
+        if all(tb is stack[0] for tb in stack):
+            stack = stack[0]
         g, sign = _log_mag_sign(
-            tables, np.repeat(np.array(taus[lo:hi], dtype=float), counts)[:, None], xs)
+            stack, np.repeat(np.array(taus[lo:hi], dtype=float), counts)[:, None],
+            xs, counts)
         scales = np.maximum.reduceat(g.ravel(), 15 * starts)
         val, err = _apply_rules(
             _moment_rows(xs, g, sign, np.repeat(scales, counts)[:, None]), half)
+        # the node arrays go before the next stack's are made
+        del xs, g, sign
         I, Iabs, E = _sum_panels(val, err, panels[lo:hi])
         target = _targets(I, Iabs, tol)
         met = np.all(E <= target, axis=1).tolist()
         for k, (s, e, scale) in enumerate(zip(starts, starts + counts,
                                               scales.tolist())):
-            out.append((a[s:e], b[s:e], val[:, s:e], err[:, s:e], scale,
-                        (I[k], Iabs[k], E[k]), target[k], met[k]))
+            yield (a[s:e], b[s:e], val[:, s:e], err[:, s:e], scale,
+                   (I[k], Iabs[k], E[k]), target[k], met[k])
         lo, p0 = hi, p1
-    return out
 
 
 def _integrate_moments(
@@ -535,7 +576,7 @@ def _integrate_moments(
     first: _Level | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, bool]:
     """Refine from the cell's first level, an entry of ``_first_levels``
-    (computed here as a row of one when not given), until the panels meet
+    (computed here as a stack of one when not given), until the panels meet
     ``tol``; a first level that meets it is returned as it is."""
     if first is None:
         (first,) = _first_levels(tables, [tau], [T], tol)
@@ -645,7 +686,7 @@ def _first_truncation(tables: _Tables, tau: float, tol: float) -> float:
 def _q_engine(tables: _Tables, tau: float, tol: float, T0: float | None = None,
               first: _Level | None = None) -> tuple[np.ndarray, QuadratureResult]:
     """One cell; ``T0`` is the first attempt's T and ``first`` its first
-    level at the panel tolerance tol/2, if they were computed with its row."""
+    level at the panel tolerance tol/2, if they were computed with its grid."""
     if T0 is None:
         T0 = _first_truncation(tables, tau, tol)
     for attempt in range(5):
@@ -794,47 +835,53 @@ def _checked_isotype(space: RootData, n: int, tau: float,
     return _isotype(_unit_scale(space), n)
 
 
-# The cells of the last prefetched row: (I, result), or the QuadratureError
+# The cells of the last prefetched grid: (I, result), or the QuadratureError
 # the cell raises, keyed by (space at B = 1, n, tau, tol).
 _ROW: dict = {}
 
 
-def prefetch(space: RootData, n: int, taus: Sequence[float],
+def prefetch(space: RootData, ns: Sequence[int], taus: Sequence[float],
              tol: float = DEFAULT_TOL) -> None:
-    """Compute the cells of a row of taus of isotype n ahead of their calls.
+    """Compute the cells (n, tau) of the isotypes ``ns`` of ``space`` at
+    ``taus`` ahead of their calls.
 
-    The first panel levels of the whole row go through stacked node calls;
+    The break points of the whole grid come from one array pass, and its
+    first panel levels go through stacked node calls that span isotypes;
     the rest of each cell (refinement, tail test, larger T) runs per cell.
-    Each outcome waits in a one-row memo, which every call here replaces,
+    Each outcome waits in a one-grid memo, which every call here replaces,
     until ``q_chi`` or ``q_chi_derivs`` takes it for the same space (at any
     B), n, tau and tol.  Those calls give the bits, and raise the errors,
     they give without it.  Cells outside the box are left to their calls.
     """
     _ROW.clear()
-    cells = []
-    for tau in taus:
-        tau = float(tau)
-        try:
-            tables = _checked_isotype(space, n, tau, tol)
-        except ParameterRangeError:
-            continue
-        cells.append(tau)
+    cells = {}
+    for n in ns:
+        for tau in taus:
+            tau = float(tau)
+            try:
+                cells[n, tau] = _checked_isotype(space, n, tau, tol)
+            except ParameterRangeError:
+                continue
     if not cells:
         return
-    Ts = [_first_truncation(tables, tau, tol) for tau in cells]
+    tables = list(cells.values())
+    cell_taus = [tau for _, tau in cells]
+    Ts = [_first_truncation(tb, tau, tol) for tb, tau in zip(tables, cell_taus)]
     key = _unit_scale(space)
     # the panels get tol/2, as in _q_engine
-    for tau, T, first in zip(cells, Ts, _first_levels(tables, cells, Ts, 0.5 * tol)):
+    firsts = _first_levels(tables, cell_taus, Ts, 0.5 * tol)
+    for (n, tau), tb, T, first in zip(cells, tables, Ts, firsts):
         try:
-            _ROW[key, n, tau, tol] = _q_engine(tables, tau, tol, T, first)
+            _ROW[key, n, tau, tol] = _q_engine(tb, tau, tol, T, first)
         except QuadratureError as exc:
-            _ROW[key, n, tau, tol] = exc
+            # without its traceback, which would keep the grid's frames alive
+            _ROW[key, n, tau, tol] = exc.with_traceback(None)
 
 
 def _cell(space: RootData, n: int, tau: float,
           tol: float) -> tuple[np.ndarray, QuadratureResult]:
-    """One cell, from the prefetched row (which validated it) or else
-    validated and computed as a row of one."""
+    """One cell, from the prefetched grid (which validated it) or else
+    validated and computed as a grid of one."""
     out = _ROW.pop((_unit_scale(space), n, tau, tol), None)
     if out is None:
         return _q_engine(_checked_isotype(space, n, tau, tol), tau, tol)

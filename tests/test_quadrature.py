@@ -600,7 +600,7 @@ class TestStackedRow:
         tol = 1e-10
         tables = quadrature._checked_isotype(parse_space(label), n, 1.0, tol)
         Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
-        row = quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol)
+        row = list(quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol))
         assert len(row) == len(ROW_TAUS)
         for tau, T, cell in zip(ROW_TAUS, Ts, row):
             (alone,) = quadrature._first_levels(tables, [tau], [T], 0.5 * tol)
@@ -612,7 +612,7 @@ class TestStackedRow:
     def test_prefetched_cells_equal_cells_alone(self, label, n, empty_row):
         sp = parse_space(label)
         alone = [_quiet_derivs(sp, n, tau) for tau in ROW_TAUS]
-        quadrature.prefetch(sp, n, ROW_TAUS)
+        quadrature.prefetch(sp, [n], ROW_TAUS)
         assert len(empty_row) == len(ROW_TAUS)
         for tau, (res, d1, d2) in zip(ROW_TAUS, alone):
             got, g1, g2 = _quiet_derivs(sp, n, tau)
@@ -625,13 +625,13 @@ class TestStackedRow:
         tol = 1e-10
         tables = quadrature._checked_isotype(parse_space("CP2"), 4, 1.0, tol)
         Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
-        whole = quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol)
+        whole = list(quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol))
         monkeypatch.setattr(quadrature, "_STACK_NODES", 1)
         calls = []
         log_mag_sign = quadrature._log_mag_sign
         monkeypatch.setattr(quadrature, "_log_mag_sign",
                             lambda *a: calls.append(a[2].shape) or log_mag_sign(*a))
-        capped = quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol)
+        capped = list(quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol))
         assert len(calls) == len(ROW_TAUS)
         for a, b in zip(whole, capped):
             for got, want in zip(a, b):
@@ -698,7 +698,7 @@ class TestStackedFirstRound:
         monkeypatch.setattr(quadrature, "_cell", spy)
         for tol in self.TOLS:
             alone = [derivs(tau, tol) for tau in ROW_TAUS]
-            quadrature.prefetch(sp, n, ROW_TAUS, tol)
+            quadrature.prefetch(sp, [n], ROW_TAUS, tol)
             assert len(empty_row) == len(ROW_TAUS)
             for tau, want in zip(ROW_TAUS, alone):
                 assert derivs(tau, tol) == want, (tol, tau)
@@ -725,7 +725,7 @@ class TestStackedFirstRound:
         P, mu, kappa, nu = MIXED
         tables = quadrature._make_tables(quadrature._as_float_coeffs(P), mu, kappa, nu)
         Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
-        stack = quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol)
+        stack = list(quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol))
         assert any(np.any(level[2] < 0.0) for level in stack)
         for tau, T, first in zip(ROW_TAUS, Ts, stack):
             want = _outcome(lambda: quadrature._q_engine(tables, tau, tol))
@@ -740,7 +740,7 @@ class TestSumPanels:
 
     def stack(self, tables, tol=1e-10):
         Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
-        levels = quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol)
+        levels = list(quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol))
         val = np.concatenate([level[2] for level in levels], axis=1)
         err = np.concatenate([level[3] for level in levels], axis=1)
         return val, err, [level[2].shape[1] for level in levels]
@@ -841,10 +841,11 @@ class TestRowBreaks:
             assert got[-1] == T and got[-2] < x
 
     def test_one_breaks_and_sums_pass_per_stack(self, monkeypatch, empty_row):
-        # a prefetched row builds its break points in one call and sums each
-        # stack of first levels in one call; these cells converge there
+        # a prefetched grid builds its break points in one call and sums each
+        # stack of first levels in one call; its stacks span isotypes, and
+        # these cells converge there
         sp = parse_space("CP2")
-        taus = (0.25, 0.5, 1.0, 2.0, 4.0)
+        ns, taus = (1, 2, 3), (0.25, 0.5, 1.0, 2.0, 4.0)
         calls = {}
         for name in ("_initial_breaks", "_sum_panels", "_log_mag_sign"):
             fn = getattr(quadrature, name)
@@ -852,15 +853,20 @@ class TestRowBreaks:
                 quadrature, name,
                 lambda *a, _fn=fn, _name=name: calls.setdefault(_name, []).append(a)
                 or _fn(*a))
-        quadrature.prefetch(sp, 2, taus)
+        quadrature.prefetch(sp, ns, taus)
         assert len(calls["_initial_breaks"]) == 1
-        assert len(calls["_sum_panels"]) == len(calls["_log_mag_sign"]) == 1
-        assert len(calls["_sum_panels"][0][2]) == len(taus)
-        for tau in taus:
-            res = q_chi(sp, 2, tau)
-            tables = quadrature._checked_isotype(sp, 2, tau, quadrature.DEFAULT_TOL)
-            (breaks,) = quadrature._initial_breaks(tables, [tau], [res.truncation_t])[1]
-            assert res.nodes == 15 * (breaks - 1)
+        stacks = [a[2] for a in calls["_sum_panels"]]
+        assert len(stacks) == len(calls["_log_mag_sign"]) < len(ns)
+        assert sum(len(counts) for counts in stacks) == len(ns) * len(taus)
+        for counts in stacks:
+            assert 15 * sum(counts) <= quadrature._STACK_NODES
+        for n in ns:
+            for tau in taus:
+                res = q_chi(sp, n, tau)
+                tables = quadrature._checked_isotype(sp, n, tau, quadrature.DEFAULT_TOL)
+                (breaks,) = quadrature._initial_breaks(tables, [tau], [res.truncation_t])[1]
+                assert res.nodes == 15 * (breaks - 1)
+        assert not empty_row
 
 
 @functools.lru_cache(maxsize=None)
@@ -937,7 +943,7 @@ class TestPrefetch:
         sp = parse_space("S3")
         with pytest.raises(ConvergenceError) as alone:
             q_chi(sp, 5, 400.0, 1e-13)
-        quadrature.prefetch(sp, 5, [1.0, 400.0], 1e-13)
+        quadrature.prefetch(sp, [5], [1.0, 400.0], 1e-13)
         with pytest.raises(ConvergenceError) as fetched:
             q_chi(sp, 5, 400.0, 1e-13)
         assert str(fetched.value) == str(alone.value)
@@ -946,19 +952,19 @@ class TestPrefetch:
 
     def test_out_of_box_tau_is_left_to_its_call(self, empty_row):
         sp = parse_space("S3")
-        quadrature.prefetch(sp, 0, [1.0, 500.0, 1e-31, math.nan])
+        quadrature.prefetch(sp, [0], [1.0, 500.0, 1e-31, math.nan])
         assert len(empty_row) == 1
         for tau in (500.0, 1e-31):
             with pytest.raises(ParameterRangeError):
                 q_chi(sp, 0, tau)
-        for args in ((sp, 17, [1.0]), (parse_space("S20"), 0, [1.0])):
+        for args in ((sp, [17], [1.0]), (parse_space("S20"), [0], [1.0])):
             quadrature.prefetch(*args)
             assert not empty_row
-        quadrature.prefetch(sp, 0, [1.0], 1e-14)
+        quadrature.prefetch(sp, [0], [1.0], 1e-14)
         assert not empty_row
 
     def test_scale_is_keyed_at_one(self, empty_row):
-        quadrature.prefetch(parse_space("S4", B=2.0), 2, [1.5])
+        quadrature.prefetch(parse_space("S4", B=2.0), [2], [1.5])
         assert list(empty_row) == [(parse_space("S4"), 2, 1.5, quadrature.DEFAULT_TOL)]
         got = q_chi(parse_space("S4"), 2, 1.5)
         assert not empty_row
@@ -966,9 +972,9 @@ class TestPrefetch:
 
     def test_one_row_at_a_time(self, empty_row):
         sp = parse_space("CP2")
-        quadrature.prefetch(sp, 1, [0.5, 1.0, 2.0])
+        quadrature.prefetch(sp, [1], [0.5, 1.0, 2.0])
         assert {k[1:3] for k in empty_row} == {(1, 0.5), (1, 1.0), (1, 2.0)}
-        quadrature.prefetch(sp, 2, [0.5, 4.0])
+        quadrature.prefetch(sp, [2], [0.5, 4.0])
         assert {k[1:3] for k in empty_row} == {(2, 0.5), (2, 4.0)}
         q_chi(sp, 1, 0.5)  # not in the row: computed alone, memo untouched
         assert len(empty_row) == 2
@@ -978,6 +984,126 @@ class TestPrefetch:
         assert {k[1:3] for k in empty_row} == {(2, 4.0)}
         _quiet_derivs(sp, 2, 4.0)
         assert not empty_row
+
+
+def _derivs_outcome(sp, n, tau, tol):
+    """q_chi_derivs at one cell: the hex of every result field and of d1 and
+    d2, or the error's type, message and best estimate."""
+    try:
+        res, d1, d2 = _quiet_derivs(sp, n, tau, tol)
+    except quadrature.QuadratureError as exc:
+        return _failure(exc)
+    return _hexbits(res) + (d1.hex(), d2.hex())
+
+
+class TestGridPrefetch:
+    """A grid of isotypes and taus of one space, prefetched together, gives
+    each cell the outcome it gets computed alone."""
+
+    NS = (0, 1, 7, 8, 16)
+
+    @pytest.mark.parametrize("tol", (1e-10, 1e-4))
+    @pytest.mark.parametrize("label", ("S2", "CP2", "OP2"))
+    def test_grid_cells_equal_cells_alone(self, label, tol, empty_row):
+        sp = parse_space(label)
+        alone = {(n, tau): _derivs_outcome(sp, n, tau, tol)
+                 for n in self.NS for tau in ROW_TAUS}
+        quadrature.prefetch(sp, self.NS, ROW_TAUS, tol)
+        assert {k[1:3] for k in empty_row} == set(alone)
+        for (n, tau), want in alone.items():
+            assert _derivs_outcome(sp, n, tau, tol) == want, (n, tau)
+        assert not empty_row
+
+    def test_refined_larger_t_and_failed_cells_at_tol_min(self, empty_row):
+        # stacks of settled cells hold cells that refine, take a larger T or
+        # raise, all of which must still match
+        sp, tol = parse_space("CP2"), 1e-13
+        ns, taus = (0, 1, 16), (quadrature.MIN_TAU, 1e-3, 0.05, 20.0)
+        alone = {(n, tau): _derivs_outcome(sp, n, tau, tol) for n in ns for tau in taus}
+        quadrature.prefetch(sp, ns, taus, tol)
+        for (n, tau), want in alone.items():
+            assert _derivs_outcome(sp, n, tau, tol) == want, (n, tau)
+        assert not empty_row
+        kinds = {TestStackedFirstRound.kind(
+            sp, n, tau, tol, out if isinstance(out[0], type) else (None, out))
+            for (n, tau), out in alone.items()}
+        assert kinds == {"settled", "refined", "larger T", "error"}
+
+    def test_invalid_cells_are_left_to_their_calls(self, empty_row):
+        sp = parse_space("S3")
+        bad = [(0, 500.0), (0, 1e-31), (0, math.nan), (17, 1.0), (17, 500.0)]
+        want = []
+        for n, tau in bad:
+            with pytest.raises(ParameterRangeError) as exc:
+                q_chi(sp, n, tau)
+            want.append(str(exc.value))
+        quadrature.prefetch(sp, [0, 17], [1.0, 500.0, 1e-31, math.nan])
+        assert list(empty_row) == [(sp, 0, 1.0, quadrature.DEFAULT_TOL)]
+        for (n, tau), msg in zip(bad, want):
+            with pytest.raises(ParameterRangeError) as exc:
+                q_chi(sp, n, tau)
+            assert str(exc.value) == msg
+        assert len(empty_row) == 1
+
+    def test_oracles_grid_is_one_breaks_pass_and_few_node_calls(self, monkeypatch,
+                                                                 empty_row):
+        # the isotypes 0..16 of a space at the taus of verify-asymptotics
+        sp = parse_space("OP2")
+        ns, taus = range(quadrature.MAX_DEGREE + 1), (1e-3, 1e-2, 100.0, 400.0)
+        calls = {}
+        for name in ("_initial_breaks", "_log_mag_sign"):
+            fn = getattr(quadrature, name)
+            monkeypatch.setattr(
+                quadrature, name,
+                lambda *a, _fn=fn, _name=name: calls.setdefault(_name, []).append(a)
+                or _fn(*a))
+        quadrature.prefetch(sp, ns, taus)
+        assert len(empty_row) == len(ns) * len(taus)
+        assert len(calls["_initial_breaks"]) == 1
+        # the first levels' node calls are those given the runs of their cells
+        stacks = [a for a in calls["_log_mag_sign"] if len(a) == 4]
+        assert sum(len(a[3]) for a in stacks) == len(ns) * len(taus)
+        assert len(stacks) < len(ns)
+
+
+class TestPaddedHorner:
+    """A stack of records of different degrees is one Horner loop over
+    coefficient columns zero-padded at the front to the top degree; each
+    record's slice has the bits of a call on it alone."""
+
+    # mixed signs, zero coefficients (a zero constant term too) and all-ones
+    POLYS = [[2.5], [1.0, 3.0], [0.0, 1.0, 0.5],
+             [1.0, 0.0, -2.0, 0.0, 3.0, 0.0, 0.0, 0.0, 5.0], [-1.0, 1.0] * 8,
+             [1.0] * 17]
+    TAUS = (quadrature.MIN_TAU, 1e-3, 0.05, 1.0, 20.0, 400.0)
+
+    @staticmethod
+    def record(coeffs, mu=0.5, kappa=1.5, nu=2.0):
+        return quadrature._make_tables(quadrature._as_float_coeffs(coeffs), mu, kappa, nu)
+
+    @pytest.mark.parametrize("rows", (1, 3))
+    def test_stack_slices_equal_records_alone(self, rows):
+        recs = [self.record(c) for c in self.POLYS]
+        assert [len(r.coeffs) - 1 for r in recs] == [0, 1, 2, 8, 15, 16]
+        # 15 nodes a row, on both sides of sinh t = 1
+        ts = [np.geomspace(1e-3 * (k + 1), 40.0 / (k + 1), 15 * rows).reshape(rows, 15)
+              for k in range(len(recs))]
+        for t in ts:
+            assert np.sinh(t.min()) < 1.0 < np.sinh(t.max())
+        tau = np.repeat(self.TAUS, rows)[:, None]
+        with np.errstate(over="raise", invalid="raise"):
+            if rows == 1:  # a row each, the default
+                g, sign = quadrature._log_mag_sign(recs, tau, np.concatenate(ts))
+            else:
+                g, sign = quadrature._log_mag_sign(recs, tau, np.concatenate(ts),
+                                                   [rows] * len(recs))
+        assert g.shape == sign.shape == (rows * len(recs), 15)
+        for k, (rec, t, tk) in enumerate(zip(recs, ts, self.TAUS)):
+            want_g, want_sign = quadrature._log_mag_sign(rec, tk, t)
+            rows_k = slice(k * rows, (k + 1) * rows)
+            assert g[rows_k].tobytes() == want_g.tobytes(), k
+            assert sign[rows_k].tobytes() == want_sign.tobytes(), k
+        assert np.any(sign < 0.0) and np.any(sign > 0.0)
 
 
 class TestS3ClosedFormSweep:

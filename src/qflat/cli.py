@@ -385,14 +385,14 @@ def _rows_asymptotics(cfg: RunConfig) -> tuple[list[dict], bool]:
     rows = []
     for lbl in cfg.spaces:
         sp = parse_space(lbl)
-        # mu, kappa, nu depend on the space only; watson2 takes them exact
+        # watson2 takes the exact mu, kappa, nu, which do not depend on n
         ch = chi_params(sp, 0)
-        mu, kappa, nu = float(ch.mu), float(ch.kappa), float(ch.nu)
         prefetch(sp, cfg.n_values, _SMALL_TAUS + _LARGE_TAUS, cfg.tol)
         for n in cfg.n_values:
-            # the float coefficients of the cached record are those of the
-            # exact polynomial; n and m were validated at parse time
-            coeffs = _isotype(_unit_scale(sp), n).coeffs.tolist()
+            # the floats of the cached record are those of the exact
+            # parameters; n and m were validated at parse time
+            rec = _isotype(_unit_scale(sp), n)
+            coeffs = rec.coeffs.tolist()
             for tau in _SMALL_TAUS + _LARGE_TAUS:
                 small = tau in _SMALL_TAUS
                 row = {"space": lbl, "n": n,
@@ -403,7 +403,8 @@ def _rows_asymptotics(cfg: RunConfig) -> tuple[list[dict], bool]:
                         w = watson2(coeffs, ch.mu, ch.kappa, ch.nu, tau)
                         deviation = abs(res.value - w) / res.value
                     else:
-                        logasym, _ = log_qp_large_tau(coeffs, mu, kappa, nu, tau)
+                        logasym, _ = log_qp_large_tau(coeffs, rec.mu, rec.kappa,
+                                                      rec.nu, tau)
                         deviation = abs(math.expm1(res.log_value - logasym))
                     row.update(deviation=deviation, status="ok")
                 except QuadratureError as exc:

@@ -28,15 +28,16 @@ points of the whole grid come from one array pass, with lam as a per-cell
 column, and its first levels go through stacked node calls that span
 isotypes, with tau as a per-panel column.  The exponents mu, kappa, nu
 depend on the space only, so the isotypes of a stack differ only in the
-coefficients of P, which ``_log_mag_sign`` takes as columns zero-padded to
-the stack's top degree.  The panel sums of a stack come from one pass,
-which skips the sums of |estimate| when no estimate is negative, as on
-every catalog isotype (they are then the sums of the estimates), and the
-first-round targets of all its cells are tested together.  A cell that
-meets them never enters refinement; the others refine from the stored
-targets.  Each outcome waits for its own ``q_chi`` / ``q_chi_derivs``
-call, which neither validates it nor computes its truncation point again.
-A cell computed alone is a stack of one, so both ways give the same bits.
+coefficients of P.  ``_log_mag_sign`` reads each node's by index from
+one table, zero-padded to the stack's top degree.  The panel sums of a
+stack come from one pass, which skips the sums of |estimate| when no
+estimate is negative, as on every catalog isotype (they are then the sums
+of the estimates), and the first-round targets of all its cells are
+tested together.  A cell that meets them never enters refinement; the
+others refine from the stored targets.  Each outcome waits for its own
+``q_chi`` / ``q_chi_derivs`` call, which neither validates it nor computes
+its truncation point again.  A cell computed alone is a stack of one, so
+both ways give the same bits.
 
 Two numerical realities shape the implementation:
 
@@ -340,14 +341,15 @@ def _log_mag_sign(tables: _Tables | Sequence[_Tables], tau: float | np.ndarray,
     P(-sinh^2 t) is one Horner sum in x = -exp(-2 |log sinh t|), which lies
     in [-1, 0): x = -sinh^2 t up to sinh t = 1, with the coefficients taken
     from the top down, and x = -1/sinh^2 t beyond it, with them taken from
-    the bottom up (the reversed polynomial, times (-sinh^2 t)^deg).
+    the bottom up and negated for odd deg (the reversed polynomial, times
+    (-sinh^2 t)^deg); negation is exact, so only the sign moves.
 
     ``tables`` is one record, or a stack of records that share mu, kappa and
     nu (as the isotypes of one space do) whose nodes are runs of ``runs``
     rows of a 2-D t (a row each by default).  Each Horner step reads the
     coefficients of every record both ways round, zero-padded at the front
     to the top degree, and each node takes its own record's, on its side of
-    sinh t = 1, by index; degree and parity are per-row columns.
+    sinh t = 1, by index; the degree is a per-row column.
     0 x + c = c exactly, so each record gets the bits it gets alone.
     """
     logsh = _log_sinh(t)
@@ -359,22 +361,22 @@ def _log_mag_sign(tables: _Tables | Sequence[_Tables], tau: float | np.ndarray,
     sizes = [len(tb.coeffs) for tb in recs]
     steps = np.zeros((max(sizes), len(recs), 2))
     for k, (tb, size) in enumerate(zip(recs, sizes)):
-        steps[-size:, k, 0], steps[-size:, k, 1] = tb.coeffs[::-1], tb.coeffs
+        # beyond sinh t = 1 the factor (-1)^deg goes into the coefficients
+        steps[-size:, k, 0] = tb.coeffs[::-1]
+        steps[-size:, k, 1] = tb.coeffs if size % 2 else -tb.coeffs
     steps = steps.reshape(len(steps), -1)
     deg = np.array(sizes) - 1
+    pick = big.astype(np.intp)
     if one:
-        pick, deg = big.astype(np.intp), deg[0]
+        deg = deg[0]
     else:
-        pick = np.repeat(2 * np.arange(len(recs)), runs)[:, None] + big
+        pick += np.repeat(2 * np.arange(len(recs)), runs)[:, None]
         deg = np.repeat(deg, runs)[:, None]
     p = steps[0].take(pick)
     for c in steps[1:]:
         p *= x
         p += c.take(pick)
     sign = np.sign(p)
-    odd = deg % 2 == 1
-    if np.any(odd):
-        sign = np.where(big & odd, -sign, sign)
     with np.errstate(divide="ignore"):
         g = np.log(np.abs(p)) + 2.0 * deg * up - t * t / tau
     tables = recs[0]
@@ -444,25 +446,24 @@ _PEAK_J = np.arange(-12.0, 13.0)
 _ROOT_E = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
 
 
-def _initial_breaks(tables: _Tables | Sequence[_Tables], taus: Sequence[float],
+def _initial_breaks(tables: Sequence[_Tables], taus: Sequence[float],
                     Ts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """The initial break points of each cell (tau, T) of one record, or of
-    a sequence of records, one per cell.
+    """The initial break points of each cell (tau, T), of the records
+    ``tables``, one per cell.
 
     Returns the break points of all cells, concatenated, and the number of
     each cell's.  A cell's candidates are the grid T k / 8, and the points
     lam tau / 2 + j sigma and e sqrt(tau) that fall inside (0, T); sorted,
     less any candidate within 1e-10 T of its predecessor, with the last
     break moved onto T.  All cells are one array pass, with lam as a
-    per-cell column for a sequence.  Dropping against the predecessor keeps
+    per-cell column.  Dropping against the predecessor keeps
     the points that dropping against the last point kept does unless three
     candidates fall within 2e-10 T; those of one kind lie much farther
     apart, so that takes all three kinds meeting to ten digits.
     """
     tau = np.array(taus, dtype=float)[:, None]
     half = 0.5 * tau
-    lam = (tables.lam if isinstance(tables, _Tables)
-           else np.array([tb.lam for tb in tables])[:, None])
+    lam = np.array([tb.lam for tb in tables])[:, None]
     T = np.array(Ts, dtype=float)[:, None]
     # halving and eighths are exact, so every candidate has the bits of its
     # scalar formula; one outside (0, T) is clipped onto a copy of 0 or T,
@@ -511,12 +512,11 @@ def _sum_panels(val: np.ndarray, err: np.ndarray, counts: Sequence[int]
     return I, sums[:, 3:6] if signed else I, sums[:, -3:]
 
 
-def _first_levels(tables: _Tables | Sequence[_Tables], taus: Sequence[float],
+def _first_levels(tables: Sequence[_Tables], taus: Sequence[float],
                   Ts: Sequence[float], tol: float) -> Iterator[_Level]:
     """The first panel level of each cell (tau, T), tested against the panel
-    tolerance ``tol``; the cells are of one record ``tables``, or of a
-    sequence of records, one per cell, that share mu, kappa and nu, as the
-    isotypes of one space do.
+    tolerance ``tol``; the cells are of the records ``tables``, one per
+    cell, which share mu, kappa and nu, as the isotypes of one space do.
 
     Yields per cell its panels a and b, their estimates and errors, each
     of shape (3, P), its scale (the peak of log|integrand| over the cell's
@@ -530,7 +530,6 @@ def _first_levels(tables: _Tables | Sequence[_Tables], taus: Sequence[float],
     per panel or per cell, so each cell gets the bits it gets in a stack of
     its own.
     """
-    cells = [tables] * len(taus) if isinstance(tables, _Tables) else tables
     breaks, nbreaks = _initial_breaks(tables, taus, Ts)
     # the panels of the grid join consecutive breaks of one cell
     inner = np.ones(len(breaks) - 1, dtype=bool)
@@ -549,13 +548,8 @@ def _first_levels(tables: _Tables | Sequence[_Tables], taus: Sequence[float],
         p1 = p0 + size
         a, b = a_row[p0:p1], b_row[p0:p1]
         xs, half = _panel_nodes(a, b)
-        # a stack of one isotype takes its coefficients as numbers
-        stack = cells[lo:hi]
-        if all(tb is stack[0] for tb in stack):
-            stack = stack[0]
-        g, sign = _log_mag_sign(
-            stack, np.repeat(np.array(taus[lo:hi], dtype=float), counts)[:, None],
-            xs, counts)
+        tau = np.repeat(np.array(taus[lo:hi], dtype=float), counts)[:, None]
+        g, sign = _log_mag_sign(tables[lo:hi], tau, xs, counts)
         scales = np.maximum.reduceat(g.ravel(), 15 * starts)
         val, err = _apply_rules(
             _moment_rows(xs, g, sign, np.repeat(scales, counts)[:, None]), half)
@@ -579,7 +573,7 @@ def _integrate_moments(
     (computed here as a stack of one when not given), until the panels meet
     ``tol``; a first level that meets it is returned as it is."""
     if first is None:
-        (first,) = _first_levels(tables, [tau], [T], tol)
+        (first,) = _first_levels([tables], [tau], [T], tol)
     a, b, val, err, scale, (I, Iabs, E), target, converged = first
     nodes = 15 * len(a)
     if converged:

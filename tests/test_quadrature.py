@@ -307,7 +307,7 @@ class TestRefinement:
         tau = 1.0
         tables = quadrature._checked_isotype(parse_space("CP2"), 2, tau, 1e-10)
         T = 15.0
-        breaks, _ = quadrature._initial_breaks(tables, [tau], [T])
+        breaks, _ = quadrature._initial_breaks([tables], [tau], [T])
         a, b = breaks[:-1], breaks[1:]
         g, _ = quadrature._log_mag_sign(
             tables, tau, quadrature._panel_nodes(a, b)[0].ravel())
@@ -553,7 +553,7 @@ class TestFirstLevel:
         T = q_chi(parse_space(label), n, tau, tol).truncation_t
         I, Iabs, E, scale, nodes, conv = quadrature._integrate_moments(
             tables, tau, T, 0.5 * tol)
-        breaks, _ = quadrature._initial_breaks(tables, [tau], [T])
+        breaks, _ = quadrature._initial_breaks([tables], [tau], [T])
         xs, _ = quadrature._panel_nodes(breaks[:-1], breaks[1:])
         g, _ = quadrature._log_mag_sign(tables, tau, xs.ravel())
         assert scale == float(np.max(g))
@@ -571,7 +571,7 @@ class TestFirstLevel:
         # panel and nothing besides
         res = q_chi(parse_space(label), n, tau, tol)
         tables = quadrature._checked_isotype(parse_space(label), n, tau, tol)
-        panels = len(quadrature._initial_breaks(tables, [tau], [res.truncation_t])[0]) - 1
+        panels = len(quadrature._initial_breaks([tables], [tau], [res.truncation_t])[0]) - 1
         assert res.nodes == 15 * panels
 
 
@@ -600,10 +600,11 @@ class TestStackedRow:
         tol = 1e-10
         tables = quadrature._checked_isotype(parse_space(label), n, 1.0, tol)
         Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
-        row = list(quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol))
+        recs = [tables] * len(ROW_TAUS)
+        row = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol))
         assert len(row) == len(ROW_TAUS)
         for tau, T, cell in zip(ROW_TAUS, Ts, row):
-            (alone,) = quadrature._first_levels(tables, [tau], [T], 0.5 * tol)
+            (alone,) = quadrature._first_levels([tables], [tau], [T], 0.5 * tol)
             assert len(cell) == len(alone) == 8
             for got, want in zip(cell, alone):
                 assert np.array_equal(got, want), (tau, T)
@@ -625,13 +626,14 @@ class TestStackedRow:
         tol = 1e-10
         tables = quadrature._checked_isotype(parse_space("CP2"), 4, 1.0, tol)
         Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
-        whole = list(quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol))
+        recs = [tables] * len(ROW_TAUS)
+        whole = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol))
         monkeypatch.setattr(quadrature, "_STACK_NODES", 1)
         calls = []
         log_mag_sign = quadrature._log_mag_sign
         monkeypatch.setattr(quadrature, "_log_mag_sign",
                             lambda *a: calls.append(a[2].shape) or log_mag_sign(*a))
-        capped = list(quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol))
+        capped = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol))
         assert len(calls) == len(ROW_TAUS)
         for a, b in zip(whole, capped):
             for got, want in zip(a, b):
@@ -717,7 +719,7 @@ class TestStackedFirstRound:
         nodes, T = out[1][4], float.fromhex(out[1][5])
         if T != quadrature._first_truncation(tables, tau, tol):
             return "larger T"
-        panels = len(quadrature._initial_breaks(tables, [tau], [T])[0]) - 1
+        panels = len(quadrature._initial_breaks([tables], [tau], [T])[0]) - 1
         return "settled" if nodes == 15 * panels else "refined"
 
     @pytest.mark.parametrize("tol", TOLS)
@@ -725,7 +727,8 @@ class TestStackedFirstRound:
         P, mu, kappa, nu = MIXED
         tables = quadrature._make_tables(quadrature._as_float_coeffs(P), mu, kappa, nu)
         Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
-        stack = list(quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol))
+        recs = [tables] * len(ROW_TAUS)
+        stack = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol))
         assert any(np.any(level[2] < 0.0) for level in stack)
         for tau, T, first in zip(ROW_TAUS, Ts, stack):
             want = _outcome(lambda: quadrature._q_engine(tables, tau, tol))
@@ -740,7 +743,8 @@ class TestSumPanels:
 
     def stack(self, tables, tol=1e-10):
         Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
-        levels = list(quadrature._first_levels(tables, ROW_TAUS, Ts, 0.5 * tol))
+        recs = [tables] * len(ROW_TAUS)
+        levels = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol))
         val = np.concatenate([level[2] for level in levels], axis=1)
         err = np.concatenate([level[3] for level in levels], axis=1)
         return val, err, [level[2].shape[1] for level in levels]
@@ -819,7 +823,8 @@ class TestRowBreaks:
                         taus += [quadrature.MIN_TAU, quadrature.MAX_TAU]
                         Ts = [quadrature._first_truncation(tables, tau, tol) * 1.3 ** k
                               for tau, k in zip(taus, rng.integers(0, 5, len(taus)))]
-                        breaks, counts = quadrature._initial_breaks(tables, taus, Ts)
+                        breaks, counts = quadrature._initial_breaks(
+                            [tables] * len(taus), taus, Ts)
                         assert counts.sum() == len(breaks)
                         cell = np.split(breaks, np.cumsum(counts)[:-1])
                         for got, tau, T in zip(cell, taus, Ts):
@@ -834,7 +839,7 @@ class TestRowBreaks:
         taus = [1.0, 20.0]
         near = [tables.lam * tau / 2.0 + 12.0 * math.sqrt(tau / 2.0) for tau in taus]
         Ts = [x * (1.0 + 5e-11) for x in near]
-        breaks, counts = quadrature._initial_breaks(tables, taus, Ts)
+        breaks, counts = quadrature._initial_breaks([tables] * len(taus), taus, Ts)
         cell = np.split(breaks, np.cumsum(counts)[:-1])
         for got, tau, T, x in zip(cell, taus, Ts, near):
             assert got.tolist() == scalar_breaks(tables, tau, T)
@@ -864,7 +869,7 @@ class TestRowBreaks:
             for tau in taus:
                 res = q_chi(sp, n, tau)
                 tables = quadrature._checked_isotype(sp, n, tau, quadrature.DEFAULT_TOL)
-                (breaks,) = quadrature._initial_breaks(tables, [tau], [res.truncation_t])[1]
+                (breaks,) = quadrature._initial_breaks([tables], [tau], [res.truncation_t])[1]
                 assert res.nodes == 15 * (breaks - 1)
         assert not empty_row
 
@@ -1067,9 +1072,10 @@ class TestGridPrefetch:
 
 
 class TestPaddedHorner:
-    """A stack of records of different degrees is one Horner loop over
-    coefficient columns zero-padded at the front to the top degree; each
-    record's slice has the bits of a call on it alone."""
+    """A stack of records of different degrees is one Horner loop, each
+    node reading its record's coefficient by index from a table zero-padded
+    at the front to the top degree; each record's slice has the bits of a
+    call on it alone."""
 
     # mixed signs, zero coefficients (a zero constant term too) and all-ones
     POLYS = [[2.5], [1.0, 3.0], [0.0, 1.0, 0.5],

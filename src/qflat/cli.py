@@ -99,18 +99,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_int_set(text: str) -> tuple[int, ...]:
-    out: set[int] = set()
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.update(range(int(lo), int(hi) + 1))
-        elif part:
-            out.add(int(part))
-    if not out:
+def _parse_int_spans(text: str) -> list[tuple[int, int]]:
+    """The nonempty ranges (lo, hi) of a list like ``0..3,5``, unexpanded."""
+    parts = (p.strip().partition("..") for p in text.split(",") if p.strip())
+    spans = [(int(lo), int(hi if sep else lo)) for lo, sep, hi in parts]
+    spans = [(lo, hi) for lo, hi in spans if lo <= hi]
+    if not spans:
         raise ValueError("empty integer set")
-    return tuple(sorted(out))
+    return spans
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -201,14 +197,16 @@ def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
     n_values: tuple[int, ...] = ()
     if hasattr(ns, "n"):
         try:
-            n_values = _parse_int_set(ns.n)
+            spans = _parse_int_spans(ns.n)
         except ValueError as exc:
             fail(f"bad --n value {ns.n!r}: {exc}")
-        for n in n_values:
-            if n < 0:
-                fail(f"n must be nonnegative, got {n}")
-            if n > MAX_DEGREE:
-                fail(f"n must be at most {MAX_DEGREE}, got {n}")
+        # the endpoints are checked before any range is expanded
+        low, high = min(lo for lo, _ in spans), max(hi for _, hi in spans)
+        if low < 0:
+            fail(f"n must be nonnegative, got {low}")
+        if high > MAX_DEGREE:
+            fail(f"n must be at most {MAX_DEGREE}, got {high}")
+        n_values = tuple(sorted({n for lo, hi in spans for n in range(lo, hi + 1)}))
 
     tau_values: tuple[float, ...] = ()
     if hasattr(ns, "tau"):
@@ -315,12 +313,20 @@ def _render_json(kind: str, payload: dict, cfg: RunConfig) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None) -> int:
+    """Write ``text`` to stdout or the file ``out``; 1 if the file cannot be
+    written, else 0."""
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"qflat: error: cannot write {out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +521,8 @@ def run(cfg: RunConfig) -> int:
         text = _render_csv(cfg.subcommand, rows)
     else:
         text = _render_json(cfg.subcommand, payload, cfg)
-    _emit(text, cfg.out)
-    return 0 if ok else 2
+    # an unwritable --out is a configuration error
+    return _emit(text, cfg.out) or (0 if ok else 2)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

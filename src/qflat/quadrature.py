@@ -80,8 +80,8 @@ from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .hypergeom import RationalPoly, hypergeom_poly, horner_compensated
-from .spaces import RootData, chi_params, sphere_volume, _shx_over_x
+from .hypergeom import RationalPoly, hypergeom_poly
+from .spaces import RootData, chi_params, sphere_volume
 
 __all__ = [
     "QPParams",
@@ -91,8 +91,6 @@ __all__ = [
     "ConvergenceError",
     "CancellationWarning",
     "integrand",
-    "integrand_direct",
-    "integrand_regrouped",
     "q_p",
     "q_chi",
     "q_chi_derivs",
@@ -725,65 +723,34 @@ def _q_engine(tables: _Tables, tau: float, tol: float, T0: float | None = None,
 # public operations
 
 
-def integrand_direct(P: PolyLike, params: QPParams, t: float) -> float:
-    """Plain product form of the integrand at one point (t >= 0)."""
-    coeffs = _as_float_coeffs(P)
-    pv = horner_compensated(coeffs, -math.sinh(t) ** 2)
-    out = math.exp(-t * t / params.tau) * pv
-    if params.mu != 0.0:
-        out *= t ** params.mu
-    if params.kappa != 0.0:
-        out *= math.sinh(t) ** params.kappa
-    if params.nu != 0.0:
-        out *= math.cosh(t) ** params.nu
-    return out
+def integrand(P: PolyLike, params: QPParams, t: float) -> float:
+    """Integrand value at a finite t >= 0, as a double.
 
-
-def integrand_regrouped(P: PolyLike, params: QPParams, t: float) -> float:
-    """Integrand as t^(r-1) times an even analytic factor, r = mu+kappa+1.
-
-    Regroups t^mu sinh^kappa = t^(r-1) (sinh t / t)^kappa, which is the
-    numerically robust form near t = 0; sinh(t)/t is evaluated by series
-    for small t.
+    For t > 0 it is sign * exp(g) from the node evaluator ``_log_mag_sign``,
+    which the integration routines use as well.  At t = 0 it is the limit
+    of P(0) t^(r-1), r = mu + kappa + 1: 0, P(0) or inf as r is above, at
+    or below 1.  Raises OverflowError when the magnitude exceeds e^709,
+    near the top of the double range; the integration routines work in
+    log space and do not share this limit.
     """
+    if not 0.0 <= t < math.inf:
+        raise ParameterRangeError(f"t must be finite and nonnegative, got {t}")
     coeffs = _as_float_coeffs(P)
-    r = params.mu + params.kappa + 1.0
     if t == 0.0:
+        r = params.mu + params.kappa + 1.0
         if r > 1.0:
             return 0.0
         if r == 1.0:
             return coeffs[0]
         return math.inf
-    pv = horner_compensated(coeffs, -math.sinh(t) ** 2)
-    out = math.exp(-t * t / params.tau) * pv * t ** (r - 1.0)
-    if params.kappa != 0.0:
-        out *= _shx_over_x(t) ** params.kappa
-    if params.nu != 0.0:
-        out *= math.cosh(t) ** params.nu
-    return out
-
-
-def integrand(P: PolyLike, params: QPParams, t: float) -> float:
-    """Integrand value at t >= 0 in plain double arithmetic.
-
-    Uses the regrouped form below t = 1e-4 (removable origin behaviour) and
-    the direct product elsewhere.  Raises OverflowError when the magnitude
-    provably exceeds the double range; the integration routines themselves
-    work in log space and do not share this limit.
-    """
-    if t < 0.0:
-        raise ParameterRangeError(f"t must be nonnegative, got {t}")
-    coeffs = _as_float_coeffs(P)
-    if t > 0.0:
-        tables = _make_tables(coeffs, params.mu, params.kappa, params.nu)
-        g, _ = _log_mag_sign(tables, float(params.tau), np.array([t]))
-        if float(g[0]) > 709.0:
-            raise OverflowError(
-                f"integrand magnitude exp({float(g[0]):.1f}) exceeds double range"
-            )
-    if t < 1e-4:
-        return integrand_regrouped(coeffs, params, t)
-    return integrand_direct(coeffs, params, t)
+    tables = _make_tables(coeffs, params.mu, params.kappa, params.nu)
+    g, sign = _log_mag_sign(tables, float(params.tau), np.array([float(t)]))
+    g0 = float(g[0])
+    if g0 > 709.0:
+        raise OverflowError(
+            f"integrand magnitude exp({g0:.1f}) exceeds double range"
+        )
+    return float(sign[0]) * math.exp(g0)
 
 
 def q_p(P: PolyLike, params: QPParams,

@@ -8,6 +8,7 @@ import operator
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -113,6 +114,18 @@ class TestParseArgs:
             capsys.readouterr()
         assert parse_args(["qtable", "--space", "S3", "--n", str(top)]).n_values == (top,)
         assert parse_args(["scan", "--n-max", str(top)]).n_max == top
+        # a long range is refused from its endpoints, before it is expanded
+        for n, word in (("0..200000", "at most"), ("-200000..0", "nonnegative")):
+            tracemalloc.start()
+            try:
+                with pytest.raises(SystemExit) as exc:
+                    parse_args(["qtable", "--space", "S3", f"--n={n}"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert exc.value.code == 1, n
+            assert f"n must be {word}" in capsys.readouterr().err, n
+            assert peak < 1 << 20, (n, peak)
 
     def test_unknown_selector_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -215,6 +228,16 @@ class TestQTable:
         with pytest.raises(SystemExit) as exc:
             parse_args(["scan", "--spaces", ""])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [["list"], ["qtable", "--space", "S2",
+                                                  "--n", "0", "--tau", "1"]])
+    def test_unwritable_out_is_a_configuration_error(self, argv, tmp_path, capsys):
+        # a missing directory, then a directory in place of a file
+        for path in (tmp_path / "missing" / "x.csv", tmp_path):
+            assert main(argv + ["--out", str(path)]) == 1, path
+            err = capsys.readouterr().err
+            assert err.startswith(f"qflat: error: cannot write {path}: "), err
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_out_file_matches_stdout(self, tmp_path):
         argv = ["qtable", "--space", "S2", "--n", "0", "--tau", "1"]

@@ -14,8 +14,6 @@ from qflat.quadrature import (
     QPParams,
     dlogq,
     integrand,
-    integrand_direct,
-    integrand_regrouped,
     p_chi,
     q_chi,
     q_chi_derivs,
@@ -27,7 +25,7 @@ from qflat.spaces import (
     default_scan_spaces,
     parse_space,
 )
-from qflat.hypergeom import hypergeom_poly
+from qflat.hypergeom import RationalPoly, hypergeom_poly
 
 
 def s3_q_closed(tau):
@@ -105,16 +103,45 @@ class TestIntegrand:
         assert got == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(2.50985, abs=1e-5)
 
-    def test_regrouped_matches_direct(self):
+    @staticmethod
+    def exact(poly, params, t):
+        # the integrand at 50 digits from the exact coefficients of P
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            t = mp.mpf(t)
+            x = -mp.sinh(t) ** 2
+            p = sum(mp.mpf(c.numerator) / c.denominator * x ** j
+                    for j, c in enumerate(poly.coeffs))
+            return (mp.exp(-t * t / params.tau) * p * t ** params.mu
+                    * mp.sinh(t) ** params.kappa * mp.cosh(t) ** params.nu)
+
+    def test_matches_mpmath_near_origin(self):
         ch = chi_params(parse_space("OP2"), 2)
         poly = hypergeom_poly(ch.A, 2, ch.c)
         params = QPParams(float(ch.mu), float(ch.kappa), float(ch.nu), 1.0)
         t = 1e-6
         while t <= 1.0:
-            d = integrand_direct(poly, params, t)
-            r = integrand_regrouped(poly, params, t)
-            assert r == pytest.approx(d, rel=1e-12)
+            assert integrand(poly, params, t) == pytest.approx(
+                float(self.exact(poly, params, t)), rel=1e-12, abs=0.0), t
             t *= 3.7
+
+    def test_tiny_value_does_not_underflow_early(self):
+        # e^(-1600) underflows on its own; the value is 4.39e-255
+        ch = chi_params(parse_space("S16"), 5)
+        poly = hypergeom_poly(ch.A, 5, ch.c)
+        params = QPParams(7.5, 7.5, 7.5, 1.0)
+        got = integrand(poly, params, 40.0)
+        assert got == pytest.approx(float(self.exact(poly, params, 40.0)),
+                                    rel=1e-12, abs=0.0)
+        assert got == pytest.approx(4.3925e-255, rel=1e-4, abs=0.0)
+
+    def test_large_t_within_double_range(self):
+        # sinh(720) overflows on its own; the value is e^149.19 = 6.22e64
+        params = QPParams(1, 1, 1, 400.0)
+        got = integrand(1, params, 720.0)
+        one = RationalPoly((1,))
+        assert got == pytest.approx(float(self.exact(one, params, 720.0)), rel=1e-12)
+        assert got == pytest.approx(6.2184e64, rel=1e-4)
 
     def test_zero_limit_with_positive_r(self):
         assert integrand(1, QPParams(1, 1, 1, 1.0), 0.0) == 0.0
@@ -127,8 +154,10 @@ class TestIntegrand:
             integrand(poly, params, 3400.0)
 
     def test_rejects_negative_t(self):
-        with pytest.raises(ValueError):
-            integrand(1, QPParams(0, 0, 0, 1.0), -0.5)
+        # and a t that is not finite
+        for t in (-0.5, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                integrand(1, QPParams(0, 0, 0, 1.0), t)
 
 
 class TestQP:

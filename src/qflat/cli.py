@@ -313,20 +313,11 @@ def _render_json(kind: str, payload: dict, cfg: RunConfig) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _emit(text: str, out: str | None) -> int:
-    """Write ``text`` to stdout or the file ``out``; 1 if the file cannot be
-    written, else 0."""
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        return 0
-    try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"qflat: error: cannot write {out}: {exc.strerror or exc}",
-              file=sys.stderr)
-        return 1
-    return 0
+def _cannot_write(out: str, exc: OSError) -> int:
+    """Report that the file ``out`` cannot be written; the exit code 1."""
+    print(f"qflat: error: cannot write {out}: {exc.strerror or exc}",
+          file=sys.stderr)
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +476,9 @@ def _scan_payload(reports: list[FlatnessReport], cfg: RunConfig) -> dict:
     }
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a parsed configuration; returns the process exit code."""
+def _render(cfg: RunConfig) -> tuple[str, bool]:
+    """The output document of a parsed configuration, and whether every
+    cell and verdict came out as expected."""
     ok = True
     if cfg.subcommand == "list":
         rows = _rows_list(cfg)
@@ -518,11 +510,35 @@ def run(cfg: RunConfig) -> int:
         raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
 
     if cfg.fmt == "csv":
-        text = _render_csv(cfg.subcommand, rows)
-    else:
-        text = _render_json(cfg.subcommand, payload, cfg)
-    # an unwritable --out is a configuration error
-    return _emit(text, cfg.out) or (0 if ok else 2)
+        return _render_csv(cfg.subcommand, rows), ok
+    return _render_json(cfg.subcommand, payload, cfg), ok
+
+
+def run(cfg: RunConfig) -> int:
+    """Execute a parsed configuration; returns the process exit code.
+
+    ``--out`` is opened before any work, as shell redirection does; a path
+    that cannot be opened, or written, is a configuration error (exit 1).
+    """
+    if cfg.out is None or cfg.out == "-":
+        text, ok = _render(cfg)
+        sys.stdout.write(text)
+        return 0 if ok else 2
+    try:
+        fh = open(cfg.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        return _cannot_write(cfg.out, exc)
+    try:
+        text, ok = _render(cfg)
+    except BaseException:
+        fh.close()
+        raise
+    try:
+        with fh:
+            fh.write(text)
+    except OSError as exc:
+        return _cannot_write(cfg.out, exc)
+    return 0 if ok else 2
 
 
 def main(argv: Sequence[str] | None = None) -> int:

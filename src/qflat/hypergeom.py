@@ -134,9 +134,14 @@ def closed_coeffs(
 def eval_fchi(space: RootData, n: int, t: float) -> float:
     """Spherical function along the radial ray, F_n(-sinh^2 t).
 
-    Even in t; equals 1 at t = 0 for every n.
+    Even in t; equals 1 at t = 0 for every n, and at every t for n = 0.
+    For n >= 1 it raises OverflowError once sinh^2 t leaves the double
+    range (|t| above about 355); |F_n| is then out of range as well, since
+    the top coefficient of every catalog space is at least 1 in magnitude.
     """
     ch = chi_params(space, n)
     poly = hypergeom_poly(ch.A, n, ch.c)
-    x = -math.sinh(t) ** 2
-    return poly.eval_float(x)
+    if poly.degree == 0:
+        # a constant needs no x, which overflows long before F_0 = 1 could
+        return float(poly.coeffs[0])
+    return poly.eval_float(-math.sinh(t) ** 2)

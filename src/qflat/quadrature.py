@@ -22,22 +22,17 @@ polynomials (``q_p``) build their record afresh and leave the cache alone.
 Within a cell, the common log-scale is the peak of the integrand over the
 first panel level's own nodes, and a refinement round whose panels all
 meet their targets ends the integration with the sums it has already
-formed.  Most cells converge on that first level, so a grid of isotypes
-n and taus of one space is computed together with ``prefetch``.  The break
-points of the whole grid come from one array pass, with lam as a per-cell
-column, and its first levels go through stacked node calls that span
-isotypes, with tau as a per-panel column.  The exponents mu, kappa, nu
-depend on the space only, so the isotypes of a stack differ only in the
-coefficients of P.  ``_log_mag_sign`` reads each node's by index from
-one table, zero-padded to the stack's top degree.  The panel sums of a
-stack come from one pass, which skips the sums of |estimate| when no
-estimate is negative, as on every catalog isotype (they are then the sums
-of the estimates), and the first-round targets of all its cells are
-tested together.  A cell that meets them never enters refinement; the
-others refine from the stored targets.  Each outcome waits for its own
-``q_chi`` / ``q_chi_derivs`` call, which neither validates it nor computes
-its truncation point again.  A cell computed alone is a stack of one, so
-both ways give the same bits.
+formed.  Every cell goes through one grid engine, ``_q_engine``: a grid of
+isotypes n and taus of one space from ``prefetch``, or a lone cell as a
+grid of one.  The break points of a grid come from one array pass, with
+lam as a per-cell column, and its first levels go through stacked node
+calls that span isotypes, with tau as a per-panel column.  The exponents
+mu, kappa, nu depend on the space only, so the isotypes of a stack differ
+only in the coefficients of P, which ``_log_mag_sign`` reads by index from
+one table, zero-padded to the stack's top degree.  The first-round targets
+of a stack are tested together; a cell that meets them never enters
+refinement, the others refine from the stored targets.  Every step is per
+node, panel or cell, so a cell gets the same bits alone and in any grid.
 
 Two numerical realities shape the implementation:
 
@@ -330,11 +325,11 @@ def _isotype(space: RootData, n: int) -> _Tables:
     return _make_tables(coeffs, ch.mu, ch.kappa, ch.nu)
 
 
-def _log_mag_sign(tables: _Tables | Sequence[_Tables], tau: float | np.ndarray,
-                  t: np.ndarray, runs: int | Sequence[int] = 1
+def _log_mag_sign(tables: Sequence[_Tables], tau: float | np.ndarray,
+                  t: np.ndarray, runs: Sequence[int]
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(log|integrand|, sign) elementwise at ``tau``, a float or an array
-    that broadcasts against ``t``; t must be positive.
+    that broadcasts against the 2-D ``t``; t must be positive.
 
     P(-sinh^2 t) is one Horner sum in x = -exp(-2 |log sinh t|), which lies
     in [-1, 0): x = -sinh^2 t up to sinh t = 1, with the coefficients taken
@@ -342,34 +337,27 @@ def _log_mag_sign(tables: _Tables | Sequence[_Tables], tau: float | np.ndarray,
     the bottom up and negated for odd deg (the reversed polynomial, times
     (-sinh^2 t)^deg); negation is exact, so only the sign moves.
 
-    ``tables`` is one record, or a stack of records that share mu, kappa and
-    nu (as the isotypes of one space do) whose nodes are runs of ``runs``
-    rows of a 2-D t (a row each by default).  Each Horner step reads the
-    coefficients of every record both ways round, zero-padded at the front
-    to the top degree, and each node takes its own record's, on its side of
-    sinh t = 1, by index; the degree is a per-row column.
-    0 x + c = c exactly, so each record gets the bits it gets alone.
+    ``tables`` is a stack of records that share mu, kappa and nu (as the
+    isotypes of one space do), whose nodes are runs of ``runs`` rows of t.
+    Each Horner step reads the coefficients of every record both ways
+    round, zero-padded at the front to the top degree, and each node takes
+    its own record's, on its side of sinh t = 1, by index; the degree is a
+    per-row column.  0 x + c = c exactly, so each record gets the bits it
+    gets in a stack of its own.
     """
     logsh = _log_sinh(t)
     up = np.maximum(logsh, 0.0)
     x = -np.exp(-2.0 * np.abs(logsh))
     big = logsh > 0.0
-    one = isinstance(tables, _Tables)
-    recs = [tables] if one else tables
-    sizes = [len(tb.coeffs) for tb in recs]
-    steps = np.zeros((max(sizes), len(recs), 2))
-    for k, (tb, size) in enumerate(zip(recs, sizes)):
+    sizes = [len(tb.coeffs) for tb in tables]
+    steps = np.zeros((max(sizes), len(tables), 2))
+    for k, (tb, size) in enumerate(zip(tables, sizes)):
         # beyond sinh t = 1 the factor (-1)^deg goes into the coefficients
         steps[-size:, k, 0] = tb.coeffs[::-1]
         steps[-size:, k, 1] = tb.coeffs if size % 2 else -tb.coeffs
     steps = steps.reshape(len(steps), -1)
-    deg = np.array(sizes) - 1
-    pick = big.astype(np.intp)
-    if one:
-        deg = deg[0]
-    else:
-        pick += np.repeat(2 * np.arange(len(recs)), runs)[:, None]
-        deg = np.repeat(deg, runs)[:, None]
+    pick = big + np.repeat(2 * np.arange(len(tables)), runs)[:, None]
+    deg = np.repeat(np.array(sizes) - 1, runs)[:, None]
     p = steps[0].take(pick)
     for c in steps[1:]:
         p *= x
@@ -377,14 +365,14 @@ def _log_mag_sign(tables: _Tables | Sequence[_Tables], tau: float | np.ndarray,
     sign = np.sign(p)
     with np.errstate(divide="ignore"):
         g = np.log(np.abs(p)) + 2.0 * deg * up - t * t / tau
-    tables = recs[0]
-    if tables.mu != 0.0:
-        g = g + tables.mu * np.log(t)
-    if tables.kappa != 0.0:
-        g = g + tables.kappa * logsh
-    if tables.nu != 0.0:
+    tb = tables[0]
+    if tb.mu != 0.0:
+        g = g + tb.mu * np.log(t)
+    if tb.kappa != 0.0:
+        g = g + tb.kappa * logsh
+    if tb.nu != 0.0:
         # cosh^2 t = 1 + sinh^2 t, so log cosh t = up + log1p(-x) / 2
-        g = g + tables.nu * (up + 0.5 * np.log1p(-x))
+        g = g + tb.nu * (up + 0.5 * np.log1p(-x))
     return g, sign
 
 
@@ -432,7 +420,7 @@ def _eval_panels(tables: _Tables, tau: float, scale: float, a: np.ndarray,
     one node call.
     """
     xs, half = _panel_nodes(a, b)
-    g, sign = _log_mag_sign(tables, tau, xs)
+    g, sign = _log_mag_sign([tables], tau, xs, [len(a)])
     return _apply_rules(_moment_rows(xs, g, sign, scale), half)
 
 
@@ -564,14 +552,10 @@ def _first_levels(tables: Sequence[_Tables], taus: Sequence[float],
 
 
 def _integrate_moments(
-    tables: _Tables, tau: float, T: float, tol: float,
-    first: _Level | None = None
+    tables: _Tables, tau: float, T: float, tol: float, first: _Level
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, bool]:
-    """Refine from the cell's first level, an entry of ``_first_levels``
-    (computed here as a stack of one when not given), until the panels meet
-    ``tol``; a first level that meets it is returned as it is."""
-    if first is None:
-        (first,) = _first_levels([tables], [tau], [T], tol)
+    """Refine the cell's first level, an entry of ``_first_levels``, until
+    its panels meet ``tol`` (a first level that meets it is returned)."""
     a, b, val, err, scale, (I, Iabs, E), target, converged = first
     nodes = 15 * len(a)
     if converged:
@@ -675,17 +659,18 @@ def _first_truncation(tables: _Tables, tau: float, tol: float) -> float:
     return max(8.0 * math.sqrt(tau), root)
 
 
-def _q_engine(tables: _Tables, tau: float, tol: float, T0: float | None = None,
-              first: _Level | None = None) -> tuple[np.ndarray, QuadratureResult]:
-    """One cell; ``T0`` is the first attempt's T and ``first`` its first
-    level at the panel tolerance tol/2, if they were computed with its grid."""
-    if T0 is None:
-        T0 = _first_truncation(tables, tau, tol)
+def _finish_cell(tables: _Tables, tau: float, tol: float, T0: float,
+                 first: _Level) -> tuple[np.ndarray, QuadratureResult]:
+    """One cell from its first attempt's T and first level at the panel
+    tolerance tol/2: refinement, the tail test and up to four larger T,
+    whose first levels are stacks of one."""
     for attempt in range(5):
         T = T0 * 1.3 ** attempt
+        if attempt:
+            (first,) = _first_levels([tables], [tau], [T], 0.5 * tol)
         # split the tolerance: half for the panels, half for the tail
         I, Iabs, E, scale, nodes, conv = _integrate_moments(
-            tables, tau, T, 0.5 * tol, first if attempt == 0 else None
+            tables, tau, T, 0.5 * tol, first
         )
         if not conv:
             # some moment row missed tol/2, so the worst E/|I| exceeds it
@@ -719,6 +704,31 @@ def _q_engine(tables: _Tables, tau: float, tol: float, T0: float | None = None,
     )
 
 
+def _q_engine(tables: Sequence[_Tables], taus: Sequence[float],
+              tol: float) -> list:
+    """Per validated cell (record, tau), whose records share mu, kappa and
+    nu: (I, result), or the QuadratureError it raises.  Every cell's first
+    T comes first, then the stacked first levels of all cells, then each
+    cell's refinement, tail test and larger T."""
+    Ts = [_first_truncation(tb, tau, tol) for tb, tau in zip(tables, taus)]
+    firsts = _first_levels(tables, taus, Ts, 0.5 * tol)
+    out = []
+    for tb, tau, T, first in zip(tables, taus, Ts, firsts):
+        try:
+            out.append(_finish_cell(tb, tau, tol, T, first))
+        except QuadratureError as exc:
+            # without its traceback, which would keep the grid's frames alive
+            out.append(exc.with_traceback(None))
+    return out
+
+
+def _unwrap(out) -> tuple[np.ndarray, QuadratureResult]:
+    """The (I, result) of an outcome of ``_q_engine``, or its error raised."""
+    if isinstance(out, QuadratureError):
+        raise out.with_traceback(None)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -744,13 +754,14 @@ def integrand(P: PolyLike, params: QPParams, t: float) -> float:
             return coeffs[0]
         return math.inf
     tables = _make_tables(coeffs, params.mu, params.kappa, params.nu)
-    g, sign = _log_mag_sign(tables, float(params.tau), np.array([float(t)]))
-    g0 = float(g[0])
+    g, sign = _log_mag_sign([tables], float(params.tau),
+                            np.array([[float(t)]]), [1])
+    g0 = float(g[0, 0])
     if g0 > 709.0:
         raise OverflowError(
             f"integrand magnitude exp({g0:.1f}) exceeds double range"
         )
-    return float(sign[0]) * math.exp(g0)
+    return float(sign[0, 0]) * math.exp(g0)
 
 
 def q_p(P: PolyLike, params: QPParams,
@@ -770,8 +781,8 @@ def q_p(P: PolyLike, params: QPParams,
     coeffs = _as_float_coeffs(P)
     _check_box(coeffs, params, tol)
     tables = _make_tables(coeffs, params.mu, params.kappa, params.nu)
-    _, res = _q_engine(tables, float(params.tau), tol)
-    return res
+    (out,) = _q_engine([tables], [float(params.tau)], tol)
+    return _unwrap(out)[1]
 
 
 def _unit_scale(space: RootData) -> RootData:
@@ -804,11 +815,8 @@ _ROW: dict = {}
 def prefetch(space: RootData, ns: Sequence[int], taus: Sequence[float],
              tol: float = DEFAULT_TOL) -> None:
     """Compute the cells (n, tau) of the isotypes ``ns`` of ``space`` at
-    ``taus`` ahead of their calls.
+    ``taus`` ahead of their calls, as one grid of ``_q_engine``.
 
-    The break points of the whole grid come from one array pass, and its
-    first panel levels go through stacked node calls that span isotypes;
-    the rest of each cell (refinement, tail test, larger T) runs per cell.
     Each outcome waits in a one-grid memo, which every call here replaces,
     until ``q_chi`` or ``q_chi_derivs`` takes it for the same space (at any
     B), n, tau and tol.  Those calls give the bits, and raise the errors,
@@ -825,18 +833,10 @@ def prefetch(space: RootData, ns: Sequence[int], taus: Sequence[float],
                 continue
     if not cells:
         return
-    tables = list(cells.values())
-    cell_taus = [tau for _, tau in cells]
-    Ts = [_first_truncation(tb, tau, tol) for tb, tau in zip(tables, cell_taus)]
     key = _unit_scale(space)
-    # the panels get tol/2, as in _q_engine
-    firsts = _first_levels(tables, cell_taus, Ts, 0.5 * tol)
-    for (n, tau), tb, T, first in zip(cells, tables, Ts, firsts):
-        try:
-            _ROW[key, n, tau, tol] = _q_engine(tb, tau, tol, T, first)
-        except QuadratureError as exc:
-            # without its traceback, which would keep the grid's frames alive
-            _ROW[key, n, tau, tol] = exc.with_traceback(None)
+    outcomes = _q_engine(list(cells.values()), [tau for _, tau in cells], tol)
+    for (n, tau), out in zip(cells, outcomes):
+        _ROW[key, n, tau, tol] = out
 
 
 def _cell(space: RootData, n: int, tau: float,
@@ -845,10 +845,8 @@ def _cell(space: RootData, n: int, tau: float,
     validated and computed as a grid of one."""
     out = _ROW.pop((_unit_scale(space), n, tau, tol), None)
     if out is None:
-        return _q_engine(_checked_isotype(space, n, tau, tol), tau, tol)
-    if isinstance(out, QuadratureError):
-        raise out.with_traceback(None)
-    return out
+        (out,) = _q_engine([_checked_isotype(space, n, tau, tol)], [tau], tol)
+    return _unwrap(out)
 
 
 def q_chi(space: RootData, n: int, tau: float,

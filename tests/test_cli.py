@@ -239,6 +239,36 @@ class TestQTable:
             assert err.startswith(f"qflat: error: cannot write {path}: "), err
             assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["curvature", "--space", "S3,CP2", "--n", "0..2", "--tau", "0.5,1"],
+        ["scan", "--spaces", "S2,S3", "--n-max", "1", "--tau", "0.5,1"]])
+    def test_unwritable_out_is_refused_before_any_cell(self, argv, tmp_path,
+                                                       capsys, monkeypatch):
+        # --out is opened first, as shell redirection does, so no cell and
+        # no scan is computed for a path that cannot be written
+        import qflat.cli
+
+        calls = []
+        for attr in ("q_chi_derivs", "theorem_scan"):
+            fn = getattr(qflat.cli, attr)
+            monkeypatch.setattr(qflat.cli, attr, lambda *a, _fn=fn, _attr=attr,
+                                **k: calls.append(_attr) or _fn(*a, **k))
+        for path in (tmp_path / "missing" / "x.csv", tmp_path):
+            assert main(argv + ["--out", str(path)]) == 1, path
+            err = capsys.readouterr().err
+            assert err.startswith(f"qflat: error: cannot write {path}: "), err
+            assert err.count("\n") == 1 and "Traceback" not in err
+        assert calls == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_that_fails_after_the_open(self, capsys):
+        # /dev/full opens, and every write to it fails
+        argv = ["qtable", "--space", "S2", "--n", "0", "--tau", "1"]
+        assert main(argv + ["--out", "/dev/full"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qflat: error: cannot write /dev/full: "), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_out_file_matches_stdout(self, tmp_path):
         argv = ["qtable", "--space", "S2", "--n", "0", "--tau", "1"]
         out, _ = capture(argv)

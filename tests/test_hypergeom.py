@@ -112,6 +112,15 @@ class TestEvaluation:
         for t in (0.0, 0.5, 3.0):
             assert eval_fchi(sp, 0, t) == 1.0
 
+    def test_f0_needs_no_sinh(self):
+        # F_0 = 1 far beyond the t where sinh^2 t leaves the double range,
+        # while F_1 of S3, cosh 2t, is out of range with it (5e308 at 356)
+        for sp in default_scan_spaces():
+            for t in (356.0, -356.0, 720.0, 1e6):
+                assert eval_fchi(sp, 0, t) == 1.0
+        with pytest.raises(OverflowError):
+            eval_fchi(parse_space("S3"), 1, 356.0)
+
     def test_s3_n1_is_cosh2t(self):
         sp = parse_space("S3")
         for t in (0.1, 1.0, 2.5):

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -49,8 +50,8 @@ def panel_one_at_a_time(tables, tau, scale, a, b):
     # G7 on its nodes of odd index
     half = 0.5 * (b - a)
     xs = 0.5 * (a + b) + half * quadrature._K15_X
-    g, sign = quadrature._log_mag_sign(tables, tau, xs)
-    rows = quadrature._moment_rows(xs, g, sign, scale)
+    g, sign = quadrature._log_mag_sign([tables], tau, xs[None, :], [1])
+    rows = quadrature._moment_rows(xs, g[0], sign[0], scale)
     k15 = quadrature._gl_rule(rows, quadrature._K15_W) * half
     g7 = quadrature._gl_rule(rows[:, 1::2], quadrature._G7_W) * half
     return k15, np.abs(k15 - g7)
@@ -339,7 +340,7 @@ class TestRefinement:
         breaks, _ = quadrature._initial_breaks([tables], [tau], [T])
         a, b = breaks[:-1], breaks[1:]
         g, _ = quadrature._log_mag_sign(
-            tables, tau, quadrature._panel_nodes(a, b)[0].ravel())
+            [tables], tau, quadrature._panel_nodes(a, b)[0], [len(a)])
         scale = float(np.max(g))
         val, err = quadrature._eval_panels(tables, tau, scale, a, b)
         assert val.shape == err.shape == (3, len(a))
@@ -580,11 +581,12 @@ class TestFirstLevel:
         # nodes, and that level gets the bits a separate moments call gives it
         tables = quadrature._checked_isotype(parse_space(label), n, tau, tol)
         T = q_chi(parse_space(label), n, tau, tol).truncation_t
+        (first,) = quadrature._first_levels([tables], [tau], [T], 0.5 * tol)
         I, Iabs, E, scale, nodes, conv = quadrature._integrate_moments(
-            tables, tau, T, 0.5 * tol)
+            tables, tau, T, 0.5 * tol, first)
         breaks, _ = quadrature._initial_breaks([tables], [tau], [T])
         xs, _ = quadrature._panel_nodes(breaks[:-1], breaks[1:])
-        g, _ = quadrature._log_mag_sign(tables, tau, xs.ravel())
+        g, _ = quadrature._log_mag_sign([tables], tau, xs, [len(xs)])
         assert scale == float(np.max(g))
         val, err = quadrature._eval_panels(tables, tau, scale, breaks[:-1], breaks[1:])
         assert conv
@@ -759,9 +761,12 @@ class TestStackedFirstRound:
         recs = [tables] * len(ROW_TAUS)
         stack = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol))
         assert any(np.any(level[2] < 0.0) for level in stack)
-        for tau, T, first in zip(ROW_TAUS, Ts, stack):
-            want = _outcome(lambda: quadrature._q_engine(tables, tau, tol))
-            assert _outcome(lambda: quadrature._q_engine(tables, tau, tol, T, first)) == want
+        # that stack is the first level of the grid of these cells
+        grid = quadrature._q_engine(recs, ROW_TAUS, tol)
+        for tau, out in zip(ROW_TAUS, grid):
+            (alone,) = quadrature._q_engine([tables], [tau], tol)
+            want = _outcome(lambda: quadrature._unwrap(alone))
+            assert _outcome(lambda: quadrature._unwrap(out)) == want
             public = _outcome(lambda: (np.empty(0), q_p(P, QPParams(mu, kappa, nu, tau), tol)))
             assert public[1:] == want[1:], tau
 
@@ -943,9 +948,10 @@ class TestNodeAccuracy:
                 ref.append((mp.log(abs(P)) + rest, mp.sign(P), float(size / abs(P))))
             for tau in self.TAUS:
                 with np.errstate(over="raise", invalid="raise"):
-                    g, sign = quadrature._log_mag_sign(tables, tau, self.T)
-                for t, gi, si, (base, sr, cond) in zip(self.T.tolist(), g.tolist(),
-                                                       sign.tolist(), ref):
+                    g, sign = quadrature._log_mag_sign([tables], tau,
+                                                       self.T[None, :], [1])
+                for t, gi, si, (base, sr, cond) in zip(self.T.tolist(), g[0].tolist(),
+                                                       sign[0].tolist(), ref):
                     err = abs(mp.mpf(gi) - (base - mp.mpf(t) ** 2 / tau))
                     units = float(err) / (eps * (1.0 + abs(gi) + t * t / tau))
                     out.append((tau, t, gi, si, units, int(sr), cond))
@@ -1087,17 +1093,76 @@ class TestGridPrefetch:
         calls = {}
         for name in ("_initial_breaks", "_log_mag_sign"):
             fn = getattr(quadrature, name)
+            # each call is kept with the name of the function that made it
             monkeypatch.setattr(
                 quadrature, name,
-                lambda *a, _fn=fn, _name=name: calls.setdefault(_name, []).append(a)
-                or _fn(*a))
+                lambda *a, _fn=fn, _name=name: calls.setdefault(_name, []).append(
+                    (sys._getframe(1).f_code.co_name, a)) or _fn(*a))
         quadrature.prefetch(sp, ns, taus)
         assert len(empty_row) == len(ns) * len(taus)
         assert len(calls["_initial_breaks"]) == 1
-        # the first levels' node calls are those given the runs of their cells
-        stacks = [a for a in calls["_log_mag_sign"] if len(a) == 4]
+        # the first levels' node calls, as against those of refinement
+        stacks = [a for caller, a in calls["_log_mag_sign"] if caller == "_first_levels"]
         assert sum(len(a[3]) for a in stacks) == len(ns) * len(taus)
         assert len(stacks) < len(ns)
+
+
+class TestOneRoute:
+    """Every cell goes through one ``_q_engine`` call, which alone computes
+    first truncation points: ``q_p`` and a lone catalog cell as a grid of
+    one, a prefetched grid as one grid."""
+
+    @pytest.fixture
+    def engine_calls(self, monkeypatch, empty_row):
+        calls, inside = [], []
+        q_engine = quadrature._q_engine
+        first_truncation = quadrature._first_truncation
+
+        def engine(tables, taus, tol):
+            calls.append(("engine", len(tables)))
+            inside.append(True)
+            try:
+                return q_engine(tables, taus, tol)
+            finally:
+                inside.pop()
+
+        def truncation(*args):
+            calls.append(("truncation", bool(inside)))
+            return first_truncation(*args)
+
+        monkeypatch.setattr(quadrature, "_q_engine", engine)
+        monkeypatch.setattr(quadrature, "_first_truncation", truncation)
+        return calls
+
+    @pytest.mark.parametrize("call", [
+        lambda: q_p([1.0, 3.0], QPParams(0.5, 1.5, 2.0, 1.0)),
+        lambda: q_chi(parse_space("CP2"), 3, 0.5),
+        lambda: q_chi_derivs(parse_space("HP2"), 1, 2.0),
+    ], ids=["q_p", "q_chi", "q_chi_derivs"])
+    def test_lone_cell_is_a_grid_of_one(self, call, engine_calls):
+        call()
+        assert engine_calls == [("engine", 1), ("truncation", True)]
+
+    def test_prefetched_grid_is_one_call(self, engine_calls, empty_row):
+        sp, ns, taus = parse_space("S5"), (0, 4, 9), (1e-3, 1.0, 20.0)
+        quadrature.prefetch(sp, ns, taus)
+        for n in ns:
+            for tau in taus:
+                q_chi(sp, n, tau)
+        assert not empty_row
+        assert engine_calls == [("engine", 9)] + [("truncation", True)] * 9
+
+    def test_larger_t_builds_its_own_first_level(self, monkeypatch, empty_row):
+        # OP2 at n = 0 and MIN_TAU settles only at its fourth T, 1.3^3 times
+        # the first; each later attempt is a stack of one at its own T
+        Ts = []
+        first_levels = quadrature._first_levels
+        monkeypatch.setattr(quadrature, "_first_levels", lambda tables, taus, ts, tol:
+                            Ts.append(list(ts)) or first_levels(tables, taus, ts, tol))
+        res = q_chi(parse_space("OP2"), 0, quadrature.MIN_TAU)
+        T0 = Ts[0][0]
+        assert Ts == [[T0 * 1.3 ** k] for k in range(4)]
+        assert res.truncation_t == Ts[-1][0]
 
 
 class TestPaddedHorner:
@@ -1127,14 +1192,11 @@ class TestPaddedHorner:
             assert np.sinh(t.min()) < 1.0 < np.sinh(t.max())
         tau = np.repeat(self.TAUS, rows)[:, None]
         with np.errstate(over="raise", invalid="raise"):
-            if rows == 1:  # a row each, the default
-                g, sign = quadrature._log_mag_sign(recs, tau, np.concatenate(ts))
-            else:
-                g, sign = quadrature._log_mag_sign(recs, tau, np.concatenate(ts),
-                                                   [rows] * len(recs))
+            g, sign = quadrature._log_mag_sign(recs, tau, np.concatenate(ts),
+                                               [rows] * len(recs))
         assert g.shape == sign.shape == (rows * len(recs), 15)
         for k, (rec, t, tk) in enumerate(zip(recs, ts, self.TAUS)):
-            want_g, want_sign = quadrature._log_mag_sign(rec, tk, t)
+            want_g, want_sign = quadrature._log_mag_sign([rec], tk, t, [rows])
             rows_k = slice(k * rows, (k + 1) * rows)
             assert g[rows_k].tobytes() == want_g.tobytes(), k
             assert sign[rows_k].tobytes() == want_sign.tobytes(), k

@@ -19,7 +19,7 @@ from .spaces import (
     DEFAULT_SCAN_SELECTORS,
     default_scan_spaces,
 )
-from .hypergeom import RationalPoly, hypergeom_poly, closed_coeffs, eval_fchi
+from .hypergeom import RationalPoly, hypergeom_poly, closed_coeffs
 from .quadrature import (
     QPParams,
     QuadratureResult,

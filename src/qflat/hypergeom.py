@@ -13,19 +13,14 @@ tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
-
-from .spaces import RootData, chi_params
+from typing import Union
 
 __all__ = [
     "RationalPoly",
     "hypergeom_poly",
     "closed_coeffs",
-    "eval_fchi",
-    "horner_compensated",
 ]
 
 RationalLike = Union[int, Fraction]
@@ -59,30 +54,8 @@ class RationalPoly:
             acc = acc * x + c
         return acc
 
-    def eval_float(self, x: float) -> float:
-        return horner_compensated(self.float_coeffs(), x)
-
     def float_coeffs(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self.coeffs)
-
-
-def horner_compensated(coeffs: Sequence[float], x: float) -> float:
-    """Horner scheme with compensated additions.
-
-    Each step's addition error is captured with a two-sum and carried along
-    (multiplied through by x); products are left uncompensated, which is
-    enough at the condition numbers reached here.
-    """
-    s = coeffs[-1]
-    e = 0.0
-    for a in reversed(coeffs[:-1]):
-        p = s * x
-        t = p + a
-        # two-sum residual of p + a
-        bp = t - a
-        e = e * x + ((p - bp) + (a - (t - bp)))
-        s = t
-    return s + e
 
 
 def hypergeom_poly(A: RationalLike, n: int, c: RationalLike) -> RationalPoly:
@@ -129,19 +102,3 @@ def closed_coeffs(
         top *= A + n + j
         top /= cf + j
     return c_n1, top
-
-
-def eval_fchi(space: RootData, n: int, t: float) -> float:
-    """Spherical function along the radial ray, F_n(-sinh^2 t).
-
-    Even in t; equals 1 at t = 0 for every n, and at every t for n = 0.
-    For n >= 1 it raises OverflowError once sinh^2 t leaves the double
-    range (|t| above about 355); |F_n| is then out of range as well, since
-    the top coefficient of every catalog space is at least 1 in magnitude.
-    """
-    ch = chi_params(space, n)
-    poly = hypergeom_poly(ch.A, n, ch.c)
-    if poly.degree == 0:
-        # a constant needs no x, which overflows long before F_0 = 1 could
-        return float(poly.coeffs[0])
-    return poly.eval_float(-math.sinh(t) ** 2)

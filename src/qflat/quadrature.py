@@ -60,13 +60,18 @@ needed for (log Q)' and (log Q)''.
 All operations are pure; results are bit-reproducible for fixed inputs and
 independent of evaluation order across calls.  The rule sums are numpy
 reductions in a fixed order, not BLAS products, so they do not depend on
-the kernel a BLAS build dispatches to either.
+the kernel a BLAS build dispatches to either.  The panel sums are
+correctly rounded, with the bits of ``math.fsum``, in a few array passes
+per stack (``_sum_panels``): each value splits at a power of two above its
+run's magnitudes (the error-free extraction of Rump, Ogita and Oishi,
+Accurate floating-point summation, part I, SIAM J. Sci. Comput. 31, 2008),
+the high parts sum exactly, and a bound on the low parts' rounding
+certifies the result; a sum it cannot certify goes to ``math.fsum``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -276,6 +281,12 @@ def _check_box(coeffs: Sequence[float], params: QPParams, tol: float) -> None:
             raise ParameterRangeError(
                 f"|{name}| exceeds supported {MAX_POWER}: {getattr(params, name)}"
             )
+    # below this the endpoint singularity t^(mu + kappa) outruns refinement
+    # at some tol of the box; every catalog isotype has mu + kappa >= 1
+    if params.mu + params.kappa < -0.1:
+        raise ParameterRangeError(
+            f"mu + kappa below supported -0.1: {params.mu + params.kappa}"
+        )
 
 
 def _log_sinh(t: np.ndarray) -> np.ndarray:
@@ -485,15 +496,46 @@ def _sum_panels(val: np.ndarray, err: np.ndarray, counts: Sequence[int]
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sums I of the estimates, Iabs of their magnitudes and E of their
     errors over each run of ``counts`` consecutive panels, each of shape
-    (runs, 3).  When no estimate is negative, Iabs is I: the magnitudes are
-    the estimates, so their sums have the same bits."""
-    # fsum is correctly rounded, so the sums do not depend on panel order;
-    # one tolist serves every run
+    (runs, 3), with the bits of ``math.fsum``.  When no estimate is
+    negative, Iabs is I: the magnitudes are the estimates, so their sums
+    have the same bits.
+
+    Each row of a run of n values x splits at sigma = 2^k, the power of two
+    with max |x| < 2^-K sigma, 2^K >= n + 2 (the extraction of Rump, Ogita
+    and Oishi, SIAM J. Sci. Comput. 31, 2008): q = (sigma + x) - sigma is x
+    rounded to a multiple of u sigma (u = 2^-53), and x - q its exact
+    remainder, at most u sigma.  Every partial sum of the q is such a
+    multiple below sigma, so S1 = sum q is exact in any order, and
+    S2 = sum (x - q) is off by at most gamma_(n-1) n u sigma <= n^2 u^2
+    sigma.  TwoSum splits S1 + S2 exactly into d + rho, so the exact sum is
+    d + rho up to that bound, and d is its correctly rounded value, fsum's,
+    when |rho| + n^2 u^2 sigma stays below half the gap from d to its
+    neighbour towards 0 (the narrower one).  The few rows that fail this
+    test go to ``math.fsum``: a sum that cancels to 0 (the gap of 0 halves
+    to 0), one near a rounding midpoint, and any non-finite value, where
+    the NaN it leaves fails every comparison.
+    """
     signed = not np.all(val >= 0.0)
-    rows = np.concatenate([val, np.abs(val), err] if signed else [val, err]).tolist()
-    ends = list(itertools.accumulate(counts))
-    sums = np.array([[math.fsum(r[s:e]) for r in rows]
-                     for s, e in zip([0] + ends[:-1], ends)])
+    x = np.concatenate([val, np.abs(val), err] if signed else [val, err])
+    n = np.asarray(counts)
+    starts = np.cumsum(n) - n
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.maximum.reduceat(np.abs(x), starts, axis=1)
+        # frexp gives max |x| < 2^e and n + 1 < 2^K, so 2^K >= n + 2
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + np.frexp(n + 1.0)[1])
+        s = np.repeat(sigma, n, axis=1)
+        q = (s + x) - s
+        S1 = np.add.reduceat(q, starts, axis=1)
+        S2 = np.add.reduceat(x - q, starts, axis=1)
+        d = S1 + S2
+        z = d - S1
+        rho = (S1 - (d - z)) + (S2 - z)
+        # the bound floored at the least subnormal, where u^2 sigma underflows
+        bound = n * n * np.maximum(0.25 * _EPS * _EPS * sigma, 5e-324)
+        ok = np.abs(rho) + bound < 0.5 * np.abs(d - np.nextafter(d, 0.0))
+    for i, k in zip(*np.nonzero(~ok)):
+        d[i, k] = math.fsum(x[i, starts[k]:starts[k] + n[k]].tolist())
+    sums = d.T
     I = sums[:, :3]
     return I, sums[:, 3:6] if signed else I, sums[:, -3:]
 

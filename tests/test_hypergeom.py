@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -8,11 +7,9 @@ from hypothesis import strategies as st
 from qflat.hypergeom import (
     RationalPoly,
     closed_coeffs,
-    eval_fchi,
-    horner_compensated,
     hypergeom_poly,
 )
-from qflat.spaces import chi_params, default_scan_spaces, parse_space
+from qflat.spaces import chi_params, default_scan_spaces
 
 
 class TestHypergeomPoly:
@@ -104,58 +101,6 @@ def test_property_recurrence_vs_closed(a_num, a_den, n, c_num, c_den):
     assert p.coeffs[n] == top
     if n >= 1:
         assert p.coeffs[1] == c1
-
-
-class TestEvaluation:
-    def test_f0_is_constant_one(self):
-        sp = parse_space("S3")
-        for t in (0.0, 0.5, 3.0):
-            assert eval_fchi(sp, 0, t) == 1.0
-
-    def test_f0_needs_no_sinh(self):
-        # F_0 = 1 far beyond the t where sinh^2 t leaves the double range,
-        # while F_1 of S3, cosh 2t, is out of range with it (5e308 at 356)
-        for sp in default_scan_spaces():
-            for t in (356.0, -356.0, 720.0, 1e6):
-                assert eval_fchi(sp, 0, t) == 1.0
-        with pytest.raises(OverflowError):
-            eval_fchi(parse_space("S3"), 1, 356.0)
-
-    def test_s3_n1_is_cosh2t(self):
-        sp = parse_space("S3")
-        for t in (0.1, 1.0, 2.5):
-            assert eval_fchi(sp, 1, t) == pytest.approx(math.cosh(2 * t), rel=1e-14)
-        assert eval_fchi(sp, 1, 1.0) == pytest.approx(3.7622, abs=5e-5)
-
-    def test_value_one_at_origin(self):
-        for sp in default_scan_spaces():
-            for n in range(5):
-                assert eval_fchi(sp, n, 0.0) == 1.0
-
-    def test_even_in_t(self):
-        for label in ("S2", "CP2", "OP2"):
-            sp = parse_space(label)
-            for n in (1, 3):
-                for t in (0.3, 1.2, 2.0):
-                    assert eval_fchi(sp, n, t) == eval_fchi(sp, n, -t)
-
-    def test_float_vs_exact(self):
-        for sp in default_scan_spaces():
-            ch = chi_params(sp, 0)
-            for n in range(9):
-                p = hypergeom_poly(ch.A, n, ch.c)
-                for x in (0, -1, -4):
-                    exact = p.eval_exact(x)
-                    got = p.eval_float(float(x))
-                    if exact == 0:
-                        assert got == 0.0
-                    else:
-                        rel = abs(got - float(exact)) / abs(float(exact))
-                        assert rel <= 1e-13
-
-    def test_horner_plain_cases(self):
-        assert horner_compensated([1.0], 5.0) == 1.0
-        assert horner_compensated([1.0, -2.0], 3.0) == -5.0
 
 
 class TestRationalPoly:

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflat import quadrature
 from qflat.quadrature import (
@@ -55,6 +57,13 @@ def panel_one_at_a_time(tables, tau, scale, a, b):
     k15 = quadrature._gl_rule(rows, quadrature._K15_W) * half
     g7 = quadrature._gl_rule(rows[:, 1::2], quadrature._G7_W) * half
     return k15, np.abs(k15 - g7)
+
+
+def engine_cell(coeffs, params, tol):
+    # one cell of q_p's route past its parameter box: the grid engine alone
+    tables = quadrature._make_tables(coeffs, params.mu, params.kappa, params.nu)
+    (out,) = quadrature._q_engine([tables], [params.tau], tol)
+    return quadrature._unwrap(out)[1]
 
 
 class TestKronrodRule:
@@ -209,6 +218,21 @@ class TestQP:
             with pytest.raises(ParameterRangeError):
                 q_p(1, QPParams(0, 0, 0, 1.0), tol)
 
+    def test_singular_weight_below_the_box_is_refused(self, monkeypatch):
+        # t^(mu + kappa) at the origin outruns refinement below -0.1: these
+        # weights once spent up to 400,000 nodes before failing; now no cell
+        # is computed.  At -0.1 the cell still converges.
+        engine = quadrature._q_engine
+        calls = []
+        monkeypatch.setattr(quadrature, "_q_engine",
+                            lambda *a: calls.append(a) or engine(*a))
+        for s in (-0.9, -0.45):
+            with pytest.raises(ParameterRangeError, match="mu \\+ kappa"):
+                q_p([1.0], QPParams(s, 0, 0, 1.0), 1e-10)
+        assert not calls
+        res = q_p([1.0], QPParams(-0.1, 0, 0, 1.0), 1e-10)
+        assert len(calls) == 1 and res.rel_error <= 1e-10
+
     def test_budget_failure_carries_best(self, monkeypatch):
         # fractional mu puts a t^(1/2) kink at the origin; bisection cannot
         # settle it to 1e-13 within 1000 nodes
@@ -319,8 +343,9 @@ class TestRefinement:
     @pytest.mark.parametrize("call", [
         lambda: q_chi(parse_space("S7"), 8, 20.0, 1e-13),
         lambda: q_chi(parse_space("HP2"), 8, 20.0, 1e-13),
-        # stops at the maximum depth, far inside the node budget
-        lambda: q_p([1.0], QPParams(-0.45, 0.0, 0.0, 1e-3), 1e-10),
+        # stops at the maximum depth, far inside the node budget; q_p
+        # refuses this weight (mu + kappa < -0.1), the engine still runs it
+        lambda: engine_cell([1.0], QPParams(-0.45, 0.0, 0.0, 1e-3), 1e-10),
     ])
     def test_failure_message_quotes_the_missed_target(self, call):
         with pytest.raises(ConvergenceError) as err:
@@ -810,6 +835,135 @@ class TestSumPanels:
         assert np.array_equal(Iabs, self.fsums(np.abs(val), counts))
         assert np.array_equal(I, self.fsums(val, counts))
         assert np.any(Iabs > np.abs(I))
+
+
+def _signs(rng, shape):
+    return np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+
+
+def _run_values(kind, rng, n):
+    """A (3, n) block of panel values of one kind."""
+    shape = (3, n)
+    if kind == "spread":
+        # mixed signs over 120 binades
+        return _signs(rng, shape) * rng.random(shape) * 2.0 ** rng.integers(-60, 60, shape)
+    if kind == "wide":
+        # from the subnormals up to 1e300
+        return _signs(rng, shape) * 10.0 ** rng.uniform(-323.0, 300.0, shape)
+    if kind == "cancel":
+        # pairs x, -x in random order, plus residues 2^-80 below them or none
+        half = rng.standard_normal((3, (n + 1) // 2)) * 2.0 ** rng.integers(-20, 20)
+        x = np.concatenate([half, -half], axis=1)[:, :n]
+        if rng.random() < 0.5:
+            x[:, ::7] += rng.standard_normal(x[:, ::7].shape) * 2.0 ** -80
+        return rng.permuted(x, axis=1)
+    if kind == "subnormal":
+        # multiples of the least subnormal, with zeros of both signs
+        x = rng.integers(-2 ** 20, 2 ** 20, shape) * 5e-324
+        x[rng.random(shape) < 0.1] = -0.0
+        return x
+    if kind == "level":
+        # one sign and binade, then a small value of the other sign: the
+        # partial sums climb far above every single value
+        x = (1.0 + rng.random(shape)) * 2.0 ** rng.integers(-30, 30)
+        x[:, -1] = -rng.random(3) * 2.0 ** -rng.integers(0, 40, 3)
+        return x
+    # ties: per row a coarse value, half a unit of its last place (of the
+    # wider or the narrower gap) and a few residues near u^2 times it, among
+    # zeros, so the sums fall on or next to rounding midpoints
+    base = (rng.integers(1, 9, (3, 1)) * 2.0 ** rng.integers(-20, 20, (3, 1))
+            * _signs(rng, (3, 1)))
+    unit = np.spacing(np.abs(base)) / rng.choice([1.0, 2.0], (3, 1))
+    x = (_signs(rng, shape) * rng.integers(1, 8, shape) * unit
+         * 2.0 ** rng.integers(-60, -52, shape) * (rng.random(shape) < 4.0 / n))
+    x[:, :2] = np.hstack([base, 0.5 * unit * _signs(rng, (3, 1))])[:, :n]
+    return rng.permuted(x, axis=1)
+
+
+@st.composite
+def panel_stacks(draw):
+    """(val, err, counts): runs of 1 to 4,500 panels of mixed kinds, with a
+    few values Hypothesis picks itself (+-0.0, subnormals, up to 1e300)."""
+    counts = draw(st.lists(st.one_of(st.integers(1, 60), st.integers(4_000, 4_500)),
+                           min_size=1, max_size=4))
+    kinds = draw(st.lists(st.sampled_from(["spread", "wide", "cancel", "subnormal", "level", "ties"]),
+                          min_size=len(counts), max_size=len(counts)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    val = np.concatenate([_run_values(k, rng, n) for k, n in zip(kinds, counts)], axis=1)
+    picks = draw(st.lists(st.floats(-1e300, 1e300, allow_subnormal=True), max_size=6))
+    for x in picks:
+        val[rng.integers(3), rng.integers(val.shape[1])] = x
+    if draw(st.booleans()):
+        val = np.abs(val)
+    err = np.abs(_run_values(draw(st.sampled_from(["spread", "subnormal", "ties"])),
+                             rng, val.shape[1]))
+    return val, err, counts
+
+
+class TestExactSums:
+    """``_sum_panels`` returns the bits of ``math.fsum`` over every run, by
+    its certificate or by its fallback to fsum itself."""
+
+    @staticmethod
+    def check(val, err, counts):
+        I, Iabs, E = quadrature._sum_panels(val, err, counts)
+        want = TestSumPanels.fsums(np.concatenate([val, np.abs(val), err]), counts)
+        # tobytes tells -0.0 from 0.0
+        assert np.concatenate([I, Iabs, E], axis=1).tobytes() == want.tobytes()
+        assert (Iabs is I) == bool(np.all(val >= 0.0))
+
+    @settings(max_examples=120, deadline=None)
+    @given(panel_stacks())
+    def test_equals_fsum_bit_for_bit(self, stack):
+        self.check(*stack)
+
+    def test_failed_certificate_takes_fsum(self, monkeypatch):
+        # row 0 lands on the midpoint between 1 and its successor (fsum
+        # rounds it to even, 1.0), row 1 cancels to 0.0; row 2 passes: its
+        # 2^-80 lifts the sum off the midpoint, up to 1 + 2^-52
+        val = np.array([[1.0, 2.0 ** -53, 0.0], [1.0, -1.0, 0.0],
+                        [1.0, 2.0 ** -53, 2.0 ** -80]])
+        err = np.full((3, 3), 0.25)
+        fsum, seen = math.fsum, []
+        monkeypatch.setattr(math, "fsum", lambda xs: seen.append(list(xs)) or fsum(xs))
+        I, _, _ = quadrature._sum_panels(val, err, [3])
+        # the estimates and magnitudes of row 0, and the estimates of row 1
+        assert seen == [[1.0, 2.0 ** -53, 0.0], [1.0, -1.0, 0.0],
+                        [1.0, 2.0 ** -53, 0.0]]
+        monkeypatch.undo()
+        assert I[0].tolist() == [1.0, 0.0, 1.0 + 2.0 ** -52]
+        self.check(val, err, [3])
+
+    @pytest.mark.parametrize("row,want", [
+        # the low parts round onto the midpoint below d = 1, where the gap is
+        # half the one above; the exact sum lies past it
+        ([1.0, -2.0 ** -54, -2.0 ** -107], 1.0 - 2.0 ** -53),
+        # the low parts' sum rounds up by 1.25 * 2^-106 and hides that the
+        # exact sum is past the midpoint, |rho| alone is below half the gap
+        ([-1.25, -2.0 ** -53, 2.0 ** -106, -2.0 ** -105, 1.5 * 2.0 ** -107],
+         -1.25 - 2.0 ** -52),
+    ])
+    def test_near_midpoint_takes_fsum(self, row, want, monkeypatch):
+        # sums that only the rounding bound of the low parts and the
+        # narrower of d's two gaps keep from the certificate
+        val = np.array([row, np.ones(len(row)), np.ones(len(row))])
+        err = np.ones(val.shape)
+        fsum, seen = math.fsum, []
+        monkeypatch.setattr(math, "fsum", lambda xs: seen.append(list(xs)) or fsum(xs))
+        I, _, _ = quadrature._sum_panels(val, err, [len(row)])
+        assert row in seen
+        monkeypatch.undo()
+        assert I[0, 0] == want == math.fsum(row)
+        self.check(val, err, [len(row)])
+
+    @pytest.mark.parametrize("label,n", [("S2", 0), ("CP2", 8), ("OP2", 16)])
+    def test_catalog_stack_needs_no_fallback(self, label, n, monkeypatch):
+        val, err, counts = TestSumPanels().stack(quadrature._isotype(parse_space(label), n))
+        # a call of the fallback would raise
+        monkeypatch.setattr(math, "fsum", None)
+        quadrature._sum_panels(val, err, counts)
+        monkeypatch.undo()
+        self.check(val, err, counts)
 
 
 def scalar_breaks(tables, tau, T):

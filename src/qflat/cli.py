@@ -384,12 +384,14 @@ def _rows_asymptotics(cfg: RunConfig) -> tuple[list[dict], bool]:
         sp = parse_space(lbl)
         # watson2 takes the exact mu, kappa, nu, which do not depend on n
         ch = chi_params(sp, 0)
-        prefetch(sp, cfg.n_values, _SMALL_TAUS + _LARGE_TAUS, cfg.tol)
+        prefetch(sp, cfg.n_values, _SMALL_TAUS + _LARGE_TAUS, cfg.tol,
+                 derivs=False)
         for n in cfg.n_values:
             # the floats of the cached record are those of the exact
-            # parameters; n and m were validated at parse time
+            # parameters; n and m were validated at parse time.  As a tuple
+            # of floats the laws take them without coercing them again
             rec = _isotype(_unit_scale(sp), n)
-            coeffs = rec.coeffs.tolist()
+            coeffs = tuple(rec.coeffs.tolist())
             for tau in _SMALL_TAUS + _LARGE_TAUS:
                 small = tau in _SMALL_TAUS
                 row = {"space": lbl, "n": n,

@@ -55,7 +55,9 @@ Two numerical realities shape the implementation:
 Derivatives in tau are produced by differentiation under the integral sign:
 dQ/dtau inserts a factor t^2/tau^2 and d2Q/dtau2 a factor
 t^4/tau^4 - 2 t^2/tau^3, so one pass over the nodes yields the moments
-needed for (log Q)' and (log Q)''.
+needed for (log Q)' and (log Q)''.  A value-only call (``q_chi``, ``q_p``,
+``p_chi``) forms the first moment alone: its panels are summed, tested and
+refined on the value row only.
 
 All operations are pure; results are bit-reproducible for fixed inputs and
 independent of evaluation order across calls.  The rule sums are numpy
@@ -244,6 +246,14 @@ class QuadratureResult:
 
 
 def _as_float_coeffs(P: PolyLike) -> tuple[float, ...]:
+    """The float coefficients of P, lowest first, less trailing zeros.
+
+    A tuple of floats whose top coefficient is nonzero is already that, and
+    comes back as it is.
+    """
+    if (type(P) is tuple and P and P[-1] != 0.0
+            and all(type(c) is float for c in P)):
+        return P
     if isinstance(P, RationalPoly):
         cs = P.float_coeffs()
     elif isinstance(P, (int, float, Fraction)):
@@ -388,9 +398,12 @@ def _log_mag_sign(tables: Sequence[_Tables], tau: float | np.ndarray,
 
 
 def _moment_rows(t: np.ndarray, g: np.ndarray, sign: np.ndarray,
-                 scale: float) -> np.ndarray:
-    """Rows (w, t^2 w, t^4 w) with w = sign * exp(g - scale)."""
+                 scale: float, nrows: int) -> np.ndarray:
+    """Rows (w, t^2 w, t^4 w) with w = sign * exp(g - scale), or the row w
+    alone when ``nrows`` is 1."""
     w = sign * np.exp(g - scale)
+    if nrows == 1:
+        return w[None]
     t2 = t * t
     return np.stack([w, t2 * w, t2 * t2 * w])
 
@@ -413,18 +426,19 @@ def _panel_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _apply_rules(rows: np.ndarray,
                  half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates K15 and their errors |K15 - G7|, each of shape (3, P), from
-    the moment rows at the nodes of ``_panel_nodes``; G7 reads the nodes of
-    odd index."""
+    """Estimates K15 and their errors |K15 - G7|, each of shape (rows, P),
+    from the moment rows at the nodes of ``_panel_nodes``; G7 reads the
+    nodes of odd index."""
+    shape = len(rows), len(half)
     rows = rows.reshape(-1, 15)
-    k15 = _gl_rule(rows, _K15_W).reshape(3, len(half)) * half
-    g7 = _gl_rule(rows[:, 1::2], _G7_W).reshape(3, len(half)) * half
+    k15 = _gl_rule(rows, _K15_W).reshape(shape) * half
+    g7 = _gl_rule(rows[:, 1::2], _G7_W).reshape(shape) * half
     return k15, np.abs(k15 - g7)
 
 
 def _eval_panels(tables: _Tables, tau: float, scale: float, a: np.ndarray,
-                 b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates and their errors, each of shape (3, P), of panels [a, b].
+                 b: np.ndarray, nrows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates and their errors, each of shape (nrows, P), of panels [a, b].
 
     Each panel gets the Gauss-Kronrod 7/15 pair on its 15 nodes: K15 is the
     estimate and |K15 - G7| its error.  All nodes of all panels go through
@@ -432,7 +446,7 @@ def _eval_panels(tables: _Tables, tau: float, scale: float, a: np.ndarray,
     """
     xs, half = _panel_nodes(a, b)
     g, sign = _log_mag_sign([tables], tau, xs, [len(a)])
-    return _apply_rules(_moment_rows(xs, g, sign, scale), half)
+    return _apply_rules(_moment_rows(xs, g, sign, scale, nrows), half)
 
 
 # Candidate break points of a cell, as multiples: of T the grid k / 8
@@ -484,7 +498,7 @@ def _targets(I: np.ndarray, Iabs: np.ndarray, tol: float) -> np.ndarray:
     return np.maximum(tol * np.abs(I), 4e-16 * Iabs)
 
 
-# The sums (I, Iabs, E) of a run of panels, each of shape (3,).
+# The sums (I, Iabs, E) of a run of panels, each of shape (rows,).
 _Sums = tuple[np.ndarray, np.ndarray, np.ndarray]
 # A cell's first panel level: panels a and b, estimates, errors, scale,
 # sums, the targets of the first round and whether the errors meet them.
@@ -496,7 +510,7 @@ def _sum_panels(val: np.ndarray, err: np.ndarray, counts: Sequence[int]
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sums I of the estimates, Iabs of their magnitudes and E of their
     errors over each run of ``counts`` consecutive panels, each of shape
-    (runs, 3), with the bits of ``math.fsum``.  When no estimate is
+    (runs, rows), with the bits of ``math.fsum``.  When no estimate is
     negative, Iabs is I: the magnitudes are the estimates, so their sums
     have the same bits.
 
@@ -536,23 +550,26 @@ def _sum_panels(val: np.ndarray, err: np.ndarray, counts: Sequence[int]
     for i, k in zip(*np.nonzero(~ok)):
         d[i, k] = math.fsum(x[i, starts[k]:starts[k] + n[k]].tolist())
     sums = d.T
-    I = sums[:, :3]
-    return I, sums[:, 3:6] if signed else I, sums[:, -3:]
+    r = len(val)
+    I = sums[:, :r]
+    return I, sums[:, r:2 * r] if signed else I, sums[:, -r:]
 
 
 def _first_levels(tables: Sequence[_Tables], taus: Sequence[float],
-                  Ts: Sequence[float], tol: float) -> Iterator[_Level]:
+                  Ts: Sequence[float], tol: float,
+                  nrows: int) -> Iterator[_Level]:
     """The first panel level of each cell (tau, T), tested against the panel
-    tolerance ``tol``; the cells are of the records ``tables``, one per
-    cell, which share mu, kappa and nu, as the isotypes of one space do.
+    tolerance ``tol`` on the first ``nrows`` moment rows; the cells are of
+    the records ``tables``, one per cell, which share mu, kappa and nu, as
+    the isotypes of one space do.
 
     Yields per cell its panels a and b, their estimates and errors, each
-    of shape (3, P), its scale (the peak of log|integrand| over the cell's
-    own nodes), the sums of ``_sum_panels``, the targets of its first round
-    and whether its errors meet them.  The cells' panels are concatenated
-    into stacked node calls of at most _STACK_NODES nodes (or one cell, if
-    it has more), across records, with tau as a per-panel column; the
-    targets of a stack are one call and one comparison.  A stack is
+    of shape (nrows, P), its scale (the peak of log|integrand| over the
+    cell's own nodes), the sums of ``_sum_panels``, the targets of its
+    first round and whether its errors meet them.  The cells' panels are
+    concatenated into stacked node calls of at most _STACK_NODES nodes (or
+    one cell, if it has more), across records, with tau as a per-panel
+    column; the targets of a stack are one call and one comparison.  A stack is
     computed when its first cell is asked for, and its arrays are freed
     once the caller has let go of its cells.  Every step is elementwise,
     per panel or per cell, so each cell gets the bits it gets in a stack of
@@ -579,8 +596,8 @@ def _first_levels(tables: Sequence[_Tables], taus: Sequence[float],
         tau = np.repeat(np.array(taus[lo:hi], dtype=float), counts)[:, None]
         g, sign = _log_mag_sign(tables[lo:hi], tau, xs, counts)
         scales = np.maximum.reduceat(g.ravel(), 15 * starts)
-        val, err = _apply_rules(
-            _moment_rows(xs, g, sign, np.repeat(scales, counts)[:, None]), half)
+        val, err = _apply_rules(_moment_rows(
+            xs, g, sign, np.repeat(scales, counts)[:, None], nrows), half)
         # the node arrays go before the next stack's are made
         del xs, g, sign
         I, Iabs, E = _sum_panels(val, err, panels[lo:hi])
@@ -594,7 +611,8 @@ def _first_levels(tables: Sequence[_Tables], taus: Sequence[float],
 
 
 def _integrate_moments(
-    tables: _Tables, tau: float, T: float, tol: float, first: _Level
+    tables: _Tables, tau: float, T: float, tol: float, first: _Level,
+    nrows: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, bool]:
     """Refine the cell's first level, an entry of ``_first_levels``, until
     its panels meet ``tol`` (a first level that meets it is returned)."""
@@ -627,7 +645,7 @@ def _integrate_moments(
             a = np.stack([a[fail], mid], axis=1).ravel()
             b = np.stack([mid, b[fail]], axis=1).ravel()
             depth = np.repeat(depth[fail] + 1, 2)
-            val, err = _eval_panels(tables, tau, scale, a, b)
+            val, err = _eval_panels(tables, tau, scale, a, b, nrows)
             nodes += 15 * len(a)
             if budget_hit:
                 parts.append((a, b, depth, val, err))
@@ -702,17 +720,18 @@ def _first_truncation(tables: _Tables, tau: float, tol: float) -> float:
 
 
 def _finish_cell(tables: _Tables, tau: float, tol: float, T0: float,
-                 first: _Level) -> tuple[np.ndarray, QuadratureResult]:
-    """One cell from its first attempt's T and first level at the panel
-    tolerance tol/2: refinement, the tail test and up to four larger T,
-    whose first levels are stacks of one."""
+                 first: _Level, nrows: int
+                 ) -> tuple[np.ndarray, QuadratureResult]:
+    """One cell of ``nrows`` moment rows from its first attempt's T and
+    first level at the panel tolerance tol/2: refinement, the tail test and
+    up to four larger T, whose first levels are stacks of one."""
     for attempt in range(5):
         T = T0 * 1.3 ** attempt
         if attempt:
-            (first,) = _first_levels([tables], [tau], [T], 0.5 * tol)
+            (first,) = _first_levels([tables], [tau], [T], 0.5 * tol, nrows)
         # split the tolerance: half for the panels, half for the tail
         I, Iabs, E, scale, nodes, conv = _integrate_moments(
-            tables, tau, T, 0.5 * tol, first
+            tables, tau, T, 0.5 * tol, first, nrows
         )
         if not conv:
             # some moment row missed tol/2, so the worst E/|I| exceeds it
@@ -746,18 +765,22 @@ def _finish_cell(tables: _Tables, tau: float, tol: float, T0: float,
     )
 
 
-def _q_engine(tables: Sequence[_Tables], taus: Sequence[float],
-              tol: float) -> list:
+def _q_engine(tables: Sequence[_Tables], taus: Sequence[float], tol: float,
+              nrows: int) -> list:
     """Per validated cell (record, tau), whose records share mu, kappa and
     nu: (I, result), or the QuadratureError it raises.  Every cell's first
     T comes first, then the stacked first levels of all cells, then each
-    cell's refinement, tail test and larger T."""
+    cell's refinement, tail test and larger T.
+
+    Each cell forms, sums and meets tol on its first ``nrows`` moment rows:
+    1 for a value, 3 for (log q)' and (log q)'' as well; I has that length.
+    """
     Ts = [_first_truncation(tb, tau, tol) for tb, tau in zip(tables, taus)]
-    firsts = _first_levels(tables, taus, Ts, 0.5 * tol)
+    firsts = _first_levels(tables, taus, Ts, 0.5 * tol, nrows)
     out = []
     for tb, tau, T, first in zip(tables, taus, Ts, firsts):
         try:
-            out.append(_finish_cell(tb, tau, tol, T, first))
+            out.append(_finish_cell(tb, tau, tol, T, first, nrows))
         except QuadratureError as exc:
             # without its traceback, which would keep the grid's frames alive
             out.append(exc.with_traceback(None))
@@ -813,17 +836,18 @@ def q_p(P: PolyLike, params: QPParams,
     The relative error estimate of the panels and the tail is at most
     ``tol`` on success.  Otherwise a ConvergenceError carrying the best
     estimate is raised; when refinement stops at the node budget or the
-    maximum depth, its message gives the nodes spent and the worst moment's
-    relative panel error against the panel target tol/2.  The reported
-    ``rel_error`` adds the rounding floor described at QuadratureResult;
-    that floor is not part of the test and can exceed a ``tol`` near
-    TOL_MIN when the integrand cancels heavily.
+    maximum depth, its message gives the nodes spent and the value's
+    relative panel error against the panel target tol/2.  Only the value
+    row is formed, so convergence and ``rel_error`` are those of the value.
+    The reported ``rel_error`` adds the rounding floor described at
+    QuadratureResult; that floor is not part of the test and can exceed a
+    ``tol`` near TOL_MIN when the integrand cancels heavily.
     Deterministic: identical inputs give bit-identical results.
     """
     coeffs = _as_float_coeffs(P)
     _check_box(coeffs, params, tol)
     tables = _make_tables(coeffs, params.mu, params.kappa, params.nu)
-    (out,) = _q_engine([tables], [float(params.tau)], tol)
+    (out,) = _q_engine([tables], [float(params.tau)], tol, 1)
     return _unwrap(out)[1]
 
 
@@ -850,19 +874,22 @@ def _checked_isotype(space: RootData, n: int, tau: float,
 
 
 # The cells of the last prefetched grid: (I, result), or the QuadratureError
-# the cell raises, keyed by (space at B = 1, n, tau, tol).
+# the cell raises, keyed by (space at B = 1, n, tau, tol, moment rows).
 _ROW: dict = {}
 
 
 def prefetch(space: RootData, ns: Sequence[int], taus: Sequence[float],
-             tol: float = DEFAULT_TOL) -> None:
+             tol: float = DEFAULT_TOL, *, derivs: bool = True) -> None:
     """Compute the cells (n, tau) of the isotypes ``ns`` of ``space`` at
     ``taus`` ahead of their calls, as one grid of ``_q_engine``.
 
     Each outcome waits in a one-grid memo, which every call here replaces,
-    until ``q_chi`` or ``q_chi_derivs`` takes it for the same space (at any
-    B), n, tau and tol.  Those calls give the bits, and raise the errors,
-    they give without it.  Cells outside the box are left to their calls.
+    until a call of its kind takes it for the same space (at any B), n, tau
+    and tol: a derivative grid (``derivs``, the default) serves
+    ``q_chi_derivs``, a value grid serves ``q_chi``, and a call of the other
+    kind computes its cell alone and leaves the memo untouched.  Those calls
+    give the bits, and raise the errors, they give without it.  Cells
+    outside the box are left to their calls.
     """
     _ROW.clear()
     cells = {}
@@ -876,25 +903,32 @@ def prefetch(space: RootData, ns: Sequence[int], taus: Sequence[float],
     if not cells:
         return
     key = _unit_scale(space)
-    outcomes = _q_engine(list(cells.values()), [tau for _, tau in cells], tol)
+    nrows = 3 if derivs else 1
+    outcomes = _q_engine(list(cells.values()), [tau for _, tau in cells], tol,
+                         nrows)
     for (n, tau), out in zip(cells, outcomes):
-        _ROW[key, n, tau, tol] = out
+        _ROW[key, n, tau, tol, nrows] = out
 
 
-def _cell(space: RootData, n: int, tau: float,
-          tol: float) -> tuple[np.ndarray, QuadratureResult]:
-    """One cell, from the prefetched grid (which validated it) or else
-    validated and computed as a grid of one."""
-    out = _ROW.pop((_unit_scale(space), n, tau, tol), None)
+def _cell(space: RootData, n: int, tau: float, tol: float,
+          nrows: int) -> tuple[np.ndarray, QuadratureResult]:
+    """One cell of ``nrows`` moment rows, from the prefetched grid (which
+    validated it) or else validated and computed as a grid of one."""
+    out = _ROW.pop((_unit_scale(space), n, tau, tol, nrows), None)
     if out is None:
-        (out,) = _q_engine([_checked_isotype(space, n, tau, tol)], [tau], tol)
+        (out,) = _q_engine([_checked_isotype(space, n, tau, tol)], [tau], tol,
+                           nrows)
     return _unwrap(out)
 
 
 def q_chi(space: RootData, n: int, tau: float,
           tol: float = DEFAULT_TOL) -> QuadratureResult:
-    """The isotype-n radial integral q_n(tau) of a catalog space."""
-    _, res = _cell(space, n, float(tau), tol)
+    """The isotype-n radial integral q_n(tau) of a catalog space.
+
+    Only the value row is formed, so convergence and ``rel_error`` are
+    those of the value.
+    """
+    _, res = _cell(space, n, float(tau), tol, 1)
     return res
 
 
@@ -907,7 +941,7 @@ def q_chi_derivs(
     cancel; losing more than six digits triggers a CancellationWarning.
     """
     tau = float(tau)
-    I, res = _cell(space, n, tau, tol)
+    I, res = _cell(space, n, tau, tol, 3)
     ratio2 = float(I[1]) / float(I[0])
     ratio4 = float(I[2]) / float(I[0])
     d1 = ratio2 / tau**2
@@ -941,7 +975,8 @@ def p_chi(space: RootData, n: int, s: complex,
 
     Depends on s only through Im s: equals
     Vol(S^(m-1)) 2^(m/2) / (B^m (Im s)^(m/2)) * q_n(B^2 Im s), with the
-    overall isotype constant normalized to 1.
+    overall isotype constant normalized to 1.  q_n comes from ``q_chi``, so
+    convergence is that of its value row.
     """
     im = complex(s).imag
     if im <= 0.0:

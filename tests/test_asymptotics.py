@@ -14,7 +14,7 @@ from qflat.asymptotics import (
     tail_gauss_exp,
     watson2,
 )
-from qflat.hypergeom import closed_coeffs, hypergeom_poly
+from qflat.hypergeom import RationalPoly, closed_coeffs, hypergeom_poly
 from qflat.quadrature import q_chi
 from qflat.spaces import (
     DEFAULT_SCAN_SELECTORS,
@@ -363,7 +363,7 @@ class TestOracleReferences:
             ch = chi_params(sp, n)
             exact = hypergeom_poly(ch.A, n, ch.c)
             coeffs = quadrature._isotype(quadrature._unit_scale(sp), n).coeffs
-            for cached in (coeffs, coeffs.tolist()):
+            for cached in (coeffs, coeffs.tolist(), tuple(coeffs.tolist())):
                 for tau in (1e-3, 1e-2):
                     assert _hex(watson2(cached, ch.mu, ch.kappa, ch.nu, tau)) == _hex(
                         watson2(exact, ch.mu, ch.kappa, ch.nu, tau)), (n, tau)
@@ -371,3 +371,33 @@ class TestOracleReferences:
                     args = (float(ch.mu), float(ch.kappa), float(ch.nu), tau)
                     assert _hex(log_qp_large_tau(cached, *args)) == _hex(
                         log_qp_large_tau(exact, *args)), (n, tau)
+
+
+class TestCoefficientCoercion:
+    """A tuple of floats with a nonzero top coefficient is the coerced form
+    itself, so the laws take it as it is; every other input is coerced and
+    checked as before."""
+
+    LAWS = (lambda P: watson2(P, 1, 1, 1, 0.01),
+            lambda P: log_qp_large_tau(P, 1.0, 1.0, 1.0, 100.0))
+
+    def test_float_tuple_is_taken_as_it_is(self):
+        cs = (1.0, -0.5, 0.25)
+        assert quadrature._as_float_coeffs(cs) is cs
+
+    @pytest.mark.parametrize("P", [
+        (1.0, -0.5, 0.25), [1.0, -0.5, 0.25], (1, -0.5, Fraction(1, 4)),
+        (1.0, -0.5, 0.25, 0.0), RationalPoly((1, Fraction(-1, 2), Fraction(1, 4))),
+    ])
+    def test_every_form_gives_the_same_bits(self, P):
+        want = (1.0, -0.5, 0.25)
+        assert quadrature._as_float_coeffs(P) == want
+        for law in self.LAWS:
+            assert _hex(law(P)) == _hex(law(want))
+
+    @pytest.mark.parametrize("P", [(), [], (0.0,), (0.0, -0.0), [0.0], 0,
+                                   RationalPoly((0, 0))])
+    def test_empty_and_zero_polynomials_raise(self, P):
+        for law in self.LAWS:
+            with pytest.raises(quadrature.ParameterRangeError):
+                law(P)

@@ -1,8 +1,10 @@
 import functools
+import io
 import math
 import re
 import sys
 import warnings
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflat import quadrature
+from qflat.cli import main
 from qflat.quadrature import (
     CancellationWarning,
     ConvergenceError,
@@ -47,22 +50,23 @@ def s3_log_q_closed(n, tau):
         return mp.log(mp.sqrt(mp.pi) / 4) + 1.5 * mp.log(tau) + (n + 1) ** 2 * tau
 
 
-def panel_one_at_a_time(tables, tau, scale, a, b):
+def panel_one_at_a_time(tables, tau, scale, a, b, nrows):
     # the per-panel form of quadrature._eval_panels: K15 on [a, b] against
     # G7 on its nodes of odd index
     half = 0.5 * (b - a)
     xs = 0.5 * (a + b) + half * quadrature._K15_X
     g, sign = quadrature._log_mag_sign([tables], tau, xs[None, :], [1])
-    rows = quadrature._moment_rows(xs, g[0], sign[0], scale)
+    rows = quadrature._moment_rows(xs, g[0], sign[0], scale, nrows)
     k15 = quadrature._gl_rule(rows, quadrature._K15_W) * half
     g7 = quadrature._gl_rule(rows[:, 1::2], quadrature._G7_W) * half
     return k15, np.abs(k15 - g7)
 
 
 def engine_cell(coeffs, params, tol):
-    # one cell of q_p's route past its parameter box: the grid engine alone
+    # one cell of q_p's route past its parameter box: the grid engine alone,
+    # on the value row
     tables = quadrature._make_tables(coeffs, params.mu, params.kappa, params.nu)
-    (out,) = quadrature._q_engine([tables], [params.tau], tol)
+    (out,) = quadrature._q_engine([tables], [params.tau], tol, 1)
     return quadrature._unwrap(out)[1]
 
 
@@ -319,8 +323,10 @@ class TestRefinement:
     the first level and 30 per split."""
 
     @pytest.mark.parametrize("params, tol, nodes", [
-        (QPParams(0.5, 0.0, 0.5, 1.0), 1e-13, 2160),
-        (QPParams(0.25, 1.0, 0.0, 0.3), 1e-13, 1215),
+        # q_p refines on its value row alone: 2160 and 1215 nodes with all
+        # three moment rows
+        (QPParams(0.5, 0.0, 0.5, 1.0), 1e-13, 2100),
+        (QPParams(0.25, 1.0, 0.0, 0.3), 1e-13, 1155),
         (QPParams(0.25, 1.0, 0.0, 0.3), 1e-11, 945),
     ])
     def test_refining_cell_nodes(self, params, tol, nodes):
@@ -341,8 +347,9 @@ class TestRefinement:
         assert best.nodes == 399990
 
     @pytest.mark.parametrize("call", [
-        lambda: q_chi(parse_space("S7"), 8, 20.0, 1e-13),
-        lambda: q_chi(parse_space("HP2"), 8, 20.0, 1e-13),
+        # their value rows converge; the derivative rows miss the target
+        lambda: q_chi_derivs(parse_space("S7"), 8, 20.0, 1e-13),
+        lambda: q_chi_derivs(parse_space("HP2"), 8, 20.0, 1e-13),
         # stops at the maximum depth, far inside the node budget; q_p
         # refuses this weight (mu + kappa < -0.1), the engine still runs it
         lambda: engine_cell([1.0], QPParams(-0.45, 0.0, 0.0, 1e-3), 1e-10),
@@ -358,7 +365,8 @@ class TestRefinement:
         assert str(err.value.best.nodes) in msg
 
     def test_stacked_panels_match_one_at_a_time(self):
-        # the stacked layout gives each panel exactly the bits it gets alone
+        # the stacked layout gives each panel exactly the bits it gets alone,
+        # of the value row alone and of all three moment rows
         tau = 1.0
         tables = quadrature._checked_isotype(parse_space("CP2"), 2, tau, 1e-10)
         T = 15.0
@@ -367,12 +375,14 @@ class TestRefinement:
         g, _ = quadrature._log_mag_sign(
             [tables], tau, quadrature._panel_nodes(a, b)[0], [len(a)])
         scale = float(np.max(g))
-        val, err = quadrature._eval_panels(tables, tau, scale, a, b)
-        assert val.shape == err.shape == (3, len(a))
-        for i in range(len(a)):
-            v, e = panel_one_at_a_time(tables, tau, scale, float(a[i]), float(b[i]))
-            assert np.array_equal(val[:, i], v)
-            assert np.array_equal(err[:, i], e)
+        for nrows in (1, 3):
+            val, err = quadrature._eval_panels(tables, tau, scale, a, b, nrows)
+            assert val.shape == err.shape == (nrows, len(a))
+            for i in range(len(a)):
+                v, e = panel_one_at_a_time(tables, tau, scale, float(a[i]),
+                                           float(b[i]), nrows)
+                assert np.array_equal(val[:, i], v)
+                assert np.array_equal(err[:, i], e)
 
 
 class TestTruncationSoundness:
@@ -603,23 +613,27 @@ class TestFirstLevel:
     @pytest.mark.parametrize("label,n,tau,tol", CASES)
     def test_scale_is_the_peak_over_first_level_nodes(self, label, n, tau, tol):
         # the scale is the max of log|integrand| over the first level's own
-        # nodes, and that level gets the bits a separate moments call gives it
+        # nodes, and that level gets the bits a separate moments call gives
+        # it, of the value row alone and of all three moment rows
         tables = quadrature._checked_isotype(parse_space(label), n, tau, tol)
         T = q_chi(parse_space(label), n, tau, tol).truncation_t
-        (first,) = quadrature._first_levels([tables], [tau], [T], 0.5 * tol)
-        I, Iabs, E, scale, nodes, conv = quadrature._integrate_moments(
-            tables, tau, T, 0.5 * tol, first)
         breaks, _ = quadrature._initial_breaks([tables], [tau], [T])
         xs, _ = quadrature._panel_nodes(breaks[:-1], breaks[1:])
         g, _ = quadrature._log_mag_sign([tables], tau, xs, [len(xs)])
-        assert scale == float(np.max(g))
-        val, err = quadrature._eval_panels(tables, tau, scale, breaks[:-1], breaks[1:])
-        assert conv
-        sums = quadrature._sum_panels(val, err, [val.shape[1]])
-        assert len(sums) == 3
-        for got, want in zip((I, Iabs, E), sums):
-            assert want.shape == (1, 3)
-            assert np.array_equal(got, want[0])
+        for nrows in (1, 3):
+            (first,) = quadrature._first_levels([tables], [tau], [T], 0.5 * tol,
+                                                nrows)
+            I, Iabs, E, scale, nodes, conv = quadrature._integrate_moments(
+                tables, tau, T, 0.5 * tol, first, nrows)
+            assert scale == float(np.max(g))
+            val, err = quadrature._eval_panels(tables, tau, scale, breaks[:-1],
+                                               breaks[1:], nrows)
+            assert conv
+            sums = quadrature._sum_panels(val, err, [val.shape[1]])
+            assert len(sums) == 3
+            for got, want in zip((I, Iabs, E), sums):
+                assert want.shape == (1, nrows)
+                assert np.array_equal(got, want[0])
 
     @pytest.mark.parametrize("label,n,tau,tol", CASES)
     def test_nodes_are_fifteen_per_panel(self, label, n, tau, tol):
@@ -657,10 +671,10 @@ class TestStackedRow:
         tables = quadrature._checked_isotype(parse_space(label), n, 1.0, tol)
         Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
         recs = [tables] * len(ROW_TAUS)
-        row = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol))
+        row = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol, 3))
         assert len(row) == len(ROW_TAUS)
         for tau, T, cell in zip(ROW_TAUS, Ts, row):
-            (alone,) = quadrature._first_levels([tables], [tau], [T], 0.5 * tol)
+            (alone,) = quadrature._first_levels([tables], [tau], [T], 0.5 * tol, 3)
             assert len(cell) == len(alone) == 8
             for got, want in zip(cell, alone):
                 assert np.array_equal(got, want), (tau, T)
@@ -683,13 +697,13 @@ class TestStackedRow:
         tables = quadrature._checked_isotype(parse_space("CP2"), 4, 1.0, tol)
         Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
         recs = [tables] * len(ROW_TAUS)
-        whole = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol))
+        whole = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol, 3))
         monkeypatch.setattr(quadrature, "_STACK_NODES", 1)
         calls = []
         log_mag_sign = quadrature._log_mag_sign
         monkeypatch.setattr(quadrature, "_log_mag_sign",
                             lambda *a: calls.append(a[2].shape) or log_mag_sign(*a))
-        capped = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol))
+        capped = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol, 3))
         assert len(calls) == len(ROW_TAUS)
         for a, b in zip(whole, capped):
             for got, want in zip(a, b):
@@ -784,26 +798,32 @@ class TestStackedFirstRound:
         tables = quadrature._make_tables(quadrature._as_float_coeffs(P), mu, kappa, nu)
         Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
         recs = [tables] * len(ROW_TAUS)
-        stack = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol))
-        assert any(np.any(level[2] < 0.0) for level in stack)
-        # that stack is the first level of the grid of these cells
-        grid = quadrature._q_engine(recs, ROW_TAUS, tol)
-        for tau, out in zip(ROW_TAUS, grid):
-            (alone,) = quadrature._q_engine([tables], [tau], tol)
-            want = _outcome(lambda: quadrature._unwrap(alone))
-            assert _outcome(lambda: quadrature._unwrap(out)) == want
-            public = _outcome(lambda: (np.empty(0), q_p(P, QPParams(mu, kappa, nu, tau), tol)))
-            assert public[1:] == want[1:], tau
+        for nrows in (1, 3):
+            stack = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol,
+                                                  nrows))
+            assert any(np.any(level[2] < 0.0) for level in stack)
+            # that stack is the first level of the grid of these cells
+            grid = quadrature._q_engine(recs, ROW_TAUS, tol, nrows)
+            for tau, out in zip(ROW_TAUS, grid):
+                (alone,) = quadrature._q_engine([tables], [tau], tol, nrows)
+                want = _outcome(lambda: quadrature._unwrap(alone))
+                assert _outcome(lambda: quadrature._unwrap(out)) == want
+                if nrows == 1:
+                    # q_p is the value route
+                    public = _outcome(lambda: (
+                        np.empty(0), q_p(P, QPParams(mu, kappa, nu, tau), tol)))
+                    assert public[1:] == want[1:], tau
 
 
 class TestSumPanels:
     """``_sum_panels`` skips the magnitude sums only when no estimate of the
     stack is negative."""
 
-    def stack(self, tables, tol=1e-10):
+    def stack(self, tables, nrows=3, tol=1e-10):
         Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
         recs = [tables] * len(ROW_TAUS)
-        levels = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol))
+        levels = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol,
+                                               nrows))
         val = np.concatenate([level[2] for level in levels], axis=1)
         err = np.concatenate([level[3] for level in levels], axis=1)
         return val, err, [level[2].shape[1] for level in levels]
@@ -816,14 +836,16 @@ class TestSumPanels:
 
     @pytest.mark.parametrize("label,n", [("S2", 0), ("CP2", 8), ("OP2", 16)])
     def test_catalog_stack_reuses_the_estimate_sums(self, label, n):
-        val, err, counts = self.stack(quadrature._isotype(parse_space(label), n))
-        assert np.all(val >= 0.0)
-        I, Iabs, E = quadrature._sum_panels(val, err, counts)
-        assert I.shape == Iabs.shape == E.shape == (len(counts), 3)
-        assert Iabs is I
-        assert np.array_equal(Iabs, self.fsums(np.abs(val), counts))
-        assert np.array_equal(I, self.fsums(val, counts))
-        assert np.array_equal(E, self.fsums(err, counts))
+        for nrows in (1, 3):
+            val, err, counts = self.stack(
+                quadrature._isotype(parse_space(label), n), nrows)
+            assert np.all(val >= 0.0)
+            I, Iabs, E = quadrature._sum_panels(val, err, counts)
+            assert I.shape == Iabs.shape == E.shape == (len(counts), nrows)
+            assert Iabs is I
+            assert np.array_equal(Iabs, self.fsums(np.abs(val), counts))
+            assert np.array_equal(I, self.fsums(val, counts))
+            assert np.array_equal(E, self.fsums(err, counts))
 
     def test_negative_estimate_takes_the_magnitude_sums(self):
         P, mu, kappa, nu = MIXED
@@ -1046,7 +1068,7 @@ class TestRowBreaks:
                 quadrature, name,
                 lambda *a, _fn=fn, _name=name: calls.setdefault(_name, []).append(a)
                 or _fn(*a))
-        quadrature.prefetch(sp, ns, taus)
+        quadrature.prefetch(sp, ns, taus, derivs=False)
         assert len(calls["_initial_breaks"]) == 1
         stacks = [a[2] for a in calls["_sum_panels"]]
         assert len(stacks) == len(calls["_log_mag_sign"]) < len(ns)
@@ -1137,7 +1159,7 @@ class TestPrefetch:
         sp = parse_space("S3")
         with pytest.raises(ConvergenceError) as alone:
             q_chi(sp, 5, 400.0, 1e-13)
-        quadrature.prefetch(sp, [5], [1.0, 400.0], 1e-13)
+        quadrature.prefetch(sp, [5], [1.0, 400.0], 1e-13, derivs=False)
         with pytest.raises(ConvergenceError) as fetched:
             q_chi(sp, 5, 400.0, 1e-13)
         assert str(fetched.value) == str(alone.value)
@@ -1158,17 +1180,17 @@ class TestPrefetch:
         assert not empty_row
 
     def test_scale_is_keyed_at_one(self, empty_row):
-        quadrature.prefetch(parse_space("S4", B=2.0), [2], [1.5])
-        assert list(empty_row) == [(parse_space("S4"), 2, 1.5, quadrature.DEFAULT_TOL)]
+        quadrature.prefetch(parse_space("S4", B=2.0), [2], [1.5], derivs=False)
+        assert list(empty_row) == [(parse_space("S4"), 2, 1.5, quadrature.DEFAULT_TOL, 1)]
         got = q_chi(parse_space("S4"), 2, 1.5)
         assert not empty_row
         assert _bits(got) == _bits(q_chi(parse_space("S4", B=2.0), 2, 1.5))
 
     def test_one_row_at_a_time(self, empty_row):
         sp = parse_space("CP2")
-        quadrature.prefetch(sp, [1], [0.5, 1.0, 2.0])
+        quadrature.prefetch(sp, [1], [0.5, 1.0, 2.0], derivs=False)
         assert {k[1:3] for k in empty_row} == {(1, 0.5), (1, 1.0), (1, 2.0)}
-        quadrature.prefetch(sp, [2], [0.5, 4.0])
+        quadrature.prefetch(sp, [2], [0.5, 4.0], derivs=False)
         assert {k[1:3] for k in empty_row} == {(2, 0.5), (2, 4.0)}
         q_chi(sp, 1, 0.5)  # not in the row: computed alone, memo untouched
         assert len(empty_row) == 2
@@ -1176,7 +1198,31 @@ class TestPrefetch:
         assert len(empty_row) == 2
         q_chi(sp, 2, 0.5)
         assert {k[1:3] for k in empty_row} == {(2, 4.0)}
-        _quiet_derivs(sp, 2, 4.0)
+        q_chi(sp, 2, 4.0)
+        assert not empty_row
+
+    @pytest.mark.parametrize("derivs", (False, True))
+    def test_a_grid_serves_its_own_kind_only(self, derivs, empty_row):
+        # the value row of this cell settles in fewer nodes than all three
+        # rows do, so each kind has bits of its own
+        sp, n, tau, tol = parse_space("OP2"), 3, 0.05, 1e-13
+        value = _hexbits(q_chi(sp, n, tau, tol))
+        deriv = _derivs_outcome(sp, n, tau, tol)
+        assert (value[4], deriv[4]) == (420, 570)
+        quadrature.prefetch(sp, [n], [tau], tol, derivs=derivs)
+        ((key, out),) = empty_row.items()
+        assert key == (sp, n, tau, tol, 3 if derivs else 1)
+        # the other kind computes its cell alone and leaves the entry
+        if derivs:
+            assert _hexbits(q_chi(sp, n, tau, tol)) == value
+        else:
+            assert _derivs_outcome(sp, n, tau, tol) == deriv
+        assert list(empty_row) == [key] and empty_row[key] is out
+        # its own kind takes it
+        if derivs:
+            assert _derivs_outcome(sp, n, tau, tol) == deriv
+        else:
+            assert _hexbits(q_chi(sp, n, tau, tol)) == value
         assert not empty_row
 
 
@@ -1231,8 +1277,8 @@ class TestGridPrefetch:
             with pytest.raises(ParameterRangeError) as exc:
                 q_chi(sp, n, tau)
             want.append(str(exc.value))
-        quadrature.prefetch(sp, [0, 17], [1.0, 500.0, 1e-31, math.nan])
-        assert list(empty_row) == [(sp, 0, 1.0, quadrature.DEFAULT_TOL)]
+        quadrature.prefetch(sp, [0, 17], [1.0, 500.0, 1e-31, math.nan], derivs=False)
+        assert list(empty_row) == [(sp, 0, 1.0, quadrature.DEFAULT_TOL, 1)]
         for (n, tau), msg in zip(bad, want):
             with pytest.raises(ParameterRangeError) as exc:
                 q_chi(sp, n, tau)
@@ -1272,11 +1318,11 @@ class TestOneRoute:
         q_engine = quadrature._q_engine
         first_truncation = quadrature._first_truncation
 
-        def engine(tables, taus, tol):
-            calls.append(("engine", len(tables)))
+        def engine(tables, taus, tol, nrows):
+            calls.append(("engine", len(tables), nrows))
             inside.append(True)
             try:
-                return q_engine(tables, taus, tol)
+                return q_engine(tables, taus, tol, nrows)
             finally:
                 inside.pop()
 
@@ -1288,31 +1334,37 @@ class TestOneRoute:
         monkeypatch.setattr(quadrature, "_first_truncation", truncation)
         return calls
 
-    @pytest.mark.parametrize("call", [
-        lambda: q_p([1.0, 3.0], QPParams(0.5, 1.5, 2.0, 1.0)),
-        lambda: q_chi(parse_space("CP2"), 3, 0.5),
-        lambda: q_chi_derivs(parse_space("HP2"), 1, 2.0),
-    ], ids=["q_p", "q_chi", "q_chi_derivs"])
-    def test_lone_cell_is_a_grid_of_one(self, call, engine_calls):
+    @pytest.mark.parametrize("call, nrows", [
+        (lambda: q_p([1.0, 3.0], QPParams(0.5, 1.5, 2.0, 1.0)), 1),
+        (lambda: q_chi(parse_space("CP2"), 3, 0.5), 1),
+        (lambda: p_chi(parse_space("S4"), 2, 0.5 + 1.5j), 1),
+        (lambda: q_chi_derivs(parse_space("HP2"), 1, 2.0), 3),
+    ], ids=["q_p", "q_chi", "p_chi", "q_chi_derivs"])
+    def test_lone_cell_is_a_grid_of_one(self, call, nrows, engine_calls):
+        # the entry point sets the moment rows: the value alone, or all three
         call()
-        assert engine_calls == [("engine", 1), ("truncation", True)]
+        assert engine_calls == [("engine", 1, nrows), ("truncation", True)]
 
     def test_prefetched_grid_is_one_call(self, engine_calls, empty_row):
+        # a value grid and a derivative grid, each taken by calls of its kind
         sp, ns, taus = parse_space("S5"), (0, 4, 9), (1e-3, 1.0, 20.0)
-        quadrature.prefetch(sp, ns, taus)
-        for n in ns:
-            for tau in taus:
-                q_chi(sp, n, tau)
-        assert not empty_row
-        assert engine_calls == [("engine", 9)] + [("truncation", True)] * 9
+        for derivs, call, nrows in ((False, q_chi, 1), (True, _quiet_derivs, 3)):
+            engine_calls.clear()
+            quadrature.prefetch(sp, ns, taus, derivs=derivs)
+            for n in ns:
+                for tau in taus:
+                    call(sp, n, tau)
+            assert not empty_row
+            assert engine_calls == [("engine", 9, nrows)] + [("truncation", True)] * 9
 
     def test_larger_t_builds_its_own_first_level(self, monkeypatch, empty_row):
         # OP2 at n = 0 and MIN_TAU settles only at its fourth T, 1.3^3 times
         # the first; each later attempt is a stack of one at its own T
         Ts = []
         first_levels = quadrature._first_levels
-        monkeypatch.setattr(quadrature, "_first_levels", lambda tables, taus, ts, tol:
-                            Ts.append(list(ts)) or first_levels(tables, taus, ts, tol))
+        monkeypatch.setattr(quadrature, "_first_levels",
+                            lambda tables, taus, ts, tol, nrows: Ts.append(list(ts))
+                            or first_levels(tables, taus, ts, tol, nrows))
         res = q_chi(parse_space("OP2"), 0, quadrature.MIN_TAU)
         T0 = Ts[0][0]
         assert Ts == [[T0 * 1.3 ** k] for k in range(4)]
@@ -1390,3 +1442,81 @@ class TestTauFloor:
                 assert d2 == pytest.approx(-0.5 * sp.m / tau**2, rel=1e-9)
         res = q_p([1.0] * 17, QPParams(8.0, 8.0, 8.0, tau), tol)
         assert res.value > 2.3e-308
+
+
+class TestValueRows:
+    """``q_chi``, ``q_p`` and ``p_chi`` form the value row alone,
+    ``q_chi_derivs`` all three moment rows."""
+
+    @staticmethod
+    def spy_rows(monkeypatch):
+        # (caller, rows formed) of every node call of the moments
+        seen = []
+        moment_rows = quadrature._moment_rows
+
+        def spy(*args):
+            rows = moment_rows(*args)
+            seen.append((sys._getframe(1).f_code.co_name, len(rows)))
+            return rows
+
+        monkeypatch.setattr(quadrature, "_moment_rows", spy)
+        return seen
+
+    def test_oracles_pass_forms_one_row_per_stack(self, monkeypatch, empty_row):
+        # verify-asymptotics over the default spaces: several stacks per
+        # space, each of the value row alone
+        seen = self.spy_rows(monkeypatch)
+        with redirect_stdout(io.StringIO()):
+            assert main(["verify-asymptotics", "--space", "all", "--n", "0..16"]) == 0
+        stacks = [rows for caller, rows in seen if caller == "_first_levels"]
+        assert len(stacks) > 2 * len(DEFAULT_SCAN_SELECTORS)
+        assert set(rows for _, rows in seen) == {1}
+
+    @pytest.mark.parametrize("derivs", (False, True))
+    def test_every_stack_of_a_grid_forms_its_rows(self, derivs, monkeypatch,
+                                                  empty_row):
+        # at tol 1e-13 some cells refine, in node calls of _eval_panels
+        seen = self.spy_rows(monkeypatch)
+        sp = parse_space("CP2")
+        quadrature.prefetch(sp, range(quadrature.MAX_DEGREE + 1),
+                            (quadrature.MIN_TAU, 1e-3, 0.05, 20.0), 1e-13,
+                            derivs=derivs)
+        callers = {caller for caller, _ in seen}
+        assert callers == {"_first_levels", "_eval_panels"}
+        assert sum(caller == "_first_levels" for caller, _ in seen) > 2
+        assert {rows for _, rows in seen} == {3 if derivs else 1}
+
+    SWEEP_NS = (0, 3, 8, 16)
+    SWEEP_TAUS = (1e-3, 0.05, 1.0, 20.0, 400.0)
+
+    @pytest.mark.parametrize("tol", (1e-13, 1e-10, 1e-4))
+    def test_value_agrees_with_the_derivative_route(self, tol):
+        # where all three rows settle on the first level the value row does
+        # too, with the same bits; at tol 1e-13 cells that the three rows
+        # refine get other nodes, and agree within their error bounds
+        differ = 0
+        for label in DEFAULT_SCAN_SELECTORS:
+            sp = parse_space(label)
+            for n in self.SWEEP_NS:
+                for tau in self.SWEEP_TAUS:
+                    try:
+                        deriv = _quiet_derivs(sp, n, tau, tol)[0]
+                    except ConvergenceError:
+                        continue
+                    value = q_chi(sp, n, tau, tol)
+                    if _hexbits(value) == _hexbits(deriv):
+                        continue
+                    differ += 1
+                    kind = TestStackedFirstRound.kind(
+                        sp, n, tau, tol, (None, _hexbits(deriv)))
+                    assert kind != "settled", (label, n, tau)
+                    if math.isinf(value.value):
+                        # abs_error overflows with the value; the logs agree
+                        # within the relative errors
+                        gap = abs(value.log_value - deriv.log_value)
+                        bound = value.rel_error + deriv.rel_error
+                    else:
+                        gap = abs(value.value - deriv.value)
+                        bound = value.abs_error + deriv.abs_error
+                    assert gap <= bound, (label, n, tau)
+        assert (differ > 0) == (tol == 1e-13)

@@ -412,31 +412,10 @@ def _rows_asymptotics(cfg: RunConfig) -> tuple[list[dict], bool]:
     return rows, all(r["status"] == "ok" for r in rows)
 
 
-def _witness_fields(rep: FlatnessReport) -> tuple:
-    w = rep.exact_witness
-    if w is None:
-        return None, None, None
-    return w.n, describe_exact(w.lhs), describe_exact(w.rhs)
-
-
-def _scan_rows(reports: list[FlatnessReport]) -> list[dict]:
-    rows = []
-    for rep in reports:
-        wn, wl, wr = _witness_fields(rep)
-        rows.append({
-            "space": rep.space.label,
-            "verdict": rep.verdict.value,
-            "max_chi_deviation": rep.max_chi_deviation,
-            "prefactor_residual": rep.prefactor_residual,
-            "witness_n": wn, "witness_lhs": wl, "witness_rhs": wr,
-        })
-    return rows
-
-
 def _scan_payload(reports: list[FlatnessReport], cfg: RunConfig) -> dict:
     reps = []
     for rep in reports:
-        wn, wl, wr = _witness_fields(rep)
+        w = rep.exact_witness
         entry = {
             "space": rep.space.label,
             "family": rep.space.family.value,
@@ -447,8 +426,9 @@ def _scan_payload(reports: list[FlatnessReport], cfg: RunConfig) -> dict:
             "verdict": rep.verdict.value,
             "max_chi_deviation": rep.max_chi_deviation,
             "prefactor_residual": rep.prefactor_residual,
-            "exact_witness": None if wn is None else
-                {"n": wn, "lhs": wl, "rhs": wr, "pass": False},
+            "exact_witness": None if w is None else
+                {"n": w.n, "lhs": describe_exact(w.lhs),
+                 "rhs": describe_exact(w.rhs), "pass": False},
             "centrality": [
                 {"n": c.n, "lhs": describe_exact(c.lhs),
                  "rhs": describe_exact(c.rhs), "pass": c.passed}
@@ -506,8 +486,12 @@ def _render(cfg: RunConfig) -> tuple[str, bool]:
                 rep.verdict is theorem_expected_verdict(rep.space)
                 for rep in reports
             )
-        rows = _scan_rows(reports)
         payload = _scan_payload(reports, cfg)
+        rows = []
+        for entry in payload["reports"]:
+            w = entry["exact_witness"] or {}
+            rows.append(dict(entry, witness_n=w.get("n"),
+                             witness_lhs=w.get("lhs"), witness_rhs=w.get("rhs")))
     else:  # unreachable behind argparse
         raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
 

@@ -9,9 +9,9 @@ Gauss-Kronrod 7/15 panels on a truncated interval [0, T].  Each panel costs
 15 node evaluations: the 15-point Kronrod rule gives its value and the
 7-point Gauss rule on every other node its error estimate |K15 - G7|
 (the embedded pair of QUADPACK's qk15).  Panels are kept as arrays, and
-each refinement level (the initial panels, then the children of every
-panel split in a round) is evaluated in one stacked call, so the cost per
-node is numpy arithmetic rather than Python overhead per panel.
+each level (the initial panels, then each generation of the refinement
+sweep) is evaluated in one stacked call, so the cost per node is numpy
+arithmetic rather than Python overhead per panel.
 
 The fixed cost of a cell is kept small as well.  Everything about isotype n
 of a catalog space that does not depend on tau (the float coefficients of
@@ -20,19 +20,20 @@ of the tail bound) is one read-only record, built once per
 (space, n) and cached; the scale B never enters it.  Integrals of arbitrary
 polynomials (``q_p``) build their record afresh and leave the cache alone.
 Within a cell, the common log-scale is the peak of the integrand over the
-first panel level's own nodes, and a refinement round whose panels all
-meet their targets ends the integration with the sums it has already
-formed.  Every cell goes through one grid engine, ``_q_engine``: a grid of
-isotypes n and taus of one space from ``prefetch``, or a lone cell as a
-grid of one.  The break points of a grid come from one array pass, with
+first panel level's own nodes, and refinement is one bisection sweep
+against the first level's targets, whose kept panels are summed once.
+Every cell goes through one grid engine, ``_q_engine``: a grid of isotypes
+n and taus of one space from ``prefetch``, or a lone cell as a grid of
+one.  The break points of a grid come from one array pass, with
 lam as a per-cell column, and its first levels go through stacked node
 calls that span isotypes, with tau as a per-panel column.  The exponents
 mu, kappa, nu depend on the space only, so the isotypes of a stack differ
 only in the coefficients of P, which ``_log_mag_sign`` reads by index from
-one table, zero-padded to the stack's top degree.  The first-round targets
-of a stack are tested together; a cell that meets them never enters
-refinement, the others refine from the stored targets.  Every step is per
-node, panel or cell, so a cell gets the same bits alone and in any grid.
+one table, zero-padded to the stack's top degree.  The first level's
+targets of a stack are tested together; a cell that meets them never
+enters refinement, the others refine against the stored targets.  Every
+step is per node, panel or cell, so a cell gets the same bits alone and in
+any grid.
 
 Two numerical realities shape the implementation:
 
@@ -165,7 +166,6 @@ MAX_TAU = 400.0
 MIN_TAU = 1e-30
 
 _MAX_DEPTH = 46
-_MAX_ROUNDS = 6
 _SAFETY = 0.5
 _NODE_BUDGET = 400_000
 # Nodes per stacked node call of the first levels of a grid of cells
@@ -321,6 +321,9 @@ class _Tables(NamedTuple):
 def _make_tables(coeffs: Sequence[float], mu: float, kappa: float,
                  nu: float) -> _Tables:
     c = np.array(coeffs, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ParameterRangeError(
+            f"polynomial coefficients must be finite, got {tuple(coeffs)}")
     deg = len(c) - 1
     kappa, nu = float(kappa), float(nu)
     j = np.arange(deg + 1)
@@ -501,7 +504,8 @@ def _targets(I: np.ndarray, Iabs: np.ndarray, tol: float) -> np.ndarray:
 # The sums (I, Iabs, E) of a run of panels, each of shape (rows,).
 _Sums = tuple[np.ndarray, np.ndarray, np.ndarray]
 # A cell's first panel level: panels a and b, estimates, errors, scale,
-# sums, the targets of the first round and whether the errors meet them.
+# sums, the targets its refinement sweep tests against and whether the
+# errors meet them.
 _Level = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, _Sums,
                np.ndarray, bool]
 
@@ -566,7 +570,7 @@ def _first_levels(tables: Sequence[_Tables], taus: Sequence[float],
     Yields per cell its panels a and b, their estimates and errors, each
     of shape (nrows, P), its scale (the peak of log|integrand| over the
     cell's own nodes), the sums of ``_sum_panels``, the targets of its
-    first round and whether its errors meet them.  The cells' panels are
+    refinement sweep and whether its errors meet them.  The cells' panels are
     concatenated into stacked node calls of at most _STACK_NODES nodes (or
     one cell, if it has more), across records, with tau as a per-panel
     column; the targets of a stack are one call and one comparison.  A stack is
@@ -614,55 +618,46 @@ def _integrate_moments(
     tables: _Tables, tau: float, T: float, tol: float, first: _Level,
     nrows: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, bool]:
-    """Refine the cell's first level, an entry of ``_first_levels``, until
-    its panels meet ``tol`` (a first level that meets it is returned)."""
+    """Refine the cell's first level, an entry of ``_first_levels``, in one
+    bisection sweep, then test its sums against ``tol`` (a first level that
+    meets it is returned).
+
+    Each generation splits the panels that miss their share of the first
+    level's targets; its panels share one depth and run left to right.
+    The sweep ends when no panel fails, at depth ``_MAX_DEPTH``, or when
+    the node budget cuts a generation short at its leftmost failing panels,
+    whose children are kept untested.  The kept panels are summed in one
+    call, correctly rounded, so their order does not matter.
+    """
     a, b, val, err, scale, (I, Iabs, E), target, converged = first
     nodes = 15 * len(a)
     if converged:
         return I, Iabs, E, scale, nodes, True
-    depth = np.zeros(len(a), dtype=int)
-
-    budget_hit = False
-    for _ in range(_MAX_ROUNDS):
-        # split level by level; each panel is tested on its own against the
-        # round's fixed target, so the order of the splits does not matter
-        # until the node budget runs out
-        parts = []
-        while True:
-            share = _SAFETY * (b - a) / T
-            ok = np.all(err <= target[:, None] * share, axis=0)
-            fail = np.flatnonzero(~ok & (depth < _MAX_DEPTH))
-            room = max(0, (_NODE_BUDGET - nodes) // 30)
-            if len(fail) > room:
-                budget_hit = True
-                fail = fail[:room]
-            stay = np.ones(len(a), dtype=bool)
-            stay[fail] = False
-            parts.append(tuple(x[..., stay] for x in (a, b, depth, val, err)))
-            if len(fail) == 0:
-                break
-            mid = 0.5 * (a[fail] + b[fail])
-            a = np.stack([a[fail], mid], axis=1).ravel()
-            b = np.stack([mid, b[fail]], axis=1).ravel()
-            depth = np.repeat(depth[fail] + 1, 2)
-            val, err = _eval_panels(tables, tau, scale, a, b, nrows)
-            nodes += 15 * len(a)
-            if budget_hit:
-                parts.append((a, b, depth, val, err))
-                break
-        # back into left-to-right order, which the budget cut above follows
-        a, b, depth, val, err = (np.concatenate(x, axis=-1) for x in zip(*parts))
-        order = np.argsort(a)
-        a, b, depth, val, err = (x[..., order] for x in (a, b, depth, val, err))
-        # the round that meets its targets (or may split no further) returns
-        # the sums it has formed
-        I, Iabs, E = (x[0] for x in _sum_panels(val, err, [len(a)]))
-        target = _targets(I, Iabs, tol)
-        converged = bool(np.all(E <= target))
-        if converged or budget_hit:
+    vals, errs = [], []
+    for _ in range(_MAX_DEPTH):
+        ok = np.all(err <= target[:, None] * (_SAFETY * (b - a) / T), axis=0)
+        fail = np.flatnonzero(~ok)
+        room = max(0, (_NODE_BUDGET - nodes) // 30)
+        cut = len(fail) > room
+        fail = fail[:room]
+        if len(fail) == 0:
             break
-
-    return I, Iabs, E, scale, nodes, converged
+        stay = np.ones(len(a), dtype=bool)
+        stay[fail] = False
+        vals.append(val[:, stay])
+        errs.append(err[:, stay])
+        mid = 0.5 * (a[fail] + b[fail])
+        a = np.stack([a[fail], mid], axis=1).ravel()
+        b = np.stack([mid, b[fail]], axis=1).ravel()
+        val, err = _eval_panels(tables, tau, scale, a, b, nrows)
+        nodes += 15 * len(a)
+        if cut:
+            break
+    vals.append(val)
+    errs.append(err)
+    val, err = np.concatenate(vals, axis=1), np.concatenate(errs, axis=1)
+    I, Iabs, E = (x[0] for x in _sum_panels(val, err, [val.shape[1]]))
+    return I, Iabs, E, scale, nodes, bool(np.all(E <= _targets(I, Iabs, tol)))
 
 
 def _log_tail_bound(tables: _Tables, tau: float, T: float) -> float:
@@ -811,6 +806,7 @@ def integrand(P: PolyLike, params: QPParams, t: float) -> float:
     if not 0.0 <= t < math.inf:
         raise ParameterRangeError(f"t must be finite and nonnegative, got {t}")
     coeffs = _as_float_coeffs(P)
+    tables = _make_tables(coeffs, params.mu, params.kappa, params.nu)
     if t == 0.0:
         r = params.mu + params.kappa + 1.0
         if r > 1.0:
@@ -818,7 +814,6 @@ def integrand(P: PolyLike, params: QPParams, t: float) -> float:
         if r == 1.0:
             return coeffs[0]
         return math.inf
-    tables = _make_tables(coeffs, params.mu, params.kappa, params.nu)
     g, sign = _log_mag_sign([tables], float(params.tau),
                             np.array([[float(t)]]), [1])
     g0 = float(g[0, 0])

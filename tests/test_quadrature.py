@@ -173,6 +173,12 @@ class TestIntegrand:
             with pytest.raises(ValueError):
                 integrand(1, QPParams(0, 0, 0, 1.0), t)
 
+    @pytest.mark.parametrize("P", [[math.nan], [1.0, math.inf], [-math.inf, 1.0]])
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_rejects_non_finite_coefficients(self, P, t):
+        with pytest.raises(ParameterRangeError, match="finite"):
+            integrand(P, QPParams(0, 0, 0, 1.0), t)
+
 
 class TestQP:
     def test_gaussian_half_line(self):
@@ -221,6 +227,20 @@ class TestQP:
         for tol in (1e-14, 1e-3):
             with pytest.raises(ParameterRangeError):
                 q_p(1, QPParams(0, 0, 0, 1.0), tol)
+
+    @pytest.mark.parametrize("P", [[math.nan], [1.0, math.inf], [-math.inf, 1.0]])
+    def test_non_finite_coefficients_refused(self, P, monkeypatch):
+        # refused before any node is spent: a NaN estimate fails every
+        # panel test and would spend the whole node budget
+        engine = quadrature._q_engine
+        calls = []
+        monkeypatch.setattr(quadrature, "_q_engine",
+                            lambda *a: calls.append(a) or engine(*a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterRangeError, match="finite"):
+                q_p(P, QPParams(1, 1, 1, 1.0))
+        assert not calls
 
     def test_singular_weight_below_the_box_is_refused(self, monkeypatch):
         # t^(mu + kappa) at the origin outruns refinement below -0.1: these
@@ -338,6 +358,38 @@ class TestRefinement:
         # reference from 30-digit tanh-sinh quadrature
         res = q_p(1, QPParams(0.5, 0.0, 0.5, 1.0), 1e-13)
         assert res.value == pytest.approx(0.723214354285265, rel=1e-13)
+
+    @pytest.mark.parametrize("label, n, tau, nodes, log_value, rel_error", [
+        # converges at the node budget, so the cut of the leftmost failing
+        # panels of a generation shows in its bits
+        ("S4", 8, 20.0, 399990, "0x1.c490a86c90c8dp+10", "0x1.3e5ce255aa544p-45"),
+        ("HP2", 8, 1e-3, 465, "-0x1.a6c4ea1931346p+4", "0x1.000000095f24ap-47"),
+        ("OP2", 0, 0.05, 480, "-0x1.dcfaab3dc3256p+3", "0x1.0000000004e9dp-47"),
+    ])
+    def test_refined_catalog_cell_bits(self, label, n, tau, nodes, log_value,
+                                       rel_error):
+        # pinned bit for bit, so a change in which panels a sweep splits or
+        # keeps shows here
+        res = q_chi(parse_space(label), n, tau, 1e-13)
+        assert res.nodes == nodes
+        assert res.log_value.hex() == log_value
+        assert res.rel_error.hex() == rel_error
+
+    def test_depth_limited_cell_ends_after_one_sweep(self, monkeypatch):
+        # the sweep stops at the maximum depth, far inside the node budget,
+        # and its kept panels are summed once after the first level's sum
+        sums = []
+        fn = quadrature._sum_panels
+        monkeypatch.setattr(quadrature, "_sum_panels",
+                            lambda *a: sums.append(a) or fn(*a))
+        with pytest.raises(ConvergenceError) as err:
+            engine_cell([1.0], QPParams(-0.45, 0.0, 0.0, 1e-3), 1e-10)
+        assert str(err.value) == (
+            "panel refinement did not reach tol=1e-10: after 34035 nodes the "
+            "worst moment's relative error 3.362e-10 exceeds the panel target "
+            "5e-11")
+        assert err.value.best.nodes == 34035
+        assert len(sums) == 2
 
     def test_budget_exhausted_cell(self):
         with pytest.raises(ConvergenceError) as err:
@@ -585,6 +637,16 @@ class TestIsotypeCache:
                 q_chi(*args)
         assert quadrature._isotype.cache_info().currsize == 0
 
+    def test_non_finite_record_refused(self, monkeypatch):
+        # catalog records come from the builder q_p and integrand use, so a
+        # non-finite coefficient is refused there too, and nothing is cached
+        monkeypatch.setattr(quadrature, "hypergeom_poly",
+                            lambda *a: [1.0, math.nan])
+        quadrature._isotype.cache_clear()
+        with pytest.raises(ParameterRangeError, match="finite"):
+            q_chi(parse_space("CP2"), 1, 1.0)
+        assert quadrature._isotype.cache_info().currsize == 0
+
     def test_miss_builds_through_module_globals(self, monkeypatch):
         # a miss looks up chi_params and hypergeom_poly on the module, where
         # instrumentation can see it; a hit calls neither
@@ -735,7 +797,7 @@ MIXED = ([1.0, 3.0], 0.5, 1.5, 2.0)
 
 
 class TestStackedFirstRound:
-    """A stack's first-round targets are tested together; each cell must
+    """A stack's first-level targets are tested together; each cell must
     still get the bits, or the error, of a row of one."""
 
     TOLS = (1e-13, 1e-10, 1e-4)

@@ -38,9 +38,7 @@ from .asymptotics import (
     CentralPrediction,
     watson2,
     fseries2,
-    tail_gauss_exp,
     log_tail_gauss_exp,
-    qp_large_tau,
     log_qp_large_tau,
     central_predict,
 )

@@ -6,9 +6,9 @@ controls tau -> infinity, and the central-sequence identities predict how
 the whole isotype family collapses onto the n = 0 integral when the
 curvature is isotype-independent.
 
-Comparisons against quadrature at large tau must be done on ratios of
-logarithms; the plain-value entry points here overflow together with the
-integrals they approximate, so log variants are provided alongside.
+The large-tau laws are given in log form only: their values overflow
+together with the integrals they approximate, so comparisons against
+quadrature at large tau are made on logarithms.
 """
 
 from __future__ import annotations
@@ -20,15 +20,13 @@ from fractions import Fraction
 from typing import Union
 
 from ._gamma import gamma_value
-from .quadrature import _as_float_coeffs, _exp_or_inf
+from .quadrature import _as_float_coeffs
 
 __all__ = [
     "CentralPrediction",
     "watson2",
     "fseries2",
-    "tail_gauss_exp",
     "log_tail_gauss_exp",
-    "qp_large_tau",
     "log_qp_large_tau",
     "central_predict",
 ]
@@ -101,14 +99,13 @@ def fseries2(P, kappa, nu) -> tuple[float, float]:
     return c0, -c1 + float(kappa) / 6.0 + float(nu) / 2.0
 
 
-def log_tail_gauss_exp(a: float, lam: float, mu: float, tau: float) -> float:
-    """Log of the leading large-tau value of int_a^inf e^(-t^2/tau) t^mu e^(lam t) dt.
+def log_tail_gauss_exp(lam: float, mu: float, tau: float) -> float:
+    """Log of the leading large-tau value of int_0^inf e^(-t^2/tau) t^mu e^(lam t) dt.
 
-    Completing the square gives (lam/2)^mu sqrt(pi) tau^(mu+1/2)
-    e^(lam^2 tau/4); the cutoff a does not enter the leading term.
+    Completing the square centres a Gaussian of width sqrt(tau) at
+    t = lam tau/2; taking t^mu there gives
+    sqrt(pi tau) (lam tau/2)^mu e^(lam^2 tau/4).
     """
-    if a < 0.0:
-        raise ValueError(f"need a >= 0, got {a}")
     if lam <= 0.0:
         raise ValueError(f"need lambda > 0, got {lam}")
     if mu <= -1.0:
@@ -121,11 +118,6 @@ def log_tail_gauss_exp(a: float, lam: float, mu: float, tau: float) -> float:
         + (mu + 0.5) * math.log(tau)
         + lam * lam * tau / 4.0
     )
-
-
-def tail_gauss_exp(a: float, lam: float, mu: float, tau: float) -> float:
-    """Plain-value counterpart of :func:`log_tail_gauss_exp`."""
-    return _exp_or_inf(log_tail_gauss_exp(a, lam, mu, tau))
 
 
 def log_qp_large_tau(P, mu, kappa, nu, tau: float) -> tuple[float, float]:
@@ -155,12 +147,6 @@ def log_qp_large_tau(P, mu, kappa, nu, tau: float) -> tuple[float, float]:
     )
     sign = math.copysign(1.0, cn) * (1.0 if n % 2 == 0 else -1.0)
     return logmag, sign
-
-
-def qp_large_tau(P, mu, kappa, nu, tau: float) -> float:
-    """Plain-value counterpart of :func:`log_qp_large_tau`."""
-    logmag, sign = log_qp_large_tau(P, mu, kappa, nu, tau)
-    return sign * _exp_or_inf(logmag)
 
 
 def central_predict(n: int, mu: Rational, kappa: Rational,

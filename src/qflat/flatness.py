@@ -496,14 +496,11 @@ def _scan_one(
     mode: Mode
 ) -> FlatnessReport:
     checks = tuple(centrality_check(space, range(1, n_max + 1)))
+    # n = 1 is always checked and fails for every even m (its right side
+    # carries sqrt(A/(A+2)), and A(A+2) = (A+1)^2 - 1 is never a square); for
+    # odd m the rationality argument's right side is rational: it is reported
     witness = next((c for c in checks if not c.passed), None)
-    rationality = None
-    if witness is None:
-        rationality = rationality_argument(space)
-        if not rationality.rhs_rational:
-            witness = CentralityCheck(
-                rationality.n_used, rationality.lhs, rationality.rhs, False
-            )
+    rationality = rationality_argument(space) if witness is None else None
 
     def judge(grid: CurvatureGrid) -> tuple[FieldVerdict, float]:
         # projectively flat first (isotype spread), then flat (residual)

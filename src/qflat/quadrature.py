@@ -390,13 +390,11 @@ def _log_mag_sign(tables: Sequence[_Tables], tau: float | np.ndarray,
     with np.errstate(divide="ignore"):
         g = np.log(np.abs(p)) + 2.0 * deg * up - t * t / tau
     tb = tables[0]
-    if tb.mu != 0.0:
-        g = g + tb.mu * np.log(t)
-    if tb.kappa != 0.0:
-        g = g + tb.kappa * logsh
-    if tb.nu != 0.0:
-        # cosh^2 t = 1 + sinh^2 t, so log cosh t = up + log1p(-x) / 2
-        g = g + tb.nu * (up + 0.5 * np.log1p(-x))
+    # a zero exponent adds 0 times a finite log, which leaves g's bits as
+    # they are; cosh^2 t = 1 + sinh^2 t, so log cosh t = up + log1p(-x) / 2
+    g += tb.mu * np.log(t)
+    g += tb.kappa * logsh
+    g += tb.nu * (up + 0.5 * np.log1p(-x))
     return g, sign
 
 

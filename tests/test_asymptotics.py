@@ -10,8 +10,6 @@ from qflat.asymptotics import (
     fseries2,
     log_qp_large_tau,
     log_tail_gauss_exp,
-    qp_large_tau,
-    tail_gauss_exp,
     watson2,
 )
 from qflat.hypergeom import RationalPoly, closed_coeffs, hypergeom_poly
@@ -100,60 +98,65 @@ class TestFSeries2:
 
 
 class TestTailGaussExp:
-    def test_cutoff_independent(self):
-        assert tail_gauss_exp(5.0, 2.0, 1.0, 3.0) == tail_gauss_exp(0.0, 2.0, 1.0, 3.0)
-
+    # a log to abs 1e-13 is its value to rel 1e-13
     def test_lambda_two_mu_zero(self):
         for tau in (2.0, 10.0):
-            assert tail_gauss_exp(0.0, 2.0, 0.0, tau) == pytest.approx(
-                SQPI * math.sqrt(tau) * math.exp(tau), rel=1e-13
+            assert log_tail_gauss_exp(2.0, 0.0, tau) == pytest.approx(
+                math.log(SQPI * math.sqrt(tau)) + tau, abs=1e-13
             )
 
     def test_lambda_two_mu_one(self):
         for tau in (2.0, 10.0):
-            assert tail_gauss_exp(0.0, 2.0, 1.0, tau) == pytest.approx(
-                SQPI * tau ** 1.5 * math.exp(tau), rel=1e-13
+            assert log_tail_gauss_exp(2.0, 1.0, tau) == pytest.approx(
+                math.log(SQPI * tau ** 1.5) + tau, abs=1e-13
             )
 
     def test_log_variant(self):
-        v = tail_gauss_exp(0.0, 3.0, 0.5, 2.0)
-        assert math.log(v) == pytest.approx(log_tail_gauss_exp(0.0, 3.0, 0.5, 2.0),
-                                            rel=1e-13)
+        # finite where the value e^(lam^2 tau/4) = e^900 overflows
+        assert log_tail_gauss_exp(3.0, 0.5, 400.0) == pytest.approx(
+            0.5 * math.log(math.pi * 400.0) + 0.5 * math.log(600.0) + 900.0,
+            rel=1e-13)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            tail_gauss_exp(0.0, 0.0, 0.0, 1.0)
+            log_tail_gauss_exp(0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            tail_gauss_exp(0.0, 1.0, -1.5, 1.0)
+            log_tail_gauss_exp(1.0, -1.5, 1.0)
         with pytest.raises(ValueError):
-            tail_gauss_exp(-1.0, 1.0, 0.0, 1.0)
+            log_tail_gauss_exp(1.0, 0.0, 0.0)
 
 
 class TestQpLargeTau:
     def test_constant_poly(self):
         for tau in (1.0, 5.0):
-            assert qp_large_tau(1, 1, 1, 1, tau) == pytest.approx(
-                SQPI / 4.0 * tau ** 1.5 * math.exp(tau), rel=1e-13
+            logmag, sign = log_qp_large_tau(1, 1, 1, 1, tau)
+            assert sign == 1.0
+            assert logmag == pytest.approx(
+                math.log(SQPI / 4.0 * tau ** 1.5) + tau, abs=1e-13
             )
 
     def test_linear_poly(self):
         # top coefficient -2 at degree 1: rate (kappa+nu+2)^2/4 = 4
         for tau in (1.0, 3.0):
-            assert qp_large_tau([1, -2], 1, 1, 1, tau) == pytest.approx(
-                SQPI / 4.0 * tau ** 1.5 * math.exp(4.0 * tau), rel=1e-13
+            logmag, sign = log_qp_large_tau([1, -2], 1, 1, 1, tau)
+            assert sign == 1.0
+            assert logmag == pytest.approx(
+                math.log(SQPI / 4.0 * tau ** 1.5) + 4.0 * tau, abs=1e-13
             )
 
     def test_pure_square(self):
         tau = 2.0
-        assert qp_large_tau([0, 0, 1], 1, 1, 1, tau) == pytest.approx(
-            SQPI * 6.0 / 2.0 ** 7 * tau ** 1.5 * math.exp(9.0 * tau), rel=1e-13
+        logmag, sign = log_qp_large_tau([0, 0, 1], 1, 1, 1, tau)
+        assert sign == 1.0
+        assert logmag == pytest.approx(
+            math.log(SQPI * 6.0 / 2.0 ** 7 * tau ** 1.5) + 9.0 * tau, abs=1e-13
         )
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            qp_large_tau(1, 1, 1, 0.0, 1.0)
+            log_qp_large_tau(1, 1, 1, 0.0, 1.0)
         with pytest.raises(ValueError):
-            qp_large_tau(1, 1, -0.5, 1.0, 1.0)
+            log_qp_large_tau(1, 1, -0.5, 1.0, 1.0)
 
 
 class TestCentralPredict:

@@ -215,9 +215,12 @@ class TestQTable:
 
     def test_overflowing_value_serializes_in_json(self):
         # OP2 at tau=100, n=3 has log q ~ 7000: the value itself overflows
-        # float64 and must appear as the string "inf" in JSON
-        out, code = capture(["qtable", "--space", "OP2", "--n", "3",
-                             "--tau", "100", "--format", "json"])
+        # float64 and must appear as the string "inf" in JSON; (log q)''
+        # there loses digits to cancellation, which warns
+        with pytest.warns(quadrature.CancellationWarning,
+                          match="lost more than six digits"):
+            out, code = capture(["qtable", "--space", "OP2", "--n", "3",
+                                 "--tau", "100", "--format", "json"])
         assert code == 0
         row = json.loads(out)["rows"][0]
         assert row["q"] == "inf"
@@ -276,6 +279,30 @@ class TestQTable:
         code = main(argv + ["--out", str(path)])
         assert code == 0
         assert path.read_text() == out
+
+    def test_out_closed_when_rendering_raises(self, tmp_path, monkeypatch):
+        import qflat.cli
+
+        handles = []
+
+        def spy_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        class Abort(BaseException):
+            """Not an Exception, as KeyboardInterrupt is not."""
+
+        def render(cfg):
+            raise Abort
+
+        # a module global shadows the builtin for run's lookup of open
+        monkeypatch.setattr(qflat.cli, "open", spy_open, raising=False)
+        monkeypatch.setattr(qflat.cli, "_render", render)
+        path = tmp_path / "table.csv"
+        with pytest.raises(Abort):
+            main(["list", "--out", str(path)])
+        assert len(handles) == 1 and handles[0].closed
+        assert path.read_text() == ""
 
 
 class TestCentrality:
@@ -343,6 +370,84 @@ class TestVerifyAsymptotics:
         for r in doc["rows"]:
             assert r["status"] == "ok"
             assert r["deviation"] < 0.2
+
+
+class TestNumericFailure:
+    """One cell raises ConvergenceError: the exit code is 2, that cell reads
+    nan next to its message, and every other cell is as in a clean run."""
+
+    MESSAGE = "stub failure"
+
+    @pytest.fixture
+    def fail_cell(self, monkeypatch):
+        # the names the CLI and the scan look the cell functions up by
+        import qflat.cli
+        import qflat.flatness
+
+        def install(label, n, tau):
+            def stub(fn):
+                def call(space, n_, tau_, *args, **kwargs):
+                    if (space.label, n_, tau_) == (label, n, tau):
+                        raise quadrature.ConvergenceError(self.MESSAGE)
+                    return fn(space, n_, tau_, *args, **kwargs)
+                return call
+            for mod, name in ((qflat.cli, "q_chi_derivs"), (qflat.cli, "q_chi"),
+                              (qflat.flatness, "q_chi_derivs")):
+                monkeypatch.setattr(mod, name, stub(getattr(mod, name)))
+        return install
+
+    def test_qtable(self, fail_cell):
+        argv = ["qtable", "--space", "S2,S3", "--n", "0,1", "--tau", "0.5,1"]
+        clean_json, code = capture(argv + ["--format", "json"])
+        assert code == 0
+        clean_csv, _ = capture(argv)
+        fail_cell("S3", 1, 1.0)
+        out, code = capture(argv + ["--format", "json"])
+        assert code == 2
+        rows, clean = json.loads(out)["rows"], json.loads(clean_json)["rows"]
+        # rows run over space, then n, then tau: S3 n = 1 tau = 1 is the last
+        assert rows[-1] == {"space": "S3", "n": 1, "tau": 1.0, "q": "nan",
+                            "log_q": "nan", "abs_err": "nan", "dlogq2": "nan",
+                            "status": f"error: {self.MESSAGE}"}
+        assert rows[:-1] == clean[:-1]
+        out, code = capture(argv)
+        assert code == 2
+        lines, clean = out.splitlines(), clean_csv.splitlines()
+        assert lines[-1] == "S3,1,1.0,nan,nan,nan"
+        assert lines[:-1] == clean[:-1]
+
+    def test_verify_asymptotics(self, fail_cell):
+        argv = ["verify-asymptotics", "--space", "S3", "--n", "0,1"]
+        clean, code = capture(argv)
+        assert code == 0
+        fail_cell("S3", 1, 100.0)
+        out, code = capture(argv)
+        assert code == 2
+        lines, clean = out.splitlines(), clean.splitlines()
+        # header, four rows at n = 0, then 1e-3, 1e-2, 100, 400 at n = 1
+        assert lines[7] == "S3,1,large_tau,100.0,nan"
+        assert lines[:7] + lines[8:] == clean[:7] + clean[8:]
+
+    def test_scan(self, fail_cell):
+        argv = ["scan", "--spaces", "S2,S3", "--n-max", "2", "--tau", "0.5,1"]
+        clean, code = capture(argv)
+        assert code == 0
+        fail_cell("S2", 1, 1.0)
+        out, code = capture(argv)
+        assert code == 2
+        (s2, s3), (c2, c3) = json.loads(out)["reports"], json.loads(clean)["reports"]
+        assert s3 == c3
+        assert c2["failures"] == []
+        assert s2["failures"] == [{"n": 1, "tau_index": 1,
+                                   "message": self.MESSAGE}]
+        assert s2["curvature"][1][1] == "nan"
+        c2["curvature"][1][1] = "nan"
+        assert s2["curvature"] == c2["curvature"]
+        assert s2["verdict"] == c2["verdict"] == "not_projectively_flat"
+        # the two summaries drop the failed cell's column or cell
+        for key in c2.keys() - {"curvature", "failures", "max_chi_deviation",
+                                "prefactor_residual"}:
+            assert s2[key] == c2[key], key
 
 
 class TestDeterminism:

@@ -26,7 +26,7 @@ from qflat.flatness import (
     theorem_scan,
 )
 from qflat.quadrature import TOL_MIN
-from qflat.spaces import default_scan_spaces, parse_space
+from qflat.spaces import Family, RootData, default_scan_spaces, parse_space
 
 GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -128,6 +128,24 @@ class TestRationalityArgument:
         for sp in default_scan_spaces():
             arg = rationality_argument(sp)
             assert arg.rhs_rational == (sp.m % 2 == 1)
+
+    def test_n1_check_already_refutes_every_even_m(self):
+        # why theorem_scan never takes its witness from this argument: the
+        # scan always checks n = 1, which fails for every even m, and for
+        # odd m the argument's right side is rational
+        count = 0
+        for m in range(2, 17):
+            for m_half in range(0, m, 2):
+                # every multiplicity pair RootData admits, not only the catalog's
+                family = (Family.SPHERE if m_half == 0
+                          else Family.COMPLEX_PROJECTIVE)
+                sp = RootData(family, m, m, m - 1 - m_half, m_half)
+                if m % 2 == 0:
+                    assert not centrality_check(sp, [1])[0].passed, (m, m_half)
+                else:
+                    assert rationality_argument(sp).rhs_rational, (m, m_half)
+                count += 1
+        assert count == 71
 
 
 class TestParameterConstraints:

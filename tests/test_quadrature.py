@@ -270,6 +270,28 @@ class TestQP:
         assert best.value == pytest.approx(0.723214354285265, rel=1e-4)
         assert best.rel_error > 1e-13
 
+    @pytest.mark.parametrize("ulps", [-20000, -1, 0, 1, 20000])
+    def test_cancellation_floor_error(self, ulps):
+        # 1 + c x integrates to a millionth of either term's integral: the
+        # panels stop at their targets' floor, 4e-16 times the integral of
+        # |integrand|, which is far above tol times the small integral; the
+        # reported error, floored at 32 eps times that integral, is ~7e-9
+        params = QPParams(1, 1, 1, 1.0)
+        a0 = q_p([1.0], params, 1e-13).value
+        a1 = q_p([0.0, 1.0], params, 1e-13).value
+        c = -(1.0 - 1e-6) * a0 / a1
+        c += ulps * math.ulp(c)
+        with pytest.raises(ConvergenceError) as err:
+            q_p([1.0, c], params, 1e-13)
+        best = err.value.best
+        assert str(err.value) == (
+            f"cancellation limits the relative error to "
+            f"{best.rel_error:.3g}, above tol=1e-13")
+        assert 5e-9 < best.rel_error < 1e-8
+        # a0 + c a1 is a millionth of its terms, whose 1e-13 errors make
+        # up about 1e-7 of it
+        assert best.value == pytest.approx(a0 + c * a1, rel=1e-6)
+
 
 class TestQChi:
     def test_s3_tau1(self):

@@ -182,11 +182,13 @@ class ParameterRangeError(QuadratureError, ValueError):
 
 
 class ConvergenceError(QuadratureError):
-    """Tolerance not reached; carries the best estimate.
+    """Tolerance not reached; ``best`` is the failing attempt's result.
 
-    Refinement stops at ``_NODE_BUDGET`` nodes per cell or at the maximum
-    depth; its message then gives ``best.nodes``, the panel target tol/2 and
-    the worst moment row's relative panel error, which exceeds that target.
+    Three kinds: refinement stops at ``_NODE_BUDGET`` nodes per cell or at
+    the maximum depth (the message gives ``best.nodes``, the panel target
+    tol/2 and the worst moment row's relative panel error, above it); a
+    cancelling integral's rounding floor keeps ``best.rel_error`` above tol;
+    or the truncation tail bound does not settle below tol/2 by the fifth T.
     """
 
     def __init__(self, message: str, best: "QuadratureResult | None" = None):
@@ -494,9 +496,9 @@ def _initial_breaks(tables: Sequence[_Tables], taus: Sequence[float],
 
 
 def _targets(I: np.ndarray, Iabs: np.ndarray, tol: float) -> np.ndarray:
-    # the 4e-16 floor stops futile refinement once a moment is dominated by
-    # cancellation noise; failure to reach tol is then reported honestly
-    return np.maximum(tol * np.abs(I), 4e-16 * Iabs)
+    # the floor is _build_result's, so refinement stops where the reported
+    # error's floor starts
+    return np.maximum(tol * np.abs(I), _ROUND_C * _EPS * Iabs)
 
 
 # The sums (I, Iabs, E) of a run of panels, each of shape (rows,).
@@ -687,8 +689,10 @@ def _exp_or_inf(x: float) -> float:
 
 def _build_result(
     I: np.ndarray, Iabs: np.ndarray, E: np.ndarray, scale: float, nodes: int,
-    T: float, rel_tail: float
+    T: float, log_tail: float
 ) -> QuadratureResult:
+    """A cell's result: rel_error is the value row's panel error, floored at
+    the rounding bound, over |I|, plus the relative tail bound, capped at 1."""
     i0 = float(I[0])
     if i0 == 0.0:
         return QuadratureResult(0.0, 0.0, nodes, T, -math.inf, math.inf)
@@ -698,7 +702,7 @@ def _build_result(
     # Iabs stands in for int |f|; it falls short only where the integrand
     # changes sign inside a panel
     err = max(float(E[0]), _ROUND_C * _EPS * float(Iabs[0]))
-    rel = err / abs(i0) + rel_tail
+    rel = err / abs(i0) + math.exp(min(log_tail - log_value, 0.0))
     abs_err = math.inf if math.isinf(value) else rel * abs(value)
     return QuadratureResult(value, abs_err, nodes, T, log_value, rel)
 
@@ -717,7 +721,8 @@ def _finish_cell(tables: _Tables, tau: float, tol: float, T0: float,
                  ) -> tuple[np.ndarray, QuadratureResult]:
     """One cell of ``nrows`` moment rows from its first attempt's T and
     first level at the panel tolerance tol/2: refinement, the tail test and
-    up to four larger T, whose first levels are stacks of one."""
+    up to four larger T, whose first levels are stacks of one.  Success is a
+    settled tail bound and a reported ``rel_error`` at most tol."""
     for attempt in range(5):
         T = T0 * 1.3 ** attempt
         if attempt:
@@ -726,35 +731,28 @@ def _finish_cell(tables: _Tables, tau: float, tol: float, T0: float,
         I, Iabs, E, scale, nodes, conv = _integrate_moments(
             tables, tau, T, 0.5 * tol, first, nrows
         )
+        log_tail = _log_tail_bound(tables, tau, T)
+        res = _build_result(I, Iabs, E, scale, nodes, T, log_tail)
         if not conv:
             # some moment row missed tol/2, so the worst E/|I| exceeds it
             with np.errstate(divide="ignore", invalid="ignore"):
                 worst = float(np.max(E / np.abs(I)))
-            best = _build_result(I, Iabs, E, scale, nodes, T, 0.0)
             raise ConvergenceError(
                 f"panel refinement did not reach tol={tol:g}: after "
-                f"{best.nodes} nodes the worst moment's relative error "
+                f"{res.nodes} nodes the worst moment's relative error "
                 f"{worst:.4g} exceeds the panel target {0.5 * tol:g}",
-                best,
+                res,
             )
-        log_tail = _log_tail_bound(tables, tau, T)
-        if I[0] != 0.0:
-            log_value = scale + math.log(abs(float(I[0])))
-            if log_tail <= math.log(tol / 2.0) + log_value:
-                rel_tail = _exp_or_inf(min(log_tail - log_value, 0.0))
-                res = _build_result(I, Iabs, E, scale, nodes, T, rel_tail)
-                # tested without the rounding floor, which is reported only
-                if float(E[0]) / abs(float(I[0])) + rel_tail > tol:
-                    # panels stopped at the cancellation noise floor
-                    raise ConvergenceError(
-                        f"cancellation limits the relative error to "
-                        f"{res.rel_error:.3g}, above tol={tol:g}",
-                        res,
-                    )
-                return I, res
-    best = _build_result(I, Iabs, E, scale, nodes, T, 1.0)
+        if log_tail <= math.log(tol / 2.0) + res.log_value:
+            if res.rel_error > tol:
+                raise ConvergenceError(
+                    f"cancellation limits the relative error to "
+                    f"{res.rel_error:.3g}, above tol={tol:g}",
+                    res,
+                )
+            return I, res
     raise ConvergenceError(
-        "truncation tail bound failed to settle below tol/2", best
+        "truncation tail bound failed to settle below tol/2", res
     )
 
 
@@ -826,16 +824,13 @@ def q_p(P: PolyLike, params: QPParams,
         tol: float = DEFAULT_TOL) -> QuadratureResult:
     """The radial integral for an arbitrary polynomial and weight exponents.
 
-    The relative error estimate of the panels and the tail is at most
-    ``tol`` on success.  Otherwise a ConvergenceError carrying the best
-    estimate is raised; when refinement stops at the node budget or the
-    maximum depth, its message gives the nodes spent and the value's
-    relative panel error against the panel target tol/2.  Only the value
-    row is formed, so convergence and ``rel_error`` are those of the value.
-    The reported ``rel_error`` adds the rounding floor described at
-    QuadratureResult; that floor is not part of the test and can exceed a
-    ``tol`` near TOL_MIN when the integrand cancels heavily.
-    Deterministic: identical inputs give bit-identical results.
+    On success ``rel_error`` (panels, rounding floor and tail, as described
+    at QuadratureResult) is at most ``tol``.  Otherwise a ConvergenceError
+    carrying the best estimate is raised; when refinement stops at the node
+    budget or the maximum depth, its message gives the nodes spent and the
+    value's relative panel error against the panel target tol/2.  Only the
+    value row is formed, so convergence and ``rel_error`` are those of the
+    value.  Deterministic: identical inputs give bit-identical results.
     """
     coeffs = _as_float_coeffs(P)
     _check_box(coeffs, params, tol)

@@ -62,6 +62,15 @@ def panel_one_at_a_time(tables, tau, scale, a, b, nrows):
     return k15, np.abs(k15 - g7)
 
 
+def cancelling_coeff(delta):
+    # c such that 1 + c x integrates to delta times the integral of 1 under
+    # QPParams(1, 1, 1, 1.0): its two terms cancel to a fraction delta
+    params = QPParams(1, 1, 1, 1.0)
+    a0 = q_p([1.0], params, 1e-13).value
+    a1 = q_p([0.0, 1.0], params, 1e-13).value
+    return -(1.0 - delta) * a0 / a1
+
+
 def engine_cell(coeffs, params, tol):
     # one cell of q_p's route past its parameter box: the grid engine alone,
     # on the value row
@@ -266,6 +275,7 @@ class TestQP:
             q_p(1, params, 1e-13)
         best = err.value.best
         assert best is not None
+        assert f"after {best.nodes} nodes" in str(err.value)
         # reference from 30-digit tanh-sinh quadrature
         assert best.value == pytest.approx(0.723214354285265, rel=1e-4)
         assert best.rel_error > 1e-13
@@ -273,13 +283,13 @@ class TestQP:
     @pytest.mark.parametrize("ulps", [-20000, -1, 0, 1, 20000])
     def test_cancellation_floor_error(self, ulps):
         # 1 + c x integrates to a millionth of either term's integral: the
-        # panels stop at their targets' floor, 4e-16 times the integral of
-        # |integrand|, which is far above tol times the small integral; the
-        # reported error, floored at 32 eps times that integral, is ~7e-9
+        # panels stop at the rounding floor, 32 eps times the integral of
+        # |integrand|, which is far above tol times the small integral, so
+        # the reported error, floored there too, is ~7e-9
         params = QPParams(1, 1, 1, 1.0)
         a0 = q_p([1.0], params, 1e-13).value
         a1 = q_p([0.0, 1.0], params, 1e-13).value
-        c = -(1.0 - 1e-6) * a0 / a1
+        c = cancelling_coeff(1e-6)
         c += ulps * math.ulp(c)
         with pytest.raises(ConvergenceError) as err:
             q_p([1.0, c], params, 1e-13)
@@ -291,6 +301,59 @@ class TestQP:
         # a0 + c a1 is a millionth of its terms, whose 1e-13 errors make
         # up about 1e-7 of it
         assert best.value == pytest.approx(a0 + c * a1, rel=1e-6)
+
+
+class TestErrorRule:
+    """A cell's error is formed once, in ``_build_result``: refinement stops
+    at its rounding floor, and a cell succeeds exactly when that reported
+    error meets tol."""
+
+    def test_cancelling_cells_meet_tol_or_fail_at_once(self):
+        params = QPParams(1, 1, 1, 1.0)
+        for k in range(1, 9):
+            c = cancelling_coeff(10.0 ** -k)
+            for j in range(-13, -3):
+                tol = 10.0 ** j
+                try:
+                    res = q_p([1.0, c], params, tol)
+                except ConvergenceError as exc:
+                    assert str(exc).startswith(
+                        "cancellation limits the relative error to ")
+                    assert exc.best.nodes < 1000
+                else:
+                    assert res.rel_error <= tol
+
+    def test_catalog_rows_never_cancel(self, empty_row, monkeypatch):
+        # every catalog moment row is positive, so Iabs is I, and the
+        # rounding floor stays below the panel target tol/2 at every tol
+        assert quadrature._ROUND_C * quadrature._EPS < quadrature.TOL_MIN / 2
+        sums = quadrature._sum_panels
+        got = []
+        monkeypatch.setattr(quadrature, "_sum_panels",
+                            lambda *a: got.append(sums(*a)) or got[-1])
+        ns, taus = range(17), [1e-30, 1e-3, 1.0, 20.0, 400.0]
+        for sp in default_scan_spaces():
+            quadrature.prefetch(sp, ns, taus)
+            for n in ns:
+                for tau in taus:
+                    _quiet_derivs(sp, n, tau)
+        assert got and all(Iabs is I for I, Iabs, _ in got)
+
+    def test_tail_failure_carries_its_attempt(self, monkeypatch):
+        params = QPParams(1, 1, 1, 1.0)
+        value = q_p([1.0], params, 1e-10).value
+        tables = quadrature._make_tables([1.0], 1, 1, 1)
+        T0 = quadrature._first_truncation(tables, 1.0, 1e-10)
+        monkeypatch.setattr(quadrature, "_log_tail_bound",
+                            lambda *a: math.inf)
+        with pytest.raises(ConvergenceError) as err:
+            q_p([1.0], params, 1e-10)
+        best = err.value.best
+        assert str(err.value) == (
+            "truncation tail bound failed to settle below tol/2")
+        assert best.truncation_t == T0 * 1.3 ** 4
+        assert best.rel_error >= 1.0
+        assert best.value == pytest.approx(value, rel=1e-9)
 
 
 class TestQChi:

@@ -85,7 +85,7 @@ def _watson_gammas(mu, kappa) -> tuple[float, float, float]:
     if float(r) <= 0.0:
         raise ValueError(f"need r = mu + kappa + 1 > 0, got {r}")
     g0 = gamma_value(_half(r))
-    g1 = gamma_value(_half(r) + 1 if isinstance(r, (int, Fraction)) else float(r) / 2.0 + 1.0)
+    g1 = gamma_value(_half(r) + 1)
     return float(r), g0, g1
 
 

@@ -10,9 +10,10 @@ routes:
   must satisfy, checked in rational arithmetic with square roots tracked
   symbolically, so a failure is a tolerance-free certificate;
 * numeric route -- curvature samples from the quadrature module on a tau
-  grid, judged by one pass/fail corridor (``_corridor``: 1e-6 / 1e-3) wide
-  enough that verdicts never flap.  An inconclusive judgement redoes the
-  grid once at tol/100 (``_judge_grid``, the only retry).
+  grid, one grid per verdict at the tol it is given, held against one
+  pass/fail corridor (``_corridor``: 1e-6 / 1e-3) wide enough that verdicts
+  never flap.  A deviation in the gap stays inconclusive: it is the
+  samples' own spread or rounding, which a finer tol does not move.
 
 Negative verdicts prefer the exact witness when both routes fail.
 
@@ -31,14 +32,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .hypergeom import closed_coeffs
 from .quadrature import (
     DEFAULT_TOL,
     MAX_TAU,
     MIN_TAU,
-    TOL_MIN,
     QuadratureError,
     prefetch,
     q_chi_derivs,
@@ -402,25 +402,6 @@ def _corridor(dev: float, passed, failed, undecided):
     return undecided
 
 
-def _judge_grid(
-    space: RootData, n_max: int, tau_grid: Sequence[float], tol: float,
-    judge: Callable[[CurvatureGrid], tuple]
-) -> tuple:
-    """``judge(grid)`` -> (verdict, deviation) on the curvature grid at tol.
-
-    An inconclusive verdict redoes the grid once at max(tol/100, TOL_MIN).
-    Returns the last verdict and deviation with the grid they came from.
-    """
-    grid = curvature_samples(space, n_max, tau_grid, tol)
-    verdict, dev = judge(grid)
-    finer = max(tol / 100.0, TOL_MIN)
-    # every verdict enum has an INCONCLUSIVE member
-    if verdict is type(verdict).INCONCLUSIVE and finer < tol:
-        grid = curvature_samples(space, n_max, tau_grid, finer)
-        verdict, dev = judge(grid)
-    return verdict, dev, grid
-
-
 def projective_test(
     space: RootData, n_max: int, tau_grid: Sequence[float],
     tol: float = DEFAULT_TOL
@@ -428,20 +409,14 @@ def projective_test(
     """Numeric isotype-independence test of the curvature samples.
 
     Deviation <= 1e-6 is consistent with projective flatness, >= 1e-3 is a
-    numeric refutation; the gap refines the tolerance once and otherwise
-    stays inconclusive.
+    numeric refutation, and the gap is inconclusive.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1 to compare isotypes, got {n_max}")
-
-    def judge(grid: CurvatureGrid) -> tuple[ProjectiveVerdict, float]:
-        dev = _chi_deviation(grid)
-        return _corridor(dev, ProjectiveVerdict.CONSISTENT,
-                         ProjectiveVerdict.NOT_PROJECTIVELY_FLAT,
-                         ProjectiveVerdict.INCONCLUSIVE), dev
-
-    verdict, dev, _ = _judge_grid(space, n_max, tau_grid, tol, judge)
-    return verdict, dev
+    dev = _chi_deviation(curvature_samples(space, n_max, tau_grid, tol))
+    return _corridor(dev, ProjectiveVerdict.CONSISTENT,
+                     ProjectiveVerdict.NOT_PROJECTIVELY_FLAT,
+                     ProjectiveVerdict.INCONCLUSIVE), dev
 
 
 def flat_test(
@@ -452,14 +427,9 @@ def flat_test(
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     mode = Mode(mode)
-
-    def judge(grid: CurvatureGrid) -> tuple[FlatVerdict, float]:
-        resid = _residual(grid, mode)
-        return _corridor(resid, FlatVerdict.FLAT, FlatVerdict.NOT_FLAT,
-                         FlatVerdict.INCONCLUSIVE), resid
-
-    verdict, resid, _ = _judge_grid(space, n_max, tau_grid, tol, judge)
-    return verdict, resid
+    resid = _residual(curvature_samples(space, n_max, tau_grid, tol), mode)
+    return _corridor(resid, FlatVerdict.FLAT, FlatVerdict.NOT_FLAT,
+                     FlatVerdict.INCONCLUSIVE), resid
 
 
 # ---------------------------------------------------------------------------
@@ -501,19 +471,17 @@ def _scan_one(
     # odd m the rationality argument's right side is rational: it is reported
     witness = next((c for c in checks if not c.passed), None)
     rationality = rationality_argument(space) if witness is None else None
-
-    def judge(grid: CurvatureGrid) -> tuple[FieldVerdict, float]:
-        # projectively flat first (isotype spread), then flat (residual)
-        dev = _chi_deviation(grid)
-        if witness is not None:
-            return FieldVerdict.NOT_PROJECTIVELY_FLAT, dev
+    grid = curvature_samples(space, n_max, tau_grid, tol)
+    # projectively flat first (isotype spread), then flat (residual)
+    dev = _chi_deviation(grid)
+    if witness is not None:
+        verdict = FieldVerdict.NOT_PROJECTIVELY_FLAT
+    else:
         flat = _corridor(_residual(grid, mode), FieldVerdict.FLAT,
                          FieldVerdict.PROJECTIVELY_FLAT_ONLY,
                          FieldVerdict.INCONCLUSIVE)
-        return _corridor(dev, flat, FieldVerdict.NOT_PROJECTIVELY_FLAT,
-                         FieldVerdict.INCONCLUSIVE), dev
-
-    verdict, dev, grid = _judge_grid(space, n_max, tau_grid, tol, judge)
+        verdict = _corridor(dev, flat, FieldVerdict.NOT_PROJECTIVELY_FLAT,
+                            FieldVerdict.INCONCLUSIVE)
     return FlatnessReport(
         space=space,
         mode=mode,

@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,8 +188,9 @@ class ConvergenceError(QuadratureError):
     Three kinds: refinement stops at ``_NODE_BUDGET`` nodes per cell or at
     the maximum depth (the message gives ``best.nodes``, the panel target
     tol/2 and the worst moment row's relative panel error, above it); a
-    cancelling integral's rounding floor keeps ``best.rel_error`` above tol;
-    or the truncation tail bound does not settle below tol/2 by the fifth T.
+    cancelling integral's rounding floor, or the rounding of a subnormal
+    value, keeps ``best.rel_error`` above tol; or the truncation tail bound
+    does not settle below tol/2 by the fifth T.
     """
 
     def __init__(self, message: str, best: "QuadratureResult | None" = None):
@@ -233,7 +235,8 @@ class QuadratureResult:
     range; ratio-style consumers should prefer it.  ``abs_error`` and
     ``rel_error`` cover the panel error estimates, floored at a bound on the
     rounding of the panel rules (32 eps times the integral of |integrand|),
-    and the analytic truncation-tail bound.  The floor makes them error
+    the analytic truncation-tail bound and, for a value below the normal
+    range, its rounding to a double (2^-1075).  The floor makes them error
     bounds rather than readings of roundoff, so they do not depend on the
     order in which a BLAS build sums the rule products.  It leaves out the
     rounding of log|integrand| at the nodes, about eps * |log value|.
@@ -692,7 +695,9 @@ def _build_result(
     T: float, log_tail: float
 ) -> QuadratureResult:
     """A cell's result: rel_error is the value row's panel error, floored at
-    the rounding bound, over |I|, plus the relative tail bound, capped at 1."""
+    the rounding bound, over |I|, plus the relative tail bound, capped at 1.
+    A value below the normal range (subnormal, or 0 after underflow) is off
+    by up to 2^-1075 as a double, which both errors include."""
     i0 = float(I[0])
     if i0 == 0.0:
         return QuadratureResult(0.0, 0.0, nodes, T, -math.inf, math.inf)
@@ -704,6 +709,10 @@ def _build_result(
     err = max(float(E[0]), _ROUND_C * _EPS * float(Iabs[0]))
     rel = err / abs(i0) + math.exp(min(log_tail - log_value, 0.0))
     abs_err = math.inf if math.isinf(value) else rel * abs(value)
+    if abs(value) < sys.float_info.min:
+        rel += _exp_or_inf(-1075.0 * _LN2 - log_value)
+        # 2^-1075 itself rounds to 0.0; the least subnormal bounds it
+        abs_err += math.ulp(0.0)
     return QuadratureResult(value, abs_err, nodes, T, log_value, rel)
 
 
@@ -746,7 +755,7 @@ def _finish_cell(tables: _Tables, tau: float, tol: float, T0: float,
         if log_tail <= math.log(tol / 2.0) + res.log_value:
             if res.rel_error > tol:
                 raise ConvergenceError(
-                    f"cancellation limits the relative error to "
+                    f"rounding or cancellation limits the relative error to "
                     f"{res.rel_error:.3g}, above tol={tol:g}",
                     res,
                 )
@@ -938,7 +947,7 @@ def q_chi_derivs(
     term_c = d1 * d1
     d2 = term_a - term_b - term_c
     biggest = max(abs(term_a), abs(term_b), abs(term_c))
-    if biggest > 0.0 and abs(d2) < 1e-6 * biggest:
+    if abs(d2) < 1e-6 * biggest:
         warnings.warn(
             f"(log q)'' lost more than six digits to cancellation at "
             f"tau={tau:g} (terms ~{biggest:.3g}, result {d2:.3g})",

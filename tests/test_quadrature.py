@@ -5,6 +5,7 @@ import re
 import sys
 import warnings
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -266,6 +267,15 @@ class TestQP:
         res = q_p([1.0], QPParams(-0.1, 0, 0, 1.0), 1e-10)
         assert len(calls) == 1 and res.rel_error <= 1e-10
 
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
+        "ROADMAP item 11: with kappa far below 0, a weight at the mu + kappa "
+        "limit -0.1 spends the whole node budget without reaching 1e-13"))
+    @pytest.mark.parametrize("tau", [1e-3, 1.0, 400.0])
+    @pytest.mark.parametrize("mu, kappa", [(7.9, -8.0), (4.0, -4.1)])
+    def test_singular_weight_at_the_limit(self, mu, kappa, tau):
+        res = q_p([1.0], QPParams(mu, kappa, 0, tau), 1e-13)
+        assert res.rel_error <= 1e-13
+
     def test_budget_failure_carries_best(self, monkeypatch):
         # fractional mu puts a t^(1/2) kink at the origin; bisection cannot
         # settle it to 1e-13 within 1000 nodes
@@ -295,7 +305,7 @@ class TestQP:
             q_p([1.0, c], params, 1e-13)
         best = err.value.best
         assert str(err.value) == (
-            f"cancellation limits the relative error to "
+            f"rounding or cancellation limits the relative error to "
             f"{best.rel_error:.3g}, above tol=1e-13")
         assert 5e-9 < best.rel_error < 1e-8
         # a0 + c a1 is a millionth of its terms, whose 1e-13 errors make
@@ -318,10 +328,50 @@ class TestErrorRule:
                     res = q_p([1.0, c], params, tol)
                 except ConvergenceError as exc:
                     assert str(exc).startswith(
-                        "cancellation limits the relative error to ")
+                        "rounding or cancellation limits the relative error to ")
                     assert exc.best.nodes < 1000
                 else:
                     assert res.rel_error <= tol
+
+    # q_p([c], S3 weight at tau = 1) is c times the closed form below
+    SUBNORMAL_PARAMS = QPParams(1, 1, 1, 1.0)
+
+    @staticmethod
+    def half_unit_over(x):
+        # 2^-1075 / x, exactly rounded: 2.0 ** -1075 itself is 0.0
+        return float(Fraction(1, 2 ** 1075) / Fraction(x))
+
+    @pytest.mark.parametrize("c", [5e-324, 1e-320])
+    def test_subnormal_value_fails_on_its_rounding(self, c):
+        # as doubles these values are off by up to 2^-1075, 41 % of the first
+        # and 2e-4 of the second, which their log values do not show
+        with pytest.raises(ConvergenceError) as err:
+            q_p([c], self.SUBNORMAL_PARAMS)
+        best = err.value.best
+        assert str(err.value).startswith(
+            "rounding or cancellation limits the relative error to ")
+        # 2^-1075 over the true value, against which the panels' 1e-14 is lost
+        assert best.rel_error == pytest.approx(
+            self.half_unit_over(Fraction(c) * Fraction(s3_q_closed(1.0))),
+            rel=1e-9)
+        assert best.abs_error >= math.ulp(0.0)
+
+    def test_subnormal_value_counts_its_rounding(self):
+        c = 1e-310
+        res = q_p([c], self.SUBNORMAL_PARAMS)
+        assert res.value < sys.float_info.min
+        assert res.abs_error >= math.ulp(0.0)
+        assert res.rel_error > self.half_unit_over(res.value)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 2: rel_error leaves out the rounding of the node logs, "
+        "about eps |log value| = 1.6e-13 at log value -714, two subnormal "
+        "units here"))
+    def test_subnormal_value_within_abs_error(self):
+        c = 1e-310
+        res = q_p([c], self.SUBNORMAL_PARAMS)
+        true = Fraction(c) * Fraction(s3_q_closed(1.0))
+        assert abs(Fraction(res.value) - true) <= Fraction(res.abs_error)
 
     def test_catalog_rows_never_cancel(self, empty_row, monkeypatch):
         # every catalog moment row is positive, so Iabs is I, and the

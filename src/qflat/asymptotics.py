@@ -13,13 +13,11 @@ quadrature at large tau are made on logarithms.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from ._gamma import gamma_value
 from .quadrature import _as_float_coeffs
 
 __all__ = [
@@ -50,43 +48,22 @@ class CentralPrediction:
     c_nn_magnitude: float
 
 
-def _half(x) -> object:
-    """x/2 keeping Fractions exact so gamma can take its exact route."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x) / 2
-    return float(x) / 2.0
-
-
 def watson2(P, mu, kappa, nu, tau: float) -> float:
     """Two-term small-tau expansion of the radial integral.
 
     (tau^(r/2)/2) (Gamma(r/2) c0 + Gamma(r/2+1) (-c1 + kappa/6 + nu/2) tau)
-    with r = mu + kappa + 1.  Gamma is evaluated exactly at integer and
-    half-integer arguments.  The first-order coefficient assumes the profile
+    with r = mu + kappa + 1.  The first-order coefficient assumes the profile
     is normalized to constant term c0 = 1, as every polynomial family used
     downstream is.
     """
-    c0, coef = fseries2(P, kappa, nu)
-    rr, g0, g1 = _watson_gammas(mu, kappa)
-    return tau ** (rr / 2.0) / 2.0 * (g0 * c0 + g1 * coef * tau)
-
-
-@functools.lru_cache(maxsize=256, typed=True)
-def _watson_gammas(mu, kappa) -> tuple[float, float, float]:
-    """r = mu + kappa + 1, Gamma(r/2) and Gamma(r/2 + 1) as floats.
-
-    Typed, so float arguments keep math.gamma's values although 1.5 and
-    Fraction(3, 2) hash alike; exact arguments take the exact route.
-    """
-    if isinstance(mu, (int, Fraction)) and isinstance(kappa, (int, Fraction)):
-        r = Fraction(mu) + Fraction(kappa) + 1
-    else:
-        r = float(mu) + float(kappa) + 1.0
-    if float(r) <= 0.0:
+    r = float(mu) + float(kappa) + 1.0
+    if not r > 0.0:
         raise ValueError(f"need r = mu + kappa + 1 > 0, got {r}")
-    g0 = gamma_value(_half(r))
-    g1 = gamma_value(_half(r) + 1)
-    return float(r), g0, g1
+    if not tau > 0.0:
+        raise ValueError(f"need tau > 0, got {tau}")
+    c0, coef = fseries2(P, kappa, nu)
+    return tau ** (r / 2.0) / 2.0 * (math.gamma(r / 2.0) * c0
+                                     + math.gamma(r / 2.0 + 1.0) * coef * tau)
 
 
 def fseries2(P, kappa, nu) -> tuple[float, float]:
@@ -106,11 +83,11 @@ def log_tail_gauss_exp(lam: float, mu: float, tau: float) -> float:
     t = lam tau/2; taking t^mu there gives
     sqrt(pi tau) (lam tau/2)^mu e^(lam^2 tau/4).
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError(f"need lambda > 0, got {lam}")
-    if mu <= -1.0:
+    if not mu > -1.0:
         raise ValueError(f"need mu > -1, got {mu}")
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError(f"need tau > 0, got {tau}")
     return (
         mu * math.log(lam / 2.0)
@@ -127,11 +104,11 @@ def log_qp_large_tau(P, mu, kappa, nu, tau: float) -> tuple[float, float]:
     * tau^(mu+1/2) e^((kappa+nu+2n)^2 tau / 4), with c_n the top coefficient
     of P.  Requires kappa > 0 and nu > 0.
     """
-    if float(nu) <= 0.0 or float(kappa) <= 0.0:
+    if not (float(nu) > 0.0 and float(kappa) > 0.0):
         raise ValueError(f"need nu > 0 and kappa > 0, got nu={nu}, kappa={kappa}")
-    if float(mu) + float(kappa) <= -1.0:
+    if not float(mu) + float(kappa) > -1.0:
         raise ValueError("need mu + kappa > -1")
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError(f"need tau > 0, got {tau}")
     cs = _as_float_coeffs(P)
     cn, n = cs[-1], len(cs) - 1

@@ -382,8 +382,6 @@ def _rows_asymptotics(cfg: RunConfig) -> tuple[list[dict], bool]:
     rows = []
     for lbl in cfg.spaces:
         sp = parse_space(lbl)
-        # watson2 takes the exact mu, kappa, nu, which do not depend on n
-        ch = chi_params(sp, 0)
         prefetch(sp, cfg.n_values, _SMALL_TAUS + _LARGE_TAUS, cfg.tol,
                  derivs=False)
         for n in cfg.n_values:
@@ -399,7 +397,7 @@ def _rows_asymptotics(cfg: RunConfig) -> tuple[list[dict], bool]:
                 try:
                     res = q_chi(sp, n, tau, cfg.tol)
                     if small:
-                        w = watson2(coeffs, ch.mu, ch.kappa, ch.nu, tau)
+                        w = watson2(coeffs, rec.mu, rec.kappa, rec.nu, tau)
                         deviation = abs(res.value - w) / res.value
                     else:
                         logasym, _ = log_qp_large_tau(coeffs, rec.mu, rec.kappa,

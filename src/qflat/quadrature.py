@@ -254,12 +254,13 @@ def _as_float_coeffs(P: PolyLike) -> tuple[float, ...]:
     """The float coefficients of P, lowest first, less trailing zeros.
 
     A tuple of floats whose top coefficient is nonzero is already that, and
-    comes back as it is.
+    comes back as it is.  Every form, that one included, is refused unless
+    each coefficient is finite.
     """
     if (type(P) is tuple and P and P[-1] != 0.0
             and all(type(c) is float for c in P)):
-        return P
-    if isinstance(P, RationalPoly):
+        cs = P
+    elif isinstance(P, RationalPoly):
         cs = P.float_coeffs()
     elif isinstance(P, (int, float, Fraction)):
         cs = (float(P),)
@@ -271,6 +272,9 @@ def _as_float_coeffs(P: PolyLike) -> tuple[float, ...]:
         cs = cs[:-1]
     if not any(c != 0.0 for c in cs):
         raise ParameterRangeError("zero polynomial")
+    if not all(map(math.isfinite, cs)):
+        raise ParameterRangeError(
+            f"polynomial coefficients must be finite, got {cs}")
     return cs
 
 
@@ -326,9 +330,6 @@ class _Tables(NamedTuple):
 def _make_tables(coeffs: Sequence[float], mu: float, kappa: float,
                  nu: float) -> _Tables:
     c = np.array(coeffs, dtype=float)
-    if not np.all(np.isfinite(c)):
-        raise ParameterRangeError(
-            f"polynomial coefficients must be finite, got {tuple(coeffs)}")
     deg = len(c) - 1
     kappa, nu = float(kappa), float(nu)
     j = np.arange(deg + 1)

@@ -21,8 +21,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from ._gamma import gamma_half_exact
-
 __all__ = [
     "Family",
     "RootData",
@@ -215,7 +213,4 @@ def sphere_volume(m: int) -> float:
     """Surface volume of the unit (m-1)-sphere in R^m: 2 pi^(m/2) / Gamma(m/2)."""
     if m < 1:
         raise ValueError(f"dimension must be >= 1, got {m}")
-    q, half = gamma_half_exact(Fraction(m, 2))
-    if half:  # odd m: the sqrt(pi) of Gamma cancels one from pi^(m/2)
-        return 2.0 * math.pi ** ((m - 1) // 2) / float(q)
-    return 2.0 * math.pi ** (m // 2) / float(q)
+    return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qflat import asymptotics, quadrature
-from qflat._gamma import SQRT_PI, gamma_half_exact, gamma_value
+from qflat import quadrature
 from qflat.asymptotics import (
     central_predict,
     fseries2,
@@ -59,10 +58,17 @@ class TestWatson2:
         assert f2 == pytest.approx(2.0 + 2.0 / 3.0, rel=1e-15)
 
     def test_exact_gamma_path_agrees_with_float_path(self):
+        # one Gamma for every argument type, so Fraction and float exponents
+        # give the same bits
         got_exact = watson2(1, Fraction(15, 2), Fraction(15, 2), Fraction(7, 2), 0.02)
         got_float = watson2(1, 7.5, 7.5, 3.5, 0.02)
-        assert got_exact == pytest.approx(got_float, rel=1e-13)
+        assert got_exact.hex() == got_float.hex()
 
+
+    def test_nonpositive_and_nan_tau_raise(self):
+        for tau in (math.nan, 0.0, -0.01):
+            with pytest.raises(ValueError, match="tau > 0"):
+                watson2(1, 1, 1, 1, tau)
 
     def test_zero_polynomial_rejected(self):
         # a zero profile has no small-tau expansion; it must not be read as
@@ -124,6 +130,9 @@ class TestTailGaussExp:
             log_tail_gauss_exp(1.0, -1.5, 1.0)
         with pytest.raises(ValueError):
             log_tail_gauss_exp(1.0, 0.0, 0.0)
+        for args in ((math.nan, 0.0, 1.0), (1.0, math.nan, 1.0), (1.0, 0.0, math.nan)):
+            with pytest.raises(ValueError):
+                log_tail_gauss_exp(*args)
 
 
 class TestQpLargeTau:
@@ -157,6 +166,10 @@ class TestQpLargeTau:
             log_qp_large_tau(1, 1, 1, 0.0, 1.0)
         with pytest.raises(ValueError):
             log_qp_large_tau(1, 1, -0.5, 1.0, 1.0)
+        for args in ((math.nan, 1, 1, 1.0), (1, math.nan, 1, 1.0),
+                     (1, 1, math.nan, 1.0), (1, 1, 1, math.nan)):
+            with pytest.raises(ValueError):
+                log_qp_large_tau(1, *args)
 
 
 class TestCentralPredict:
@@ -263,87 +276,10 @@ class TestOracleAgreementLargeTau:
                 assert devs[400.0] < devs[100.0] < devs[25.0]
 
 
-# every integer and half-integer in (0, 19.5]
-HALF_INTEGERS = [Fraction(k, 2) for k in range(1, 40)]
-
-
-class TestGammaMemo:
-    def test_float_argument_keeps_math_gamma_after_the_exact_route(self):
-        # 1.5 == Fraction(3, 2) and both hash alike, so a memo keyed on the
-        # argument of gamma_value would hand the float the exact route's bits
-        for x in HALF_INTEGERS:
-            gamma_value(x)
-            assert gamma_value(float(x)).hex() == math.gamma(float(x)).hex(), x
-
-    def test_exact_route_is_q_sqrt_pi(self):
-        for x in HALF_INTEGERS:
-            q, half = gamma_half_exact(x)
-            k = math.floor(x)
-            if x.denominator == 1:
-                # Gamma(k) = (k - 1)!
-                assert (q, half) == (Fraction(math.factorial(k - 1)), False)
-            else:
-                # Gamma(k + 1/2) = (2k)! / (4^k k!) sqrt(pi)
-                want = Fraction(math.factorial(2 * k), 4 ** k * math.factorial(k))
-                assert (q, half) == (want, True)
-            v = q.numerator / q.denominator
-            assert gamma_value(x) == (v * SQRT_PI if half else v)
-
-    def test_exact_route_is_memoized(self):
-        gamma_half_exact(Fraction(19, 2))
-        hits = gamma_half_exact.cache_info().hits
-        assert gamma_half_exact(Fraction(19, 2)) == gamma_half_exact(9.5)
-        assert gamma_half_exact.cache_info().hits == hits + 2
-
-
-def watson2_uncached(P, mu, kappa, nu, tau):
-    """The two-term Watson formula with r and both Gammas formed afresh."""
-    c0, coef = fseries2(P, kappa, nu)
-    if isinstance(mu, (int, Fraction)) and isinstance(kappa, (int, Fraction)):
-        r = Fraction(mu) + Fraction(kappa) + 1
-        g0, g1 = gamma_value(r / 2), gamma_value(r / 2 + 1)
-    else:
-        r = float(mu) + float(kappa) + 1.0
-        g0, g1 = gamma_value(r / 2.0), gamma_value(r / 2.0 + 1.0)
-    return tau ** (float(r) / 2.0) / 2.0 * (g0 * c0 + g1 * coef * tau)
-
-
 class TestWatsonGammaCache:
-    # mu = 3/2, kappa = 1/2 give r = 3, where the exact route and math.gamma
-    # differ in the last bit of both Gamma(3/2) and Gamma(5/2)
-    EXACT = (Fraction(3, 2), Fraction(1, 2))
-    FLOAT = (1.5, 0.5)
-    MIXED = (Fraction(3, 2), 0.5)
-    # P, nu and tau of every call
-    REST = ([1.0, -0.25], Fraction(5, 2), 0.01)
-
-    def uncached(self, args):
-        P, nu, tau = self.REST
-        return watson2_uncached(P, *args, nu, tau)
-
-    @pytest.mark.parametrize("order", [(EXACT, FLOAT, MIXED), (MIXED, FLOAT, EXACT)])
-    def test_each_call_gives_the_uncached_bits(self, order):
-        cache = asymptotics._watson_gammas
-        cache.cache_clear()
-        for args in order:
-            P, nu, tau = self.REST
-            want = self.uncached(args)
-            for hits in (0, 1):
-                info = cache.cache_info()
-                got = watson2(P, *args, nu, tau)
-                assert got.hex() == want.hex(), args
-                assert cache.cache_info().hits == info.hits + hits
-        # one entry per argument types: 1.5 == Fraction(3, 2) hash alike
-        assert cache.cache_info().currsize == 3
-
-    def test_routes_really_differ(self):
-        assert gamma_value(Fraction(3, 2)).hex() != math.gamma(1.5).hex()
-        assert gamma_value(Fraction(5, 2)).hex() != math.gamma(2.5).hex()
-        assert self.uncached(self.EXACT).hex() != self.uncached(self.FLOAT).hex()
-
     def test_nonpositive_r_raises_on_every_call(self):
         for mu, kappa in ((-1, 0), (-1.0, 0.0), (Fraction(-3, 2), Fraction(1, 2)),
-                          (-2.5, 0.5)):
+                          (-2.5, 0.5), (math.nan, 0.5), (0.5, math.nan)):
             for _ in range(3):
                 with pytest.raises(ValueError, match="mu \\+ kappa \\+ 1 > 0"):
                     watson2(1, mu, kappa, 0, 0.01)
@@ -404,3 +340,38 @@ class TestCoefficientCoercion:
         for law in self.LAWS:
             with pytest.raises(quadrature.ParameterRangeError):
                 law(P)
+
+    @pytest.mark.parametrize("P", [[math.nan], [1.0, math.inf], (1.0, math.nan)])
+    def test_non_finite_coefficients_raise(self, P):
+        for law in self.LAWS + (lambda P: fseries2(P, 1, 1),):
+            with pytest.raises(quadrature.ParameterRangeError, match="finite"):
+                law(P)
+
+
+# the 26 catalog spaces with m <= 16 (CP1 and HP1 repeat S2 and S4)
+CATALOG_M16 = (tuple(f"S{m}" for m in range(2, 17)) + tuple(f"CP{k}" for k in range(2, 9))
+               + ("HP2", "HP3", "HP4", "OP2"))
+
+
+class TestWatsonAgainstMpmath:
+    @pytest.mark.parametrize("label", CATALOG_M16)
+    def test_two_term_formula_in_30_digits(self, label):
+        mpmath = pytest.importorskip("mpmath")
+
+        def mpq(x):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        sp = parse_space(label)
+        with mpmath.workdps(30):
+            for n in (0, 3, 16):
+                ch = chi_params(sp, n)
+                poly = hypergeom_poly(ch.A, n, ch.c)
+                c0, c1 = (poly.coeffs + (Fraction(0),))[:2]
+                r = mpq(ch.mu + ch.kappa + 1)
+                coef = -mpq(c1) + mpq(ch.kappa) / 6 + mpq(ch.nu) / 2
+                for tau in (1e-3, 1e-2):
+                    t = mpmath.mpf(tau)
+                    want = t ** (r / 2) / 2 * (mpmath.gamma(r / 2) * mpq(c0)
+                                               + mpmath.gamma(r / 2 + 1) * coef * t)
+                    got = watson2(poly, ch.mu, ch.kappa, ch.nu, tau)
+                    assert abs(got / want - 1) <= 1e-14, (n, tau)

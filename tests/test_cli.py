@@ -28,6 +28,15 @@ GOLDEN_RUNS = {
 }
 
 
+def load_bench(name):
+    """The module ``bench/<name>.py``, loaded from its file."""
+    path = Path(__file__).parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def capture(argv) -> tuple[str, int]:
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -492,6 +501,43 @@ class TestDeterminism:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 10: printed digits that are "
+                              "rounding noise move with a 1-ulp libm change")
+    @pytest.mark.filterwarnings("ignore::qflat.quadrature.CancellationWarning")
+    def test_output_survives_one_ulp_libm_change(self, monkeypatch):
+        """Another libm may round exp, log, log1p and expm1 differently.
+
+        A stand-in for numpy inside ``qflat.quadrature`` moves each finite,
+        nonzero result of those four by one ulp up or down, seeded, and
+        passes every other attribute through.  Python's ``math`` functions
+        stay unperturbed.  The printed documents must not move.
+        """
+        argvs = [load_bench("workloads").argv_for("table_dense", 0),
+                 ["scan", "--spaces", "all", "--format", "csv"],
+                 ["verify-asymptotics", "--space", "all", "--n", "0..16"]]
+        want = [capture(argv) for argv in argvs]
+        rng = np.random.default_rng(0)
+
+        def one_ulp(fn):
+            def moved(x):
+                y = fn(x)
+                up = rng.random(np.shape(y)) < 0.5
+                z = np.nextafter(y, np.where(up, np.inf, -np.inf))
+                return np.where(np.isfinite(y) & (y != 0.0), z, y)
+            return moved
+
+        class PerturbedNumpy:
+            def __getattr__(self, name):
+                fn = getattr(np, name)
+                if name in ("exp", "log", "log1p", "expm1"):
+                    return one_ulp(fn)
+                return fn
+
+        monkeypatch.setattr(quadrature, "np", PerturbedNumpy())
+        for argv, (out, code) in zip(argvs, want):
+            assert capture(argv) == (out, code), argv
+
     def test_scan_json_identical(self):
         argv = ["scan", "--spaces", "S2,S3", "--n-max", "2", "--tau", "1"]
         a, _ = capture(argv)
@@ -597,10 +643,7 @@ class TestBenchmarkTraceTargets:
     def test_every_target_resolves_to_a_callable(self):
         # the benchmark wraps these names on the live modules and has no
         # fallback, so a refactor that drops one must fail here first
-        path = Path(__file__).parents[1] / "bench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("_bench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = load_bench("tracing")
         assert tracing.TARGETS
         for mod_name, attr, _ in tracing.TARGETS:
             fn = getattr(importlib.import_module(mod_name), attr, None)

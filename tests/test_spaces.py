@@ -193,9 +193,13 @@ class TestSphereVolume:
         assert sphere_volume(4) == pytest.approx(2.0 * math.pi ** 2, rel=1e-15)
 
     def test_against_gamma(self):
-        for m in range(1, 17):
-            ref = 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
-            assert sphere_volume(m) == pytest.approx(ref, rel=1e-13)
+        # sphere_volume is this formula in floats, so check it in 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for m in range(1, 17):
+                half = mpmath.mpf(m) / 2
+                ref = 2 * mpmath.pi ** half / mpmath.gamma(half)
+                assert abs(sphere_volume(m) / ref - 1) <= 1e-15, m
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

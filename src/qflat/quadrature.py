@@ -15,8 +15,8 @@ arithmetic rather than Python overhead per panel.
 
 The fixed cost of a cell is kept small as well.  Everything about isotype n
 of a catalog space that does not depend on tau (the float coefficients of
-its hypergeometric polynomial, the exponents mu, kappa, nu and the constant
-of the tail bound) is one read-only record, built once per
+its hypergeometric polynomial, the exponents mu, kappa, nu and the logs of
+the coefficients' magnitudes) is one read-only record, built once per
 (space, n) and cached; the scale B never enters it.  Integrals of arbitrary
 polynomials (``q_p``) build their record afresh and leave the cache alone.
 Within a cell, the common log-scale is the peak of the integrand over the
@@ -49,9 +49,9 @@ Two numerical realities shape the implementation:
   can overflow (``_log_mag_sign``).
 * The truncation point T comes from the exponent t^2/tau - lambda*t, placed
   where the integrand has dropped a fixed factor below the requested
-  tolerance.  An analytic majorant of the discarded tail is checked
-  a posteriori against the computed value; T is enlarged and the
-  integration redone in the rare case the bound is not met.
+  tolerance.  An analytic majorant of the discarded tail, tight at T for
+  every sign of mu, kappa and nu, is checked a posteriori against the
+  computed value; a cell whose bound is not met fails, at its one T.
 
 Derivatives in tau are produced by differentiation under the integral sign:
 dQ/dtau inserts a factor t^2/tau^2 and d2Q/dtau2 a factor
@@ -183,14 +183,14 @@ class ParameterRangeError(QuadratureError, ValueError):
 
 
 class ConvergenceError(QuadratureError):
-    """Tolerance not reached; ``best`` is the failing attempt's result.
+    """Tolerance not reached; ``best`` is the failing cell's result.
 
     Three kinds: refinement stops at ``_NODE_BUDGET`` nodes per cell or at
     the maximum depth (the message gives ``best.nodes``, the panel target
     tol/2 and the worst moment row's relative panel error, above it); a
     cancelling integral's rounding floor, or the rounding of a subnormal
     value, keeps ``best.rel_error`` above tol; or the truncation tail bound
-    does not settle below tol/2 by the fifth T.
+    does not settle below tol/2.
     """
 
     def __init__(self, message: str, best: "QuadratureResult | None" = None):
@@ -315,32 +315,27 @@ def _log_sinh(t: np.ndarray) -> np.ndarray:
 
 class _Tables(NamedTuple):
     """The tau-independent part of a weight: the float coefficients of P
-    (read-only, so one record can serve every tau), the exponents mu, kappa,
-    nu, the growth rate lam = kappa + nu + 2 deg(P) and the log of the tail
-    majorant's constant."""
+    and the logs of their magnitudes (-inf for a zero coefficient), both
+    read-only so one record can serve every tau, the exponents mu, kappa,
+    nu and the growth rate lam = kappa + nu + 2 deg(P)."""
 
     coeffs: np.ndarray
     mu: float
     kappa: float
     nu: float
     lam: float
-    log_tail_const: float
+    log_abs_coeffs: np.ndarray
 
 
 def _make_tables(coeffs: Sequence[float], mu: float, kappa: float,
                  nu: float) -> _Tables:
     c = np.array(coeffs, dtype=float)
-    deg = len(c) - 1
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(c))
+    c.flags.writeable = log_abs.flags.writeable = False
     kappa, nu = float(kappa), float(nu)
-    j = np.arange(deg + 1)
-    # majorant constant: |P(-sh^2 t)| sh^k ch^v <= C exp(lam t) t^0 with
-    # C = sum |c_j| 4^-j * 2^-kappa  (uses sh t <= e^t/2, ch t <= e^t)
-    log_tail_const = (
-        math.log(float(np.sum(np.abs(c) * 4.0 ** -j))) - kappa * _LN2
-    )
-    c.flags.writeable = False
-    return _Tables(c, float(mu), kappa, nu, kappa + nu + 2.0 * deg,
-                   log_tail_const)
+    return _Tables(c, float(mu), kappa, nu, kappa + nu + 2.0 * (len(c) - 1),
+                   log_abs)
 
 
 @functools.lru_cache(maxsize=512)
@@ -664,24 +659,39 @@ def _integrate_moments(
     return I, Iabs, E, scale, nodes, bool(np.all(E <= _targets(I, Iabs, tol)))
 
 
-def _log_tail_bound(tables: _Tables, tau: float, T: float) -> float:
-    """Log of an analytic bound on the integral over [T, inf).
+def _log_tail_bound(tables: Sequence[_Tables], taus: Sequence[float],
+                    Ts: Sequence[float]) -> np.ndarray:
+    """Log of a bound on the integral of |integrand| over [T, inf), per cell
+    (tau, T) of the records ``tables`` (one per cell, sharing mu, kappa and
+    nu), in one array pass.
 
-    On [T, inf) the exponent -t^2/tau + lam t decays with slope at least
-    D = 2T/tau - lam, and t^mu <= T^mu exp(mu_+ (t-T)/T), so the tail is at
-    most C T^mu exp(-T^2/tau + lam T) / (D - mu_+/T).
+    For t = T + s >= T: sinh T e^s <= sinh t <= sinh T (t/T) e^s (as
+    coth t - 1/t < 1), e^t/2 <= cosh t <= cosh T e^s, t/T <= e^(s/T) and
+    exp(-t^2/tau) <= exp(-T^2/tau - 2T s/tau).  For every sign of mu, kappa
+    and nu, |integrand| <= M e^(-D s), exact at s = 0 when nu >= 0 and the
+    terms of P do not cancel, with log M = log sum_j |c_j| sinh^2j T
+    + mu log T + kappa log sinh T + nu log cosh T - min(nu, 0) log1p(e^-2T)
+    - T^2/tau and D = 2T/tau - (2 deg + kappa_+)(1 + 1/T) - kappa_- - nu
+    - mu_+/T.  The tail is at most M/D, or +inf where D <= 0.
     """
-    lam, mu = tables.lam, tables.mu
-    D = 2.0 * T / tau - lam - max(mu, 0.0) / T
-    if D <= 0.0:
-        return math.inf
-    return (
-        tables.log_tail_const
-        - T * T / tau
-        + lam * T
-        + mu * math.log(T)
-        - math.log(D)
-    )
+    tb = tables[0]
+    tau, T = np.array(taus, dtype=float), np.array(Ts, dtype=float)
+    deg = np.array([len(rec.coeffs) - 1 for rec in tables])
+    # the sum is a log-sum-exp over the log|c_j|, padded with -inf
+    logc = np.full((len(tables), deg.max() + 1), -math.inf)
+    for k, rec in enumerate(tables):
+        logc[k, :deg[k] + 1] = rec.log_abs_coeffs
+    logsh = _log_sinh(T)
+    terms = logc + 2.0 * np.arange(logc.shape[1]) * logsh[:, None]
+    top = terms.max(axis=1)
+    log_m = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+    # log cosh T = T - log 2 + log1p(e^-2T)
+    log_m += (tb.mu * np.log(T) + tb.kappa * logsh + tb.nu * (T - _LN2)
+              + max(tb.nu, 0.0) * np.log1p(np.exp(-2.0 * T)) - T * T / tau)
+    D = (2.0 * T / tau - (2.0 * deg + max(tb.kappa, 0.0)) * (1.0 + 1.0 / T)
+         - min(tb.kappa, 0.0) - tb.nu - max(tb.mu, 0.0) / T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(D > 0.0, log_m - np.log(D), math.inf)
 
 
 def _exp_or_inf(x: float) -> float:
@@ -718,7 +728,7 @@ def _build_result(
 
 
 def _first_truncation(tables: _Tables, tau: float, tol: float) -> float:
-    """T of the first attempt: where the exponent t^2/tau - lam t has
+    """The truncation point T: where the exponent t^2/tau - lam t has
     dropped a fixed factor below tol."""
     L = math.log(1.0 / tol) + 40.0
     lam = tables.lam
@@ -726,62 +736,51 @@ def _first_truncation(tables: _Tables, tau: float, tol: float) -> float:
     return max(8.0 * math.sqrt(tau), root)
 
 
-def _finish_cell(tables: _Tables, tau: float, tol: float, T0: float,
-                 first: _Level, nrows: int
+def _finish_cell(tables: _Tables, tau: float, tol: float, T: float,
+                 log_tail: float, first: _Level, nrows: int
                  ) -> tuple[np.ndarray, QuadratureResult]:
-    """One cell of ``nrows`` moment rows from its first attempt's T and
-    first level at the panel tolerance tol/2: refinement, the tail test and
-    up to four larger T, whose first levels are stacks of one.  Success is a
-    settled tail bound and a reported ``rel_error`` at most tol."""
-    for attempt in range(5):
-        T = T0 * 1.3 ** attempt
-        if attempt:
-            (first,) = _first_levels([tables], [tau], [T], 0.5 * tol, nrows)
-        # split the tolerance: half for the panels, half for the tail
-        I, Iabs, E, scale, nodes, conv = _integrate_moments(
-            tables, tau, T, 0.5 * tol, first, nrows
-        )
-        log_tail = _log_tail_bound(tables, tau, T)
-        res = _build_result(I, Iabs, E, scale, nodes, T, log_tail)
-        if not conv:
-            # some moment row missed tol/2, so the worst E/|I| exceeds it
-            with np.errstate(divide="ignore", invalid="ignore"):
-                worst = float(np.max(E / np.abs(I)))
-            raise ConvergenceError(
-                f"panel refinement did not reach tol={tol:g}: after "
-                f"{res.nodes} nodes the worst moment's relative error "
-                f"{worst:.4g} exceeds the panel target {0.5 * tol:g}",
-                res,
-            )
-        if log_tail <= math.log(tol / 2.0) + res.log_value:
-            if res.rel_error > tol:
-                raise ConvergenceError(
-                    f"rounding or cancellation limits the relative error to "
-                    f"{res.rel_error:.3g}, above tol={tol:g}",
-                    res,
-                )
-            return I, res
-    raise ConvergenceError(
-        "truncation tail bound failed to settle below tol/2", res
-    )
+    """One cell of ``nrows`` moment rows from its truncation point T, log
+    tail bound and first level at the panel tolerance tol/2: refinement,
+    then the tail test and the error test, which a returned cell passed."""
+    # split the tolerance: half for the panels, half for the tail
+    I, Iabs, E, scale, nodes, conv = _integrate_moments(tables, tau, T,
+                                                        0.5 * tol, first, nrows)
+    res = _build_result(I, Iabs, E, scale, nodes, T, log_tail)
+    if not conv:
+        # some moment row missed tol/2, so the worst E/|I| exceeds it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = float(np.max(E / np.abs(I)))
+        raise ConvergenceError(
+            f"panel refinement did not reach tol={tol:g}: after "
+            f"{res.nodes} nodes the worst moment's relative error "
+            f"{worst:.4g} exceeds the panel target {0.5 * tol:g}", res)
+    if not log_tail <= math.log(tol / 2.0) + res.log_value:
+        raise ConvergenceError(
+            "truncation tail bound failed to settle below tol/2", res)
+    if res.rel_error > tol:
+        raise ConvergenceError(
+            f"rounding or cancellation limits the relative error to "
+            f"{res.rel_error:.3g}, above tol={tol:g}", res)
+    return I, res
 
 
 def _q_engine(tables: Sequence[_Tables], taus: Sequence[float], tol: float,
               nrows: int) -> list:
     """Per validated cell (record, tau), whose records share mu, kappa and
-    nu: (I, result), or the QuadratureError it raises.  Every cell's first
-    T comes first, then the stacked first levels of all cells, then each
-    cell's refinement, tail test and larger T.
+    nu: (I, result), or the QuadratureError it raises.  Every cell's T and
+    tail bound come first, then the stacked first levels of all cells, then
+    each cell's refinement and tests.
 
     Each cell forms, sums and meets tol on its first ``nrows`` moment rows:
     1 for a value, 3 for (log q)' and (log q)'' as well; I has that length.
     """
     Ts = [_first_truncation(tb, tau, tol) for tb, tau in zip(tables, taus)]
+    log_tails = _log_tail_bound(tables, taus, Ts).tolist()
     firsts = _first_levels(tables, taus, Ts, 0.5 * tol, nrows)
     out = []
-    for tb, tau, T, first in zip(tables, taus, Ts, firsts):
+    for tb, tau, T, log_tail, first in zip(tables, taus, Ts, log_tails, firsts):
         try:
-            out.append(_finish_cell(tb, tau, tol, T, first, nrows))
+            out.append(_finish_cell(tb, tau, tol, T, log_tail, first, nrows))
         except QuadratureError as exc:
             # without its traceback, which would keep the grid's frames alive
             out.append(exc.with_traceback(None))

@@ -100,10 +100,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_int_spans(text: str) -> list[tuple[int, int]]:
-    """The nonempty ranges (lo, hi) of a list like ``0..3,5``, unexpanded."""
+    """The ranges (lo, hi) of a list like ``0..3,5``, unexpanded; a reversed
+    span such as ``5..2`` is refused wherever it stands."""
     parts = (p.strip().partition("..") for p in text.split(",") if p.strip())
     spans = [(int(lo), int(hi if sep else lo)) for lo, sep, hi in parts]
-    spans = [(lo, hi) for lo, hi in spans if lo <= hi]
+    for lo, hi in spans:
+        if lo > hi:
+            raise ValueError(f"reversed span {lo}..{hi}")
     if not spans:
         raise ValueError("empty integer set")
     return spans

@@ -9,9 +9,10 @@ Gauss-Kronrod 7/15 panels on a truncated interval [0, T].  Each panel costs
 15 node evaluations: the 15-point Kronrod rule gives its value and the
 7-point Gauss rule on every other node its error estimate |K15 - G7|
 (the embedded pair of QUADPACK's qk15).  Panels are kept as arrays, and
-each level (the initial panels, then each generation of the refinement
-sweep) is evaluated in one stacked call, so the cost per node is numpy
-arithmetic rather than Python overhead per panel.
+one evaluator, ``_eval_panels``, takes every batch of them (a stack of
+first levels, or one generation of a cell's refinement sweep) in one node
+call, so the cost per node is numpy arithmetic rather than Python overhead
+per panel.
 
 The fixed cost of a cell is kept small as well.  Everything about isotype n
 of a catalog space that does not depend on tau (the float coefficients of
@@ -19,21 +20,22 @@ its hypergeometric polynomial, the exponents mu, kappa, nu and the logs of
 the coefficients' magnitudes) is one read-only record, built once per
 (space, n) and cached; the scale B never enters it.  Integrals of arbitrary
 polynomials (``q_p``) build their record afresh and leave the cache alone.
-Within a cell, the common log-scale is the peak of the integrand over the
-first panel level's own nodes, and refinement is one bisection sweep
-against the first level's targets, whose kept panels are summed once.
 Every cell goes through one grid engine, ``_q_engine``: a grid of isotypes
 n and taus of one space from ``prefetch``, or a lone cell as a grid of
-one.  The break points of a grid come from one array pass, with
-lam as a per-cell column, and its first levels go through stacked node
-calls that span isotypes, with tau as a per-panel column.  The exponents
-mu, kappa, nu depend on the space only, so the isotypes of a stack differ
-only in the coefficients of P, which ``_log_mag_sign`` reads by index from
-one table, zero-padded to the stack's top degree.  The first level's
-targets of a stack are tested together; a cell that meets them never
-enters refinement, the others refine against the stored targets.  Every
-step is per node, panel or cell, so a cell gets the same bits alone and in
-any grid.
+one.  The break points of a grid come from one array pass, with lam as a
+per-cell column.  The engine then walks the grid in stacks of whole cells
+of at most ``_STACK_NODES`` nodes, across isotypes: per stack one
+``_eval_panels`` call, with tau as a per-panel column and each cell's
+common log-scale the peak of the integrand over its own first-level
+nodes; one ``_sum_panels`` call; and one test against the targets.  The
+exponents mu, kappa, nu depend on the space only, so the isotypes of a
+stack differ only in the coefficients of P, which ``_log_mag_sign`` reads
+by index from one table, zero-padded to the stack's top degree.  Each cell
+of a stack is then finished (``_finish_cell``) before the next stack is
+built: a cell that met its targets is tested as it is, the others refine
+in one bisection sweep against the stored targets, at the cell's scale,
+and their kept panels are summed once.  Every step is per node, panel or
+cell, so a cell gets the same bits alone and in any grid.
 
 Two numerical realities shape the implementation:
 
@@ -80,7 +82,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -426,29 +428,33 @@ def _panel_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (0.5 * (a + b))[:, None] + half[:, None] * _K15_X, half
 
 
-def _apply_rules(rows: np.ndarray,
-                 half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates K15 and their errors |K15 - G7|, each of shape (rows, P),
-    from the moment rows at the nodes of ``_panel_nodes``; G7 reads the
-    nodes of odd index."""
-    shape = len(rows), len(half)
-    rows = rows.reshape(-1, 15)
-    k15 = _gl_rule(rows, _K15_W).reshape(shape) * half
-    g7 = _gl_rule(rows[:, 1::2], _G7_W).reshape(shape) * half
-    return k15, np.abs(k15 - g7)
-
-
-def _eval_panels(tables: _Tables, tau: float, scale: float, a: np.ndarray,
-                 b: np.ndarray, nrows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates and their errors, each of shape (nrows, P), of panels [a, b].
+def _eval_panels(tables: Sequence[_Tables], taus: Sequence[float],
+                 a: np.ndarray, b: np.ndarray, counts: Sequence[int], nrows: int,
+                 scales: Sequence[float] | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Estimates and their errors, each of shape (nrows, P), of panels
+    [a, b] in runs of ``counts``, one run per record of ``tables`` at its tau
+    of ``taus``, and the common log-scale of each run.
 
     Each panel gets the Gauss-Kronrod 7/15 pair on its 15 nodes: K15 is the
-    estimate and |K15 - G7| its error.  All nodes of all panels go through
-    one node call.
+    estimate and |K15 - G7| its error, G7 reading the nodes of odd index.
+    All nodes go through one node call, with tau as a per-panel column.  A
+    run's scale is its entry of ``scales`` or, when that is None, the peak
+    of log|integrand| over its own nodes.  Every step is elementwise or per
+    panel, so each run gets the bits it gets in a call of its own.
     """
     xs, half = _panel_nodes(a, b)
-    g, sign = _log_mag_sign([tables], tau, xs, [len(a)])
-    return _apply_rules(_moment_rows(xs, g, sign, scale, nrows), half)
+    tau = np.repeat(np.array(taus, dtype=float), counts)[:, None]
+    g, sign = _log_mag_sign(tables, tau, xs, counts)
+    if scales is None:
+        starts = np.cumsum(counts) - counts
+        scales = np.maximum.reduceat(g.ravel(), 15 * starts)
+    rows = _moment_rows(xs, g, sign, np.repeat(scales, counts)[:, None],
+                        nrows).reshape(-1, 15)
+    shape = nrows, len(half)
+    k15 = _gl_rule(rows, _K15_W).reshape(shape) * half
+    g7 = _gl_rule(rows[:, 1::2], _G7_W).reshape(shape) * half
+    return k15, np.abs(k15 - g7), scales
 
 
 # Candidate break points of a cell, as multiples: of T the grid k / 8
@@ -500,15 +506,6 @@ def _targets(I: np.ndarray, Iabs: np.ndarray, tol: float) -> np.ndarray:
     return np.maximum(tol * np.abs(I), _ROUND_C * _EPS * Iabs)
 
 
-# The sums (I, Iabs, E) of a run of panels, each of shape (rows,).
-_Sums = tuple[np.ndarray, np.ndarray, np.ndarray]
-# A cell's first panel level: panels a and b, estimates, errors, scale,
-# sums, the targets its refinement sweep tests against and whether the
-# errors meet them.
-_Level = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, _Sums,
-               np.ndarray, bool]
-
-
 def _sum_panels(val: np.ndarray, err: np.ndarray, counts: Sequence[int]
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sums I of the estimates, Iabs of their magnitudes and E of their
@@ -556,107 +553,6 @@ def _sum_panels(val: np.ndarray, err: np.ndarray, counts: Sequence[int]
     r = len(val)
     I = sums[:, :r]
     return I, sums[:, r:2 * r] if signed else I, sums[:, -r:]
-
-
-def _first_levels(tables: Sequence[_Tables], taus: Sequence[float],
-                  Ts: Sequence[float], tol: float,
-                  nrows: int) -> Iterator[_Level]:
-    """The first panel level of each cell (tau, T), tested against the panel
-    tolerance ``tol`` on the first ``nrows`` moment rows; the cells are of
-    the records ``tables``, one per cell, which share mu, kappa and nu, as
-    the isotypes of one space do.
-
-    Yields per cell its panels a and b, their estimates and errors, each
-    of shape (nrows, P), its scale (the peak of log|integrand| over the
-    cell's own nodes), the sums of ``_sum_panels``, the targets of its
-    refinement sweep and whether its errors meet them.  The cells' panels are
-    concatenated into stacked node calls of at most _STACK_NODES nodes (or
-    one cell, if it has more), across records, with tau as a per-panel
-    column; the targets of a stack are one call and one comparison.  A stack is
-    computed when its first cell is asked for, and its arrays are freed
-    once the caller has let go of its cells.  Every step is elementwise,
-    per panel or per cell, so each cell gets the bits it gets in a stack of
-    its own.
-    """
-    breaks, nbreaks = _initial_breaks(tables, taus, Ts)
-    # the panels of the grid join consecutive breaks of one cell
-    inner = np.ones(len(breaks) - 1, dtype=bool)
-    inner[np.cumsum(nbreaks[:-1]) - 1] = False
-    a_row, b_row = breaks[:-1][inner], breaks[1:][inner]
-    del breaks, inner
-    panels = (nbreaks - 1).tolist()
-    lo = p0 = 0
-    while lo < len(panels):
-        hi, size = lo + 1, panels[lo]
-        while hi < len(panels) and 15 * (size + panels[hi]) <= _STACK_NODES:
-            size += panels[hi]
-            hi += 1
-        counts = np.array(panels[lo:hi])
-        starts = np.cumsum(counts) - counts
-        p1 = p0 + size
-        a, b = a_row[p0:p1], b_row[p0:p1]
-        xs, half = _panel_nodes(a, b)
-        tau = np.repeat(np.array(taus[lo:hi], dtype=float), counts)[:, None]
-        g, sign = _log_mag_sign(tables[lo:hi], tau, xs, counts)
-        scales = np.maximum.reduceat(g.ravel(), 15 * starts)
-        val, err = _apply_rules(_moment_rows(
-            xs, g, sign, np.repeat(scales, counts)[:, None], nrows), half)
-        # the node arrays go before the next stack's are made
-        del xs, g, sign
-        I, Iabs, E = _sum_panels(val, err, panels[lo:hi])
-        target = _targets(I, Iabs, tol)
-        met = np.all(E <= target, axis=1).tolist()
-        for k, (s, e, scale) in enumerate(zip(starts, starts + counts,
-                                              scales.tolist())):
-            yield (a[s:e], b[s:e], val[:, s:e], err[:, s:e], scale,
-                   (I[k], Iabs[k], E[k]), target[k], met[k])
-        lo, p0 = hi, p1
-
-
-def _integrate_moments(
-    tables: _Tables, tau: float, T: float, tol: float, first: _Level,
-    nrows: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, bool]:
-    """Refine the cell's first level, an entry of ``_first_levels``, in one
-    bisection sweep, then test its sums against ``tol`` (a first level that
-    meets it is returned).
-
-    Each generation splits the panels that miss their share of the first
-    level's targets; its panels share one depth and run left to right.
-    The sweep ends when no panel fails, at depth ``_MAX_DEPTH``, or when
-    the node budget cuts a generation short at its leftmost failing panels,
-    whose children are kept untested.  The kept panels are summed in one
-    call, correctly rounded, so their order does not matter.
-    """
-    a, b, val, err, scale, (I, Iabs, E), target, converged = first
-    nodes = 15 * len(a)
-    if converged:
-        return I, Iabs, E, scale, nodes, True
-    vals, errs = [], []
-    for _ in range(_MAX_DEPTH):
-        ok = np.all(err <= target[:, None] * (_SAFETY * (b - a) / T), axis=0)
-        fail = np.flatnonzero(~ok)
-        room = max(0, (_NODE_BUDGET - nodes) // 30)
-        cut = len(fail) > room
-        fail = fail[:room]
-        if len(fail) == 0:
-            break
-        stay = np.ones(len(a), dtype=bool)
-        stay[fail] = False
-        vals.append(val[:, stay])
-        errs.append(err[:, stay])
-        mid = 0.5 * (a[fail] + b[fail])
-        a = np.stack([a[fail], mid], axis=1).ravel()
-        b = np.stack([mid, b[fail]], axis=1).ravel()
-        val, err = _eval_panels(tables, tau, scale, a, b, nrows)
-        nodes += 15 * len(a)
-        if cut:
-            break
-    vals.append(val)
-    errs.append(err)
-    val, err = np.concatenate(vals, axis=1), np.concatenate(errs, axis=1)
-    I, Iabs, E = (x[0] for x in _sum_panels(val, err, [val.shape[1]]))
-    return I, Iabs, E, scale, nodes, bool(np.all(E <= _targets(I, Iabs, tol)))
 
 
 def _log_tail_bound(tables: Sequence[_Tables], taus: Sequence[float],
@@ -737,16 +633,56 @@ def _first_truncation(tables: _Tables, tau: float, tol: float) -> float:
 
 
 def _finish_cell(tables: _Tables, tau: float, tol: float, T: float,
-                 log_tail: float, first: _Level, nrows: int
+                 log_tail: float, nrows: int, a: np.ndarray, b: np.ndarray,
+                 val: np.ndarray, err: np.ndarray, scale: float,
+                 sums: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 target: np.ndarray, met: bool
                  ) -> tuple[np.ndarray, QuadratureResult]:
     """One cell of ``nrows`` moment rows from its truncation point T, log
-    tail bound and first level at the panel tolerance tol/2: refinement,
-    then the tail test and the error test, which a returned cell passed."""
-    # split the tolerance: half for the panels, half for the tail
-    I, Iabs, E, scale, nodes, conv = _integrate_moments(tables, tau, T,
-                                                        0.5 * tol, first, nrows)
+    tail bound and first level: panels a and b, their estimates and errors
+    at ``scale``, their sums (I, Iabs, E), the targets of the panel
+    tolerance tol/2 and whether E meets them.  Then refinement, the tail
+    test and the error test, which a returned cell passed.
+
+    A first level that misses its targets is refined in one bisection
+    sweep.  Each generation splits the panels that miss their share of the
+    first level's targets; its panels share one depth and run left to
+    right.  The sweep ends when no panel fails, at depth ``_MAX_DEPTH``, or
+    when the node budget cuts a generation short at its leftmost failing
+    panels, whose children are kept untested.  The kept panels are summed
+    in one call, correctly rounded, so their order does not matter.
+    """
+    I, Iabs, E = sums
+    nodes = 15 * len(a)
+    if not met:
+        vals, errs = [], []
+        for _ in range(_MAX_DEPTH):
+            ok = np.all(err <= target[:, None] * (_SAFETY * (b - a) / T), axis=0)
+            fail = np.flatnonzero(~ok)
+            room = max(0, (_NODE_BUDGET - nodes) // 30)
+            cut = len(fail) > room
+            fail = fail[:room]
+            if len(fail) == 0:
+                break
+            stay = np.ones(len(a), dtype=bool)
+            stay[fail] = False
+            vals.append(val[:, stay])
+            errs.append(err[:, stay])
+            mid = 0.5 * (a[fail] + b[fail])
+            a = np.stack([a[fail], mid], axis=1).ravel()
+            b = np.stack([mid, b[fail]], axis=1).ravel()
+            val, err, _ = _eval_panels([tables], [tau], a, b, [len(a)], nrows,
+                                       [scale])
+            nodes += 15 * len(a)
+            if cut:
+                break
+        vals.append(val)
+        errs.append(err)
+        val, err = np.concatenate(vals, axis=1), np.concatenate(errs, axis=1)
+        I, Iabs, E = (x[0] for x in _sum_panels(val, err, [val.shape[1]]))
+        met = bool(np.all(E <= _targets(I, Iabs, 0.5 * tol)))
     res = _build_result(I, Iabs, E, scale, nodes, T, log_tail)
-    if not conv:
+    if not met:
         # some moment row missed tol/2, so the worst E/|I| exceeds it
         with np.errstate(divide="ignore", invalid="ignore"):
             worst = float(np.max(E / np.abs(I)))
@@ -767,23 +703,55 @@ def _finish_cell(tables: _Tables, tau: float, tol: float, T: float,
 def _q_engine(tables: Sequence[_Tables], taus: Sequence[float], tol: float,
               nrows: int) -> list:
     """Per validated cell (record, tau), whose records share mu, kappa and
-    nu: (I, result), or the QuadratureError it raises.  Every cell's T and
-    tail bound come first, then the stacked first levels of all cells, then
-    each cell's refinement and tests.
+    nu: (I, result), or the QuadratureError it raises.
+
+    Every cell's T and tail bound come first, then the break points of all
+    cells in one array pass.  The first levels go in stacks of whole cells
+    of at most _STACK_NODES nodes (or one cell, if it has more): one
+    ``_eval_panels`` call, one ``_sum_panels`` call and one test against
+    the targets per stack.  Each cell of a stack is finished before the
+    next stack is built, so one stack's arrays are alive at a time.
 
     Each cell forms, sums and meets tol on its first ``nrows`` moment rows:
     1 for a value, 3 for (log q)' and (log q)'' as well; I has that length.
     """
     Ts = [_first_truncation(tb, tau, tol) for tb, tau in zip(tables, taus)]
     log_tails = _log_tail_bound(tables, taus, Ts).tolist()
-    firsts = _first_levels(tables, taus, Ts, 0.5 * tol, nrows)
+    breaks, nbreaks = _initial_breaks(tables, taus, Ts)
+    # the panels of the grid join consecutive breaks of one cell
+    inner = np.ones(len(breaks) - 1, dtype=bool)
+    inner[np.cumsum(nbreaks[:-1]) - 1] = False
+    a_row, b_row = breaks[:-1][inner], breaks[1:][inner]
+    del breaks, inner
+    panels = (nbreaks - 1).tolist()
     out = []
-    for tb, tau, T, log_tail, first in zip(tables, taus, Ts, log_tails, firsts):
-        try:
-            out.append(_finish_cell(tb, tau, tol, T, log_tail, first, nrows))
-        except QuadratureError as exc:
-            # without its traceback, which would keep the grid's frames alive
-            out.append(exc.with_traceback(None))
+    lo = p0 = 0
+    while lo < len(panels):
+        hi, size = lo + 1, panels[lo]
+        while hi < len(panels) and 15 * (size + panels[hi]) <= _STACK_NODES:
+            size += panels[hi]
+            hi += 1
+        counts = panels[lo:hi]
+        a, b = a_row[p0:p0 + size], b_row[p0:p0 + size]
+        val, err, scales = _eval_panels(tables[lo:hi], taus[lo:hi], a, b,
+                                        counts, nrows)
+        I, Iabs, E = _sum_panels(val, err, counts)
+        # split the tolerance: half for the panels, half for the tail
+        target = _targets(I, Iabs, 0.5 * tol)
+        met = np.all(E <= target, axis=1).tolist()
+        s = 0
+        for k, scale in enumerate(scales.tolist()):
+            c, e = lo + k, s + counts[k]
+            try:
+                out.append(_finish_cell(
+                    tables[c], taus[c], tol, Ts[c], log_tails[c], nrows,
+                    a[s:e], b[s:e], val[:, s:e], err[:, s:e], scale,
+                    (I[k], Iabs[k], E[k]), target[k], met[k]))
+            except QuadratureError as exc:
+                # without its traceback, which would keep the grid alive
+                out.append(exc.with_traceback(None))
+            s = e
+        lo, p0 = hi, p0 + size
     return out
 
 
@@ -803,10 +771,11 @@ def integrand(P: PolyLike, params: QPParams, t: float) -> float:
 
     For t > 0 it is sign * exp(g) from the node evaluator ``_log_mag_sign``,
     which the integration routines use as well.  At t = 0 it is the limit
-    of P(0) t^(r-1), r = mu + kappa + 1: 0, P(0) or inf as r is above, at
-    or below 1.  Raises OverflowError when the magnitude exceeds e^709,
-    near the top of the double range; the integration routines work in
-    log space and do not share this limit.
+    of P(-sinh^2 t) t^(r-1), r = mu + kappa + 1: P(0) at r = 1; else 0
+    above 1 or where P(0) = 0 (P(-sinh^2 t) is then O(t^2), and r > 0), and
+    copysign(inf, P(0)) below.  Raises OverflowError when the magnitude
+    exceeds e^709, near the top of the double range; the integration
+    routines work in log space and do not share this limit.
     """
     if not 0.0 <= t < math.inf:
         raise ParameterRangeError(f"t must be finite and nonnegative, got {t}")
@@ -814,11 +783,11 @@ def integrand(P: PolyLike, params: QPParams, t: float) -> float:
     tables = _make_tables(coeffs, params.mu, params.kappa, params.nu)
     if t == 0.0:
         r = params.mu + params.kappa + 1.0
-        if r > 1.0:
+        if r > 1.0 or coeffs[0] == 0.0:
             return 0.0
         if r == 1.0:
             return coeffs[0]
-        return math.inf
+        return math.copysign(math.inf, coeffs[0])
     g, sign = _log_mag_sign([tables], float(params.tau),
                             np.array([[float(t)]]), [1])
     g0 = float(g[0, 0])

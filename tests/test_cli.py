@@ -70,6 +70,15 @@ class TestParseArgs:
                           "--tau", "1"])
         assert cfg.n_values == (1, 3, 5)
 
+    def test_reversed_span_rejected_anywhere_in_the_list(self, capsys):
+        # beside another span a reversed one was once dropped without a word
+        for n in ("5..2", "0,5..2", "5..2,0..3"):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(["qtable", "--space", "S3", "--n", n, "--tau", "1"])
+            assert exc.value.code == 1, n
+            err = capsys.readouterr().err.splitlines()
+            assert err[-1] == f"qflat: error: bad --n value {n!r}: reversed span 5..2"
+
     def test_negative_tau_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(["qtable", "--space", "S3", "--n", "0", "--tau", "-1"])

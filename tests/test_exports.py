@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -16,3 +18,32 @@ def test_all_names_resolve(name):
     missing = [n for n in mod.__all__ if not hasattr(mod, n)]
     assert not missing, missing
     exec(f"from qflat.{name} import *", {})
+
+
+def test_every_private_helper_is_read_in_the_package():
+    # a module-level _name that no source of the package reads again is dead
+    # code, even when a test still calls it
+    defined, read = {}, set()
+    for path in sorted(pathlib.Path(qflat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert defined
+    dead = sorted(f"{path}:{name}" for name, path in defined.items() if name not in read)
+    assert not dead, dead

@@ -3,6 +3,7 @@ import io
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -52,8 +53,8 @@ def s3_log_q_closed(n, tau):
 
 
 def panel_one_at_a_time(tables, tau, scale, a, b, nrows):
-    # the per-panel form of quadrature._eval_panels: K15 on [a, b] against
-    # G7 on its nodes of odd index
+    # the per-panel form of quadrature._eval_panels at a given scale: K15 on
+    # [a, b] against G7 on its nodes of odd index
     half = 0.5 * (b - a)
     xs = 0.5 * (a + b) + half * quadrature._K15_X
     g, sign = quadrature._log_mag_sign([tables], tau, xs[None, :], [1])
@@ -70,6 +71,56 @@ def cancelling_coeff(delta):
     a0 = q_p([1.0], params, 1e-13).value
     a1 = q_p([0.0, 1.0], params, 1e-13).value
     return -(1.0 - delta) * a0 / a1
+
+
+def first_levels(tables, taus, tol, nrows):
+    """Per cell of the grid (tables, taus): its first level as ``_q_engine``
+    builds it, (a, b, estimates, errors, scale, I, Iabs, E), from the node
+    calls that take no scales (refinement passes the cell's) and the stack
+    sum that follows each."""
+    levels, stack = [], []
+    eval_panels, sum_panels = quadrature._eval_panels, quadrature._sum_panels
+
+    def evals(tables, taus, a, b, counts, nrows, scales=None):
+        out = eval_panels(tables, taus, a, b, counts, nrows, scales)
+        if scales is None:
+            stack[:] = [a, b, counts, *out]
+        return out
+
+    def sums(val, err, counts):
+        out = sum_panels(val, err, counts)
+        if stack:
+            a, b, counts, val, err, scales = stack
+            ends = np.cumsum(counts)
+            for k, (s, e) in enumerate(zip(ends - counts, ends)):
+                levels.append((a[s:e], b[s:e], val[:, s:e], err[:, s:e],
+                               scales[k], *(x[k] for x in out)))
+            stack.clear()
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_eval_panels", evals)
+        mp.setattr(quadrature, "_sum_panels", sums)
+        quadrature._q_engine(tables, taus, tol, nrows)
+    return levels
+
+
+def spy_node_calls(monkeypatch):
+    """(first level, each run's last break, moment rows formed) of every
+    ``_eval_panels`` call: a first level's node call takes no scales, a
+    refinement generation passes the cell's, and a first level's run ends at
+    its cell's T."""
+    calls = []
+    eval_panels = quadrature._eval_panels
+
+    def spy(tables, taus, a, b, counts, nrows, scales=None):
+        out = eval_panels(tables, taus, a, b, counts, nrows, scales)
+        calls.append((scales is None, b[np.cumsum(counts) - 1].tolist(),
+                      len(out[0])))
+        return out
+
+    monkeypatch.setattr(quadrature, "_eval_panels", spy)
+    return calls
 
 
 def engine_cell(coeffs, params, tol):
@@ -169,6 +220,16 @@ class TestIntegrand:
 
     def test_zero_limit_with_positive_r(self):
         assert integrand(1, QPParams(1, 1, 1, 1.0), 0.0) == 0.0
+
+    def test_limit_below_r_one_follows_p0(self):
+        # r = mu + kappa + 1 = 0.95: P(0) t^(r-1) diverges with the sign of
+        # P(0), and P(0) = 0 leaves P(-sinh^2 t) t^(r-1) = O(t^(r+1)) -> 0
+        params = QPParams(-0.05, 0, 0, 1.0)
+        assert integrand([-1.0], params, 0.0) == -math.inf
+        assert integrand([-1.0], params, 1e-8) == pytest.approx(-(1e-8) ** -0.05)
+        assert integrand([2.0], params, 0.0) == math.inf
+        assert integrand([0.0, 1.0], params, 0.0) == 0.0
+        assert abs(integrand([0.0, 1.0], params, 1e-8)) < 1e-15
 
     def test_overflow_signalled(self):
         ch = chi_params(parse_space("OP2"), 3)
@@ -564,7 +625,8 @@ class TestRefinement:
             [tables], tau, quadrature._panel_nodes(a, b)[0], [len(a)])
         scale = float(np.max(g))
         for nrows in (1, 3):
-            val, err = quadrature._eval_panels(tables, tau, scale, a, b, nrows)
+            val, err, _ = quadrature._eval_panels([tables], [tau], a, b, [len(a)],
+                                                  nrows, [scale])
             assert val.shape == err.shape == (nrows, len(a))
             for i in range(len(a)):
                 v, e = panel_one_at_a_time(tables, tau, scale, float(a[i]),
@@ -927,22 +989,27 @@ class TestFirstLevel:
         tables = quadrature._checked_isotype(parse_space(label), n, tau, tol)
         T = q_chi(parse_space(label), n, tau, tol).truncation_t
         breaks, _ = quadrature._initial_breaks([tables], [tau], [T])
-        xs, _ = quadrature._panel_nodes(breaks[:-1], breaks[1:])
+        a, b = breaks[:-1], breaks[1:]
+        xs, _ = quadrature._panel_nodes(a, b)
         g, _ = quadrature._log_mag_sign([tables], tau, xs, [len(xs)])
         for nrows in (1, 3):
-            (first,) = quadrature._first_levels([tables], [tau], [T], 0.5 * tol,
-                                                nrows)
-            I, Iabs, E, scale, nodes, conv = quadrature._integrate_moments(
-                tables, tau, T, 0.5 * tol, first, nrows)
+            ((fa, fb, fval, ferr, scale, I, Iabs, E),) = first_levels(
+                [tables], [tau], tol, nrows)
             assert scale == float(np.max(g))
-            val, err = quadrature._eval_panels(tables, tau, scale, breaks[:-1],
-                                               breaks[1:], nrows)
-            assert conv
+            assert np.array_equal(fa, a) and np.array_equal(fb, b)
+            val, err, _ = quadrature._eval_panels([tables], [tau], a, b, [len(a)],
+                                                  nrows, [scale])
+            assert np.array_equal(fval, val) and np.array_equal(ferr, err)
+            # the cell settles on that level and returns its sums
+            (out,) = quadrature._q_engine([tables], [tau], tol, nrows)
+            I_cell, res = quadrature._unwrap(out)
+            assert res.nodes == 15 * len(a)
             sums = quadrature._sum_panels(val, err, [val.shape[1]])
             assert len(sums) == 3
             for got, want in zip((I, Iabs, E), sums):
                 assert want.shape == (1, nrows)
                 assert np.array_equal(got, want[0])
+            assert np.array_equal(I_cell, I)
 
     @pytest.mark.parametrize("label,n,tau,tol", CASES)
     def test_nodes_are_fifteen_per_panel(self, label, n, tau, tol):
@@ -978,15 +1045,13 @@ class TestStackedRow:
     def test_row_slices_equal_rows_of_one(self, label, n):
         tol = 1e-10
         tables = quadrature._checked_isotype(parse_space(label), n, 1.0, tol)
-        Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
-        recs = [tables] * len(ROW_TAUS)
-        row = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol, 3))
+        row = first_levels([tables] * len(ROW_TAUS), ROW_TAUS, tol, 3)
         assert len(row) == len(ROW_TAUS)
-        for tau, T, cell in zip(ROW_TAUS, Ts, row):
-            (alone,) = quadrature._first_levels([tables], [tau], [T], 0.5 * tol, 3)
+        for tau, cell in zip(ROW_TAUS, row):
+            (alone,) = first_levels([tables], [tau], tol, 3)
             assert len(cell) == len(alone) == 8
             for got, want in zip(cell, alone):
-                assert np.array_equal(got, want), (tau, T)
+                assert np.array_equal(got, want), tau
 
     @pytest.mark.parametrize("label,n", CELLS)
     def test_prefetched_cells_equal_cells_alone(self, label, n, empty_row):
@@ -1004,19 +1069,31 @@ class TestStackedRow:
         # a cap below one cell's nodes gives stacks of one, with the same bits
         tol = 1e-10
         tables = quadrature._checked_isotype(parse_space("CP2"), 4, 1.0, tol)
-        Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
         recs = [tables] * len(ROW_TAUS)
-        whole = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol, 3))
+        whole = first_levels(recs, ROW_TAUS, tol, 3)
         monkeypatch.setattr(quadrature, "_STACK_NODES", 1)
-        calls = []
-        log_mag_sign = quadrature._log_mag_sign
-        monkeypatch.setattr(quadrature, "_log_mag_sign",
-                            lambda *a: calls.append(a[2].shape) or log_mag_sign(*a))
-        capped = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol, 3))
-        assert len(calls) == len(ROW_TAUS)
+        calls = spy_node_calls(monkeypatch)
+        capped = first_levels(recs, ROW_TAUS, tol, 3)
+        # one first-level node call per cell
+        assert [len(ends) for first, ends, _ in calls if first] == [1] * len(ROW_TAUS)
+        assert len(whole) == len(capped) == len(ROW_TAUS)
         for a, b in zip(whole, capped):
             for got, want in zip(a, b):
                 assert np.array_equal(got, want)
+
+    def test_stack_arrays_go_before_the_next_stack(self, empty_row):
+        # the table_dense grid of one space: 340 cells in stacks of about ten
+        # peak near 0.8 MB, and near 15 MB as one stack
+        sp, taus = parse_space("OP2"), np.geomspace(0.05, 400.0, 20).tolist()
+        quadrature.prefetch(sp, range(17), taus)
+        tracemalloc.start()
+        try:
+            quadrature.prefetch(sp, range(17), taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(empty_row) == 17 * len(taus)
+        assert peak < 2 << 20, peak
 
 
 def _hexbits(res):
@@ -1105,11 +1182,9 @@ class TestStackedFirstRound:
     def test_mixed_sign_stack_equals_rows_of_one(self, tol):
         P, mu, kappa, nu = MIXED
         tables = quadrature._make_tables(quadrature._as_float_coeffs(P), mu, kappa, nu)
-        Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
         recs = [tables] * len(ROW_TAUS)
         for nrows in (1, 3):
-            stack = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol,
-                                                  nrows))
+            stack = first_levels(recs, ROW_TAUS, tol, nrows)
             assert any(np.any(level[2] < 0.0) for level in stack)
             # that stack is the first level of the grid of these cells
             grid = quadrature._q_engine(recs, ROW_TAUS, tol, nrows)
@@ -1129,10 +1204,7 @@ class TestSumPanels:
     stack is negative."""
 
     def stack(self, tables, nrows=3, tol=1e-10):
-        Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
-        recs = [tables] * len(ROW_TAUS)
-        levels = list(quadrature._first_levels(recs, ROW_TAUS, Ts, 0.5 * tol,
-                                               nrows))
+        levels = first_levels([tables] * len(ROW_TAUS), ROW_TAUS, tol, nrows)
         val = np.concatenate([level[2] for level in levels], axis=1)
         err = np.concatenate([level[3] for level in levels], axis=1)
         return val, err, [level[2].shape[1] for level in levels]
@@ -1599,20 +1671,17 @@ class TestGridPrefetch:
         # the isotypes 0..16 of a space at the taus of verify-asymptotics
         sp = parse_space("OP2")
         ns, taus = range(quadrature.MAX_DEGREE + 1), (1e-3, 1e-2, 100.0, 400.0)
-        calls = {}
-        for name in ("_initial_breaks", "_log_mag_sign"):
-            fn = getattr(quadrature, name)
-            # each call is kept with the name of the function that made it
-            monkeypatch.setattr(
-                quadrature, name,
-                lambda *a, _fn=fn, _name=name: calls.setdefault(_name, []).append(
-                    (sys._getframe(1).f_code.co_name, a)) or _fn(*a))
+        breaks = []
+        initial_breaks = quadrature._initial_breaks
+        monkeypatch.setattr(quadrature, "_initial_breaks",
+                            lambda *a: breaks.append(a) or initial_breaks(*a))
+        calls = spy_node_calls(monkeypatch)
         quadrature.prefetch(sp, ns, taus)
         assert len(empty_row) == len(ns) * len(taus)
-        assert len(calls["_initial_breaks"]) == 1
+        assert len(breaks) == 1
         # the first levels' node calls, as against those of refinement
-        stacks = [a for caller, a in calls["_log_mag_sign"] if caller == "_first_levels"]
-        assert sum(len(a[3]) for a in stacks) == len(ns) * len(taus)
+        stacks = [ends for first, ends, _ in calls if first]
+        assert sum(len(ends) for ends in stacks) == len(ns) * len(taus)
         assert len(stacks) < len(ns)
 
 
@@ -1669,16 +1738,12 @@ class TestOneRoute:
     def test_first_levels_once_at_the_first_t(self, monkeypatch, empty_row):
         # OP2 at n = 0 and MIN_TAU, which settled only at a fourth, larger T
         # under a looser tail bound, builds one first level, at its first T
-        Ts = []
-        first_levels = quadrature._first_levels
-        monkeypatch.setattr(quadrature, "_first_levels",
-                            lambda tables, taus, ts, tol, nrows: Ts.append(list(ts))
-                            or first_levels(tables, taus, ts, tol, nrows))
+        calls = spy_node_calls(monkeypatch)
         sp, tau, tol = parse_space("OP2"), quadrature.MIN_TAU, quadrature.DEFAULT_TOL
         res = q_chi(sp, 0, tau, tol)
         T0 = quadrature._first_truncation(
             quadrature._checked_isotype(sp, 0, tau, tol), tau, tol)
-        assert Ts == [[T0]]
+        assert [ends for first, ends, _ in calls if first] == [[T0]]
         assert res.truncation_t == T0
 
 
@@ -1759,43 +1824,29 @@ class TestValueRows:
     """``q_chi``, ``q_p`` and ``p_chi`` form the value row alone,
     ``q_chi_derivs`` all three moment rows."""
 
-    @staticmethod
-    def spy_rows(monkeypatch):
-        # (caller, rows formed) of every node call of the moments
-        seen = []
-        moment_rows = quadrature._moment_rows
-
-        def spy(*args):
-            rows = moment_rows(*args)
-            seen.append((sys._getframe(1).f_code.co_name, len(rows)))
-            return rows
-
-        monkeypatch.setattr(quadrature, "_moment_rows", spy)
-        return seen
-
     def test_oracles_pass_forms_one_row_per_stack(self, monkeypatch, empty_row):
         # verify-asymptotics over the default spaces: several stacks per
         # space, each of the value row alone
-        seen = self.spy_rows(monkeypatch)
+        seen = spy_node_calls(monkeypatch)
         with redirect_stdout(io.StringIO()):
             assert main(["verify-asymptotics", "--space", "all", "--n", "0..16"]) == 0
-        stacks = [rows for caller, rows in seen if caller == "_first_levels"]
+        stacks = [rows for first, _, rows in seen if first]
         assert len(stacks) > 2 * len(DEFAULT_SCAN_SELECTORS)
-        assert set(rows for _, rows in seen) == {1}
+        assert set(rows for _, _, rows in seen) == {1}
 
     @pytest.mark.parametrize("derivs", (False, True))
     def test_every_stack_of_a_grid_forms_its_rows(self, derivs, monkeypatch,
                                                   empty_row):
-        # at tol 1e-13 some cells refine, in node calls of _eval_panels
-        seen = self.spy_rows(monkeypatch)
+        # at tol 1e-13 some cells refine, in node calls that pass the
+        # cell's scale
+        seen = spy_node_calls(monkeypatch)
         sp = parse_space("CP2")
         quadrature.prefetch(sp, range(quadrature.MAX_DEGREE + 1),
                             (quadrature.MIN_TAU, 1e-3, 0.05, 20.0), 1e-13,
                             derivs=derivs)
-        callers = {caller for caller, _ in seen}
-        assert callers == {"_first_levels", "_eval_panels"}
-        assert sum(caller == "_first_levels" for caller, _ in seen) > 2
-        assert {rows for _, rows in seen} == {3 if derivs else 1}
+        assert {first for first, _, _ in seen} == {True, False}
+        assert sum(first for first, _, _ in seen) > 2
+        assert {rows for _, _, rows in seen} == {3 if derivs else 1}
 
     SWEEP_NS = (0, 3, 8, 16)
     SWEEP_TAUS = (1e-3, 0.05, 1.0, 20.0, 400.0)

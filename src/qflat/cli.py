@@ -207,6 +207,8 @@ def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
         low, high = min(lo for lo, _ in spans), max(hi for _, hi in spans)
         if low < 0:
             fail(f"n must be nonnegative, got {low}")
+        if ns.subcommand == "centrality" and low < 1:
+            fail(f"centrality indices must be positive, got {low}")
         if high > MAX_DEGREE:
             fail(f"n must be at most {MAX_DEGREE}, got {high}")
         n_values = tuple(sorted({n for lo, hi in spans for n in range(lo, hi + 1)}))
@@ -369,7 +371,7 @@ def _rows_centrality(cfg: RunConfig) -> list[dict]:
     rows = []
     for lbl in cfg.spaces:
         sp = parse_space(lbl)
-        for chk in centrality_check(sp, [n for n in cfg.n_values if n >= 1]):
+        for chk in centrality_check(sp, cfg.n_values):
             rows.append({
                 "space": lbl, "n": chk.n,
                 "lhs": describe_exact(chk.lhs),

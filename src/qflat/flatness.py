@@ -34,7 +34,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .hypergeom import closed_coeffs
+from .hypergeom import _top_ratio
 from .quadrature import (
     DEFAULT_TOL,
     MAX_TAU,
@@ -141,9 +141,6 @@ class SqrtRational:
     def __float__(self) -> float:
         return float(self.rat) * math.sqrt(self.radicand)
 
-    def scaled(self, f: Fraction) -> "SqrtRational":
-        return SqrtRational(self.rat * f, self.radicand)
-
     def equals(self, other) -> bool:
         if isinstance(other, SqrtRational):
             return self.rat == other.rat and self.radicand == other.radicand
@@ -155,21 +152,6 @@ def sqrt_rational(rat: Fraction, radicand: int = 1) -> SqrtRational:
         return SqrtRational(Fraction(0), 1)
     s, d = _squarefree_split(radicand)
     return SqrtRational(rat * s, d)
-
-
-def _pow_half_integer(base: Fraction, expo: Fraction) -> SqrtRational:
-    """base ** expo for positive rational base and integer/half-integer expo."""
-    if base <= 0:
-        raise ValueError(f"base must be positive, got {base}")
-    expo = Fraction(expo)
-    if expo.denominator == 1:
-        return SqrtRational(base ** int(expo), 1)
-    if expo.denominator != 2:
-        raise ValueError(f"exponent must be integer or half-integer, got {expo}")
-    k = expo - Fraction(1, 2)
-    p, q = base.numerator, base.denominator
-    # sqrt(p/q) = sqrt(p q) / q
-    return sqrt_rational(base ** int(k) / q, p * q)
 
 
 def describe_exact(x) -> str:
@@ -230,18 +212,46 @@ class DimensionEquationScan:
     values: tuple[float, ...]
 
 
+def _centrality_rhs(a: int, d: int, mu: Fraction, n: int) -> SqrtRational:
+    """4^n (A/(A+2n))^mu for A = a/d and an integer or half-integer mu.
+
+    With A/(A+2n) = p/q in lowest terms and mu = k or k + 1/2, the value is
+    4^n p^k / q^k, times sqrt(p q) / q for the half: integer powers, one
+    squarefree split of p q and one ``Fraction`` at the end.
+    """
+    p, q = a, a + 2 * n * d
+    if p * q <= 0:
+        raise ValueError(f"base must be positive, got {Fraction(p, q)}")
+    g = math.gcd(p, q)
+    p, q = abs(p) // g, abs(q) // g
+    if mu.denominator == 1:
+        k, s, radicand, extra = mu.numerator, 1, 1, 1
+    elif mu.denominator == 2:
+        k, extra = (mu.numerator - 1) // 2, q
+        s, radicand = _squarefree_split(p * q)
+    else:
+        raise ValueError(f"exponent must be integer or half-integer, got {mu}")
+    num, den = (p ** k, q ** k) if k >= 0 else (q ** -k, p ** -k)
+    return SqrtRational(Fraction(4 ** n * num * s, den * extra), radicand)
+
+
 def centrality_check(space: RootData, n_set: Iterable[int]) -> list[CentralityCheck]:
-    """Evaluate the centrality identity exactly at each index in n_set."""
+    """Evaluate the centrality identity exactly at each index in n_set.
+
+    Each side is an integer numerator and denominator from those of A, c and
+    mu, normalised once into its ``Fraction``.
+    """
     ch0 = chi_params(space, 0)
-    A, c, mu = ch0.A, ch0.c, ch0.mu
+    a, d = ch0.A.numerator, ch0.A.denominator
+    e, f = ch0.c.numerator, ch0.c.denominator
     out = []
     for n in sorted(set(int(n) for n in n_set)):
         if n < 1:
             raise ValueError(f"centrality indices must be positive, got {n}")
         # |c_nn| = prod_{j<n} (A+n+j)/(c+j), the top coefficient's magnitude
-        lhs = abs(closed_coeffs(A, n, c)[1])
-        rho = A / (A + 2 * n)
-        rhs = _pow_half_integer(rho, mu).scaled(Fraction(4) ** n)
+        num, den = _top_ratio(a, d, e, f, n)
+        lhs = Fraction(abs(num), abs(den))
+        rhs = _centrality_rhs(a, d, ch0.mu, n)
         passed = rhs.is_rational and rhs.rat == lhs
         out.append(CentralityCheck(n=n, lhs=lhs, rhs=rhs, passed=passed))
     return out

@@ -79,6 +79,17 @@ class TestParseArgs:
             err = capsys.readouterr().err.splitlines()
             assert err[-1] == f"qflat: error: bad --n value {n!r}: reversed span 5..2"
 
+    def test_centrality_index_below_one_rejected_anywhere_in_the_list(self, capsys):
+        # n = 0 has no certificate: alone it once printed a header-only table,
+        # beside other indices it was dropped without a word
+        for n in ("0", "0..2", "3,0", "2,5..7,0"):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(["centrality", "--space", "S3", "--n", n])
+            assert exc.value.code == 1, n
+            err = capsys.readouterr().err.splitlines()
+            assert err[-1] == "qflat: error: centrality indices must be positive, got 0"
+        assert parse_args(["qtable", "--space", "S3", "--n", "0..2"]).n_values == (0, 1, 2)
+
     def test_negative_tau_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(["qtable", "--space", "S3", "--n", "0", "--tau", "-1"])
@@ -341,6 +352,14 @@ class TestCentrality:
         assert lines[0] == "space,n,lhs,rhs,pass"
         assert lines[1] == "S3,1,2,2,true"
         assert lines[2] == "S3,2,16/3,16/3,true"
+
+    def test_golden_exact_json(self):
+        # exact rationals and surds only, no float: no libm can move a byte
+        out, code = capture(["centrality", "--space",
+                             "S2,S3,S4,S5,S7,S40,CP2,CP3,CP8,HP2,HP4,OP2",
+                             "--n", "1..16", "--format", "json"])
+        assert code == 0
+        assert out == (GOLDEN / "centrality_exact.json").read_text()
 
 
 class TestScan:

@@ -35,12 +35,10 @@ from .quadrature import (
     dlogq,
 )
 from .asymptotics import (
-    CentralPrediction,
     watson2,
     fseries2,
     log_tail_gauss_exp,
     log_qp_large_tau,
-    central_predict,
 )
 from .flatness import (
     Mode,
@@ -55,8 +53,6 @@ from .flatness import (
     FlatnessReport,
     centrality_check,
     rationality_argument,
-    parameter_constraints,
-    solve_dimension_equation,
     curvature_samples,
     projective_test,
     flat_test,

@@ -1,10 +1,8 @@
 """Closed-form small-tau and large-tau laws for the radial integrals.
 
 These serve as independent oracles against the quadrature routines: the
-two-term Watson expansion controls tau -> 0, a saddle-free Laplace argument
-controls tau -> infinity, and the central-sequence identities predict how
-the whole isotype family collapses onto the n = 0 integral when the
-curvature is isotype-independent.
+two-term Watson expansion controls tau -> 0, and a saddle-free Laplace
+argument controls tau -> infinity.
 
 The large-tau laws are given in log form only: their values overflow
 together with the integrals they approximate, so comparisons against
@@ -14,38 +12,15 @@ quadrature at large tau are made on logarithms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
 
 from .quadrature import _as_float_coeffs
 
 __all__ = [
-    "CentralPrediction",
     "watson2",
     "fseries2",
     "log_tail_gauss_exp",
     "log_qp_large_tau",
-    "central_predict",
 ]
-
-Rational = Union[int, Fraction]
-
-
-@dataclass(frozen=True)
-class CentralPrediction:
-    """What centrality forces on the degree-n member of a polynomial family.
-
-    ``alpha_n`` is the exponential rate n(nu+kappa+n) by which Q_{P_n}
-    outruns Q_{P_0}; ``c_n1`` the forced linear coefficient
-    -2n(nu+kappa+n)/(mu+kappa+1); ``c_nn_magnitude`` the forced magnitude
-    4^n ((nu+kappa)/(nu+kappa+2n))^mu of the top coefficient, whose sign is
-    (-1)^n.
-    """
-
-    alpha_n: Fraction
-    c_n1: Fraction
-    c_nn_magnitude: float
 
 
 def watson2(P, mu, kappa, nu, tau: float) -> float:
@@ -124,21 +99,3 @@ def log_qp_large_tau(P, mu, kappa, nu, tau: float) -> tuple[float, float]:
     )
     sign = math.copysign(1.0, cn) * (1.0 if n % 2 == 0 else -1.0)
     return logmag, sign
-
-
-def central_predict(n: int, mu: Rational, kappa: Rational,
-                    nu: Rational) -> CentralPrediction:
-    """Exact centrality predictions for the degree-n member of a family."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    mu_f = Fraction(mu)
-    kappa_f = Fraction(kappa)
-    nu_f = Fraction(nu)
-    alpha = n * (nu_f + kappa_f + n)
-    c_n1 = Fraction(-2 * n) * (nu_f + kappa_f + n) / (mu_f + kappa_f + 1)
-    if n == 0:
-        mag = 1.0
-    else:
-        base = (nu_f + kappa_f) / (nu_f + kappa_f + 2 * n)
-        mag = 4.0 ** n * float(base) ** float(mu_f)
-    return CentralPrediction(alpha_n=alpha, c_n1=c_n1, c_nn_magnitude=mag)

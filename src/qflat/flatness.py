@@ -57,13 +57,10 @@ __all__ = [
     "describe_exact",
     "CentralityCheck",
     "RationalityArgument",
-    "DimensionEquationScan",
     "CurvatureGrid",
     "FlatnessReport",
     "centrality_check",
     "rationality_argument",
-    "parameter_constraints",
-    "solve_dimension_equation",
     "curvature_samples",
     "projective_test",
     "flat_test",
@@ -197,19 +194,9 @@ class RationalityArgument:
 
     n_used: int
     lhs: Fraction
-    lhs_rational: bool
     rhs: SqrtRational
     rhs_rational: bool
     conclusion: str
-
-
-@dataclass(frozen=True)
-class DimensionEquationScan:
-    """Odd dimensions solving ((m+1)/(m-1))^((m-1)/2) = 2, scanned exactly."""
-
-    solutions: tuple[int, ...]
-    strictly_increasing: bool
-    values: tuple[float, ...]
 
 
 def _centrality_rhs(a: int, d: int, mu: Fraction, n: int) -> SqrtRational:
@@ -240,6 +227,21 @@ def centrality_check(space: RootData, n_set: Iterable[int]) -> list[CentralityCh
 
     Each side is an integer numerator and denominator from those of A, c and
     mu, normalised once into its ``Fraction``.
+
+    n = 1 alone refutes every catalog space but S^3, for every m.  A is the
+    positive integer m_beta + m_half/2, c = m/2 and mu = (m-1)/2.
+
+    * Even m (the even spheres, CP^k, HP^k, OP2): mu is a half-integer, so
+      the right side is a rational multiple of sqrt(A(A+2)), and
+      A(A+2) = (A+1)^2 - 1 lies strictly between A^2 and (A+1)^2.  It is
+      not a square, so the right side is irrational and the rational left
+      side cannot equal it.
+    * Odd m (only the spheres in the catalog): A = m - 1, so the left side
+      (A+1)/c is 2 and n = 1 reads 2 = 4((m-1)/(m+1))^((m-1)/2), that is
+      ((m+1)/(m-1))^((m-1)/2) = 2.  For m = 2x + 1 the left side is
+      (1 + 1/x)^x, and its first three binomial terms give
+      (1 + 1/x)^x >= 2 + (x-1)/(2x) > 2 once x >= 2.  So m = 3 is the only
+      odd solution.
     """
     ch0 = chi_params(space, 0)
     a, d = ch0.A.numerator, ch0.A.denominator
@@ -265,58 +267,22 @@ def rationality_argument(space: RootData) -> RationalityArgument:
     i.e. when m is odd.  The left-hand side is always rational, so every
     even-dimensional space fails centrality outright.
     """
-    A = chi_params(space, 0).A
-    if A.denominator != 1 or A <= 0:
-        raise ValueError(f"A must be a positive integer, got {A}")
-    n = 2 * int(A)
-    chk = centrality_check(space, [n])[0]
-    rhs_rational = chk.rhs.is_rational
-    conclusion = "test passes to next stage" if rhs_rational else "m must be odd"
+    return _rationality(space, ())
+
+
+def _rationality(space: RootData,
+                 checks: Sequence[CentralityCheck]) -> RationalityArgument:
+    """The n = 2A argument, its certificate taken from ``checks`` (those for
+    n = 1..len(checks), in order) when 2A is among them."""
+    n = 2 * int(chi_params(space, 0).A)
+    chk = checks[n - 1] if n <= len(checks) else centrality_check(space, [n])[0]
+    rational = chk.rhs.is_rational
     return RationalityArgument(
         n_used=n,
         lhs=chk.lhs,
-        lhs_rational=True,
         rhs=chk.rhs,
-        rhs_rational=rhs_rational,
-        conclusion=conclusion,
-    )
-
-
-def parameter_constraints(mu: float, kappa: float, nu: float) -> float:
-    """Residual of the n = 1 compatibility identity between the two
-    closed-form expressions for the linear coefficient:
-    (nu+kappa+1)/(mu+kappa+1) - 2 ((nu+kappa)/(nu+kappa+2))^mu."""
-    mu, kappa, nu = float(mu), float(kappa), float(nu)
-    if nu <= 0.0 or kappa <= 0.0:
-        raise ValueError(f"need nu > 0 and kappa > 0, got nu={nu}, kappa={kappa}")
-    if mu + kappa <= -1.0:
-        raise ValueError("need mu + kappa > -1")
-    lhs = (nu + kappa + 1.0) / (mu + kappa + 1.0)
-    rhs = 2.0 * ((nu + kappa) / (nu + kappa + 2.0)) ** mu
-    return lhs - rhs
-
-
-def solve_dimension_equation(m_max: int) -> DimensionEquationScan:
-    """Scan odd m in [3, m_max] for g(m) = ((m+1)/(m-1))^((m-1)/2) = 2.
-
-    Both the equation and the monotonicity certificate are evaluated in
-    exact rational arithmetic; g increases strictly toward e^2, so m = 3 is
-    the only solution ever found.
-    """
-    if m_max < 3:
-        raise ValueError(f"need m_max >= 3, got {m_max}")
-    solutions = []
-    gs: list[Fraction] = []
-    for m in range(3, m_max + 1, 2):
-        g = Fraction(m + 1, m - 1) ** ((m - 1) // 2)
-        gs.append(g)
-        if g == 2:
-            solutions.append(m)
-    increasing = all(a < b for a, b in zip(gs, gs[1:]))
-    return DimensionEquationScan(
-        solutions=tuple(solutions),
-        strictly_increasing=increasing,
-        values=tuple(float(g) for g in gs),
+        rhs_rational=rational,
+        conclusion="test passes to next stage" if rational else "m must be odd",
     )
 
 
@@ -476,11 +442,11 @@ def _scan_one(
     mode: Mode
 ) -> FlatnessReport:
     checks = tuple(centrality_check(space, range(1, n_max + 1)))
-    # n = 1 is always checked and fails for every even m (its right side
-    # carries sqrt(A/(A+2)), and A(A+2) = (A+1)^2 - 1 is never a square); for
-    # odd m the rationality argument's right side is rational: it is reported
+    # n = 1 is always checked and refutes every catalog space but S3 (see
+    # centrality_check); the rationality argument is only reported, for a
+    # space whose checks all pass
     witness = next((c for c in checks if not c.passed), None)
-    rationality = rationality_argument(space) if witness is None else None
+    rationality = _rationality(space, checks) if witness is None else None
     grid = curvature_samples(space, n_max, tau_grid, tol)
     # projectively flat first (isotype spread), then flat (residual)
     dev = _chi_deviation(grid)

@@ -23,7 +23,6 @@ from qflat.flatness import (
     FieldVerdict,
     centrality_check,
     rationality_argument,
-    solve_dimension_equation,
     theorem_scan,
 )
 from qflat.hypergeom import hypergeom_poly
@@ -145,14 +144,20 @@ def test_criterion_04_exact_certificates():
 
 
 def test_criterion_05_dimension_equation():
+    # for odd m the n = 1 certificate of S^m is ((m+1)/(m-1))^((m-1)/2) = 2,
+    # and with m = 2x + 1 its left side is (1 + 1/x)^x
     failures = []
-    scan = solve_dimension_equation(99)
-    if scan.solutions != (3,):
-        failures.append(f"solutions {scan.solutions}, wanted (3,)")
-    if not scan.strictly_increasing:
-        failures.append("monotonicity certificate failed")
+    solutions = tuple(m for m in range(3, 100, 2)
+                      if centrality_check(parse_space(f"S{m}"), [1])[0].passed)
+    if solutions != (3,):
+        failures.append(f"solutions {solutions}, wanted (3,)")
+    for x in range(2, 50):
+        # first three binomial terms: (1 + 1/x)^x >= 2 + (x-1)/(2x) > 2
+        bound = 2 + Fraction(x - 1, 2 * x)
+        if not (Fraction(x + 1, x) ** x >= bound > 2):
+            failures.append(f"binomial bound fails at x = {x}")
     report(5, "dimension equation ((m+1)/(m-1))^((m-1)/2) = 2 has only m=3, "
-              "with strict monotonicity", failures)
+              "with the binomial bound (1+1/x)^x >= 2 + (x-1)/(2x)", failures)
 
 
 def test_criterion_06_watson_small_tau():

@@ -5,13 +5,12 @@ import pytest
 
 from qflat import quadrature
 from qflat.asymptotics import (
-    central_predict,
     fseries2,
     log_qp_large_tau,
     log_tail_gauss_exp,
     watson2,
 )
-from qflat.hypergeom import RationalPoly, closed_coeffs, hypergeom_poly
+from qflat.hypergeom import RationalPoly, hypergeom_poly
 from qflat.quadrature import q_chi
 from qflat.spaces import (
     DEFAULT_SCAN_SELECTORS,
@@ -170,49 +169,6 @@ class TestQpLargeTau:
                      (1, 1, math.nan, 1.0), (1, 1, 1, math.nan)):
             with pytest.raises(ValueError):
                 log_qp_large_tau(1, *args)
-
-
-class TestCentralPredict:
-    def test_n1_s3_parameters(self):
-        pred = central_predict(1, 1, 1, 1)
-        assert pred.alpha_n == 3
-        assert pred.c_n1 == -2
-        assert pred.c_nn_magnitude == pytest.approx(4.0 * (2.0 / 4.0), rel=1e-15)
-
-    def test_n0_trivial(self):
-        pred = central_predict(0, 1, 1, 1)
-        assert pred.alpha_n == 0 and pred.c_n1 == 0
-        assert pred.c_nn_magnitude == 1.0
-
-    def test_n2_s3_matches_hypergeom_top(self):
-        pred = central_predict(2, 1, 1, 1)
-        assert pred.alpha_n == 8
-        assert pred.c_nn_magnitude == pytest.approx(16.0 / 3.0, rel=1e-14)
-        _, top = closed_coeffs(2, 2, Fraction(3, 2))
-        assert abs(top) == Fraction(16, 3)
-
-    def test_rate_vs_linear_coefficient_identity(self):
-        # alpha_n = -(r/2) c_{n,1} identically, r = mu + kappa + 1
-        for sp in default_scan_spaces():
-            ch = chi_params(sp, 0)
-            for n in range(11):
-                pred = central_predict(n, ch.mu, ch.kappa, ch.nu)
-                assert pred.alpha_n == -Fraction(ch.r, 2) * pred.c_n1
-
-    def test_linear_coefficient_always_matches_at_n1(self):
-        # A = nu + kappa makes the n = 1 linear coefficients agree for every
-        # space; the centrality obstruction lives in the top coefficient
-        for sp in default_scan_spaces():
-            ch = chi_params(sp, 0)
-            pred = central_predict(1, ch.mu, ch.kappa, ch.nu)
-            c1, _ = closed_coeffs(ch.A, 1, ch.c)
-            assert c1 == pred.c_n1
-
-    def test_top_coefficient_mismatch_for_s2(self):
-        ch = chi_params(parse_space("S2"), 0)
-        pred = central_predict(2, ch.mu, ch.kappa, ch.nu)
-        _, top = closed_coeffs(ch.A, 2, ch.c)
-        assert abs(float(top)) != pytest.approx(pred.c_nn_magnitude, rel=1e-6)
 
 
 class TestOracleAgreementSmallTau:

@@ -84,8 +84,7 @@ def ref_rationality(A, c, mu):
     chk = ref_centrality(A, c, mu, [n])[0]
     rational = chk.rhs.is_rational
     return RationalityArgument(
-        n_used=n, lhs=chk.lhs, lhs_rational=True, rhs=chk.rhs,
-        rhs_rational=rational,
+        n_used=n, lhs=chk.lhs, rhs=chk.rhs, rhs_rational=rational,
         conclusion="test passes to next stage" if rational else "m must be odd",
     )
 

@@ -18,10 +18,8 @@ from qflat.flatness import (
     curvature_samples,
     describe_exact,
     flat_test,
-    parameter_constraints,
     projective_test,
     rationality_argument,
-    solve_dimension_equation,
     sqrt_rational,
     theorem_expected_verdict,
     theorem_scan,
@@ -115,7 +113,7 @@ class TestRationalityArgument:
     def test_cp2_obstruction(self):
         arg = rationality_argument(parse_space("CP2"))
         assert arg.n_used == 4
-        assert arg.lhs_rational and not arg.rhs_rational
+        assert not arg.rhs_rational
         assert arg.conclusion == "m must be odd"
         # rhs is 4^(2A) 5^(-mu) with mu = 3/2
         assert arg.rhs.radicand == 5
@@ -130,10 +128,21 @@ class TestRationalityArgument:
             arg = rationality_argument(sp)
             assert arg.rhs_rational == (sp.m % 2 == 1)
 
+    def test_scan_takes_the_certificate_from_its_checks(self):
+        # 2A = 4 for S3: within n_max = 4 the scan reuses the n = 4 check,
+        # and with n_max = 2 it computes it; both give the public argument
+        s3 = parse_space("S3")
+        for n_max in (4, 2):
+            rep = theorem_scan([s3], n_max=n_max, tau_grid=(1.0,))[0]
+            assert rep.rationality == rationality_argument(s3)
+            reused = rep.rationality.lhs is rep.centrality[-1].lhs
+            assert reused == (n_max == 4)
+
     def test_n1_check_already_refutes_every_even_m(self):
         # why theorem_scan never takes its witness from this argument: the
-        # scan always checks n = 1, which fails for every even m, and for
-        # odd m the argument's right side is rational
+        # scan always checks n = 1, which refutes every catalog space but S3;
+        # off the catalog too it fails for every even m, and for odd m the
+        # argument's right side is rational
         count = 0
         for m in range(2, 17):
             for m_half in range(0, m, 2):
@@ -149,53 +158,28 @@ class TestRationalityArgument:
         assert count == 71
 
 
-class TestParameterConstraints:
-    def test_s3_exact_zero(self):
-        assert parameter_constraints(1, 1, 1) == 0.0
-
-    def test_s2_residual(self):
-        got = parameter_constraints(0.5, 0.5, 0.5)
-        assert got == pytest.approx(1.0 - 2.0 / math.sqrt(3.0), rel=1e-13)
-
-    def test_cp2_residual(self):
-        got = parameter_constraints(1.5, 1.5, 0.5)
-        assert got == pytest.approx(0.75 - 1.0 / math.sqrt(2.0), rel=1e-13)
-        assert got == pytest.approx(0.0428932, abs=1e-7)
-
-    def test_sign_agrees_with_n1_certificate(self):
-        # this residual is (half) the n = 1 centrality residual in disguise
-        for sp in default_scan_spaces():
-            from qflat.spaces import chi_params
-
-            ch = chi_params(sp, 0)
-            pc = parameter_constraints(float(ch.mu), float(ch.kappa), float(ch.nu))
-            chk = centrality_check(sp, [1])[0]
-            exact_resid = float(chk.lhs) - float(chk.rhs)
-            if sp.label == "S3":
-                assert abs(pc) < 1e-14 and chk.passed
-            else:
-                assert math.copysign(1.0, pc) == math.copysign(1.0, exact_resid)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            parameter_constraints(1, 0, 1)
-
-
 class TestDimensionEquation:
-    def test_solution_set(self):
-        scan = solve_dimension_equation(99)
-        assert scan.solutions == (3,)
-        assert scan.strictly_increasing
-
     def test_g_values(self):
-        scan = solve_dimension_equation(9)
-        assert scan.values[0] == 2.0          # g(3) = (4/2)^1
-        assert scan.values[1] == 2.25         # g(5) = (3/2)^2
-        assert scan.values[1] > 2.0
+        # for odd m, S^m at n = 1 reads 2 = 4/g(m), with
+        # g(m) = ((m+1)/(m-1))^((m-1)/2)
+        for m in range(3, 100, 2):
+            chk = centrality_check(parse_space(f"S{m}"), [1])[0]
+            g = Fraction(m + 1, m - 1) ** ((m - 1) // 2)
+            assert chk.lhs == 2 and chk.rhs.equals(4 / g), m
+        s3, s5 = (centrality_check(parse_space(s), [1])[0] for s in ("S3", "S5"))
+        assert s3.rhs.equals(2)                  # g(3) = 2: the flat S3
+        assert s5.rhs.equals(Fraction(16, 9))    # g(5) = 9/4 > 2
 
-    def test_rejects_small_range(self):
-        with pytest.raises(ValueError):
-            solve_dimension_equation(2)
+    def test_solution_set(self):
+        # every sphere S2..S99: only S3 passes n = 1; the even ones fail by
+        # an irrational right side, the other odd ones by a rational one
+        passing = []
+        for m in range(2, 100):
+            chk = centrality_check(parse_space(f"S{m}"), [1])[0]
+            assert chk.rhs.is_rational == (m % 2 == 1), m
+            if chk.passed:
+                passing.append(m)
+        assert passing == [3]
 
 
 class TestCurvatureSamples:

@@ -82,6 +82,17 @@ class TestClosedCoeffs:
                 assert p.coeffs[1] == c1
                 assert p.coeffs[n] == top
 
+    def test_linear_coefficient_is_the_central_rate(self):
+        # A = nu + kappa makes c_{n,1} the linear coefficient that centrality
+        # forces, -2n(nu+kappa+n)/(mu+kappa+1), for every space and n; the
+        # centrality obstruction lives in the top coefficient
+        for sp in default_scan_spaces():
+            ch = chi_params(sp, 0)
+            for n in range(1, 11):
+                c1, _ = closed_coeffs(ch.A, n, ch.c)
+                forced = -2 * n * (ch.nu + ch.kappa + n) / (ch.mu + ch.kappa + 1)
+                assert c1 == forced, (sp.label, n)
+
 
 @settings(max_examples=60, deadline=None)
 @given(

@@ -35,6 +35,7 @@ from .asymptotics import log_qp_large_tau, watson2
 from .flatness import (
     FlatnessReport,
     Mode,
+    _prefactor_residual,
     describe_exact,
     theorem_expected_verdict,
     theorem_scan,
@@ -44,13 +45,9 @@ from .flatness import (
 from .hypergeom import hypergeom_poly  # noqa: F401
 from .quadrature import (
     DEFAULT_TOL,
-    MAX_DEGREE,
-    MAX_DIM,
-    MAX_TAU,
-    MIN_TAU,
-    TOL_MAX,
-    TOL_MIN,
+    ParameterRangeError,
     QuadratureError,
+    _check_grid,
     prefetch,
     q_chi,
     q_chi_derivs,
@@ -172,46 +169,26 @@ def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
     ns = parser.parse_args(argv)
     fail = parser.error
 
-    spaces: tuple[str, ...] = ()
-    raw = getattr(ns, "spaces", None)
-    if raw is None:
-        raw = getattr(ns, "space", None)
-    if ns.subcommand == "list":
-        spaces = DEFAULT_SCAN_SELECTORS
-    elif raw is not None:
-        if raw.strip() == "all":
-            spaces = DEFAULT_SCAN_SELECTORS
-        else:
-            labels = tuple(s.strip() for s in raw.split(",") if s.strip())
-            if not labels:
-                fail("no spaces selected")
-            for lbl in labels:
-                try:
-                    sp = parse_space(lbl)
-                except ValueError as exc:
-                    fail(str(exc))
-                # centrality certificates are exact and hold for any m; the
-                # quadrature behind every other subcommand stops at MAX_DIM
-                if ns.subcommand != "centrality" and sp.m > MAX_DIM:
-                    fail(f"space {lbl} has dimension m={sp.m}, "
-                         f"supported is m <= {MAX_DIM}")
-            spaces = labels
+    # list takes no selector and lists the default spaces
+    raw = getattr(ns, "spaces", getattr(ns, "space", "all"))
+    spaces, parsed = DEFAULT_SCAN_SELECTORS, []
+    if raw.strip() != "all":
+        spaces = tuple(s.strip() for s in raw.split(",") if s.strip())
+        if not spaces:
+            fail("no spaces selected")
+        for lbl in spaces:
+            try:
+                parsed.append(parse_space(lbl))
+            except ValueError as exc:
+                fail(str(exc))
 
-    n_values: tuple[int, ...] = ()
+    spans: list[tuple[int, int]] = []
     if hasattr(ns, "n"):
         try:
             spans = _parse_int_spans(ns.n)
         except ValueError as exc:
             fail(f"bad --n value {ns.n!r}: {exc}")
-        # the endpoints are checked before any range is expanded
-        low, high = min(lo for lo, _ in spans), max(hi for _, hi in spans)
-        if low < 0:
-            fail(f"n must be nonnegative, got {low}")
-        if ns.subcommand == "centrality" and low < 1:
-            fail(f"centrality indices must be positive, got {low}")
-        if high > MAX_DEGREE:
-            fail(f"n must be at most {MAX_DEGREE}, got {high}")
-        n_values = tuple(sorted({n for lo, hi in spans for n in range(lo, hi + 1)}))
+    ends = (min(lo for lo, _ in spans), max(hi for _, hi in spans)) if spans else ()
 
     tau_values: tuple[float, ...] = ()
     if hasattr(ns, "tau"):
@@ -219,20 +196,20 @@ def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
             tau_values = _parse_floats(ns.tau)
         except ValueError as exc:
             fail(f"bad --tau value {ns.tau!r}: {exc}")
-        for t in tau_values:
-            if not (t > 0.0):
-                fail("tau must be positive")
-            if t > MAX_TAU:
-                fail(f"tau must be at most {MAX_TAU:g}, got {t:g}")
-            if t < MIN_TAU:
-                fail(f"tau must be at least {MIN_TAU:g}, got {t:g}")
 
     n_max = getattr(ns, "n_max", 5)
-    if not (1 <= n_max <= MAX_DEGREE):
-        fail(f"--n-max must lie in [1, {MAX_DEGREE}], got {n_max}")
-
-    if not (TOL_MIN <= ns.tol <= TOL_MAX):
-        fail(f"--tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {ns.tol:g}")
+    # the quadrature's own check of its box, on the --n endpoints before any
+    # range is expanded; centrality certificates are exact and hold for any m
+    try:
+        _check_grid(() if ns.subcommand == "centrality" else parsed,
+                    ends + (n_max,), tau_values, ns.tol)
+    except ParameterRangeError as exc:
+        fail(str(exc))
+    if n_max < 1:
+        fail(f"--n-max must be at least 1, got {n_max}")
+    if ns.subcommand == "centrality" and ends[0] < 1:
+        fail(f"centrality indices must be positive, got {ends[0]}")
+    n_values = tuple(sorted({n for lo, hi in spans for n in range(lo, hi + 1)}))
 
     fmt = ns.fmt or ("json" if ns.subcommand == "scan" else "csv")
 
@@ -360,7 +337,7 @@ def _rows_table(cfg: RunConfig, with_residual: bool) -> tuple[list[dict], bool]:
                     row.update(q=math.nan, log_q=math.nan, abs_err=math.nan,
                                dlogq2=math.nan, status=f"error: {exc}")
                 if with_residual:
-                    row["prefactor_residual"] = abs(d2 + 0.5 * sp.m / (tau * tau))
+                    row["prefactor_residual"] = _prefactor_residual(d2, sp.m, tau)
                 rows.append(row)
     return rows, all(r["status"] == "ok" for r in rows)
 

@@ -37,9 +37,8 @@ from typing import Iterable, Sequence
 from .hypergeom import _top_ratio
 from .quadrature import (
     DEFAULT_TOL,
-    MAX_TAU,
-    MIN_TAU,
     QuadratureError,
+    _check_grid,
     prefetch,
     q_chi_derivs,
 )
@@ -304,30 +303,18 @@ class CurvatureGrid:
     failures: tuple[tuple[int, int, str], ...]
 
 
-def _validate_grid(space: RootData, tau_grid: Sequence[float]) -> tuple[float, ...]:
-    grid = tuple(float(t) for t in tau_grid)
-    if not grid:
-        raise ValueError("tau grid must be nonempty")
-    for t in grid:
-        if not (t > 0.0):
-            raise ValueError(f"tau grid values must be positive, got {t}")
-        if not (MIN_TAU <= space.B * space.B * t <= MAX_TAU):
-            raise ValueError(
-                f"B^2*tau = {space.B * space.B * t:g} outside the quadrature box"
-            )
-    return grid
-
-
 def curvature_samples(
     space: RootData, n_max: int, tau_grid: Sequence[float],
     tol: float = DEFAULT_TOL
 ) -> CurvatureGrid:
-    """Matrix of curvature samples for n = 0..n_max over the grid."""
-    if n_max < 0:
-        raise ValueError(f"need n_max >= 0, got {n_max}")
-    grid = _validate_grid(space, tau_grid)
+    """Matrix of curvature samples for n = 0..n_max over the grid; a space,
+    n_max, tol or width B^2 tau outside the box raises ParameterRangeError."""
+    grid = tuple(float(t) for t in tau_grid)
+    if not grid:
+        raise ValueError("tau grid must be nonempty")
     b4 = space.B ** 4
     taus = [space.B * space.B * sig for sig in grid]
+    _check_grid((space,), (n_max,), taus, tol)
     rows = []
     failures = []
     prefetch(space, range(n_max + 1), taus, tol)
@@ -356,6 +343,11 @@ def _chi_deviation(grid: CurvatureGrid) -> float:
     return best
 
 
+def _prefactor_residual(d2: float, m: int, tau: float) -> float:
+    """|(log q)'' + (m/2)/tau^2|, the curvature of tau^(-m/2) q."""
+    return abs(d2 + 0.5 * m / (tau * tau))
+
+
 def _residual(grid: CurvatureGrid, mode: Mode) -> float:
     m = grid.space.m
     best = math.nan
@@ -363,7 +355,7 @@ def _residual(grid: CurvatureGrid, mode: Mode) -> float:
         for sig, v in zip(grid.tau_grid, row):
             if math.isnan(v):
                 continue
-            r = abs(v) if mode is Mode.LITERAL else abs(v + 0.5 * m / (sig * sig))
+            r = abs(v) if mode is Mode.LITERAL else _prefactor_residual(v, m, sig)
             best = r if math.isnan(best) else max(best, r)
     return best
 
@@ -387,6 +379,7 @@ def projective_test(
     Deviation <= 1e-6 is consistent with projective flatness, >= 1e-3 is a
     numeric refutation, and the gap is inconclusive.
     """
+    _check_grid((space,), (n_max,), (), tol)
     if n_max < 1:
         raise ValueError(f"need n_max >= 1 to compare isotypes, got {n_max}")
     dev = _chi_deviation(curvature_samples(space, n_max, tau_grid, tol))
@@ -400,8 +393,6 @@ def flat_test(
     tol: float = DEFAULT_TOL, mode: Mode = Mode.PREFACTOR_CORRECTED
 ) -> tuple[FlatVerdict, float]:
     """Numeric vanishing test of the curvature samples, per mode."""
-    if n_max < 0:
-        raise ValueError(f"need n_max >= 0, got {n_max}")
     mode = Mode(mode)
     resid = _residual(curvature_samples(space, n_max, tau_grid, tol), mode)
     return _corridor(resid, FlatVerdict.FLAT, FlatVerdict.NOT_FLAT,
@@ -482,13 +473,15 @@ def theorem_scan(
     """One flatness report per space, in input order.
 
     Exact certificates are evaluated first; a failed certificate is
-    preferred over a numeric witness in the report.
+    preferred over a numeric witness in the report.  A value outside the
+    box refuses the whole scan before any space is computed.
     """
     spaces = list(spaces)
     if not spaces:
         raise ValueError("space list must be nonempty")
+    grid = tuple(float(t) for t in tau_grid)
+    _check_grid(spaces, (n_max,), [s.B * s.B * t for s in spaces for t in grid], tol)
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     mode = Mode(mode)
-    grid = tuple(float(t) for t in tau_grid)
     return [_scan_one(s, n_max, grid, tol, mode) for s in spaces]

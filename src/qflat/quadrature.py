@@ -280,19 +280,34 @@ def _as_float_coeffs(P: PolyLike) -> tuple[float, ...]:
     return cs
 
 
-def _check_tau_tol(tau: float, tol: float) -> None:
+def _check_grid(spaces: Sequence[RootData], ns: Sequence[int],
+                taus: Sequence[float], tol: float) -> None:
+    """The one statement of the parameter box: refuse the first value
+    outside it, checking tol, each space's m, each n, then each tau."""
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ParameterRangeError(
-            f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {tol:g}"
-        )
-    if tau > MAX_TAU:
-        raise ParameterRangeError(f"tau {tau} exceeds supported {MAX_TAU}")
-    if not (tau >= MIN_TAU):
-        raise ParameterRangeError(f"tau must be at least {MIN_TAU:g}, got {tau}")
+            f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {tol:g}")
+    for space in spaces:
+        if space.m > MAX_DIM:
+            raise ParameterRangeError(
+                f"space {space.label} has dimension m={space.m}, "
+                f"supported is m <= {MAX_DIM}")
+    for n in ns:
+        if n < 0:
+            raise ParameterRangeError(f"n must be nonnegative, got {n}")
+        if n > MAX_DEGREE:
+            raise ParameterRangeError(f"n must be at most {MAX_DEGREE}, got {n}")
+    for tau in taus:
+        if not (tau > 0.0):
+            raise ParameterRangeError(f"tau must be positive, got {tau:g}")
+        if tau > MAX_TAU:
+            raise ParameterRangeError(f"tau must be at most {MAX_TAU:g}, got {tau:g}")
+        if tau < MIN_TAU:
+            raise ParameterRangeError(f"tau must be at least {MIN_TAU:g}, got {tau:g}")
 
 
 def _check_box(coeffs: Sequence[float], params: QPParams, tol: float) -> None:
-    _check_tau_tol(params.tau, tol)
+    _check_grid((), (), (params.tau,), tol)
     if len(coeffs) - 1 > MAX_DEGREE:
         raise ParameterRangeError(
             f"polynomial degree {len(coeffs) - 1} exceeds supported {MAX_DEGREE}"
@@ -826,16 +841,10 @@ def _checked_isotype(space: RootData, n: int, tau: float,
                      tol: float) -> _Tables:
     """The cached record of isotype n of ``space``.
 
-    Everything is validated before the lookup, so the cache only ever holds
-    records inside the box.
+    The cell is checked against the box before the lookup, so the cache
+    only ever holds records inside it.
     """
-    if n < 0 or n > MAX_DEGREE:
-        raise ParameterRangeError(f"isotype index n must be in [0, {MAX_DEGREE}], got {n}")
-    if space.m > MAX_DIM:
-        raise ParameterRangeError(
-            f"dimension m={space.m} exceeds supported {MAX_DIM}"
-        )
-    _check_tau_tol(tau, tol)
+    _check_grid((space,), (n,), (tau,), tol)
     return _isotype(_unit_scale(space), n)
 
 
@@ -854,21 +863,17 @@ def prefetch(space: RootData, ns: Sequence[int], taus: Sequence[float],
     and tol: a derivative grid (``derivs``, the default) serves
     ``q_chi_derivs``, a value grid serves ``q_chi``, and a call of the other
     kind computes its cell alone and leaves the memo untouched.  Those calls
-    give the bits, and raise the errors, they give without it.  Cells
-    outside the box are left to their calls.
+    give the bits, and raise the errors, they give without it.  A grid with
+    any value outside the box is refused whole, with the ParameterRangeError
+    its first such cell raises alone, and leaves the memo empty.
     """
     _ROW.clear()
-    cells = {}
-    for n in ns:
-        for tau in taus:
-            tau = float(tau)
-            try:
-                cells[n, tau] = _checked_isotype(space, n, tau, tol)
-            except ParameterRangeError:
-                continue
+    taus = [float(tau) for tau in taus]
+    _check_grid((space,), ns, taus, tol)
+    key = _unit_scale(space)
+    cells = {(n, tau): _isotype(key, n) for n in ns for tau in taus}
     if not cells:
         return
-    key = _unit_scale(space)
     nrows = 3 if derivs else 1
     outcomes = _q_engine(list(cells.values()), [tau for _, tau in cells], tol,
                          nrows)
@@ -942,11 +947,10 @@ def p_chi(space: RootData, n: int, s: complex,
     Depends on s only through Im s: equals
     Vol(S^(m-1)) 2^(m/2) / (B^m (Im s)^(m/2)) * q_n(B^2 Im s), with the
     overall isotype constant normalized to 1.  q_n comes from ``q_chi``, so
-    convergence is that of its value row.
+    convergence is that of its value row, and the box applies to
+    tau = B^2 Im s: an s off the upper half plane is a nonpositive tau.
     """
     im = complex(s).imag
-    if im <= 0.0:
-        raise ParameterRangeError(f"need Im s > 0, got {im}")
     tau = space.B * space.B * im
     res = q_chi(space, n, tau, tol)
     pref = (

@@ -193,6 +193,60 @@ class TestParseArgs:
             assert len(out.splitlines()) == 10
 
 
+class TestOneBox:
+    """Every entry point refuses a value outside the parameter box with the
+    one message of ``quadrature._check_grid``; the CLI at parse time, exit 1."""
+
+    # (space, n, tau, tol) with one value out of the box, and its message
+    CASES = [
+        (("S3", 2, 1.0, 1.0), "tol must lie in [1e-13, 0.0001], got 1"),
+        (("S3", 2, 1.0, 1e-14), "tol must lie in [1e-13, 0.0001], got 1e-14"),
+        (("S3", 17, 1.0, 1e-10), "n must be at most 16, got 17"),
+        (("S3", -1, 1.0, 1e-10), "n must be nonnegative, got -1"),
+        (("S17", 2, 1.0, 1e-10), "space S17 has dimension m=17, supported is m <= 16"),
+        (("S3", 2, 500.0, 1e-10), "tau must be at most 400, got 500"),
+        (("S3", 2, 1e-31, 1e-10), "tau must be at least 1e-30, got 1e-31"),
+        (("S3", 2, 0.0, 1e-10), "tau must be positive, got 0"),
+        (("S3", 2, -1.0, 1e-10), "tau must be positive, got -1"),
+        (("S3", 2, math.nan, 1e-10), "tau must be positive, got nan"),
+    ]
+
+    @staticmethod
+    def calls(sp, n, tau, tol):
+        from qflat import flatness
+
+        return {
+            "q_chi": lambda: quadrature.q_chi(sp, n, tau, tol),
+            "q_chi_derivs": lambda: quadrature.q_chi_derivs(sp, n, tau, tol),
+            "p_chi": lambda: quadrature.p_chi(sp, n, complex(0.0, tau), tol),
+            "prefetch": lambda: quadrature.prefetch(sp, [n], [tau], tol),
+            "curvature_samples": lambda: flatness.curvature_samples(sp, n, (tau,), tol),
+            "projective_test": lambda: flatness.projective_test(sp, n, (tau,), tol),
+            "flat_test": lambda: flatness.flat_test(sp, n, (tau,), tol),
+            "theorem_scan": lambda: flatness.theorem_scan([sp], n, (tau,), tol),
+        }
+
+    @pytest.mark.parametrize("cell, message", CASES)
+    def test_library_refuses_with_one_message(self, cell, message):
+        label, n, tau, tol = cell
+        for name, call in self.calls(parse_space(label), n, tau, tol).items():
+            with pytest.raises(quadrature.ParameterRangeError) as exc:
+                call()
+            assert str(exc.value) == message, name
+        assert not quadrature._ROW
+
+    @pytest.mark.parametrize("cell, message", CASES)
+    def test_cli_refuses_with_one_message(self, cell, message, capsys):
+        label, n, tau, tol = cell
+        for argv in (["qtable", "--space", label, f"--n={n}"],
+                     ["scan", "--spaces", label, f"--n-max={n}"]):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(argv + [f"--tau={tau!r}", f"--tol={tol!r}"])
+            assert exc.value.code == 1, argv
+            err = capsys.readouterr().err.splitlines()
+            assert err[-1] == f"qflat: error: {message}", argv
+
+
 class TestQTable:
     def test_csv_schema(self):
         out, code = capture(["qtable", "--space", "S3", "--n", "0", "--tau", "1"])

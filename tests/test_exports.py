@@ -77,3 +77,26 @@ def test_every_import_is_read_by_its_module():
                    if name not in read | exported
                    and (path.name, name) not in UNREAD_IMPORTS]
     assert not unread, unread
+
+
+# the parameter box is stated once, by quadrature._check_grid; every other
+# module asks that check instead of reading the bounds
+BOX_BOUNDS = {"MIN_TAU", "MAX_TAU", "TOL_MIN", "TOL_MAX", "MAX_DEGREE", "MAX_DIM"}
+
+
+def test_box_bounds_are_read_by_quadrature_only():
+    readers = set()
+    for path in sorted(pathlib.Path(qflat.__file__).parent.glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            readers.update(f"{path.name}:{name}" for name in names if name in BOX_BOUNDS)
+    assert not readers, sorted(readers)

@@ -1547,18 +1547,24 @@ class TestPrefetch:
         assert fetched.value.best.nodes == alone.value.best.nodes == 399990
         assert fetched.value.best == alone.value.best
 
-    def test_out_of_box_tau_is_left_to_its_call(self, empty_row):
-        sp = parse_space("S3")
-        quadrature.prefetch(sp, [0], [1.0, 500.0, 1e-31, math.nan])
+    def test_out_of_box_value_refuses_the_grid(self, empty_row):
+        # the grid is refused whole, with the message of the lone-cell call,
+        # and the memo it replaces stays empty
+        sp, s20 = parse_space("S3"), parse_space("S20")
+        quadrature.prefetch(sp, [0], [1.0])
         assert len(empty_row) == 1
-        for tau in (500.0, 1e-31):
-            with pytest.raises(ParameterRangeError):
-                q_chi(sp, 0, tau)
-        for args in ((sp, [17], [1.0]), (parse_space("S20"), [0], [1.0])):
-            quadrature.prefetch(*args)
+        for grid, cell in (((sp, [0], [1.0, 500.0]), (sp, 0, 500.0)),
+                           ((sp, [0], [1.0, 1e-31]), (sp, 0, 1e-31)),
+                           ((sp, [0], [1.0, math.nan]), (sp, 0, math.nan)),
+                           ((sp, [17], [1.0]), (sp, 17, 1.0)),
+                           ((s20, [0], [1.0]), (s20, 0, 1.0)),
+                           ((sp, [0], [1.0], 1e-14), (sp, 0, 1.0, 1e-14))):
+            with pytest.raises(ParameterRangeError) as alone:
+                q_chi(*cell)
+            with pytest.raises(ParameterRangeError) as fetched:
+                quadrature.prefetch(*grid)
+            assert str(fetched.value) == str(alone.value), grid
             assert not empty_row
-        quadrature.prefetch(sp, [0], [1.0], 1e-14)
-        assert not empty_row
 
     def test_scale_is_keyed_at_one(self, empty_row):
         quadrature.prefetch(parse_space("S4", B=2.0), [2], [1.5], derivs=False)
@@ -1650,21 +1656,21 @@ class TestGridPrefetch:
             for (n, tau), out in alone.items()}
         assert kinds == {"settled", "refined", "error"}
 
-    def test_invalid_cells_are_left_to_their_calls(self, empty_row):
+    def test_invalid_cells_refuse_the_grid(self, empty_row):
+        # a valid cell beside an invalid one is not computed either: the
+        # grid raises what its invalid cell raises alone, n before tau
         sp = parse_space("S3")
         bad = [(0, 500.0), (0, 1e-31), (0, math.nan), (17, 1.0), (17, 500.0)]
-        want = []
         for n, tau in bad:
-            with pytest.raises(ParameterRangeError) as exc:
+            with pytest.raises(ParameterRangeError) as alone:
                 q_chi(sp, n, tau)
-            want.append(str(exc.value))
-        quadrature.prefetch(sp, [0, 17], [1.0, 500.0, 1e-31, math.nan], derivs=False)
-        assert list(empty_row) == [(sp, 0, 1.0, quadrature.DEFAULT_TOL, 1)]
-        for (n, tau), msg in zip(bad, want):
-            with pytest.raises(ParameterRangeError) as exc:
-                q_chi(sp, n, tau)
-            assert str(exc.value) == msg
-        assert len(empty_row) == 1
+            with pytest.raises(ParameterRangeError) as fetched:
+                quadrature.prefetch(sp, sorted({0, n}), [1.0, tau], derivs=False)
+            assert str(fetched.value) == str(alone.value), (n, tau)
+            assert not empty_row
+        with pytest.raises(ParameterRangeError, match="n must be at most 16, got 17"):
+            quadrature.prefetch(sp, [0, 17], [1.0, 500.0, 1e-31, math.nan])
+        assert not empty_row
 
     def test_oracles_grid_is_one_breaks_pass_and_few_node_calls(self, monkeypatch,
                                                                  empty_row):

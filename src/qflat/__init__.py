@@ -32,12 +32,10 @@ from .quadrature import (
     q_chi,
     q_chi_derivs,
     p_chi,
-    dlogq,
 )
 from .asymptotics import (
     watson2,
     fseries2,
-    log_tail_gauss_exp,
     log_qp_large_tau,
 )
 from .flatness import (

@@ -18,7 +18,6 @@ from .quadrature import _as_float_coeffs
 __all__ = [
     "watson2",
     "fseries2",
-    "log_tail_gauss_exp",
     "log_qp_large_tau",
 ]
 
@@ -49,27 +48,6 @@ def fseries2(P, kappa, nu) -> tuple[float, float]:
     """
     c0, c1 = (_as_float_coeffs(P) + (0.0,))[:2]
     return c0, -c1 + float(kappa) / 6.0 + float(nu) / 2.0
-
-
-def log_tail_gauss_exp(lam: float, mu: float, tau: float) -> float:
-    """Log of the leading large-tau value of int_0^inf e^(-t^2/tau) t^mu e^(lam t) dt.
-
-    Completing the square centres a Gaussian of width sqrt(tau) at
-    t = lam tau/2; taking t^mu there gives
-    sqrt(pi tau) (lam tau/2)^mu e^(lam^2 tau/4).
-    """
-    if not lam > 0.0:
-        raise ValueError(f"need lambda > 0, got {lam}")
-    if not mu > -1.0:
-        raise ValueError(f"need mu > -1, got {mu}")
-    if not tau > 0.0:
-        raise ValueError(f"need tau > 0, got {tau}")
-    return (
-        mu * math.log(lam / 2.0)
-        + 0.5 * math.log(math.pi)
-        + (mu + 0.5) * math.log(tau)
-        + lam * lam * tau / 4.0
-    )
 
 
 def log_qp_large_tau(P, mu, kappa, nu, tau: float) -> tuple[float, float]:

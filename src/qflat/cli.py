@@ -20,13 +20,12 @@ failed numerically or when ``--expect-theorem`` verdicts do not match.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from argparse import ArgumentParser, Namespace
 from datetime import datetime, timezone
 from decimal import ROUND_UP, Decimal
 from typing import Sequence
@@ -56,7 +55,7 @@ from .quadrature import (
 )
 from .spaces import DEFAULT_SCAN_SELECTORS, chi_params, parse_space
 
-__all__ = ["RunConfig", "parse_args", "run", "main"]
+__all__ = ["parse_args", "run", "main"]
 
 _SMALL_TAUS = (1e-3, 1e-2)
 _LARGE_TAUS = (100.0, 400.0)
@@ -74,22 +73,7 @@ _CSV_COLUMNS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    spaces: tuple[str, ...] = ()
-    n_values: tuple[int, ...] = ()
-    tau_values: tuple[float, ...] = ()
-    n_max: int = 5
-    tol: float = DEFAULT_TOL
-    fmt: str = "csv"
-    out: str | None = None
-    mode: Mode = Mode.PREFACTOR_CORRECTED
-    expect_theorem: bool = False
-    timestamps: bool = False
-
-
-class _Parser(argparse.ArgumentParser):
+class _Parser(ArgumentParser):
     # configuration errors exit 1 (argparse defaults to 2)
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -116,14 +100,16 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return vals
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> ArgumentParser:
     parser = _Parser(prog="qflat",
                      description="Curvature data of rank-1 symmetric space "
                                  "quantizations.")
+    # what a subcommand without the option reads: every space, no n, no tau
+    parser.set_defaults(spaces="all", n=None, tau=None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("csv", "json"), default=None,
+    def common(p, fmt="csv"):
+        p.add_argument("--format", choices=("csv", "json"), default=fmt,
                        dest="fmt")
         p.add_argument("--out", default=None, metavar="PATH")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -132,48 +118,50 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list", help="catalog listing")
     common(p)
 
+    taus = "0.25,0.5,1,2,4"
     for name, hlp in (("qtable", "q_n(tau) table"),
                       ("curvature", "curvature grid")):
         p = sub.add_parser(name, help=hlp)
-        p.add_argument("--space", required=True,
+        p.add_argument("--space", dest="spaces", metavar="SPACE", required=True,
                        help="comma-separated selectors, e.g. S3,CP2")
         p.add_argument("--n", default="0..3", help="e.g. 0..3 or 1,2,5")
-        p.add_argument("--tau", default="0.25,0.5,1,2,4")
+        p.add_argument("--tau", default=taus)
         common(p)
 
     p = sub.add_parser("centrality", help="exact certificates")
-    p.add_argument("--space", required=True)
+    p.add_argument("--space", dest="spaces", metavar="SPACE", required=True)
     p.add_argument("--n", default="1..5")
     common(p)
 
     p = sub.add_parser("scan", help="full flatness scan")
     p.add_argument("--spaces", default="all")
     p.add_argument("--n-max", type=int, default=5, dest="n_max")
-    p.add_argument("--tau", default="0.25,0.5,1,2,4")
+    p.add_argument("--tau", default=taus)
     p.add_argument("--mode", choices=tuple(m.value for m in Mode),
                    default=Mode.PREFACTOR_CORRECTED.value)
     p.add_argument("--expect-theorem", action="store_true")
-    common(p)
+    common(p, fmt="json")
 
     p = sub.add_parser("verify-asymptotics",
                        help="small/large tau oracle deviations")
-    p.add_argument("--space", default="all")
+    p.add_argument("--space", dest="spaces", metavar="SPACE", default="all")
     p.add_argument("--n", default="0..3")
     common(p)
 
     return parser
 
 
-def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
+def parse_args(argv: Sequence[str] | None = None) -> Namespace:
+    """The parsed namespace, with the normalised ``spaces``, ``n_values``,
+    ``tau_values`` and, for ``scan``, ``mode`` set on it."""
     parser = build_parser()
     ns = parser.parse_args(argv)
     fail = parser.error
+    scan = ns.subcommand == "scan"
 
-    # list takes no selector and lists the default spaces
-    raw = getattr(ns, "spaces", getattr(ns, "space", "all"))
     spaces, parsed = DEFAULT_SCAN_SELECTORS, []
-    if raw.strip() != "all":
-        spaces = tuple(s.strip() for s in raw.split(",") if s.strip())
+    if ns.spaces.strip() != "all":
+        spaces = tuple(s.strip() for s in ns.spaces.split(",") if s.strip())
         if not spaces:
             fail("no spaces selected")
         for lbl in spaces:
@@ -183,49 +171,37 @@ def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
                 fail(str(exc))
 
     spans: list[tuple[int, int]] = []
-    if hasattr(ns, "n"):
+    if ns.n is not None:
         try:
             spans = _parse_int_spans(ns.n)
         except ValueError as exc:
             fail(f"bad --n value {ns.n!r}: {exc}")
     ends = (min(lo for lo, _ in spans), max(hi for _, hi in spans)) if spans else ()
 
-    tau_values: tuple[float, ...] = ()
-    if hasattr(ns, "tau"):
+    ns.tau_values = ()
+    if ns.tau is not None:
         try:
-            tau_values = _parse_floats(ns.tau)
+            ns.tau_values = _parse_floats(ns.tau)
         except ValueError as exc:
             fail(f"bad --tau value {ns.tau!r}: {exc}")
 
-    n_max = getattr(ns, "n_max", 5)
     # the quadrature's own check of its box, on the --n endpoints before any
     # range is expanded; centrality certificates are exact and hold for any m
     try:
         _check_grid(() if ns.subcommand == "centrality" else parsed,
-                    ends + (n_max,), tau_values, ns.tol)
+                    ends + ((ns.n_max,) if scan else ()), ns.tau_values, ns.tol)
     except ParameterRangeError as exc:
         fail(str(exc))
-    if n_max < 1:
-        fail(f"--n-max must be at least 1, got {n_max}")
+    if scan and ns.n_max < 1:
+        fail(f"--n-max must be at least 1, got {ns.n_max}")
     if ns.subcommand == "centrality" and ends[0] < 1:
         fail(f"centrality indices must be positive, got {ends[0]}")
-    n_values = tuple(sorted({n for lo, hi in spans for n in range(lo, hi + 1)}))
 
-    fmt = ns.fmt or ("json" if ns.subcommand == "scan" else "csv")
-
-    return RunConfig(
-        subcommand=ns.subcommand,
-        spaces=spaces,
-        n_values=n_values,
-        tau_values=tau_values,
-        n_max=n_max,
-        tol=ns.tol,
-        fmt=fmt,
-        out=ns.out,
-        mode=Mode(getattr(ns, "mode", Mode.PREFACTOR_CORRECTED.value)),
-        expect_theorem=getattr(ns, "expect_theorem", False),
-        timestamps=ns.timestamps,
-    )
+    ns.spaces = spaces
+    ns.n_values = tuple(sorted({n for lo, hi in spans for n in range(lo, hi + 1)}))
+    if scan:
+        ns.mode = Mode(ns.mode)
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +263,7 @@ def _sanitize(obj):
     return obj
 
 
-def _render_json(kind: str, payload: dict, cfg: RunConfig) -> str:
+def _render_json(kind: str, payload: dict, cfg: Namespace) -> str:
     doc: dict = {"schema": "qflat.v1", "kind": kind}
     if cfg.timestamps:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
@@ -306,7 +282,7 @@ def _cannot_write(out: str, exc: OSError) -> int:
 # subcommands
 
 
-def _rows_list(cfg: RunConfig) -> list[dict]:
+def _rows_list(cfg: Namespace) -> list[dict]:
     rows = []
     for lbl in cfg.spaces:
         sp = parse_space(lbl)
@@ -320,7 +296,7 @@ def _rows_list(cfg: RunConfig) -> list[dict]:
     return rows
 
 
-def _rows_table(cfg: RunConfig, with_residual: bool) -> tuple[list[dict], bool]:
+def _rows_table(cfg: Namespace, with_residual: bool) -> tuple[list[dict], bool]:
     rows = []
     for lbl in cfg.spaces:
         sp = parse_space(lbl)
@@ -342,25 +318,25 @@ def _rows_table(cfg: RunConfig, with_residual: bool) -> tuple[list[dict], bool]:
     return rows, all(r["status"] == "ok" for r in rows)
 
 
-def _rows_centrality(cfg: RunConfig) -> list[dict]:
+def _certificate(chk) -> dict:
+    """The record of one centrality certificate, its two sides exact."""
+    return {"n": chk.n, "lhs": describe_exact(chk.lhs),
+            "rhs": describe_exact(chk.rhs), "pass": chk.passed}
+
+
+def _rows_centrality(cfg: Namespace) -> list[dict]:
     from .flatness import centrality_check
 
     rows = []
     for lbl in cfg.spaces:
         sp = parse_space(lbl)
         for chk in centrality_check(sp, cfg.n_values):
-            rows.append({
-                "space": lbl, "n": chk.n,
-                "lhs": describe_exact(chk.lhs),
-                "rhs": describe_exact(chk.rhs),
-                "pass": chk.passed,
-                # the lhs/rhs strings are exact certificates, never rounded
-                "exact": True,
-            })
+            # the lhs/rhs strings are exact certificates, never rounded
+            rows.append({"space": lbl, **_certificate(chk), "exact": True})
     return rows
 
 
-def _rows_asymptotics(cfg: RunConfig) -> tuple[list[dict], bool]:
+def _rows_asymptotics(cfg: Namespace) -> tuple[list[dict], bool]:
     rows = []
     for lbl in cfg.spaces:
         sp = parse_space(lbl)
@@ -392,7 +368,7 @@ def _rows_asymptotics(cfg: RunConfig) -> tuple[list[dict], bool]:
     return rows, all(r["status"] == "ok" for r in rows)
 
 
-def _scan_payload(reports: list[FlatnessReport], cfg: RunConfig) -> dict:
+def _scan_payload(reports: list[FlatnessReport], cfg: Namespace) -> dict:
     reps = []
     for rep in reports:
         w = rep.exact_witness
@@ -406,14 +382,8 @@ def _scan_payload(reports: list[FlatnessReport], cfg: RunConfig) -> dict:
             "verdict": rep.verdict.value,
             "max_chi_deviation": rep.max_chi_deviation,
             "prefactor_residual": rep.prefactor_residual,
-            "exact_witness": None if w is None else
-                {"n": w.n, "lhs": describe_exact(w.lhs),
-                 "rhs": describe_exact(w.rhs), "pass": False},
-            "centrality": [
-                {"n": c.n, "lhs": describe_exact(c.lhs),
-                 "rhs": describe_exact(c.rhs), "pass": c.passed}
-                for c in rep.centrality
-            ],
+            "exact_witness": None if w is None else _certificate(w),
+            "centrality": [_certificate(c) for c in rep.centrality],
             "rationality": None if rep.rationality is None else {
                 "n_used": rep.rationality.n_used,
                 "lhs": describe_exact(rep.rationality.lhs),
@@ -438,7 +408,7 @@ def _scan_payload(reports: list[FlatnessReport], cfg: RunConfig) -> dict:
     }
 
 
-def _render(cfg: RunConfig) -> tuple[str, bool]:
+def _render(cfg: Namespace) -> tuple[str, bool]:
     """The output document of a parsed configuration, and whether every
     cell and verdict came out as expected."""
     ok = True
@@ -480,7 +450,7 @@ def _render(cfg: RunConfig) -> tuple[str, bool]:
     return _render_json(cfg.subcommand, payload, cfg), ok
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: Namespace) -> int:
     """Execute a parsed configuration; returns the process exit code.
 
     ``--out`` is opened before any work, as shell redirection does; a path

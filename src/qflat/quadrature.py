@@ -102,7 +102,6 @@ __all__ = [
     "q_chi_derivs",
     "prefetch",
     "p_chi",
-    "dlogq",
     "TOL_MIN",
     "TOL_MAX",
     "MAX_DEGREE",
@@ -280,30 +279,36 @@ def _as_float_coeffs(P: PolyLike) -> tuple[float, ...]:
     return cs
 
 
+def _exact(x: float) -> str:
+    # every digit, so that a value just outside the box never reads as its edge
+    return repr(float(x)).removesuffix(".0")
+
+
 def _check_grid(spaces: Sequence[RootData], ns: Sequence[int],
                 taus: Sequence[float], tol: float) -> None:
     """The one statement of the parameter box: refuse the first value
     outside it, checking tol, each space's m, each n, then each tau."""
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ParameterRangeError(
-            f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {tol:g}")
+            f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {_exact(tol)}")
     for space in spaces:
         if space.m > MAX_DIM:
             raise ParameterRangeError(
                 f"space {space.label} has dimension m={space.m}, "
                 f"supported is m <= {MAX_DIM}")
     for n in ns:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ParameterRangeError(f"n must be an integer, got {n}")
         if n < 0:
             raise ParameterRangeError(f"n must be nonnegative, got {n}")
         if n > MAX_DEGREE:
             raise ParameterRangeError(f"n must be at most {MAX_DEGREE}, got {n}")
     for tau in taus:
-        if not (tau > 0.0):
-            raise ParameterRangeError(f"tau must be positive, got {tau:g}")
-        if tau > MAX_TAU:
-            raise ParameterRangeError(f"tau must be at most {MAX_TAU:g}, got {tau:g}")
-        if tau < MIN_TAU:
-            raise ParameterRangeError(f"tau must be at least {MIN_TAU:g}, got {tau:g}")
+        rule = ("be positive" if not tau > 0.0 else
+                f"be at most {MAX_TAU:g}" if tau > MAX_TAU else
+                f"be at least {MIN_TAU:g}" if tau < MIN_TAU else "")
+        if rule:
+            raise ParameterRangeError(f"tau must {rule}, got {_exact(tau)}")
 
 
 def _check_box(coeffs: Sequence[float], params: QPParams, tol: float) -> None:
@@ -837,20 +842,22 @@ def _unit_scale(space: RootData) -> RootData:
     return space if space.B == 1.0 else space.with_scale(1.0)
 
 
-def _checked_isotype(space: RootData, n: int, tau: float,
-                     tol: float) -> _Tables:
-    """The cached record of isotype n of ``space``.
-
-    The cell is checked against the box before the lookup, so the cache
-    only ever holds records inside it.
-    """
-    _check_grid((space,), (n,), (tau,), tol)
-    return _isotype(_unit_scale(space), n)
-
-
 # The cells of the last prefetched grid: (I, result), or the QuadratureError
 # the cell raises, keyed by (space at B = 1, n, tau, tol, moment rows).
 _ROW: dict = {}
+
+
+def _grid(space: RootData, ns: Sequence[int], taus: Sequence[float],
+          tol: float, nrows: int) -> dict:
+    """The cells (n, tau) of ``space`` as one grid of ``_q_engine``, keyed as
+    ``_ROW`` is; checked whole first, so the cache holds no out-of-box record."""
+    _check_grid((space,), ns, taus, tol)
+    key = _unit_scale(space)
+    cells = {(n, tau): _isotype(key, n) for n in ns for tau in taus}
+    outcomes = _q_engine(list(cells.values()), [tau for _, tau in cells], tol,
+                         nrows) if cells else ()
+    return {(key, n, tau, tol, nrows): out
+            for (n, tau), out in zip(cells, outcomes)}
 
 
 def prefetch(space: RootData, ns: Sequence[int], taus: Sequence[float],
@@ -868,27 +875,17 @@ def prefetch(space: RootData, ns: Sequence[int], taus: Sequence[float],
     its first such cell raises alone, and leaves the memo empty.
     """
     _ROW.clear()
-    taus = [float(tau) for tau in taus]
-    _check_grid((space,), ns, taus, tol)
-    key = _unit_scale(space)
-    cells = {(n, tau): _isotype(key, n) for n in ns for tau in taus}
-    if not cells:
-        return
-    nrows = 3 if derivs else 1
-    outcomes = _q_engine(list(cells.values()), [tau for _, tau in cells], tol,
-                         nrows)
-    for (n, tau), out in zip(cells, outcomes):
-        _ROW[key, n, tau, tol, nrows] = out
+    _ROW.update(_grid(space, ns, [float(t) for t in taus], tol, 3 if derivs else 1))
 
 
 def _cell(space: RootData, n: int, tau: float, tol: float,
           nrows: int) -> tuple[np.ndarray, QuadratureResult]:
     """One cell of ``nrows`` moment rows, from the prefetched grid (which
     validated it) or else validated and computed as a grid of one."""
-    out = _ROW.pop((_unit_scale(space), n, tau, tol, nrows), None)
+    key = (_unit_scale(space), n, tau, tol, nrows)
+    out = _ROW.pop(key, None)
     if out is None:
-        (out,) = _q_engine([_checked_isotype(space, n, tau, tol)], [tau], tol,
-                           nrows)
+        out = _grid(space, (n,), (tau,), tol, nrows)[key]
     return _unwrap(out)
 
 
@@ -929,15 +926,6 @@ def q_chi_derivs(
             stacklevel=2,
         )
     return res, d1, d2
-
-
-def dlogq(space: RootData, n: int, tau: float, order: int,
-          tol: float = DEFAULT_TOL) -> float:
-    """First or second derivative of log q_n at tau."""
-    if order not in (1, 2):
-        raise ParameterRangeError(f"order must be 1 or 2, got {order}")
-    _, d1, d2 = q_chi_derivs(space, n, tau, tol)
-    return d1 if order == 1 else d2
 
 
 def p_chi(space: RootData, n: int, s: complex,

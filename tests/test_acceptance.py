@@ -26,7 +26,7 @@ from qflat.flatness import (
     theorem_scan,
 )
 from qflat.hypergeom import hypergeom_poly
-from qflat.quadrature import dlogq, q_chi
+from qflat.quadrature import q_chi, q_chi_derivs
 from qflat.spaces import (
     DEFAULT_SCAN_SELECTORS,
     chi_params,
@@ -222,10 +222,10 @@ def test_criterion_08_derivative_coherence():
         for n in range(4):
             for tau in GRID:
                 h = 1e-3 * tau
-                f = lambda x: dlogq(sp, n, x, 1, 1e-11)
+                f = lambda x: q_chi_derivs(sp, n, x, 1e-11)[1]
                 fd = (-f(tau + 2 * h) + 8 * f(tau + h)
                       - 8 * f(tau - h) + f(tau - 2 * h)) / (12 * h)
-                d2 = dlogq(sp, n, tau, 2, 1e-11)
+                d2 = q_chi_derivs(sp, n, tau, 1e-11)[2]
                 if abs(fd - d2) > 1e-6:
                     failures.append(
                         f"{label} n={n} tau={tau}: |fd - d2| = {abs(fd-d2):.3e}"

@@ -7,7 +7,6 @@ from qflat import quadrature
 from qflat.asymptotics import (
     fseries2,
     log_qp_large_tau,
-    log_tail_gauss_exp,
     watson2,
 )
 from qflat.hypergeom import RationalPoly, hypergeom_poly
@@ -102,46 +101,22 @@ class TestFSeries2:
             assert f2 == pytest.approx(fd, abs=1e-6)
 
 
-class TestTailGaussExp:
-    # a log to abs 1e-13 is its value to rel 1e-13
-    def test_lambda_two_mu_zero(self):
-        for tau in (2.0, 10.0):
-            assert log_tail_gauss_exp(2.0, 0.0, tau) == pytest.approx(
-                math.log(SQPI * math.sqrt(tau)) + tau, abs=1e-13
-            )
-
-    def test_lambda_two_mu_one(self):
-        for tau in (2.0, 10.0):
-            assert log_tail_gauss_exp(2.0, 1.0, tau) == pytest.approx(
-                math.log(SQPI * tau ** 1.5) + tau, abs=1e-13
-            )
-
-    def test_log_variant(self):
-        # finite where the value e^(lam^2 tau/4) = e^900 overflows
-        assert log_tail_gauss_exp(3.0, 0.5, 400.0) == pytest.approx(
-            0.5 * math.log(math.pi * 400.0) + 0.5 * math.log(600.0) + 900.0,
-            rel=1e-13)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            log_tail_gauss_exp(0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            log_tail_gauss_exp(1.0, -1.5, 1.0)
-        with pytest.raises(ValueError):
-            log_tail_gauss_exp(1.0, 0.0, 0.0)
-        for args in ((math.nan, 0.0, 1.0), (1.0, math.nan, 1.0), (1.0, 0.0, math.nan)):
-            with pytest.raises(ValueError):
-                log_tail_gauss_exp(*args)
-
-
 class TestQpLargeTau:
     def test_constant_poly(self):
-        for tau in (1.0, 5.0):
-            logmag, sign = log_qp_large_tau(1, 1, 1, 1, tau)
+        # lam = kappa + nu = 2: the Laplace factor sqrt(pi tau) (lam tau/2)^mu
+        # e^(lam^2 tau/4) over 2^lam, at mu = 1 and at mu = 0
+        cases = [(1, tau, SQPI / 4.0 * tau ** 1.5) for tau in (1.0, 5.0)]
+        cases += [(0, tau, SQPI / 4.0 * math.sqrt(tau)) for tau in (2.0, 10.0)]
+        for mu, tau, value in cases:
+            logmag, sign = log_qp_large_tau(1, mu, 1, 1, tau)
             assert sign == 1.0
-            assert logmag == pytest.approx(
-                math.log(SQPI / 4.0 * tau ** 1.5) + tau, abs=1e-13
-            )
+            assert logmag == pytest.approx(math.log(value) + tau, abs=1e-13)
+        # finite at lam = 3 where the value e^(lam^2 tau/4) = e^900 overflows
+        logmag, sign = log_qp_large_tau(1, 0.5, 1, 2, 400.0)
+        assert sign == 1.0
+        assert logmag == pytest.approx(
+            0.5 * math.log(math.pi * 400.0) + 0.5 * math.log(600.0) + 900.0
+            - 3.0 * math.log(2.0), rel=1e-13)
 
     def test_linear_poly(self):
         # top coefficient -2 at degree 1: rate (kappa+nu+2)^2/4 = 4

@@ -177,6 +177,20 @@ class TestParseArgs:
             parse_args(["--help"])
         assert exc.value.code == 0
 
+    def test_golden_help(self, monkeypatch, capsys):
+        # the usage and option lines of qflat and of each subcommand, as
+        # argparse lays them out 80 columns wide
+        monkeypatch.setenv("COLUMNS", "80")
+        chunks = []
+        for sub in ((), ("list",), ("qtable",), ("curvature",), ("centrality",),
+                    ("scan",), ("verify-asymptotics",)):
+            argv = [*sub, "--help"]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0, argv
+            chunks.append(f"$ qflat {' '.join(argv)}\n{capsys.readouterr().out}")
+        assert "\n".join(chunks) == (GOLDEN / "help.txt").read_text()
+
     def test_threads_removed(self, monkeypatch, capsys):
         # there is no thread count: --threads is a configuration error and
         # QFLAT_THREADS is ignored, however malformed
@@ -209,6 +223,14 @@ class TestOneBox:
         (("S3", 2, 0.0, 1e-10), "tau must be positive, got 0"),
         (("S3", 2, -1.0, 1e-10), "tau must be positive, got -1"),
         (("S3", 2, math.nan, 1e-10), "tau must be positive, got nan"),
+        (("S3", 2, 400.0000001, 1e-10), "tau must be at most 400, got 400.0000001"),
+        (("S3", 2, 1.0, 1.00000001e-4),
+         "tol must lie in [1e-13, 0.0001], got 0.000100000001"),
+    ]
+    # n that --n cannot express, refused by the library alone
+    NOT_INTEGER = [
+        (("S3", 1.5, 1.0, 1e-10), "n must be an integer, got 1.5"),
+        (("S3", True, 1.0, 1e-10), "n must be an integer, got True"),
     ]
 
     @staticmethod
@@ -226,7 +248,7 @@ class TestOneBox:
             "theorem_scan": lambda: flatness.theorem_scan([sp], n, (tau,), tol),
         }
 
-    @pytest.mark.parametrize("cell, message", CASES)
+    @pytest.mark.parametrize("cell, message", CASES + NOT_INTEGER)
     def test_library_refuses_with_one_message(self, cell, message):
         label, n, tau, tol = cell
         for name, call in self.calls(parse_space(label), n, tau, tol).items():

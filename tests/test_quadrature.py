@@ -20,7 +20,6 @@ from qflat.quadrature import (
     ConvergenceError,
     ParameterRangeError,
     QPParams,
-    dlogq,
     integrand,
     p_chi,
     q_chi,
@@ -617,7 +616,7 @@ class TestRefinement:
         # the stacked layout gives each panel exactly the bits it gets alone,
         # of the value row alone and of all three moment rows
         tau = 1.0
-        tables = quadrature._checked_isotype(parse_space("CP2"), 2, tau, 1e-10)
+        tables = quadrature._isotype(parse_space("CP2"), 2)
         T = 15.0
         breaks, _ = quadrature._initial_breaks([tables], [tau], [T])
         a, b = breaks[:-1], breaks[1:]
@@ -764,7 +763,7 @@ class TestTruncationSoundness:
                 quadrature.prefetch(sp, ns, SMALL_TAUS, tol, derivs=False)
                 for n in ns:
                     for tau in SMALL_TAUS:
-                        tables = quadrature._checked_isotype(sp, n, tau, tol)
+                        tables = quadrature._isotype(sp, n)
                         assert q_chi(sp, n, tau, tol).truncation_t == (
                             quadrature._first_truncation(tables, tau, tol)), (
                             label, n, tau, tol)
@@ -789,18 +788,18 @@ class TestTruncationSoundness:
 
 class TestDlogQ:
     def test_s3_order2_closed(self):
-        assert dlogq(parse_space("S3"), 0, 1.0, 2, 1e-11) == pytest.approx(
+        assert q_chi_derivs(parse_space("S3"), 0, 1.0, 1e-11)[2] == pytest.approx(
             -1.5, abs=1e-9
         )
 
     def test_s3_order1_closed(self):
         # log q0 = const + (3/2) log tau + tau
-        assert dlogq(parse_space("S3"), 0, 2.0, 1, 1e-11) == pytest.approx(
+        assert q_chi_derivs(parse_space("S3"), 0, 2.0, 1e-11)[1] == pytest.approx(
             1.75, abs=1e-9
         )
 
     def test_s3_n1_order2_unchanged(self):
-        assert dlogq(parse_space("S3"), 1, 1.0, 2, 1e-11) == pytest.approx(
+        assert q_chi_derivs(parse_space("S3"), 1, 1.0, 1e-11)[2] == pytest.approx(
             -1.5, abs=1e-8
         )
 
@@ -815,12 +814,8 @@ class TestDlogQ:
 
     @pytest.mark.parametrize("label,n,tau,order,ref", REFS)
     def test_reference_values(self, label, n, tau, order, ref):
-        got = dlogq(parse_space(label), n, tau, order, 1e-11)
+        got = q_chi_derivs(parse_space(label), n, tau, 1e-11)[order]
         assert got == pytest.approx(ref, abs=1e-8)
-
-    def test_order_validation(self):
-        with pytest.raises(ParameterRangeError):
-            dlogq(parse_space("S3"), 0, 1.0, 3)
 
     def test_finite_difference_coherence(self):
         # fourth-order central stencil at step h = 1e-3 tau; a three-point
@@ -829,16 +824,16 @@ class TestDlogQ:
             sp = parse_space(label)
             for tau in (0.25, 1.0, 4.0):
                 h = 1e-3 * tau
-                f = lambda x: dlogq(sp, n, x, 1, 1e-11)
+                f = lambda x: q_chi_derivs(sp, n, x, 1e-11)[1]
                 fd = (-f(tau + 2 * h) + 8 * f(tau + h)
                       - 8 * f(tau - h) + f(tau - 2 * h)) / (12 * h)
-                d2 = dlogq(sp, n, tau, 2, 1e-11)
+                d2 = q_chi_derivs(sp, n, tau, 1e-11)[2]
                 assert d2 == pytest.approx(fd, abs=1e-6)
 
     def test_cancellation_warning_at_large_tau(self):
         # (log q)'' ~ -(mu+1/2)/tau^2 while the assembled terms are ~(d1)^2
         with pytest.warns(CancellationWarning):
-            dlogq(parse_space("OP2"), 3, 400.0, 2, 1e-9)
+            q_chi_derivs(parse_space("OP2"), 3, 400.0, 1e-9)[2]
 
     def test_single_precision_tau_is_widened(self):
         # tau enters every power in double precision, whatever its type
@@ -852,8 +847,8 @@ class TestDlogQ:
         sp = parse_space("HP2")
         res, d1, d2 = q_chi_derivs(sp, 1, 0.5, 1e-10)
         assert res.value == pytest.approx(q_chi(sp, 1, 0.5, 1e-10).value, rel=1e-12)
-        assert d1 == pytest.approx(dlogq(sp, 1, 0.5, 1, 1e-10), rel=1e-12)
-        assert d2 == pytest.approx(dlogq(sp, 1, 0.5, 2, 1e-10), rel=1e-12)
+        assert d1 == pytest.approx(q_chi_derivs(sp, 1, 0.5, 1e-10)[1], rel=1e-12)
+        assert d2 == pytest.approx(q_chi_derivs(sp, 1, 0.5, 1e-10)[2], rel=1e-12)
 
 
 class TestPChi:
@@ -912,7 +907,7 @@ class TestIsotypeCache:
         tables = quadrature._isotype(parse_space("CP2"), 3)
         with pytest.raises(ValueError):
             tables.coeffs[0] = 1.0
-        coeffs = quadrature._checked_isotype(parse_space("CP2"), 3, 1.0, 1e-10).coeffs
+        coeffs = quadrature._isotype(parse_space("CP2"), 3).coeffs
         with pytest.raises(ValueError):
             coeffs[0] = 1.0
 
@@ -924,8 +919,8 @@ class TestIsotypeCache:
         assert cache.cache_info().currsize == 1
         assert cache.cache_info().hits == 1
         assert _bits(a) == _bits(b)
-        ta = quadrature._checked_isotype(parse_space("S4"), 2, 1.5, 1e-10)
-        tb = quadrature._checked_isotype(parse_space("S4", B=2.0), 2, 1.5, 1e-10)
+        ta = quadrature._isotype(parse_space("S4"), 2)
+        tb = quadrature._isotype(quadrature._unit_scale(parse_space("S4", B=2.0)), 2)
         assert ta is tb
 
     def test_arbitrary_polynomials_stay_out(self):
@@ -986,7 +981,7 @@ class TestFirstLevel:
         # the scale is the max of log|integrand| over the first level's own
         # nodes, and that level gets the bits a separate moments call gives
         # it, of the value row alone and of all three moment rows
-        tables = quadrature._checked_isotype(parse_space(label), n, tau, tol)
+        tables = quadrature._isotype(parse_space(label), n)
         T = q_chi(parse_space(label), n, tau, tol).truncation_t
         breaks, _ = quadrature._initial_breaks([tables], [tau], [T])
         a, b = breaks[:-1], breaks[1:]
@@ -1016,7 +1011,7 @@ class TestFirstLevel:
         # these cells converge on their first level, which costs 15 nodes a
         # panel and nothing besides
         res = q_chi(parse_space(label), n, tau, tol)
-        tables = quadrature._checked_isotype(parse_space(label), n, tau, tol)
+        tables = quadrature._isotype(parse_space(label), n)
         panels = len(quadrature._initial_breaks([tables], [tau], [res.truncation_t])[0]) - 1
         assert res.nodes == 15 * panels
 
@@ -1044,7 +1039,7 @@ class TestStackedRow:
     @pytest.mark.parametrize("label,n", CELLS)
     def test_row_slices_equal_rows_of_one(self, label, n):
         tol = 1e-10
-        tables = quadrature._checked_isotype(parse_space(label), n, 1.0, tol)
+        tables = quadrature._isotype(parse_space(label), n)
         row = first_levels([tables] * len(ROW_TAUS), ROW_TAUS, tol, 3)
         assert len(row) == len(ROW_TAUS)
         for tau, cell in zip(ROW_TAUS, row):
@@ -1068,7 +1063,7 @@ class TestStackedRow:
     def test_stacks_are_capped(self, monkeypatch):
         # a cap below one cell's nodes gives stacks of one, with the same bits
         tol = 1e-10
-        tables = quadrature._checked_isotype(parse_space("CP2"), 4, 1.0, tol)
+        tables = quadrature._isotype(parse_space("CP2"), 4)
         recs = [tables] * len(ROW_TAUS)
         whole = first_levels(recs, ROW_TAUS, tol, 3)
         monkeypatch.setattr(quadrature, "_STACK_NODES", 1)
@@ -1171,7 +1166,7 @@ class TestStackedFirstRound:
     def kind(sp, n, tau, tol, out):
         if isinstance(out[0], type):
             return "error"
-        tables = quadrature._checked_isotype(sp, n, tau, tol)
+        tables = quadrature._isotype(sp, n)
         nodes, T = out[1][4], float.fromhex(out[1][5])
         if T != quadrature._first_truncation(tables, tau, tol):
             return "larger T"
@@ -1408,7 +1403,7 @@ class TestRowBreaks:
             for label in self.SPACES:
                 sp = parse_space(label)
                 for n in range(quadrature.MAX_DEGREE + 1):
-                    tables = quadrature._checked_isotype(sp, n, 1.0, 1e-10)
+                    tables = quadrature._isotype(sp, n)
                     for tol in (1e-13, 1e-10, 1e-4):
                         taus = np.exp(rng.uniform(lo, hi, 40)).tolist()
                         taus += [quadrature.MIN_TAU, quadrature.MAX_TAU]
@@ -1426,7 +1421,7 @@ class TestRowBreaks:
 
     def test_last_break_moves_onto_T(self):
         # a candidate just below T is kept in T's place
-        tables = quadrature._checked_isotype(parse_space("HP2"), 3, 1.0, 1e-10)
+        tables = quadrature._isotype(parse_space("HP2"), 3)
         taus = [1.0, 20.0]
         near = [tables.lam * tau / 2.0 + 12.0 * math.sqrt(tau / 2.0) for tau in taus]
         Ts = [x * (1.0 + 5e-11) for x in near]
@@ -1459,7 +1454,7 @@ class TestRowBreaks:
         for n in ns:
             for tau in taus:
                 res = q_chi(sp, n, tau)
-                tables = quadrature._checked_isotype(sp, n, tau, quadrature.DEFAULT_TOL)
+                tables = quadrature._isotype(sp, n)
                 (breaks,) = quadrature._initial_breaks([tables], [tau], [res.truncation_t])[1]
                 assert res.nodes == 15 * (breaks - 1)
         assert not empty_row
@@ -1748,7 +1743,7 @@ class TestOneRoute:
         sp, tau, tol = parse_space("OP2"), quadrature.MIN_TAU, quadrature.DEFAULT_TOL
         res = q_chi(sp, 0, tau, tol)
         T0 = quadrature._first_truncation(
-            quadrature._checked_isotype(sp, 0, tau, tol), tau, tol)
+            quadrature._isotype(sp, 0), tau, tol)
         assert [ends for first, ends, _ in calls if first] == [[T0]]
         assert res.truncation_t == T0
 

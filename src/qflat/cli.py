@@ -209,11 +209,7 @@ def parse_args(argv: Sequence[str] | None = None) -> Namespace:
 
 
 def _fmt_sci(x: float) -> str:
-    # lowercase scientific, 9 significant digits
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    # lowercase scientific, 9 significant digits; nan, inf and -inf as such
     return f"{x:.8e}"
 
 
@@ -225,22 +221,26 @@ def _csv_cell(v) -> str:
     return "" if v is None else str(v)
 
 
+def _csv_format(col: str):
+    """The formatter of a CSV column: a tau (always a float) in full, an
+    error bound rounded out to two digits, any other value as
+    ``_csv_cell`` has it."""
+    if col == "tau":
+        return repr
+    if col == "abs_err":
+        return lambda v: _fmt_sci(_round_out_2sig(v))
+    return _csv_cell
+
+
 def _render_csv(kind: str, rows: list[dict]) -> str:
     cols = _CSV_COLUMNS[kind]
+    fmts = [_csv_format(c) for c in cols]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cols)
     for row in rows:
-        writer.writerow([_csv_cell(_csv_value(row.get(c), c)) for c in cols])
+        writer.writerow([f(row.get(c)) for f, c in zip(fmts, cols)])
     return buf.getvalue()
-
-
-def _csv_value(v, col: str):
-    if col == "tau" and isinstance(v, float):
-        return repr(v)
-    if col == "abs_err" and isinstance(v, float):
-        return _round_out_2sig(v)
-    return v
 
 
 def _round_out_2sig(x: float) -> float:

@@ -16,10 +16,10 @@ per panel.
 
 The fixed cost of a cell is kept small as well.  Everything about isotype n
 of a catalog space that does not depend on tau (the float coefficients of
-its hypergeometric polynomial, the exponents mu, kappa, nu and the logs of
-the coefficients' magnitudes) is one read-only record, built once per
-(space, n) and cached; the scale B never enters it.  Integrals of arbitrary
-polynomials (``q_p``) build their record afresh and leave the cache alone.
+its hypergeometric polynomial, their Horner table, the exponents mu, kappa,
+nu and the logs of the coefficients' magnitudes) is one read-only record,
+built once per (space, n) and cached; B never enters it.  Integrals of
+arbitrary polynomials (``q_p``) build their record afresh, uncached.
 Every cell goes through one grid engine, ``_q_engine``: a grid of isotypes
 n and taus of one space from ``prefetch``, or a lone cell as a grid of
 one.  The break points of a grid come from one array pass, with lam as a
@@ -30,12 +30,12 @@ common log-scale the peak of the integrand over its own first-level
 nodes; one ``_sum_panels`` call; and one test against the targets.  The
 exponents mu, kappa, nu depend on the space only, so the isotypes of a
 stack differ only in the coefficients of P, which ``_log_mag_sign`` reads
-by index from one table, zero-padded to the stack's top degree.  Each cell
-of a stack is then finished (``_finish_cell``) before the next stack is
-built: a cell that met its targets is tested as it is, the others refine
-in one bisection sweep against the stored targets, at the cell's scale,
-and their kept panels are summed once.  Every step is per node, panel or
-cell, so a cell gets the same bits alone and in any grid.
+by index from the Horner tables of its records, zero-padded to the top
+degree.  Each cell of a stack is finished before the next stack is built:
+one that met its targets is tested on the stack's sums, the others refine
+in one bisection sweep (``_finish_cell``) against the stored targets, at
+the cell's scale, and their kept panels are summed once.  Every step is
+per node, panel or cell, so a cell gets the same bits alone and in any grid.
 
 Two numerical realities shape the implementation:
 
@@ -336,10 +336,11 @@ def _log_sinh(t: np.ndarray) -> np.ndarray:
 
 
 class _Tables(NamedTuple):
-    """The tau-independent part of a weight: the float coefficients of P
-    and the logs of their magnitudes (-inf for a zero coefficient), both
-    read-only so one record can serve every tau, the exponents mu, kappa,
-    nu and the growth rate lam = kappa + nu + 2 deg(P)."""
+    """The tau-independent part of a weight: the float coefficients c of P,
+    the logs of their magnitudes (-inf for a zero coefficient) and the
+    (deg + 1, 2) Horner table of ``_log_mag_sign`` (c from the top down, and
+    from the bottom up negated for odd deg), all read-only so one record can
+    serve every tau; the exponents mu, kappa, nu and lam = kappa + nu + 2 deg."""
 
     coeffs: np.ndarray
     mu: float
@@ -347,6 +348,7 @@ class _Tables(NamedTuple):
     nu: float
     lam: float
     log_abs_coeffs: np.ndarray
+    horner: np.ndarray
 
 
 def _make_tables(coeffs: Sequence[float], mu: float, kappa: float,
@@ -354,10 +356,19 @@ def _make_tables(coeffs: Sequence[float], mu: float, kappa: float,
     c = np.array(coeffs, dtype=float)
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(c))
-    c.flags.writeable = log_abs.flags.writeable = False
+    # beyond sinh t = 1 the factor (-1)^deg goes into the coefficients
+    horner = np.array([c[::-1], c if len(c) % 2 else -c]).T
+    c.flags.writeable = log_abs.flags.writeable = horner.flags.writeable = False
     kappa, nu = float(kappa), float(nu)
     return _Tables(c, float(mu), kappa, nu, kappa + nu + 2.0 * (len(c) - 1),
-                   log_abs)
+                   log_abs, horner)
+
+
+def _distinct(tables: Sequence[_Tables]) -> tuple[list[_Tables], list[int]]:
+    """The distinct record objects of ``tables``, and each entry's index."""
+    index: dict = {}
+    which = [index.setdefault(id(tb), (len(index), tb))[0] for tb in tables]
+    return [tb for _, tb in index.values()], which
 
 
 @functools.lru_cache(maxsize=512)
@@ -386,25 +397,25 @@ def _log_mag_sign(tables: Sequence[_Tables], tau: float | np.ndarray,
 
     ``tables`` is a stack of records that share mu, kappa and nu (as the
     isotypes of one space do), whose nodes are runs of ``runs`` rows of t.
-    Each Horner step reads the coefficients of every record both ways
-    round, zero-padded at the front to the top degree, and each node takes
-    its own record's, on its side of sinh t = 1, by index; the degree is a
-    per-row column.  0 x + c = c exactly, so each record gets the bits it
-    gets in a stack of its own.
+    Each Horner step reads the Horner tables of the stack's distinct
+    records, zero-padded at the front to the top degree, and each node
+    takes its own record's coefficient, on its side of sinh t = 1, by
+    index, and its degree.  0 x + c = c exactly, so each record gets the
+    bits it gets in a stack of its own.
     """
     logsh = _log_sinh(t)
     up = np.maximum(logsh, 0.0)
     x = -np.exp(-2.0 * np.abs(logsh))
     big = logsh > 0.0
-    sizes = [len(tb.coeffs) for tb in tables]
-    steps = np.zeros((max(sizes), len(tables), 2))
-    for k, (tb, size) in enumerate(zip(tables, sizes)):
-        # beyond sinh t = 1 the factor (-1)^deg goes into the coefficients
-        steps[-size:, k, 0] = tb.coeffs[::-1]
-        steps[-size:, k, 1] = tb.coeffs if size % 2 else -tb.coeffs
-    steps = steps.reshape(len(steps), -1)
-    pick = big + np.repeat(2 * np.arange(len(tables)), runs)[:, None]
-    deg = np.repeat(np.array(sizes) - 1, runs)[:, None]
+    recs, which = _distinct(tables)
+    size = max(len(tb.horner) for tb in recs)
+    steps = np.zeros((size, len(recs), 2))
+    for k, tb in enumerate(recs):
+        steps[size - len(tb.horner):, k] = tb.horner
+    steps = steps.reshape(size, -1)
+    which = np.array(which).repeat(runs)[:, None]
+    pick = big + 2 * which
+    deg = np.array([len(tb.horner) - 1 for tb in recs]).take(which)
     p = steps[0].take(pick)
     for c in steps[1:]:
         p *= x
@@ -592,13 +603,14 @@ def _log_tail_bound(tables: Sequence[_Tables], taus: Sequence[float],
     """
     tb = tables[0]
     tau, T = np.array(taus, dtype=float), np.array(Ts, dtype=float)
-    deg = np.array([len(rec.coeffs) - 1 for rec in tables])
-    # the sum is a log-sum-exp over the log|c_j|, padded with -inf
-    logc = np.full((len(tables), deg.max() + 1), -math.inf)
-    for k, rec in enumerate(tables):
-        logc[k, :deg[k] + 1] = rec.log_abs_coeffs
+    recs, which = _distinct(tables)
+    deg = np.array([len(rec.coeffs) - 1 for rec in recs]).take(which)
+    # the sum is a log-sum-exp over the log|c_j|, padded with -inf, per record
+    logc = np.full((len(recs), deg.max() + 1), -math.inf)
+    for k, rec in enumerate(recs):
+        logc[k, :len(rec.coeffs)] = rec.log_abs_coeffs
     logsh = _log_sinh(T)
-    terms = logc + 2.0 * np.arange(logc.shape[1]) * logsh[:, None]
+    terms = logc.take(which, 0) + 2.0 * np.arange(logc.shape[1]) * logsh[:, None]
     top = terms.max(axis=1)
     log_m = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
     # log cosh T = T - log 2 + log1p(e^-2T)
@@ -617,15 +629,12 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _build_result(
-    I: np.ndarray, Iabs: np.ndarray, E: np.ndarray, scale: float, nodes: int,
-    T: float, log_tail: float
-) -> QuadratureResult:
-    """A cell's result: rel_error is the value row's panel error, floored at
-    the rounding bound, over |I|, plus the relative tail bound, capped at 1.
-    A value below the normal range (subnormal, or 0 after underflow) is off
-    by up to 2^-1075 as a double, which both errors include."""
-    i0 = float(I[0])
+def _build_result(i0: float, iabs0: float, e0: float, scale: float,
+                  nodes: int, T: float, log_tail: float) -> QuadratureResult:
+    """A cell's result from its value row's sums I, Iabs and E: rel_error is
+    E, floored at the rounding bound, over |I|, plus the relative tail bound,
+    capped at 1.  A value below the normal range (subnormal, or 0 after
+    underflow) is off by up to 2^-1075 as a double, which both include."""
     if i0 == 0.0:
         return QuadratureResult(0.0, 0.0, nodes, T, -math.inf, math.inf)
     sign = 1.0 if i0 > 0 else -1.0
@@ -633,7 +642,7 @@ def _build_result(
     value = sign * _exp_or_inf(log_value)
     # Iabs stands in for int |f|; it falls short only where the integrand
     # changes sign inside a panel
-    err = max(float(E[0]), _ROUND_C * _EPS * float(Iabs[0]))
+    err = max(e0, _ROUND_C * _EPS * iabs0)
     rel = err / abs(i0) + math.exp(min(log_tail - log_value, 0.0))
     abs_err = math.inf if math.isinf(value) else rel * abs(value)
     if abs(value) < sys.float_info.min:
@@ -641,6 +650,17 @@ def _build_result(
         # 2^-1075 itself rounds to 0.0; the least subnormal bounds it
         abs_err += math.ulp(0.0)
     return QuadratureResult(value, abs_err, nodes, T, log_value, rel)
+
+
+def _accept(res: QuadratureResult, log_tail: float, tol: float) -> None:
+    """Raise the ConvergenceError of a cell's tail test or error test."""
+    if not log_tail <= math.log(tol / 2.0) + res.log_value:
+        raise ConvergenceError(
+            "truncation tail bound failed to settle below tol/2", res)
+    if res.rel_error > tol:
+        raise ConvergenceError(
+            f"rounding or cancellation limits the relative error to "
+            f"{res.rel_error:.3g}, above tol={tol:g}", res)
 
 
 def _first_truncation(tables: _Tables, tau: float, tol: float) -> float:
@@ -655,54 +675,50 @@ def _first_truncation(tables: _Tables, tau: float, tol: float) -> float:
 def _finish_cell(tables: _Tables, tau: float, tol: float, T: float,
                  log_tail: float, nrows: int, a: np.ndarray, b: np.ndarray,
                  val: np.ndarray, err: np.ndarray, scale: float,
-                 sums: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 target: np.ndarray, met: bool
-                 ) -> tuple[np.ndarray, QuadratureResult]:
-    """One cell of ``nrows`` moment rows from its truncation point T, log
-    tail bound and first level: panels a and b, their estimates and errors
-    at ``scale``, their sums (I, Iabs, E), the targets of the panel
-    tolerance tol/2 and whether E meets them.  Then refinement, the tail
-    test and the error test, which a returned cell passed.
+                 target: np.ndarray) -> tuple[np.ndarray, QuadratureResult]:
+    """One cell of ``nrows`` moment rows whose first level missed its
+    targets, from its truncation point T, log tail bound and that level:
+    panels a and b, their estimates and errors at ``scale``, and the
+    targets of the panel tolerance tol/2.  Then refinement, the tail test
+    and the error test, which a returned cell passed.
 
-    A first level that misses its targets is refined in one bisection
-    sweep.  Each generation splits the panels that miss their share of the
-    first level's targets; its panels share one depth and run left to
-    right.  The sweep ends when no panel fails, at depth ``_MAX_DEPTH``, or
-    when the node budget cuts a generation short at its leftmost failing
-    panels, whose children are kept untested.  The kept panels are summed
-    in one call, correctly rounded, so their order does not matter.
+    The first level is refined in one bisection sweep.  Each generation
+    splits the panels that miss their share of the first level's targets;
+    its panels share one depth and run left to right.  The sweep ends when
+    no panel fails, at depth ``_MAX_DEPTH``, or when the node budget cuts a
+    generation short at its leftmost failing panels, whose children are
+    kept untested.  The kept panels are summed in one call, correctly
+    rounded, so their order does not matter.
     """
-    I, Iabs, E = sums
     nodes = 15 * len(a)
-    if not met:
-        vals, errs = [], []
-        for _ in range(_MAX_DEPTH):
-            ok = np.all(err <= target[:, None] * (_SAFETY * (b - a) / T), axis=0)
-            fail = np.flatnonzero(~ok)
-            room = max(0, (_NODE_BUDGET - nodes) // 30)
-            cut = len(fail) > room
-            fail = fail[:room]
-            if len(fail) == 0:
-                break
-            stay = np.ones(len(a), dtype=bool)
-            stay[fail] = False
-            vals.append(val[:, stay])
-            errs.append(err[:, stay])
-            mid = 0.5 * (a[fail] + b[fail])
-            a = np.stack([a[fail], mid], axis=1).ravel()
-            b = np.stack([mid, b[fail]], axis=1).ravel()
-            val, err, _ = _eval_panels([tables], [tau], a, b, [len(a)], nrows,
-                                       [scale])
-            nodes += 15 * len(a)
-            if cut:
-                break
-        vals.append(val)
-        errs.append(err)
-        val, err = np.concatenate(vals, axis=1), np.concatenate(errs, axis=1)
-        I, Iabs, E = (x[0] for x in _sum_panels(val, err, [val.shape[1]]))
-        met = bool(np.all(E <= _targets(I, Iabs, 0.5 * tol)))
-    res = _build_result(I, Iabs, E, scale, nodes, T, log_tail)
-    if not met:
+    vals, errs = [], []
+    for _ in range(_MAX_DEPTH):
+        ok = np.all(err <= target[:, None] * (_SAFETY * (b - a) / T), axis=0)
+        fail = np.flatnonzero(~ok)
+        room = max(0, (_NODE_BUDGET - nodes) // 30)
+        cut = len(fail) > room
+        fail = fail[:room]
+        if len(fail) == 0:
+            break
+        stay = np.ones(len(a), dtype=bool)
+        stay[fail] = False
+        vals.append(val[:, stay])
+        errs.append(err[:, stay])
+        mid = 0.5 * (a[fail] + b[fail])
+        a = np.stack([a[fail], mid], axis=1).ravel()
+        b = np.stack([mid, b[fail]], axis=1).ravel()
+        val, err, _ = _eval_panels([tables], [tau], a, b, [len(a)], nrows,
+                                   [scale])
+        nodes += 15 * len(a)
+        if cut:
+            break
+    vals.append(val)
+    errs.append(err)
+    val, err = np.concatenate(vals, axis=1), np.concatenate(errs, axis=1)
+    I, Iabs, E = (x[0] for x in _sum_panels(val, err, [val.shape[1]]))
+    res = _build_result(float(I[0]), float(Iabs[0]), float(E[0]), scale,
+                        nodes, T, log_tail)
+    if not np.all(E <= _targets(I, Iabs, 0.5 * tol)):
         # some moment row missed tol/2, so the worst E/|I| exceeds it
         with np.errstate(divide="ignore", invalid="ignore"):
             worst = float(np.max(E / np.abs(I)))
@@ -710,13 +726,7 @@ def _finish_cell(tables: _Tables, tau: float, tol: float, T: float,
             f"panel refinement did not reach tol={tol:g}: after "
             f"{res.nodes} nodes the worst moment's relative error "
             f"{worst:.4g} exceeds the panel target {0.5 * tol:g}", res)
-    if not log_tail <= math.log(tol / 2.0) + res.log_value:
-        raise ConvergenceError(
-            "truncation tail bound failed to settle below tol/2", res)
-    if res.rel_error > tol:
-        raise ConvergenceError(
-            f"rounding or cancellation limits the relative error to "
-            f"{res.rel_error:.3g}, above tol={tol:g}", res)
+    _accept(res, log_tail, tol)
     return I, res
 
 
@@ -730,7 +740,8 @@ def _q_engine(tables: Sequence[_Tables], taus: Sequence[float], tol: float,
     of at most _STACK_NODES nodes (or one cell, if it has more): one
     ``_eval_panels`` call, one ``_sum_panels`` call and one test against
     the targets per stack.  Each cell of a stack is finished before the
-    next stack is built, so one stack's arrays are alive at a time.
+    next stack is built, so one stack's arrays are alive at a time; only a
+    cell that misses its targets goes on to ``_finish_cell``.
 
     Each cell forms, sums and meets tol on its first ``nrows`` moment rows:
     1 for a value, 3 for (log q)' and (log q)'' as well; I has that length.
@@ -759,14 +770,22 @@ def _q_engine(tables: Sequence[_Tables], taus: Sequence[float], tol: float,
         # split the tolerance: half for the panels, half for the tail
         target = _targets(I, Iabs, 0.5 * tol)
         met = np.all(E <= target, axis=1).tolist()
+        stack = zip(met, scales.tolist(), I[:, 0].tolist(), Iabs[:, 0].tolist(),
+                    E[:, 0].tolist())
         s = 0
-        for k, scale in enumerate(scales.tolist()):
+        for k, (ok, scale, i0, iabs0, e0) in enumerate(stack):
             c, e = lo + k, s + counts[k]
             try:
-                out.append(_finish_cell(
-                    tables[c], taus[c], tol, Ts[c], log_tails[c], nrows,
-                    a[s:e], b[s:e], val[:, s:e], err[:, s:e], scale,
-                    (I[k], Iabs[k], E[k]), target[k], met[k]))
+                if ok:
+                    res = _build_result(i0, iabs0, e0, scale, 15 * counts[k],
+                                        Ts[c], log_tails[c])
+                    _accept(res, log_tails[c], tol)
+                    out.append((I[k], res))
+                else:
+                    out.append(_finish_cell(
+                        tables[c], taus[c], tol, Ts[c], log_tails[c], nrows,
+                        a[s:e], b[s:e], val[:, s:e], err[:, s:e], scale,
+                        target[k]))
             except QuadratureError as exc:
                 # without its traceback, which would keep the grid alive
                 out.append(exc.with_traceback(None))
@@ -853,7 +872,8 @@ def _grid(space: RootData, ns: Sequence[int], taus: Sequence[float],
     ``_ROW`` is; checked whole first, so the cache holds no out-of-box record."""
     _check_grid((space,), ns, taus, tol)
     key = _unit_scale(space)
-    cells = {(n, tau): _isotype(key, n) for n in ns for tau in taus}
+    recs = {n: _isotype(key, n) for n in ns}
+    cells = {(n, tau): recs[n] for n in ns for tau in taus}
     outcomes = _q_engine(list(cells.values()), [tau for _, tau in cells], tol,
                          nrows) if cells else ()
     return {(key, n, tau, tol, nrows): out

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qflat import quadrature
+from qflat import cli, quadrature
 from qflat.cli import main, parse_args, run
 from qflat.spaces import parse_space
 
@@ -655,6 +655,42 @@ class TestDeterminism:
         out, _ = capture(["scan", "--spaces", "S3", "--n-max", "1",
                           "--tau", "1", "--timestamps"])
         assert "generated_at" in json.loads(out)
+
+
+class TestNonFiniteSpelling:
+    """nan (of either sign), inf, -inf and -0.0 print as they always have:
+    a CSV cell, in every column that formats floats, as a lowercase word or
+    nine-digit scientific, and a JSON value that is not finite as that word
+    in a string."""
+
+    VALUES = [(math.nan, "nan"), (-math.nan, "nan"), (math.inf, "inf"),
+              (-math.inf, "-inf"), (-0.0, "-0.00000000e+00"),
+              (0.0, "0.00000000e+00")]
+
+    @pytest.mark.parametrize("x, text", VALUES)
+    def test_csv_cell(self, x, text):
+        assert cli._csv_cell(x) == text
+
+    @pytest.mark.parametrize("x, text", VALUES)
+    def test_csv_columns(self, x, text):
+        # q, the rounded-out abs_err and dlogq2 each have their own formatter
+        row = {"space": "S3", "n": 0, "tau": 1.0, "q": x, "abs_err": x,
+               "dlogq2": x}
+        lines = cli._render_csv("qtable", [row]).splitlines()
+        assert lines == ["space,n,tau,q,abs_err,dlogq2",
+                         f"S3,0,1.0,{text},{text},{text}"]
+
+    def test_json_values(self):
+        payload = {"rows": [{"q": math.nan, "abs_err": math.inf,
+                             "dlogq2": -math.inf, "log_q": -0.0}],
+                   "curvature": [(-math.nan, 0.0, -0.0)]}
+        clean = cli._sanitize(payload)
+        assert clean == {"rows": [{"q": "nan", "abs_err": "inf",
+                                   "dlogq2": "-inf", "log_q": 0.0}],
+                         "curvature": [["nan", 0.0, 0.0]]}
+        assert json.dumps(clean, allow_nan=False) == (
+            '{"rows": [{"q": "nan", "abs_err": "inf", "dlogq2": "-inf", '
+            '"log_q": -0.0}], "curvature": [["nan", 0.0, -0.0]]}')
 
 
 class TestJsonSchema:

@@ -904,12 +904,22 @@ class TestIsotypeCache:
         assert cold == warm
 
     def test_record_is_read_only(self):
-        tables = quadrature._isotype(parse_space("CP2"), 3)
-        with pytest.raises(ValueError):
-            tables.coeffs[0] = 1.0
-        coeffs = quadrature._isotype(parse_space("CP2"), 3).coeffs
-        with pytest.raises(ValueError):
-            coeffs[0] = 1.0
+        for field in ("coeffs", "log_abs_coeffs", "horner"):
+            tables = quadrature._isotype(parse_space("CP2"), 3)
+            with pytest.raises(ValueError):
+                getattr(tables, field)[0] = 1.0
+            array = getattr(quadrature._isotype(parse_space("CP2"), 3), field)
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize("n", (0, 1, 2, 7, 16))
+    def test_horner_table_is_the_coefficients_both_ways_round(self, n):
+        # from the top down, and from the bottom up negated for odd degree
+        tables = quadrature._isotype(parse_space("HP2"), n)
+        c = tables.coeffs
+        assert tables.horner.shape == (n + 1, 2)
+        assert tables.horner[:, 0].tolist() == c[::-1].tolist()
+        assert tables.horner[:, 1].tolist() == ((-1.0) ** n * c).tolist()
 
     def test_scale_does_not_enter_the_key(self):
         cache = quadrature._isotype
@@ -1636,20 +1646,25 @@ class TestGridPrefetch:
             assert _derivs_outcome(sp, n, tau, tol) == want, (n, tau)
         assert not empty_row
 
-    def test_refined_larger_t_and_failed_cells_at_tol_min(self, empty_row):
-        # stacks of settled cells hold cells that refine or raise, all of
-        # which must still match, each at its first T
+    def test_refined_larger_t_and_failed_cells_at_tol_min(self, monkeypatch,
+                                                          empty_row):
+        # a stack of settled cells holds cells that refine or raise, all of
+        # which must still match, each at its first T; n = 16 comes first,
+        # so its failing cell at tau = 20 shares the first stack
         sp, tol = parse_space("CP2"), 1e-13
-        ns, taus = (0, 1, 16), (quadrature.MIN_TAU, 1e-3, 0.05, 20.0)
+        ns, taus = (16, 0, 1), (quadrature.MIN_TAU, 1e-3, 0.05, 20.0)
         alone = {(n, tau): _derivs_outcome(sp, n, tau, tol) for n in ns for tau in taus}
+        calls = spy_node_calls(monkeypatch)
         quadrature.prefetch(sp, ns, taus, tol)
         for (n, tau), want in alone.items():
             assert _derivs_outcome(sp, n, tau, tol) == want, (n, tau)
         assert not empty_row
-        kinds = {TestStackedFirstRound.kind(
+        kinds = [TestStackedFirstRound.kind(
             sp, n, tau, tol, out if isinstance(out[0], type) else (None, out))
-            for (n, tau), out in alone.items()}
-        assert kinds == {"settled", "refined", "error"}
+            for (n, tau), out in alone.items()]
+        assert set(kinds) == {"settled", "refined", "error"}
+        first_stack = next(len(ends) for first, ends, _ in calls if first)
+        assert set(kinds[:first_stack]) == {"settled", "refined", "error"}
 
     def test_invalid_cells_refuse_the_grid(self, empty_row):
         # a valid cell beside an invalid one is not computed either: the
@@ -1684,6 +1699,23 @@ class TestGridPrefetch:
         stacks = [ends for first, ends, _ in calls if first]
         assert sum(len(ends) for ends in stacks) == len(ns) * len(taus)
         assert len(stacks) < len(ns)
+
+    def test_oracles_grid_never_refines(self, monkeypatch, empty_row):
+        # every first level of the verify-asymptotics grids meets its targets
+        # at the default tol, so each cell is finished from its stack's sums
+        # and none enters _finish_cell, which a refining cell still does
+        calls = []
+        finish_cell = quadrature._finish_cell
+        monkeypatch.setattr(quadrature, "_finish_cell",
+                            lambda *a: calls.append(a) or finish_cell(*a))
+        ns, taus = range(quadrature.MAX_DEGREE + 1), (1e-3, 1e-2, 100.0, 400.0)
+        for label in DEFAULT_SCAN_SELECTORS:
+            quadrature.prefetch(parse_space(label), ns, taus, derivs=False)
+            assert len(empty_row) == len(ns) * len(taus)
+        assert not calls
+        empty_row.clear()
+        _quiet_derivs(parse_space("CP2"), 0, quadrature.MIN_TAU, quadrature.TOL_MIN)
+        assert len(calls) == 1
 
 
 class TestOneRoute:
@@ -1784,6 +1816,26 @@ class TestPaddedHorner:
             assert g[rows_k].tobytes() == want_g.tobytes(), k
             assert sign[rows_k].tobytes() == want_sign.tobytes(), k
         assert np.any(sign < 0.0) and np.any(sign > 0.0)
+
+    def test_repeated_and_equal_records(self):
+        # one record object at three places between others, and an equal
+        # but separate copy of it: the table holds one column pair per
+        # distinct object, and each slice has its own record's bits
+        a, b, c = (self.record(p) for p in self.POLYS[3:])
+        copy = self.record(self.POLYS[3])
+        recs = [a, b, a, c, copy, a]
+        distinct, which = quadrature._distinct(recs)
+        assert list(map(id, distinct)) == list(map(id, (a, b, c, copy)))
+        assert which == [0, 1, 0, 2, 3, 0]
+        ts = [np.geomspace(1e-3 * (k + 1), 40.0 / (k + 1), 30).reshape(2, 15)
+              for k in range(len(recs))]
+        tau = np.repeat(self.TAUS, 2)[:, None]
+        g, sign = quadrature._log_mag_sign(recs, tau, np.concatenate(ts),
+                                           [2] * len(recs))
+        for k, (rec, t, tk) in enumerate(zip(recs, ts, self.TAUS)):
+            want_g, want_sign = quadrature._log_mag_sign([rec], tk, t, [2])
+            assert g[2 * k:2 * k + 2].tobytes() == want_g.tobytes(), k
+            assert sign[2 * k:2 * k + 2].tobytes() == want_sign.tobytes(), k
 
 
 class TestS3ClosedFormSweep:

@@ -27,7 +27,6 @@ import math
 import sys
 from argparse import ArgumentParser, Namespace
 from datetime import datetime, timezone
-from decimal import ROUND_UP, Decimal
 from typing import Sequence
 
 from .asymptotics import log_qp_large_tau, watson2
@@ -46,6 +45,7 @@ from .quadrature import (
     DEFAULT_TOL,
     ParameterRangeError,
     QuadratureError,
+    _as_float_coeffs,
     _check_grid,
     prefetch,
     q_chi,
@@ -248,8 +248,18 @@ def _round_out_2sig(x: float) -> float:
     # below are roundoff that varies between numpy/BLAS builds
     if not math.isfinite(x) or x == 0.0:
         return x
-    d = Decimal(x)
-    return float(d.quantize(Decimal(1).scaleb(d.adjusted() - 1), rounding=ROUND_UP))
+    # s is the two-digit decimal nearest |x|, the answer unless it is below
+    # |x|; its double tells unless that is |x|, and then s = k 10^e and
+    # |x| = p/q compare exactly, as integers
+    a = abs(x)
+    s = f"{a:.1e}"
+    d = float(s)
+    if d <= a:
+        k, e = int(s[0] + s[2]), int(s[4:]) - 1
+        p, q = a.as_integer_ratio()
+        if d < a or k * 10 ** max(e, 0) * q < p * 10 ** max(-e, 0):
+            d = float(f"{k + 1}e{e}")
+    return math.copysign(d, x)
 
 
 def _sanitize(obj):
@@ -344,10 +354,10 @@ def _rows_asymptotics(cfg: Namespace) -> tuple[list[dict], bool]:
                  derivs=False)
         for n in cfg.n_values:
             # the floats of the cached record are those of the exact
-            # parameters; n and m were validated at parse time.  As a tuple
-            # of floats the laws take them without coercing them again
+            # parameters; n and m were validated at parse time.  Coerced
+            # once here, they pass the laws' coercion at every tau unchecked
             rec = _isotype(_unit_scale(sp), n)
-            coeffs = tuple(rec.coeffs.tolist())
+            coeffs = _as_float_coeffs(rec.coeffs.tolist())
             for tau in _SMALL_TAUS + _LARGE_TAUS:
                 small = tau in _SMALL_TAUS
                 row = {"space": lbl, "n": n,

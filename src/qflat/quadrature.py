@@ -23,16 +23,19 @@ arbitrary polynomials (``q_p``) build their record afresh, uncached.
 Every cell goes through one grid engine, ``_q_engine``: a grid of isotypes
 n and taus of one space from ``prefetch``, or a lone cell as a grid of
 one.  The break points of a grid come from one array pass, with lam as a
-per-cell column.  The engine then walks the grid in stacks of whole cells
-of at most ``_STACK_NODES`` nodes, across isotypes: per stack one
-``_eval_panels`` call, with tau as a per-panel column and each cell's
-common log-scale the peak of the integrand over its own first-level
-nodes; one ``_sum_panels`` call; and one test against the targets.  The
-exponents mu, kappa, nu depend on the space only, so the isotypes of a
+per-cell column.  The engine then walks the grid on two levels, across
+isotypes.  Node work goes in stacks of whole cells of at most
+``_STACK_NODES`` nodes: per stack one ``_eval_panels`` call, with tau as a
+per-panel column and each cell's common log-scale the peak of the
+integrand over its own first-level nodes.  Panel-sized work goes in settle
+groups of whole stacks of at most ``_STACK_NODES // 2`` panels: the
+stacks of a group write their estimates and errors into its arrays, and
+the group has one ``_sum_panels`` call and one test against the targets.
+The exponents mu, kappa, nu depend on the space only, so the isotypes of a
 stack differ only in the coefficients of P, which ``_log_mag_sign`` reads
 by index from the Horner tables of its records, zero-padded to the top
-degree.  Each cell of a stack is finished before the next stack is built:
-one that met its targets is tested on the stack's sums, the others refine
+degree.  Each cell of a group is finished before the next group is built:
+one that met its targets is tested on the group's sums, the others refine
 in one bisection sweep (``_finish_cell``) against the stored targets, at
 the cell's scale, and their kept panels are summed once.  Every step is
 per node, panel or cell, so a cell gets the same bits alone and in any grid.
@@ -67,16 +70,17 @@ independent of evaluation order across calls.  The rule sums are numpy
 reductions in a fixed order, not BLAS products, so they do not depend on
 the kernel a BLAS build dispatches to either.  The panel sums are
 correctly rounded, with the bits of ``math.fsum``, in a few array passes
-per stack (``_sum_panels``): each value splits at a power of two above its
-run's magnitudes (the error-free extraction of Rump, Ogita and Oishi,
-Accurate floating-point summation, part I, SIAM J. Sci. Comput. 31, 2008),
-the high parts sum exactly, and a bound on the low parts' rounding
+per settle group (``_sum_panels``): each value splits at a power of two
+above its run's magnitudes (the error-free extraction of Rump, Ogita and
+Oishi, Accurate floating-point summation, part I, SIAM J. Sci. Comput. 31,
+2008), the high parts sum exactly, and a bound on the low parts' rounding
 certifies the result; a sum it cannot certify goes to ``math.fsum``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 import warnings
@@ -172,6 +176,9 @@ _SAFETY = 0.5
 _NODE_BUDGET = 400_000
 # Nodes per stacked node call of the first levels of a grid of cells
 # (about ten cells): larger stacks save little time and cost peak memory.
+# A settle group holds at most half as many panels as a stack holds nodes:
+# at 2 nrows summed rows a panel, its sums are no larger than a stack's
+# nrows moment rows a node.
 _STACK_NODES = 5_000
 
 
@@ -251,13 +258,20 @@ class QuadratureResult:
     rel_error: float
 
 
+class _Coeffs(tuple):
+    """Float coefficients that ``_as_float_coeffs`` has coerced and checked."""
+
+
 def _as_float_coeffs(P: PolyLike) -> tuple[float, ...]:
     """The float coefficients of P, lowest first, less trailing zeros.
 
     A tuple of floats whose top coefficient is nonzero is already that, and
-    comes back as it is.  Every form, that one included, is refused unless
-    each coefficient is finite.
+    comes back as it is, once checked; any other form comes back as a
+    ``_Coeffs``, which comes back as it is with no second check.  Every
+    form is refused unless each coefficient is finite.
     """
+    if type(P) is _Coeffs:
+        return P
     if (type(P) is tuple and P and P[-1] != 0.0
             and all(type(c) is float for c in P)):
         cs = P
@@ -266,7 +280,9 @@ def _as_float_coeffs(P: PolyLike) -> tuple[float, ...]:
     elif isinstance(P, (int, float, Fraction)):
         cs = (float(P),)
     else:
-        cs = tuple(float(c) for c in P)
+        # from a list: a tuple built from an iterator grows by resizing,
+        # which in a loop of such calls keeps raising the process's RSS
+        cs = tuple([float(c) for c in P])
     if not cs:
         raise ParameterRangeError("empty polynomial")
     while len(cs) > 1 and cs[-1] == 0.0:
@@ -276,7 +292,7 @@ def _as_float_coeffs(P: PolyLike) -> tuple[float, ...]:
     if not all(map(math.isfinite, cs)):
         raise ParameterRangeError(
             f"polynomial coefficients must be finite, got {cs}")
-    return cs
+    return cs if cs is P else _Coeffs(cs)
 
 
 def _exact(x: float) -> str:
@@ -475,7 +491,7 @@ def _eval_panels(tables: Sequence[_Tables], taus: Sequence[float],
     panel, so each run gets the bits it gets in a call of its own.
     """
     xs, half = _panel_nodes(a, b)
-    tau = np.repeat(np.array(taus, dtype=float), counts)[:, None]
+    tau = np.array(taus, dtype=float).repeat(counts)[:, None]
     g, sign = _log_mag_sign(tables, tau, xs, counts)
     if scales is None:
         starts = np.cumsum(counts) - counts
@@ -521,13 +537,14 @@ def _initial_breaks(tables: Sequence[_Tables], taus: Sequence[float],
     extra = np.minimum(np.maximum(np.concatenate(
         [lam * half + _PEAK_J * np.sqrt(half), _ROOT_E * np.sqrt(tau)],
         axis=1), 0.0), T)
-    cand = np.sort(np.concatenate([T * _GRID, extra], axis=1), axis=1)
+    cand = np.concatenate([T * _GRID, extra], axis=1)
+    cand.sort(axis=1)
     keep = np.empty(cand.shape, dtype=bool)
     keep[:, 0] = True
     np.greater(cand[:, 1:] - cand[:, :-1], 1e-10 * T, out=keep[:, 1:])
     breaks = cand[keep]
     counts = keep.sum(axis=1)
-    breaks[np.cumsum(counts) - 1] = T[:, 0]
+    breaks[counts.cumsum() - 1] = T[:, 0]
     return breaks, counts
 
 
@@ -560,15 +577,15 @@ def _sum_panels(val: np.ndarray, err: np.ndarray, counts: Sequence[int]
     to 0), one near a rounding midpoint, and any non-finite value, where
     the NaN it leaves fails every comparison.
     """
-    signed = not np.all(val >= 0.0)
+    signed = not (val >= 0.0).all()
     x = np.concatenate([val, np.abs(val), err] if signed else [val, err])
     n = np.asarray(counts)
-    starts = np.cumsum(n) - n
+    starts = n.cumsum() - n
     with np.errstate(over="ignore", invalid="ignore"):
         top = np.maximum.reduceat(np.abs(x), starts, axis=1)
         # frexp gives max |x| < 2^e and n + 1 < 2^K, so 2^K >= n + 2
         sigma = np.ldexp(1.0, np.frexp(top)[1] + np.frexp(n + 1.0)[1])
-        s = np.repeat(sigma, n, axis=1)
+        s = sigma.repeat(n, axis=1)
         q = (s + x) - s
         S1 = np.add.reduceat(q, starts, axis=1)
         S2 = np.add.reduceat(x - q, starts, axis=1)
@@ -578,7 +595,7 @@ def _sum_panels(val: np.ndarray, err: np.ndarray, counts: Sequence[int]
         # the bound floored at the least subnormal, where u^2 sigma underflows
         bound = n * n * np.maximum(0.25 * _EPS * _EPS * sigma, 5e-324)
         ok = np.abs(rho) + bound < 0.5 * np.abs(d - np.nextafter(d, 0.0))
-    for i, k in zip(*np.nonzero(~ok)):
+    for i, k in zip(*(~ok).nonzero()):
         d[i, k] = math.fsum(x[i, starts[k]:starts[k] + n[k]].tolist())
     sums = d.T
     r = len(val)
@@ -730,18 +747,35 @@ def _finish_cell(tables: _Tables, tau: float, tol: float, T: float,
     return I, res
 
 
+def _runs(sizes: Sequence[int], cap: int) -> tuple[list[int], list[int]]:
+    """The greedy runs of consecutive ``sizes``, each summing to at most
+    ``cap`` or one entry that alone exceeds it, and unable to take the entry
+    after it: their bounds, from 0 to len(sizes), and their sums."""
+    starts, sums = [], []
+    for k, n in enumerate(sizes):
+        if sums and sums[-1] + n <= cap:
+            sums[-1] += n
+        else:
+            starts.append(k)
+            sums.append(n)
+    return starts + [len(sizes)], sums
+
+
 def _q_engine(tables: Sequence[_Tables], taus: Sequence[float], tol: float,
               nrows: int) -> list:
     """Per validated cell (record, tau), whose records share mu, kappa and
     nu: (I, result), or the QuadratureError it raises.
 
     Every cell's T and tail bound come first, then the break points of all
-    cells in one array pass.  The first levels go in stacks of whole cells
-    of at most _STACK_NODES nodes (or one cell, if it has more): one
-    ``_eval_panels`` call, one ``_sum_panels`` call and one test against
-    the targets per stack.  Each cell of a stack is finished before the
-    next stack is built, so one stack's arrays are alive at a time; only a
-    cell that misses its targets goes on to ``_finish_cell``.
+    cells in one array pass.  The first levels go in node stacks of whole
+    cells of at most _STACK_NODES nodes (or one cell, if it has more), one
+    ``_eval_panels`` call each, whose node arrays are gone before the next
+    stack is built.  The stacks go in settle groups of at most
+    _STACK_NODES // 2 panels (or one stack), which hold their stacks'
+    estimates, errors and scales: one ``_sum_panels`` call and one test
+    against the targets per group.  Each cell of a group is finished
+    before the next group is built; only a cell that misses its targets
+    goes on to ``_finish_cell``, with its slices of the group's arrays.
 
     Each cell forms, sums and meets tol on its first ``nrows`` moment rows:
     1 for a value, 3 for (log q)' and (log q)'' as well; I has that length.
@@ -751,33 +785,43 @@ def _q_engine(tables: Sequence[_Tables], taus: Sequence[float], tol: float,
     breaks, nbreaks = _initial_breaks(tables, taus, Ts)
     # the panels of the grid join consecutive breaks of one cell
     inner = np.ones(len(breaks) - 1, dtype=bool)
-    inner[np.cumsum(nbreaks[:-1]) - 1] = False
+    inner[nbreaks[:-1].cumsum() - 1] = False
     a_row, b_row = breaks[:-1][inner], breaks[1:][inner]
     del breaks, inner
     panels = (nbreaks - 1).tolist()
+    # node stacks of whole cells, and settle groups of whole stacks: their
+    # bounds into the cells and the stacks, and their panels
+    stacks, stack_panels = _runs(panels, _STACK_NODES // 15)
+    groups, group_panels = _runs(stack_panels, _STACK_NODES // 2)
     out = []
-    lo = p0 = 0
-    while lo < len(panels):
-        hi, size = lo + 1, panels[lo]
-        while hi < len(panels) and 15 * (size + panels[hi]) <= _STACK_NODES:
-            size += panels[hi]
-            hi += 1
-        counts = panels[lo:hi]
+    p0 = 0
+    for (g, h), size in zip(itertools.pairwise(groups), group_panels):
+        lo, hi = stacks[g], stacks[h]
         a, b = a_row[p0:p0 + size], b_row[p0:p0 + size]
-        val, err, scales = _eval_panels(tables[lo:hi], taus[lo:hi], a, b,
-                                        counts, nrows)
-        I, Iabs, E = _sum_panels(val, err, counts)
+        p0 += size
+        val, err = np.empty((nrows, size)), np.empty((nrows, size))
+        scales = []
+        s = 0
+        for (c, d), n in zip(itertools.pairwise(stacks[g:h + 1]),
+                             stack_panels[g:h]):
+            e = s + n
+            val[:, s:e], err[:, s:e], sc = _eval_panels(
+                tables[c:d], taus[c:d], a[s:e], b[s:e], panels[c:d], nrows)
+            scales += sc.tolist()
+            s = e
+        I, Iabs, E = _sum_panels(val, err, panels[lo:hi])
         # split the tolerance: half for the panels, half for the tail
         target = _targets(I, Iabs, 0.5 * tol)
-        met = np.all(E <= target, axis=1).tolist()
-        stack = zip(met, scales.tolist(), I[:, 0].tolist(), Iabs[:, 0].tolist(),
+        met = (E <= target).all(axis=1).tolist()
+        group = zip(met, scales, I[:, 0].tolist(), Iabs[:, 0].tolist(),
                     E[:, 0].tolist())
         s = 0
-        for k, (ok, scale, i0, iabs0, e0) in enumerate(stack):
-            c, e = lo + k, s + counts[k]
+        for k, (ok, scale, i0, iabs0, e0) in enumerate(group):
+            c = lo + k
+            e = s + panels[c]
             try:
                 if ok:
-                    res = _build_result(i0, iabs0, e0, scale, 15 * counts[k],
+                    res = _build_result(i0, iabs0, e0, scale, 15 * panels[c],
                                         Ts[c], log_tails[c])
                     _accept(res, log_tails[c], tol)
                     out.append((I[k], res))
@@ -790,7 +834,6 @@ def _q_engine(tables: Sequence[_Tables], taus: Sequence[float], tol: float,
                 # without its traceback, which would keep the grid alive
                 out.append(exc.with_traceback(None))
             s = e
-        lo, p0 = hi, p0 + size
     return out
 
 

@@ -233,7 +233,8 @@ class TestOracleReferences:
             ch = chi_params(sp, n)
             exact = hypergeom_poly(ch.A, n, ch.c)
             coeffs = quadrature._isotype(quadrature._unit_scale(sp), n).coeffs
-            for cached in (coeffs, coeffs.tolist(), tuple(coeffs.tolist())):
+            for cached in (coeffs, coeffs.tolist(), tuple(coeffs.tolist()),
+                           quadrature._as_float_coeffs(coeffs.tolist())):
                 for tau in (1e-3, 1e-2):
                     assert _hex(watson2(cached, ch.mu, ch.kappa, ch.nu, tau)) == _hex(
                         watson2(exact, ch.mu, ch.kappa, ch.nu, tau)), (n, tau)
@@ -254,6 +255,16 @@ class TestCoefficientCoercion:
     def test_float_tuple_is_taken_as_it_is(self):
         cs = (1.0, -0.5, 0.25)
         assert quadrature._as_float_coeffs(cs) is cs
+
+    def test_coerced_form_comes_back_unchecked(self):
+        # any other form comes back marked as coerced, and so comes back
+        # as it is, with the bits of the tuple it equals
+        for P in ([1.0, -0.5, 0.25], (1.0, -0.5, 0.25, 0.0), (1, -0.5, 0.25)):
+            cs = quadrature._as_float_coeffs(P)
+            assert type(cs) is quadrature._Coeffs and cs == (1.0, -0.5, 0.25)
+            assert quadrature._as_float_coeffs(cs) is cs
+            for law in self.LAWS:
+                assert _hex(law(cs)) == _hex(law((1.0, -0.5, 0.25)))
 
     @pytest.mark.parametrize("P", [
         (1.0, -0.5, 0.25), [1.0, -0.5, 0.25], (1, -0.5, Fraction(1, 4)),

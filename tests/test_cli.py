@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qflat import cli, quadrature
+from qflat import asymptotics, cli, quadrature
 from qflat.cli import main, parse_args, run
 from qflat.spaces import parse_space
 
@@ -483,6 +483,53 @@ class TestVerifyAsymptotics:
         for r in doc["rows"]:
             assert r["status"] == "ok"
             assert r["deviation"] < 0.2
+
+    def test_coefficients_coerced_once_per_isotype(self, monkeypatch):
+        # the rows coerce each isotype's coefficients once; the laws' own
+        # coercion takes them back as they are at every tau
+        seen = []
+        coerce = quadrature._as_float_coeffs
+
+        def spy(P):
+            seen.append(type(P) is quadrature._Coeffs)
+            return coerce(P)
+
+        monkeypatch.setattr(cli, "_as_float_coeffs", spy)
+        monkeypatch.setattr(asymptotics, "_as_float_coeffs", spy)
+        out, code = capture(["verify-asymptotics", "--space", "S3,CP2", "--n", "0..2"])
+        assert code == 0 and len(out.splitlines()) == 1 + 2 * 3 * 4
+        assert seen.count(False) == 2 * 3 and seen.count(True) == 2 * 3 * 4
+
+
+class TestRoundOut2Sig:
+    """The two-digit error bound equals the exact ``Decimal`` round-out,
+    its oracle here, on the doubles nearest every two-digit decimal of the
+    double range, their neighbours and random doubles."""
+
+    @staticmethod
+    def decimal_round_out(x):
+        from decimal import ROUND_UP, Decimal
+
+        if not math.isfinite(x) or x == 0.0:
+            return x
+        d = Decimal(x)
+        return float(d.quantize(Decimal(1).scaleb(d.adjusted() - 1), rounding=ROUND_UP))
+
+    def test_equals_the_decimal_round_out(self):
+        near = np.array([float(f"{k}e{e}") for e in range(-325, 308)
+                         for k in range(10, 100)])
+        near = near[np.isfinite(near) & (near > 0.0)]
+        rng = np.random.default_rng(30)
+        bits = rng.integers(0, 0x7FF0_0000_0000_0000, 20_000, dtype=np.int64)
+        xs = np.concatenate([near, np.nextafter(near, 0.0), np.nextafter(near, np.inf),
+                             bits.view(np.float64), [5e-324, 2.0 ** -1022,
+                                                     sys.float_info.max]])
+        xs = np.concatenate([xs, -xs[::97]]).tolist()
+        assert len(xs) > 190_000
+        for x in xs + [0.0, -0.0, math.inf, -math.inf]:
+            got, want = cli._round_out_2sig(x), self.decimal_round_out(x)
+            assert got.hex() == want.hex(), x
+        assert math.isnan(cli._round_out_2sig(math.nan))
 
 
 class TestNumericFailure:

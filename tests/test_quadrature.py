@@ -75,26 +75,28 @@ def cancelling_coeff(delta):
 def first_levels(tables, taus, tol, nrows):
     """Per cell of the grid (tables, taus): its first level as ``_q_engine``
     builds it, (a, b, estimates, errors, scale, I, Iabs, E), from the node
-    calls that take no scales (refinement passes the cell's) and the stack
-    sum that follows each."""
-    levels, stack = [], []
+    calls that take no scales (refinement passes the cell's) and the group
+    sum that follows them, which sums exactly their cells."""
+    levels, stacks = [], []
     eval_panels, sum_panels = quadrature._eval_panels, quadrature._sum_panels
 
     def evals(tables, taus, a, b, counts, nrows, scales=None):
         out = eval_panels(tables, taus, a, b, counts, nrows, scales)
         if scales is None:
-            stack[:] = [a, b, counts, *out]
+            stacks.append((a, b, counts, *out))
         return out
 
     def sums(val, err, counts):
         out = sum_panels(val, err, counts)
-        if stack:
-            a, b, counts, val, err, scales = stack
-            ends = np.cumsum(counts)
-            for k, (s, e) in enumerate(zip(ends - counts, ends)):
-                levels.append((a[s:e], b[s:e], val[:, s:e], err[:, s:e],
-                               scales[k], *(x[k] for x in out)))
-            stack.clear()
+        if stacks:
+            assert list(counts) == [n for stack in stacks for n in stack[2]]
+            cells = zip(*out)
+            for a, b, counts, val, err, scales in stacks:
+                ends = np.cumsum(counts)
+                for j, (s, e) in enumerate(zip(ends - counts, ends)):
+                    levels.append((a[s:e], b[s:e], val[:, s:e], err[:, s:e],
+                                   scales[j], *next(cells)))
+            stacks.clear()
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -102,6 +104,52 @@ def first_levels(tables, taus, tol, nrows):
         mp.setattr(quadrature, "_sum_panels", sums)
         quadrature._q_engine(tables, taus, tol, nrows)
     return levels
+
+
+def spy_groups(monkeypatch):
+    """The settle groups of ``_q_engine``: per group, its first-level node
+    calls (those that take no scales), each as the (panels, T) of its cells,
+    and the counts of the ``_sum_panels`` call that follows them."""
+    groups, stacks = [], []
+    eval_panels, sum_panels = quadrature._eval_panels, quadrature._sum_panels
+
+    def evals(tables, taus, a, b, counts, nrows, scales=None):
+        if scales is None:
+            stacks.append(list(zip(counts, b[np.cumsum(counts) - 1].tolist())))
+        return eval_panels(tables, taus, a, b, counts, nrows, scales)
+
+    def sums(val, err, counts):
+        if stacks:
+            groups.append((stacks[:], list(counts)))
+            stacks.clear()
+        return sum_panels(val, err, counts)
+
+    monkeypatch.setattr(quadrature, "_eval_panels", evals)
+    monkeypatch.setattr(quadrature, "_sum_panels", sums)
+    return groups
+
+
+def check_groups(groups, tables, taus, tol):
+    """Assert that ``groups`` (of ``spy_groups``) cover the grid (tables,
+    taus) once, in order: node stacks of whole cells of at most _STACK_NODES
+    nodes, or one cell, in settle groups of whole stacks of at most
+    _STACK_NODES // 2 panels, or one cell, each summed in one call; and
+    that no stack or group could have taken the cell or stack after it."""
+    cells = []
+    for tb, tau in zip(tables, taus):
+        T = quadrature._first_truncation(tb, tau, tol)
+        cells.append((len(quadrature._initial_breaks([tb], [tau], [T])[0]) - 1, T))
+    stacks = [stack for group, _ in groups for stack in group]
+    assert [cell for stack in stacks for cell in stack] == cells
+    nodes, panels = quadrature._STACK_NODES, quadrature._STACK_NODES // 2
+    for stack, after in zip(stacks, stacks[1:] + [None]):
+        size = sum(n for n, _ in stack)
+        assert 15 * size <= nodes or len(stack) == 1
+        assert after is None or 15 * (size + after[0][0]) > nodes
+    for (group, counts), after in zip(groups, groups[1:] + [None]):
+        assert counts == [n for stack in group for n, _ in stack]
+        assert sum(counts) <= panels or len(counts) == 1
+        assert after is None or sum(counts) + sum(n for n, _ in after[0][0]) > panels
 
 
 def spy_node_calls(monkeypatch):
@@ -1071,20 +1119,35 @@ class TestStackedRow:
         assert not empty_row
 
     def test_stacks_are_capped(self, monkeypatch):
-        # a cap below one cell's nodes gives stacks of one, with the same bits
+        # every cap gives node calls of at most _STACK_NODES nodes or one
+        # cell, in settle groups of at most _STACK_NODES // 2 panels or one
+        # cell, one sum each, with the same bits; a cap below one cell's
+        # nodes gives stacks and groups of one
         tol = 1e-10
-        tables = quadrature._isotype(parse_space("CP2"), 4)
-        recs = [tables] * len(ROW_TAUS)
-        whole = first_levels(recs, ROW_TAUS, tol, 3)
-        monkeypatch.setattr(quadrature, "_STACK_NODES", 1)
-        calls = spy_node_calls(monkeypatch)
-        capped = first_levels(recs, ROW_TAUS, tol, 3)
-        # one first-level node call per cell
-        assert [len(ends) for first, ends, _ in calls if first] == [1] * len(ROW_TAUS)
-        assert len(whole) == len(capped) == len(ROW_TAUS)
-        for a, b in zip(whole, capped):
-            for got, want in zip(a, b):
-                assert np.array_equal(got, want)
+        recs = [quadrature._isotype(parse_space("CP2"), n)
+                for n in (4, 16) for _ in ROW_TAUS]
+        taus = ROW_TAUS * 2
+        whole = first_levels(recs, taus, tol, 3)
+        assert len(whole) == len(recs)
+        spans = set()
+        for cap in (1, 900, quadrature._STACK_NODES):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(quadrature, "_STACK_NODES", cap)
+                groups = spy_groups(mp)
+                calls = spy_node_calls(mp)
+                capped = first_levels(recs, taus, tol, 3)
+                check_groups(groups, recs, taus, tol)
+            if cap == 1:
+                # one first-level node call per cell, and one group
+                assert [len(ends) for first, ends, _ in calls if first] == [1] * len(recs)
+                assert [len(counts) for _, counts in groups] == [1] * len(recs)
+            spans.add(max(len(group) for group, _ in groups))
+            assert len(capped) == len(whole)
+            for a, b in zip(whole, capped):
+                for got, want in zip(a, b):
+                    assert np.array_equal(got, want)
+        # some group sums more than one stack
+        assert max(spans) > 1
 
     def test_stack_arrays_go_before_the_next_stack(self, empty_row):
         # the table_dense grid of one space: 340 cells in stacks of about ten
@@ -1441,10 +1504,11 @@ class TestRowBreaks:
             assert got.tolist() == scalar_breaks(tables, tau, T)
             assert got[-1] == T and got[-2] < x
 
-    def test_one_breaks_and_sums_pass_per_stack(self, monkeypatch, empty_row):
+    def test_one_breaks_pass_per_grid_and_one_sum_per_group(self, monkeypatch,
+                                                             empty_row):
         # a prefetched grid builds its break points in one call and sums each
-        # stack of first levels in one call; its stacks span isotypes, and
-        # these cells converge there
+        # settle group of first levels in one call; its stacks span isotypes,
+        # and these cells converge there
         sp = parse_space("CP2")
         ns, taus = (1, 2, 3), (0.25, 0.5, 1.0, 2.0, 4.0)
         calls = {}
@@ -1454,13 +1518,16 @@ class TestRowBreaks:
                 quadrature, name,
                 lambda *a, _fn=fn, _name=name: calls.setdefault(_name, []).append(a)
                 or _fn(*a))
+        groups = spy_groups(monkeypatch)
         quadrature.prefetch(sp, ns, taus, derivs=False)
         assert len(calls["_initial_breaks"]) == 1
-        stacks = [a[2] for a in calls["_sum_panels"]]
+        stacks = [stack for group, _ in groups for stack in group]
+        assert len(calls["_sum_panels"]) == len(groups) <= len(stacks)
         assert len(stacks) == len(calls["_log_mag_sign"]) < len(ns)
-        assert sum(len(counts) for counts in stacks) == len(ns) * len(taus)
-        for counts in stacks:
-            assert 15 * sum(counts) <= quadrature._STACK_NODES
+        for stack in stacks:
+            assert 15 * sum(n for n, _ in stack) <= quadrature._STACK_NODES
+        check_groups(groups, [quadrature._isotype(sp, n) for n in ns for _ in taus],
+                     taus * len(ns), quadrature.DEFAULT_TOL)
         for n in ns:
             for tau in taus:
                 res = q_chi(sp, n, tau)
@@ -1716,6 +1783,43 @@ class TestGridPrefetch:
         empty_row.clear()
         _quiet_derivs(parse_space("CP2"), 0, quadrature.MIN_TAU, quadrature.TOL_MIN)
         assert len(calls) == 1
+
+
+class TestSettleGroups:
+    """A settle group sums the first levels of several node stacks in one
+    call and finishes its cells from those sums; each cell, settled,
+    refining or failing, still gets the outcome it gets alone."""
+
+    def test_group_of_stacks_gives_each_cell_its_outcome_alone(self, monkeypatch):
+        # CP2 at tol 1e-13: n = 16 fails at tau = 20 after refining, and
+        # with the derivative rows other cells refine and settle; a cap of
+        # twice the grid's panels makes it one group of node stacks of
+        # about two cells
+        sp, tol = parse_space("CP2"), quadrature.TOL_MIN
+        cells = [(n, tau) for n in (16, 0, 1)
+                 for tau in (quadrature.MIN_TAU, 1e-3, 0.05, 20.0)]
+        recs = [quadrature._isotype(sp, n) for n, _ in cells]
+        grid_taus = [tau for _, tau in cells]
+        Ts = [quadrature._first_truncation(tb, tau, tol)
+              for tb, tau in zip(recs, grid_taus)]
+        panels = len(quadrature._initial_breaks(recs, grid_taus, Ts)[0]) - len(recs)
+        monkeypatch.setattr(quadrature, "_STACK_NODES", 2 * panels)
+        for nrows in (1, 3):
+            alone = [_outcome(lambda: quadrature._unwrap(
+                quadrature._q_engine([tb], [tau], tol, nrows)[0]))
+                for tb, tau in zip(recs, grid_taus)]
+            kinds = {TestStackedFirstRound.kind(sp, n, tau, tol, out)
+                     for (n, tau), out in zip(cells, alone)}
+            assert kinds == ({"settled", "error"} if nrows == 1
+                             else {"settled", "refined", "error"}), nrows
+            with pytest.MonkeyPatch.context() as mp:
+                groups = spy_groups(mp)
+                grid = quadrature._q_engine(recs, grid_taus, tol, nrows)
+            check_groups(groups, recs, grid_taus, tol)
+            ((stacks, counts),) = groups
+            assert len(stacks) >= 2 and len(counts) == len(recs)
+            for k, (out, want) in enumerate(zip(grid, alone)):
+                assert _outcome(lambda: quadrature._unwrap(out)) == want, k
 
 
 class TestOneRoute:

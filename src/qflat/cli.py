@@ -94,7 +94,7 @@ def _parse_int_spans(text: str) -> list[tuple[int, int]]:
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    vals = tuple(float(p) for p in text.split(",") if p.strip())
+    vals = tuple([float(p) for p in text.split(",") if p.strip()])
     if not vals:
         raise ValueError("empty list")
     return vals
@@ -161,7 +161,7 @@ def parse_args(argv: Sequence[str] | None = None) -> Namespace:
 
     spaces, parsed = DEFAULT_SCAN_SELECTORS, []
     if ns.spaces.strip() != "all":
-        spaces = tuple(s.strip() for s in ns.spaces.split(",") if s.strip())
+        spaces = tuple([s.strip() for s in ns.spaces.split(",") if s.strip()])
         if not spaces:
             fail("no spaces selected")
         for lbl in spaces:

@@ -309,7 +309,7 @@ def curvature_samples(
 ) -> CurvatureGrid:
     """Matrix of curvature samples for n = 0..n_max over the grid; a space,
     n_max, tol or width B^2 tau outside the box raises ParameterRangeError."""
-    grid = tuple(float(t) for t in tau_grid)
+    grid = tuple([float(t) for t in tau_grid])
     if not grid:
         raise ValueError("tau grid must be nonempty")
     b4 = space.B ** 4
@@ -479,7 +479,7 @@ def theorem_scan(
     spaces = list(spaces)
     if not spaces:
         raise ValueError("space list must be nonempty")
-    grid = tuple(float(t) for t in tau_grid)
+    grid = tuple([float(t) for t in tau_grid])
     _check_grid(spaces, (n_max,), [s.B * s.B * t for s in spaces for t in grid], tol)
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")

@@ -23,8 +23,9 @@ arbitrary polynomials (``q_p``) build their record afresh, uncached.
 Every cell goes through one grid engine, ``_q_engine``: a grid of isotypes
 n and taus of one space from ``prefetch``, or a lone cell as a grid of
 one.  The break points of a grid come from one array pass, with lam as a
-per-cell column.  The engine then walks the grid on two levels, across
-isotypes.  Node work goes in stacks of whole cells of at most
+per-cell column; outside each cell's mass window they leave one panel a
+side.  The engine then walks the grid on two levels, across isotypes.
+Node work goes in stacks of whole cells of at most
 ``_STACK_NODES`` nodes: per stack one ``_eval_panels`` call, with tau as a
 per-panel column and each cell's common log-scale the peak of the
 integrand over its own first-level nodes.  Panel-sized work goes in settle
@@ -387,6 +388,15 @@ def _distinct(tables: Sequence[_Tables]) -> tuple[list[_Tables], list[int]]:
     return [tb for _, tb in index.values()], which
 
 
+def _log_coeffs(tables: Sequence[_Tables]) -> np.ndarray:
+    """The log|c_j| of each entry of ``tables`` as a row, padded with -inf."""
+    recs, which = _distinct(tables)
+    logc = np.full((len(recs), max(len(rec.coeffs) for rec in recs)), -math.inf)
+    for k, rec in enumerate(recs):
+        logc[k, :len(rec.coeffs)] = rec.log_abs_coeffs
+    return logc.take(which, 0)
+
+
 @functools.lru_cache(maxsize=512)
 def _isotype(space: RootData, n: int) -> _Tables:
     """The record of isotype n of ``space``, which must be given at B = 1.
@@ -505,39 +515,53 @@ def _eval_panels(tables: Sequence[_Tables], taus: Sequence[float],
 
 
 # Candidate break points of a cell, as multiples: of T the grid k / 8
-# (k = 0..8), of sigma = sqrt(tau / 2) the offsets j about the peak
+# (k = 1..7), of sigma = sqrt(tau / 2) the offsets j about the peak
 # lam tau / 2 (|j| <= 12), and of sqrt(tau) the factors e.
-_GRID = np.arange(9.0) / 8.0
+_GRID = np.arange(1.0, 8.0) / 8.0
 _PEAK_J = np.arange(-12.0, 13.0)
 _ROOT_E = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
 
 
 def _initial_breaks(tables: Sequence[_Tables], taus: Sequence[float],
-                    Ts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+                    Ts: Sequence[float], logc: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """The initial break points of each cell (tau, T), of the records
-    ``tables``, one per cell.
+    ``tables`` (one per cell, sharing kappa and nu, with ``_log_coeffs``
+    rows logc).  Returns the break points of all cells, concatenated, and
+    the number of each cell's.
 
-    Returns the break points of all cells, concatenated, and the number of
-    each cell's.  A cell's candidates are the grid T k / 8, and the points
-    lam tau / 2 + j sigma and e sqrt(tau) that fall inside (0, T); sorted,
-    less any candidate within 1e-10 T of its predecessor, with the last
-    break moved onto T.  All cells are one array pass, with lam as a
-    per-cell column.  Dropping against the predecessor keeps
-    the points that dropping against the last point kept does unless three
-    candidates fall within 2e-10 T; those of one kind lie much farther
-    apart, so that takes all three kinds meeting to ten digits.
+    A cell's candidates are the grid T k / 8 and the points
+    lam tau / 2 + j sigma and e sqrt(tau), each moved onto the nearer edge
+    of the cell's mass window if outside it; with 0 and T, sorted, less
+    any candidate within 1e-10 T of its predecessor, with the last break
+    moved onto T.  All cells are one array pass, with lam as a per-cell
+    column.  Dropping against the predecessor keeps the points that
+    dropping against the last point kept does unless three candidates fall
+    within 2e-10 T; those of one kind lie much farther apart, so that takes
+    all three kinds meeting to ten digits.
+
+    Against the Gaussian, term j of P peaks near p_j = max(lam_j, 0) tau / 2,
+    lam_j = kappa + nu + 2 j, at a log-height of about log|c_j| + p_j^2 / tau.
+    The window reaches 12 sigma (a drop of exp(-72)) beyond the p_j of the
+    terms within 72 of the highest, clipped to [0, T]; the far field outside
+    it is at most the panels [0, lo] and [hi, T], tested as every panel is.
     """
     tau = np.array(taus, dtype=float)[:, None]
     half = 0.5 * tau
+    sigma = np.sqrt(half)
     lam = np.array([tb.lam for tb in tables])[:, None]
     T = np.array(Ts, dtype=float)[:, None]
-    # halving and eighths are exact, so every candidate has the bits of its
-    # scalar formula; one outside (0, T) is clipped onto a copy of 0 or T,
-    # which the thinning drops
-    extra = np.minimum(np.maximum(np.concatenate(
-        [lam * half + _PEAK_J * np.sqrt(half), _ROOT_E * np.sqrt(tau)],
-        axis=1), 0.0), T)
-    cand = np.concatenate([T * _GRID, extra], axis=1)
+    kn = tables[0].kappa + tables[0].nu
+    peak = np.maximum(kn + 2.0 * np.arange(logc.shape[1]), 0.0) * half
+    height = logc + peak * peak / tau
+    span = _PEAK_J[-1] * sigma
+    peak[height < height.max(axis=1, keepdims=True) - 0.5 * _PEAK_J[-1] ** 2] = np.nan
+    lo = np.maximum(np.fmin.reduce(peak, axis=1, keepdims=True) - span, 0.0)
+    hi = np.minimum(np.fmax.reduce(peak, axis=1, keepdims=True) + span, T)
+    # halving and eighths are exact: each candidate has its scalar formula's bits
+    cand = np.concatenate([0.0 * T, np.minimum(np.maximum(np.concatenate(
+        [T * _GRID, lam * half + _PEAK_J * sigma, _ROOT_E * np.sqrt(tau)],
+        axis=1), lo), hi), T], axis=1)
     cand.sort(axis=1)
     keep = np.empty(cand.shape, dtype=bool)
     keep[:, 0] = True
@@ -604,10 +628,10 @@ def _sum_panels(val: np.ndarray, err: np.ndarray, counts: Sequence[int]
 
 
 def _log_tail_bound(tables: Sequence[_Tables], taus: Sequence[float],
-                    Ts: Sequence[float]) -> np.ndarray:
+                    Ts: Sequence[float], logc: np.ndarray) -> np.ndarray:
     """Log of a bound on the integral of |integrand| over [T, inf), per cell
     (tau, T) of the records ``tables`` (one per cell, sharing mu, kappa and
-    nu), in one array pass.
+    nu, with ``_log_coeffs`` rows logc), in one array pass.
 
     For t = T + s >= T: sinh T e^s <= sinh t <= sinh T (t/T) e^s (as
     coth t - 1/t < 1), e^t/2 <= cosh t <= cosh T e^s, t/T <= e^(s/T) and
@@ -620,14 +644,9 @@ def _log_tail_bound(tables: Sequence[_Tables], taus: Sequence[float],
     """
     tb = tables[0]
     tau, T = np.array(taus, dtype=float), np.array(Ts, dtype=float)
-    recs, which = _distinct(tables)
-    deg = np.array([len(rec.coeffs) - 1 for rec in recs]).take(which)
-    # the sum is a log-sum-exp over the log|c_j|, padded with -inf, per record
-    logc = np.full((len(recs), deg.max() + 1), -math.inf)
-    for k, rec in enumerate(recs):
-        logc[k, :len(rec.coeffs)] = rec.log_abs_coeffs
+    deg = np.array([len(rec.coeffs) - 1 for rec in tables])
     logsh = _log_sinh(T)
-    terms = logc.take(which, 0) + 2.0 * np.arange(logc.shape[1]) * logsh[:, None]
+    terms = logc + 2.0 * np.arange(logc.shape[1]) * logsh[:, None]
     top = terms.max(axis=1)
     log_m = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
     # log cosh T = T - log 2 + log1p(e^-2T)
@@ -781,8 +800,9 @@ def _q_engine(tables: Sequence[_Tables], taus: Sequence[float], tol: float,
     1 for a value, 3 for (log q)' and (log q)'' as well; I has that length.
     """
     Ts = [_first_truncation(tb, tau, tol) for tb, tau in zip(tables, taus)]
-    log_tails = _log_tail_bound(tables, taus, Ts).tolist()
-    breaks, nbreaks = _initial_breaks(tables, taus, Ts)
+    logc = _log_coeffs(tables)
+    log_tails = _log_tail_bound(tables, taus, Ts, logc).tolist()
+    breaks, nbreaks = _initial_breaks(tables, taus, Ts, logc)
     # the panels of the grid join consecutive breaks of one cell
     inner = np.ones(len(breaks) - 1, dtype=bool)
     inner[nbreaks[:-1].cumsum() - 1] = False

@@ -138,7 +138,7 @@ def check_groups(groups, tables, taus, tol):
     cells = []
     for tb, tau in zip(tables, taus):
         T = quadrature._first_truncation(tb, tau, tol)
-        cells.append((len(quadrature._initial_breaks([tb], [tau], [T])[0]) - 1, T))
+        cells.append((len(initial_breaks([tb], [tau], [T])[0]) - 1, T))
     stacks = [stack for group, _ in groups for stack in group]
     assert [cell for stack in stacks for cell in stack] == cells
     nodes, panels = quadrature._STACK_NODES, quadrature._STACK_NODES // 2
@@ -176,6 +176,17 @@ def engine_cell(coeffs, params, tol):
     tables = quadrature._make_tables(coeffs, params.mu, params.kappa, params.nu)
     (out,) = quadrature._q_engine([tables], [params.tau], tol, 1)
     return quadrature._unwrap(out)[1]
+
+
+def initial_breaks(tables, taus, Ts):
+    # as the engine calls it, with the grid's one table of log|c_j|
+    return quadrature._initial_breaks(tables, taus, Ts,
+                                      quadrature._log_coeffs(tables))
+
+
+def log_tail_bound(tables, taus, Ts):
+    return quadrature._log_tail_bound(tables, taus, Ts,
+                                      quadrature._log_coeffs(tables))
 
 
 class TestKronrodRule:
@@ -503,7 +514,7 @@ class TestErrorRule:
         tables = quadrature._make_tables([1.0], 1, 1, 1)
         T0 = quadrature._first_truncation(tables, 1.0, 1e-10)
         monkeypatch.setattr(quadrature, "_log_tail_bound",
-                            lambda tables, taus, Ts: np.full(len(Ts), math.inf))
+                            lambda tables, taus, Ts, logc: np.full(len(Ts), math.inf))
         with pytest.raises(ConvergenceError) as err:
             q_p([1.0], params, 1e-10)
         best = err.value.best
@@ -606,7 +617,7 @@ class TestRefinement:
     @pytest.mark.parametrize("label, n, tau, nodes, log_value, rel_error", [
         # converges at the node budget, so the cut of the leftmost failing
         # panels of a generation shows in its bits
-        ("S4", 8, 20.0, 399990, "0x1.c490a86c90c8dp+10", "0x1.3e5ce255aa544p-45"),
+        ("S4", 8, 20.0, 399975, "0x1.c490a86c90c8dp+10", "0x1.3e61958ce2b85p-45"),
         ("HP2", 8, 1e-3, 465, "-0x1.a6c4ea1931346p+4", "0x1.0000000000187p-47"),
         ("OP2", 0, 0.05, 480, "-0x1.dcfaab3dc3256p+3", "0x1.00000000006ebp-47"),
     ])
@@ -640,7 +651,7 @@ class TestRefinement:
             q_chi(parse_space("S3"), 5, 400.0, 1e-13)
         best = err.value.best
         assert best.nodes <= quadrature._NODE_BUDGET
-        assert best.nodes == 399990
+        assert best.nodes == 399975
 
     @pytest.mark.parametrize("call", [
         # their value rows converge; the derivative rows miss the target
@@ -666,7 +677,7 @@ class TestRefinement:
         tau = 1.0
         tables = quadrature._isotype(parse_space("CP2"), 2)
         T = 15.0
-        breaks, _ = quadrature._initial_breaks([tables], [tau], [T])
+        breaks, _ = initial_breaks([tables], [tau], [T])
         a, b = breaks[:-1], breaks[1:]
         g, _ = quadrature._log_mag_sign(
             [tables], tau, quadrature._panel_nodes(a, b)[0], [len(a)])
@@ -684,6 +695,9 @@ class TestRefinement:
 
 # the small-tau end of the box, where the tail bound once took larger T
 SMALL_TAUS = (quadrature.MIN_TAU, 1e-20, 1e-10, 1e-6, 1e-4)
+# the 26 catalog spaces with m <= MAX_DIM
+CENSUS_SPACES = ([f"S{k}" for k in range(2, 17)] + [f"CP{k}" for k in range(2, 9)]
+                 + ["HP2", "HP3", "HP4", "OP2"])
 
 
 class TestTruncationSoundness:
@@ -693,7 +707,7 @@ class TestTruncationSoundness:
     def test_internal_majorant(self, label, n, tau):
         # the analytic tail bound at the returned truncation point must sit
         # below tol/2 relative to the value
-        from qflat.quadrature import _as_float_coeffs, _log_tail_bound, _make_tables
+        from qflat.quadrature import _as_float_coeffs, _make_tables
 
         tol = 1e-10
         sp = parse_space(label)
@@ -701,7 +715,7 @@ class TestTruncationSoundness:
         ch = chi_params(sp, n)
         coeffs = _as_float_coeffs(hypergeom_poly(ch.A, n, ch.c))
         tables = _make_tables(coeffs, ch.mu, ch.kappa, ch.nu)
-        assert (_log_tail_bound([tables], [tau], [res.truncation_t])[0]
+        assert (log_tail_bound([tables], [tau], [res.truncation_t])[0]
                 <= math.log(tol / 2.0) + res.log_value)
 
     @pytest.mark.parametrize("label,n,tau", [("S3", 0, 1.0), ("S2", 1, 0.01),
@@ -739,7 +753,7 @@ class TestTruncationSoundness:
             tables = quadrature._isotype(parse_space("S3"), 0)
         else:
             tables = quadrature._make_tables([1.0], *weight)
-        bound = float(quadrature._log_tail_bound([tables], [tau], [T])[0])
+        bound = float(log_tail_bound([tables], [tau], [T])[0])
         with mp.workdps(30):
             def f(t):
                 sh = mp.sinh(t)
@@ -789,7 +803,7 @@ class TestTruncationSoundness:
         T = quadrature._first_truncation(tables, tau, tol) * stretch
         log_m, D = self.majorant(tables, tau, T)
         assert D > 0.0
-        bound = float(quadrature._log_tail_bound([tables], [tau], [T])[0])
+        bound = float(log_tail_bound([tables], [tau], [T])[0])
         # slack for the rounding of the logs, a few ulps of their largest terms
         slack = 1e-12 * (1.0 + T * T / tau + (2 * len(coeffs) + 24) * abs(math.log(T))
                          + 2 * len(coeffs) * T + abs(log_m))
@@ -802,10 +816,8 @@ class TestTruncationSoundness:
         # the 26 catalog spaces at their smallest taus, where a looser tail
         # bound took up to four larger T (OP2 at n = 0 and MIN_TAU): every
         # cell settles at its first T
-        labels = ([f"S{k}" for k in range(2, 17)] + [f"CP{k}" for k in range(2, 9)]
-                  + ["HP2", "HP3", "HP4", "OP2"])
         ns = (0, 16)
-        for label in labels:
+        for label in CENSUS_SPACES:
             sp = parse_space(label)
             for tol in (1e-10, 1e-4):
                 quadrature.prefetch(sp, ns, SMALL_TAUS, tol, derivs=False)
@@ -1041,7 +1053,7 @@ class TestFirstLevel:
         # it, of the value row alone and of all three moment rows
         tables = quadrature._isotype(parse_space(label), n)
         T = q_chi(parse_space(label), n, tau, tol).truncation_t
-        breaks, _ = quadrature._initial_breaks([tables], [tau], [T])
+        breaks, _ = initial_breaks([tables], [tau], [T])
         a, b = breaks[:-1], breaks[1:]
         xs, _ = quadrature._panel_nodes(a, b)
         g, _ = quadrature._log_mag_sign([tables], tau, xs, [len(xs)])
@@ -1070,7 +1082,7 @@ class TestFirstLevel:
         # panel and nothing besides
         res = q_chi(parse_space(label), n, tau, tol)
         tables = quadrature._isotype(parse_space(label), n)
-        panels = len(quadrature._initial_breaks([tables], [tau], [res.truncation_t])[0]) - 1
+        panels = len(initial_breaks([tables], [tau], [res.truncation_t])[0]) - 1
         assert res.nodes == 15 * panels
 
 
@@ -1243,7 +1255,7 @@ class TestStackedFirstRound:
         nodes, T = out[1][4], float.fromhex(out[1][5])
         if T != quadrature._first_truncation(tables, tau, tol):
             return "larger T"
-        panels = len(quadrature._initial_breaks([tables], [tau], [T])[0]) - 1
+        panels = len(initial_breaks([tables], [tau], [T])[0]) - 1
         return "settled" if nodes == 15 * panels else "refined"
 
     @pytest.mark.parametrize("tol", TOLS)
@@ -1437,23 +1449,37 @@ class TestExactSums:
         self.check(val, err, counts)
 
 
-def scalar_breaks(tables, tau, T):
-    """One cell's initial break points as a Python set of candidates,
-    sorted and thinned against the last point kept: the reference for the
-    row pass of ``_initial_breaks``."""
+def scalar_window(tables, tau, T):
+    """A cell's mass window [lo, hi]: 12 sigma beyond the peaks
+    p_j = max(lam_j, 0) tau / 2 of the terms j of P whose log-heights
+    log|c_j| + p_j^2 / tau lie within 72 of the highest,
+    lam_j = kappa + nu + 2 j, clipped to [0, T]."""
+    sig = math.sqrt(tau / 2.0)
+    terms = []
+    for j, logc in enumerate(tables.log_abs_coeffs.tolist()):
+        p = max(tables.kappa + tables.nu + 2.0 * j, 0.0) * (tau / 2.0)
+        terms.append((p, logc + p * p / tau))
+    top = max(h for _, h in terms)
+    peaks = [p for p, h in terms if h >= top - 72.0]
+    return max(min(peaks) - 12.0 * sig, 0.0), min(max(peaks) + 12.0 * sig, T)
+
+
+def scalar_breaks(tables, tau, T, window=None):
+    """One cell's initial break points as a Python set of candidates, each
+    moved into the cell's mass window, sorted and thinned against the last
+    point kept: the reference for the row pass of ``_initial_breaks``.
+    The window (0, T) gives the layout without one, where a candidate
+    outside (0, T) lands on a copy of 0 or T."""
     sig = math.sqrt(tau / 2.0)
     tpk = tables.lam * tau / 2.0
+    lo, hi = window or scalar_window(tables, tau, T)
     cand = {0.0, T}
     for k in range(1, 8):
-        cand.add(T * k / 8.0)
+        cand.add(min(max(T * k / 8.0, lo), hi))
     for jj in range(-12, 13):
-        x = tpk + jj * sig
-        if 0.0 < x < T:
-            cand.add(x)
+        cand.add(min(max(tpk + jj * sig, lo), hi))
     for e in (0.25, 0.5, 1.0, 2.0, 4.0):
-        x = e * math.sqrt(tau)
-        if 0.0 < x < T:
-            cand.add(x)
+        cand.add(min(max(e * math.sqrt(tau), lo), hi))
     br = sorted(cand)
     out = [br[0]]
     for x in br[1:]:
@@ -1482,7 +1508,7 @@ class TestRowBreaks:
                         taus += [quadrature.MIN_TAU, quadrature.MAX_TAU]
                         Ts = [quadrature._first_truncation(tables, tau, tol) * 1.3 ** k
                               for tau, k in zip(taus, rng.integers(0, 5, len(taus)))]
-                        breaks, counts = quadrature._initial_breaks(
+                        breaks, counts = initial_breaks(
                             [tables] * len(taus), taus, Ts)
                         assert counts.sum() == len(breaks)
                         cell = np.split(breaks, np.cumsum(counts)[:-1])
@@ -1498,7 +1524,7 @@ class TestRowBreaks:
         taus = [1.0, 20.0]
         near = [tables.lam * tau / 2.0 + 12.0 * math.sqrt(tau / 2.0) for tau in taus]
         Ts = [x * (1.0 + 5e-11) for x in near]
-        breaks, counts = quadrature._initial_breaks([tables] * len(taus), taus, Ts)
+        breaks, counts = initial_breaks([tables] * len(taus), taus, Ts)
         cell = np.split(breaks, np.cumsum(counts)[:-1])
         for got, tau, T, x in zip(cell, taus, Ts, near):
             assert got.tolist() == scalar_breaks(tables, tau, T)
@@ -1532,9 +1558,116 @@ class TestRowBreaks:
             for tau in taus:
                 res = q_chi(sp, n, tau)
                 tables = quadrature._isotype(sp, n)
-                (breaks,) = quadrature._initial_breaks([tables], [tau], [res.truncation_t])[1]
+                (breaks,) = initial_breaks([tables], [tau], [res.truncation_t])[1]
                 assert res.nodes == 15 * (breaks - 1)
         assert not empty_row
+
+
+def unwindowed_breaks(tables, taus, Ts, logc=None):
+    """``_initial_breaks`` without the mass window, which is all it reads
+    logc for: every candidate inside (0, T) stays where it falls."""
+    cells = [scalar_breaks(tb, tau, T, (0.0, T))
+             for tb, tau, T in zip(tables, taus, Ts)]
+    return np.concatenate(cells), np.array([len(c) for c in cells])
+
+
+class TestFarField:
+    """The mass window merges only panels that hold nothing: against the
+    layout without it, kept here as the reference."""
+
+    TAUS = (1e-3, 0.05, 1.0, 20.0, 100.0, 400.0)
+
+    @staticmethod
+    def derivs_bits(sp, taus, tol):
+        quadrature.prefetch(sp, range(quadrature.MAX_DEGREE + 1), taus, tol)
+        out = []
+        for n in range(quadrature.MAX_DEGREE + 1):
+            for tau in taus:
+                res, d1, d2 = _quiet_derivs(sp, n, tau, tol)
+                out.append((res.value.hex(), res.log_value.hex(), d1.hex(),
+                            d2.hex()))
+        return out
+
+    @pytest.mark.parametrize("label", CENSUS_SPACES)
+    def test_census_far_panels_hold_nothing(self, label, monkeypatch, empty_row):
+        # every panel of the reference layout outside a cell's window holds
+        # below 1e-25 of the cell's integral in each moment row, and merging
+        # them moves no bit of value, log value, (log q)' or (log q)''
+        tol = 1e-10
+        sp = parse_space(label)
+        tables = [quadrature._isotype(sp, n)
+                  for n in range(quadrature.MAX_DEGREE + 1) for _ in self.TAUS]
+        taus = list(self.TAUS) * (quadrature.MAX_DEGREE + 1)
+        Ts = [quadrature._first_truncation(tb, tau, tol)
+              for tb, tau in zip(tables, taus)]
+        breaks, counts = unwindowed_breaks(tables, taus, Ts)
+        inner = np.ones(len(breaks) - 1, dtype=bool)
+        inner[counts[:-1].cumsum() - 1] = False
+        a, b = breaks[:-1][inner], breaks[1:][inner]
+        panels = counts - 1
+        val, _, _ = quadrature._eval_panels(tables, taus, a, b, panels, 3)
+        starts = panels.cumsum() - panels
+        far = 0
+        for k, (tb, tau, T) in enumerate(zip(tables, taus, Ts)):
+            lo, hi = scalar_window(tb, tau, T)
+            cell = slice(starts[k], starts[k] + panels[k])
+            out = (b[cell] <= lo) | (a[cell] >= hi)
+            I = np.abs(val[:, cell].sum(axis=1))
+            assert np.all(np.abs(val[:, cell][:, out]) < 1e-25 * I[:, None]), (
+                label, k, tau)
+            far += out.sum()
+        assert far > 0
+        windowed = self.derivs_bits(sp, self.TAUS, tol)
+        monkeypatch.setattr(quadrature, "_initial_breaks", unwindowed_breaks)
+        assert self.derivs_bits(sp, self.TAUS, tol) == windowed
+
+
+class TestWindowGuards:
+    """q_p weights whose mass sits off the top term's peak, or at t = 0,
+    against 40-digit mpmath: the window keeps the terms that carry it."""
+
+    CASES = [
+        ([1.0, 1e-300], (0.0, 0.0, 0.0, 400.0)),
+        ([1.0] * 16 + [1e-250], (0.0, 0.0, 0.0, 20.0)),
+        ([1.0] * 16 + [1e-300], (-8.0, 8.0, 8.0, 60.0)),
+        # lam < 0: the window starts at 0
+        ([1.0], (4.0, -4.0, -8.0, 400.0)),
+        # mu < 0
+        ([3.0, 2.0, 1e-120], (-8.0, 8.0, 0.0, 100.0)),
+        # P changes sign
+        ([1.0, -3.0, 1.0, 1e-200], (1.0, 0.0, 2.0, 50.0)),
+    ]
+
+    @pytest.mark.parametrize("coeffs, weight", CASES)
+    def test_q_p_matches_mpmath(self, coeffs, weight, monkeypatch):
+        import mpmath as mp
+
+        tol = 1e-10
+        params = QPParams(*weight)
+        res = q_p(coeffs, params, tol)
+        mu, kappa, nu, tau = weight
+        T = res.truncation_t
+        lo, hi = scalar_window(quadrature._make_tables(coeffs, mu, kappa, nu),
+                               tau, T)
+        with mp.workdps(40):
+            # scaled by the result, so the integral is near 1 and mpmath's
+            # absolute error estimate a relative one
+            def f(t):
+                sh = mp.sinh(t)
+                p = mp.polyval([mp.mpf(c) for c in coeffs[::-1]], -sh * sh)
+                return (p * t ** mu * sh ** kappa * mp.cosh(t) ** nu
+                        * mp.exp(-t * t / tau - res.log_value))
+
+            pts = sorted({0.0, T, *np.linspace(lo, hi, 9).tolist()})
+            ratio, err = mp.quad(f, pts + [mp.inf], error=True)
+            assert err < 1e-20
+            assert math.copysign(1.0, res.value) == mp.sign(ratio)
+            assert abs(mp.log(abs(ratio))) <= tol
+        # the layout without the window gets the same bits in as many
+        # nodes or more
+        monkeypatch.setattr(quadrature, "_initial_breaks", unwindowed_breaks)
+        wide = q_p(coeffs, params, tol)
+        assert wide.log_value == res.log_value and wide.nodes >= res.nodes
 
 
 @functools.lru_cache(maxsize=None)
@@ -1616,7 +1749,7 @@ class TestPrefetch:
         with pytest.raises(ConvergenceError) as fetched:
             q_chi(sp, 5, 400.0, 1e-13)
         assert str(fetched.value) == str(alone.value)
-        assert fetched.value.best.nodes == alone.value.best.nodes == 399990
+        assert fetched.value.best.nodes == alone.value.best.nodes == 399975
         assert fetched.value.best == alone.value.best
 
     def test_out_of_box_value_refuses_the_grid(self, empty_row):
@@ -1802,7 +1935,7 @@ class TestSettleGroups:
         grid_taus = [tau for _, tau in cells]
         Ts = [quadrature._first_truncation(tb, tau, tol)
               for tb, tau in zip(recs, grid_taus)]
-        panels = len(quadrature._initial_breaks(recs, grid_taus, Ts)[0]) - len(recs)
+        panels = len(initial_breaks(recs, grid_taus, Ts)[0]) - len(recs)
         monkeypatch.setattr(quadrature, "_STACK_NODES", 2 * panels)
         for nrows in (1, 3):
             alone = [_outcome(lambda: quadrature._unwrap(

@@ -39,7 +39,8 @@ degree.  Each cell of a group is finished before the next group is built:
 one that met its targets is tested on the group's sums, the others refine
 in one bisection sweep (``_finish_cell``) against the stored targets, at
 the cell's scale, and their kept panels are summed once.  Every step is
-per node, panel or cell, so a cell gets the same bits alone and in any grid.
+per node, panel or cell, so a cell gets the same bits alone and in any grid
+(the property test ``TestGridContract`` in ``tests/test_quadrature.py``).
 
 Two numerical realities shape the implementation:
 
@@ -247,8 +248,11 @@ class QuadratureResult:
     the analytic truncation-tail bound and, for a value below the normal
     range, its rounding to a double (2^-1075).  The floor makes them error
     bounds rather than readings of roundoff, so they do not depend on the
-    order in which a BLAS build sums the rule products.  It leaves out the
-    rounding of log|integrand| at the nodes, about eps * |log value|.
+    order in which a BLAS build sums the rule products.  They leave out two
+    terms: the rounding of log|integrand| at the nodes, about
+    eps * |log value|, and the representation floor of ``log_value``, a
+    double, so that exp(log_value) is off by up to half an ulp of
+    log_value, relative.
     """
 
     value: float

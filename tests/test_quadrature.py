@@ -1,20 +1,17 @@
 import functools
-import io
 import math
 import re
 import sys
 import tracemalloc
 import warnings
-from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qflat import quadrature
-from qflat.cli import main
 from qflat.quadrature import (
     CancellationWarning,
     ConvergenceError,
@@ -51,18 +48,6 @@ def s3_log_q_closed(n, tau):
         return mp.log(mp.sqrt(mp.pi) / 4) + 1.5 * mp.log(tau) + (n + 1) ** 2 * tau
 
 
-def panel_one_at_a_time(tables, tau, scale, a, b, nrows):
-    # the per-panel form of quadrature._eval_panels at a given scale: K15 on
-    # [a, b] against G7 on its nodes of odd index
-    half = 0.5 * (b - a)
-    xs = 0.5 * (a + b) + half * quadrature._K15_X
-    g, sign = quadrature._log_mag_sign([tables], tau, xs[None, :], [1])
-    rows = quadrature._moment_rows(xs, g[0], sign[0], scale, nrows)
-    k15 = quadrature._gl_rule(rows, quadrature._K15_W) * half
-    g7 = quadrature._gl_rule(rows[:, 1::2], quadrature._G7_W) * half
-    return k15, np.abs(k15 - g7)
-
-
 def cancelling_coeff(delta):
     # c such that 1 + c x integrates to delta times the integral of 1 under
     # QPParams(1, 1, 1, 1.0): its two terms cancel to a fraction delta
@@ -70,104 +55,6 @@ def cancelling_coeff(delta):
     a0 = q_p([1.0], params, 1e-13).value
     a1 = q_p([0.0, 1.0], params, 1e-13).value
     return -(1.0 - delta) * a0 / a1
-
-
-def first_levels(tables, taus, tol, nrows):
-    """Per cell of the grid (tables, taus): its first level as ``_q_engine``
-    builds it, (a, b, estimates, errors, scale, I, Iabs, E), from the node
-    calls that take no scales (refinement passes the cell's) and the group
-    sum that follows them, which sums exactly their cells."""
-    levels, stacks = [], []
-    eval_panels, sum_panels = quadrature._eval_panels, quadrature._sum_panels
-
-    def evals(tables, taus, a, b, counts, nrows, scales=None):
-        out = eval_panels(tables, taus, a, b, counts, nrows, scales)
-        if scales is None:
-            stacks.append((a, b, counts, *out))
-        return out
-
-    def sums(val, err, counts):
-        out = sum_panels(val, err, counts)
-        if stacks:
-            assert list(counts) == [n for stack in stacks for n in stack[2]]
-            cells = zip(*out)
-            for a, b, counts, val, err, scales in stacks:
-                ends = np.cumsum(counts)
-                for j, (s, e) in enumerate(zip(ends - counts, ends)):
-                    levels.append((a[s:e], b[s:e], val[:, s:e], err[:, s:e],
-                                   scales[j], *next(cells)))
-            stacks.clear()
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quadrature, "_eval_panels", evals)
-        mp.setattr(quadrature, "_sum_panels", sums)
-        quadrature._q_engine(tables, taus, tol, nrows)
-    return levels
-
-
-def spy_groups(monkeypatch):
-    """The settle groups of ``_q_engine``: per group, its first-level node
-    calls (those that take no scales), each as the (panels, T) of its cells,
-    and the counts of the ``_sum_panels`` call that follows them."""
-    groups, stacks = [], []
-    eval_panels, sum_panels = quadrature._eval_panels, quadrature._sum_panels
-
-    def evals(tables, taus, a, b, counts, nrows, scales=None):
-        if scales is None:
-            stacks.append(list(zip(counts, b[np.cumsum(counts) - 1].tolist())))
-        return eval_panels(tables, taus, a, b, counts, nrows, scales)
-
-    def sums(val, err, counts):
-        if stacks:
-            groups.append((stacks[:], list(counts)))
-            stacks.clear()
-        return sum_panels(val, err, counts)
-
-    monkeypatch.setattr(quadrature, "_eval_panels", evals)
-    monkeypatch.setattr(quadrature, "_sum_panels", sums)
-    return groups
-
-
-def check_groups(groups, tables, taus, tol):
-    """Assert that ``groups`` (of ``spy_groups``) cover the grid (tables,
-    taus) once, in order: node stacks of whole cells of at most _STACK_NODES
-    nodes, or one cell, in settle groups of whole stacks of at most
-    _STACK_NODES // 2 panels, or one cell, each summed in one call; and
-    that no stack or group could have taken the cell or stack after it."""
-    cells = []
-    for tb, tau in zip(tables, taus):
-        T = quadrature._first_truncation(tb, tau, tol)
-        cells.append((len(initial_breaks([tb], [tau], [T])[0]) - 1, T))
-    stacks = [stack for group, _ in groups for stack in group]
-    assert [cell for stack in stacks for cell in stack] == cells
-    nodes, panels = quadrature._STACK_NODES, quadrature._STACK_NODES // 2
-    for stack, after in zip(stacks, stacks[1:] + [None]):
-        size = sum(n for n, _ in stack)
-        assert 15 * size <= nodes or len(stack) == 1
-        assert after is None or 15 * (size + after[0][0]) > nodes
-    for (group, counts), after in zip(groups, groups[1:] + [None]):
-        assert counts == [n for stack in group for n, _ in stack]
-        assert sum(counts) <= panels or len(counts) == 1
-        assert after is None or sum(counts) + sum(n for n, _ in after[0][0]) > panels
-
-
-def spy_node_calls(monkeypatch):
-    """(first level, each run's last break, moment rows formed) of every
-    ``_eval_panels`` call: a first level's node call takes no scales, a
-    refinement generation passes the cell's, and a first level's run ends at
-    its cell's T."""
-    calls = []
-    eval_panels = quadrature._eval_panels
-
-    def spy(tables, taus, a, b, counts, nrows, scales=None):
-        out = eval_panels(tables, taus, a, b, counts, nrows, scales)
-        calls.append((scales is None, b[np.cumsum(counts) - 1].tolist(),
-                      len(out[0])))
-        return out
-
-    monkeypatch.setattr(quadrature, "_eval_panels", spy)
-    return calls
 
 
 def engine_cell(coeffs, params, tol):
@@ -372,9 +259,9 @@ class TestQP:
         assert not calls
 
     def test_singular_weight_below_the_box_is_refused(self, monkeypatch):
-        # t^(mu + kappa) at the origin outruns refinement below -0.1: these
-        # weights once spent up to 400,000 nodes before failing; now no cell
-        # is computed.  At -0.1 the cell still converges.
+        # t^(mu + kappa) at the origin outruns refinement below -0.1, so
+        # these weights are refused before any cell is computed.  At -0.1
+        # the cell still converges.
         engine = quadrature._q_engine
         calls = []
         monkeypatch.setattr(quadrature, "_q_engine",
@@ -492,7 +379,7 @@ class TestErrorRule:
         true = Fraction(c) * Fraction(s3_q_closed(1.0))
         assert abs(Fraction(res.value) - true) <= Fraction(res.abs_error)
 
-    def test_catalog_rows_never_cancel(self, empty_row, monkeypatch):
+    def test_catalog_rows_never_cancel(self, monkeypatch):
         # every catalog moment row is positive, so Iabs is I, and the
         # rounding floor stays below the panel target tol/2 at every tol
         assert quadrature._ROUND_C * quadrature._EPS < quadrature.TOL_MIN / 2
@@ -597,13 +484,17 @@ class TestRefinement:
     """Cells that split panels, pinned to their node counts: 15 per panel of
     the first level and 30 per split."""
 
-    @pytest.mark.parametrize("params, tol, nodes", [
+    REFINING = [
         # q_p refines on its value row alone: 2160 and 1215 nodes with all
         # three moment rows
         (QPParams(0.5, 0.0, 0.5, 1.0), 1e-13, 2100),
         (QPParams(0.25, 1.0, 0.0, 0.3), 1e-13, 1155),
         (QPParams(0.25, 1.0, 0.0, 0.3), 1e-11, 945),
-    ])
+    ]
+
+    # ids by cell, so that a re-pinned count keeps its test's name
+    @pytest.mark.parametrize("params, tol, nodes", REFINING, ids=[
+        f"{p.mu}-{p.kappa}-{p.nu}-{p.tau}-{tol:g}" for p, tol, _ in REFINING])
     def test_refining_cell_nodes(self, params, tol, nodes):
         res = q_p(1, params, tol)
         assert res.nodes == nodes
@@ -614,13 +505,16 @@ class TestRefinement:
         res = q_p(1, QPParams(0.5, 0.0, 0.5, 1.0), 1e-13)
         assert res.value == pytest.approx(0.723214354285265, rel=1e-13)
 
-    @pytest.mark.parametrize("label, n, tau, nodes, log_value, rel_error", [
+    REFINED = [
         # converges at the node budget, so the cut of the leftmost failing
         # panels of a generation shows in its bits
         ("S4", 8, 20.0, 399975, "0x1.c490a86c90c8dp+10", "0x1.3e61958ce2b85p-45"),
         ("HP2", 8, 1e-3, 465, "-0x1.a6c4ea1931346p+4", "0x1.0000000000187p-47"),
         ("OP2", 0, 0.05, 480, "-0x1.dcfaab3dc3256p+3", "0x1.00000000006ebp-47"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("label, n, tau, nodes, log_value, rel_error", REFINED,
+                             ids=[f"{lbl}-{n}-{tau}" for lbl, n, tau, *_ in REFINED])
     def test_refined_catalog_cell_bits(self, label, n, tau, nodes, log_value,
                                        rel_error):
         # pinned bit for bit, so a change in which panels a sweep splits or
@@ -671,29 +565,8 @@ class TestRefinement:
         assert error > target
         assert str(err.value.best.nodes) in msg
 
-    def test_stacked_panels_match_one_at_a_time(self):
-        # the stacked layout gives each panel exactly the bits it gets alone,
-        # of the value row alone and of all three moment rows
-        tau = 1.0
-        tables = quadrature._isotype(parse_space("CP2"), 2)
-        T = 15.0
-        breaks, _ = initial_breaks([tables], [tau], [T])
-        a, b = breaks[:-1], breaks[1:]
-        g, _ = quadrature._log_mag_sign(
-            [tables], tau, quadrature._panel_nodes(a, b)[0], [len(a)])
-        scale = float(np.max(g))
-        for nrows in (1, 3):
-            val, err, _ = quadrature._eval_panels([tables], [tau], a, b, [len(a)],
-                                                  nrows, [scale])
-            assert val.shape == err.shape == (nrows, len(a))
-            for i in range(len(a)):
-                v, e = panel_one_at_a_time(tables, tau, scale, float(a[i]),
-                                           float(b[i]), nrows)
-                assert np.array_equal(val[:, i], v)
-                assert np.array_equal(err[:, i], e)
 
-
-# the small-tau end of the box, where the tail bound once took larger T
+# the small-tau end of the box, where every cell must settle at its first T
 SMALL_TAUS = (quadrature.MIN_TAU, 1e-20, 1e-10, 1e-6, 1e-4)
 # the 26 catalog spaces with m <= MAX_DIM
 CENSUS_SPACES = ([f"S{k}" for k in range(2, 17)] + [f"CP{k}" for k in range(2, 9)]
@@ -812,10 +685,9 @@ class TestTruncationSoundness:
         g, _ = quadrature._log_mag_sign([tables], tau, (T + s)[None, :], [1])
         assert np.all(g[0] <= log_m - D * s + slack)
 
-    def test_one_t_per_cell(self, empty_row):
-        # the 26 catalog spaces at their smallest taus, where a looser tail
-        # bound took up to four larger T (OP2 at n = 0 and MIN_TAU): every
-        # cell settles at its first T
+    def test_one_t_per_cell(self):
+        # the 26 catalog spaces at their smallest taus: every cell settles
+        # at its first T
         ns = (0, 16)
         for label in CENSUS_SPACES:
             sp = parse_space(label)
@@ -836,8 +708,7 @@ class TestTruncationSoundness:
                 "7.105e-15 reported"))))
         for n in (0, 16) for tau in SMALL_TAUS for tol in (1e-10, 1e-4)])
     def test_s3_small_tau_closed_form(self, n, tau, tol):
-        # (sqrt(pi)/4) tau^(3/2) e^((n+1)^2 tau) within the reported error,
-        # which the tail bound no longer inflates
+        # (sqrt(pi)/4) tau^(3/2) e^((n+1)^2 tau) within the reported error
         import mpmath as mp
 
         res = q_chi(parse_space("S3"), n, tau, tol)
@@ -951,17 +822,15 @@ class TestIsotypeCache:
 
     @pytest.mark.parametrize("label,n,tau", CELLS)
     def test_cold_and_warm_bit_identical(self, label, n, tau):
+        # a cold call and a warm one; TestGridContract holds their bits
         sp = parse_space(label)
         cache = quadrature._isotype
         cache.cache_clear()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CancellationWarning)
-            cold = _bits(*q_chi_derivs(sp, n, tau))
-            assert cache.cache_info().misses == 1
-            warm = _bits(*q_chi_derivs(sp, n, tau))
+        _quiet_derivs(sp, n, tau)
+        assert cache.cache_info().misses == 1
+        _quiet_derivs(sp, n, tau)
         assert cache.cache_info().hits == 1
         assert cache.cache_info().currsize == 1
-        assert cold == warm
 
     def test_record_is_read_only(self):
         for field in ("coeffs", "log_abs_coeffs", "horner"):
@@ -1058,10 +927,9 @@ class TestFirstLevel:
         xs, _ = quadrature._panel_nodes(a, b)
         g, _ = quadrature._log_mag_sign([tables], tau, xs, [len(xs)])
         for nrows in (1, 3):
-            ((fa, fb, fval, ferr, scale, I, Iabs, E),) = first_levels(
-                [tables], [tau], tol, nrows)
+            fval, ferr, (scale,) = quadrature._eval_panels(
+                [tables], [tau], a, b, [len(a)], nrows)
             assert scale == float(np.max(g))
-            assert np.array_equal(fa, a) and np.array_equal(fb, b)
             val, err, _ = quadrature._eval_panels([tables], [tau], a, b, [len(a)],
                                                   nrows, [scale])
             assert np.array_equal(fval, val) and np.array_equal(ferr, err)
@@ -1071,10 +939,9 @@ class TestFirstLevel:
             assert res.nodes == 15 * len(a)
             sums = quadrature._sum_panels(val, err, [val.shape[1]])
             assert len(sums) == 3
-            for got, want in zip((I, Iabs, E), sums):
+            for want in sums:
                 assert want.shape == (1, nrows)
-                assert np.array_equal(got, want[0])
-            assert np.array_equal(I_cell, I)
+            assert np.array_equal(I_cell, sums[0][0])
 
     @pytest.mark.parametrize("label,n,tau,tol", CASES)
     def test_nodes_are_fifteen_per_panel(self, label, n, tau, tol):
@@ -1089,14 +956,6 @@ class TestFirstLevel:
 ROW_TAUS = (quadrature.MIN_TAU, 1e-3, 0.05, 1.0, 20.0, 400.0)
 
 
-@pytest.fixture
-def empty_row():
-    # a test that prefetches leaves no cell behind for the next one
-    quadrature._ROW.clear()
-    yield quadrature._ROW
-    quadrature._ROW.clear()
-
-
 def _quiet_derivs(*args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CancellationWarning)
@@ -1104,64 +963,7 @@ def _quiet_derivs(*args):
 
 
 class TestStackedRow:
-    CELLS = [(lbl, n) for lbl in ("S2", "CP2", "HP2", "OP2") for n in (0, 8, 16)]
-
-    @pytest.mark.parametrize("label,n", CELLS)
-    def test_row_slices_equal_rows_of_one(self, label, n):
-        tol = 1e-10
-        tables = quadrature._isotype(parse_space(label), n)
-        row = first_levels([tables] * len(ROW_TAUS), ROW_TAUS, tol, 3)
-        assert len(row) == len(ROW_TAUS)
-        for tau, cell in zip(ROW_TAUS, row):
-            (alone,) = first_levels([tables], [tau], tol, 3)
-            assert len(cell) == len(alone) == 8
-            for got, want in zip(cell, alone):
-                assert np.array_equal(got, want), tau
-
-    @pytest.mark.parametrize("label,n", CELLS)
-    def test_prefetched_cells_equal_cells_alone(self, label, n, empty_row):
-        sp = parse_space(label)
-        alone = [_quiet_derivs(sp, n, tau) for tau in ROW_TAUS]
-        quadrature.prefetch(sp, [n], ROW_TAUS)
-        assert len(empty_row) == len(ROW_TAUS)
-        for tau, (res, d1, d2) in zip(ROW_TAUS, alone):
-            got, g1, g2 = _quiet_derivs(sp, n, tau)
-            assert got == res
-            assert _bits(got, g1, g2) == _bits(res, d1, d2)
-        assert not empty_row
-
-    def test_stacks_are_capped(self, monkeypatch):
-        # every cap gives node calls of at most _STACK_NODES nodes or one
-        # cell, in settle groups of at most _STACK_NODES // 2 panels or one
-        # cell, one sum each, with the same bits; a cap below one cell's
-        # nodes gives stacks and groups of one
-        tol = 1e-10
-        recs = [quadrature._isotype(parse_space("CP2"), n)
-                for n in (4, 16) for _ in ROW_TAUS]
-        taus = ROW_TAUS * 2
-        whole = first_levels(recs, taus, tol, 3)
-        assert len(whole) == len(recs)
-        spans = set()
-        for cap in (1, 900, quadrature._STACK_NODES):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(quadrature, "_STACK_NODES", cap)
-                groups = spy_groups(mp)
-                calls = spy_node_calls(mp)
-                capped = first_levels(recs, taus, tol, 3)
-                check_groups(groups, recs, taus, tol)
-            if cap == 1:
-                # one first-level node call per cell, and one group
-                assert [len(ends) for first, ends, _ in calls if first] == [1] * len(recs)
-                assert [len(counts) for _, counts in groups] == [1] * len(recs)
-            spans.add(max(len(group) for group, _ in groups))
-            assert len(capped) == len(whole)
-            for a, b in zip(whole, capped):
-                for got, want in zip(a, b):
-                    assert np.array_equal(got, want)
-        # some group sums more than one stack
-        assert max(spans) > 1
-
-    def test_stack_arrays_go_before_the_next_stack(self, empty_row):
+    def test_stack_arrays_go_before_the_next_stack(self):
         # the table_dense grid of one space: 340 cells in stacks of about ten
         # peak near 0.8 MB, and near 15 MB as one stack
         sp, taus = parse_space("OP2"), np.geomspace(0.05, 400.0, 20).tolist()
@@ -1172,7 +974,7 @@ class TestStackedRow:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(empty_row) == 17 * len(taus)
+        assert len(quadrature._ROW) == 17 * len(taus)
         assert peak < 2 << 20, peak
 
 
@@ -1196,87 +998,116 @@ def _outcome(call):
     return I.tobytes(), _hexbits(res)
 
 
+def _public_outcome(sp, n, tau, tol, nrows=3):
+    """q_chi (``nrows`` 1) or q_chi_derivs (3) at one cell: the hex of every
+    result field, and of d1 and d2, or the error's type, message and best
+    estimate."""
+    try:
+        if nrows == 1:
+            return _hexbits(q_chi(sp, n, tau, tol))
+        res, d1, d2 = _quiet_derivs(sp, n, tau, tol)
+    except quadrature.QuadratureError as exc:
+        return _failure(exc)
+    return _hexbits(res) + (d1.hex(), d2.hex())
+
+
 # q_p polynomial whose profile 1 - 3 sinh^2 t changes sign, with its weight
 MIXED = ([1.0, 3.0], 0.5, 1.5, 2.0)
 
 
-class TestStackedFirstRound:
-    """A stack's first-level targets are tested together; each cell must
-    still get the bits, or the error, of a row of one."""
+def grid_records(label, ns):
+    """The records of the isotypes ``ns`` of a catalog space, or for "MIXED"
+    one record of that weight per entry of ``ns``, each built afresh."""
+    if label == "MIXED":
+        P, mu, kappa, nu = MIXED
+        return [quadrature._make_tables(quadrature._as_float_coeffs(P), mu, kappa, nu)
+                for _ in ns]
+    return [quadrature._isotype(parse_space(label), n) for n in ns]
 
-    TOLS = (1e-13, 1e-10, 1e-4)
 
-    @pytest.mark.parametrize("label,n", TestStackedRow.CELLS)
-    def test_prefetched_cells_equal_rows_of_one(self, label, n, empty_row,
-                                                monkeypatch):
-        sp = parse_space(label)
-        seen = []
-        cell = quadrature._cell
+def kind(tables, tau, tol, out):
+    """How the cell (tables, tau) of ``_outcome`` ``out`` ended: "error",
+    "larger T" than its first, "settled" on its first level, or "refined"."""
+    if isinstance(out[0], type):
+        return "error"
+    nodes, T = out[1][4], float.fromhex(out[1][5])
+    if T != quadrature._first_truncation(tables, tau, tol):
+        return "larger T"
+    panels = len(initial_breaks([tables], [tau], [T])[0]) - 1
+    return "settled" if nodes == 15 * panels else "refined"
 
-        def spy(*args):
-            try:
-                I, res = cell(*args)
-            except quadrature.QuadratureError as exc:
-                seen.append(_failure(exc))
-                raise
-            seen.append((I.tobytes(), _hexbits(res)))
-            return I, res
 
-        def derivs(tau, tol):
-            # the outcome of the one _cell call of q_chi_derivs, and d1, d2
-            seen.clear()
-            try:
-                _, d1, d2 = _quiet_derivs(sp, n, tau, tol)
-                d12 = d1.hex(), d2.hex()
-            except quadrature.QuadratureError:
-                d12 = None
-            (out,) = seen
-            return out, d12
-
-        monkeypatch.setattr(quadrature, "_cell", spy)
-        for tol in self.TOLS:
-            alone = [derivs(tau, tol) for tau in ROW_TAUS]
-            quadrature.prefetch(sp, [n], ROW_TAUS, tol)
-            assert len(empty_row) == len(ROW_TAUS)
-            for tau, want in zip(ROW_TAUS, alone):
-                assert derivs(tau, tol) == want, (tol, tau)
-            assert not empty_row
-            if tol == 1e-13:
-                # settled cells share their stacks with cells that are not
-                kinds = {self.kind(sp, n, tau, tol, out) for tau, (out, _)
-                         in zip(ROW_TAUS, alone)}
-                assert "settled" in kinds and len(kinds) > 1, kinds
+class TestGridContract:
+    """The grid engine's contract: a cell gets the same bits alone and in
+    any grid, whatever the cap on a node stack, and through ``prefetch``
+    and the per-cell calls the bits a lone call gives."""
 
     @staticmethod
-    def kind(sp, n, tau, tol, out):
-        if isinstance(out[0], type):
-            return "error"
-        tables = quadrature._isotype(sp, n)
-        nodes, T = out[1][4], float.fromhex(out[1][5])
-        if T != quadrature._first_truncation(tables, tau, tol):
-            return "larger T"
-        panels = len(initial_breaks([tables], [tau], [T])[0]) - 1
-        return "settled" if nodes == 15 * panels else "refined"
+    def outcomes(tables, taus, tol, nrows):
+        return [_outcome(lambda: quadrature._unwrap(out))
+                for out in quadrature._q_engine(tables, taus, tol, nrows)]
 
-    @pytest.mark.parametrize("tol", TOLS)
-    def test_mixed_sign_stack_equals_rows_of_one(self, tol):
-        P, mu, kappa, nu = MIXED
-        tables = quadrature._make_tables(quadrature._as_float_coeffs(P), mu, kappa, nu)
-        recs = [tables] * len(ROW_TAUS)
-        for nrows in (1, 3):
-            stack = first_levels(recs, ROW_TAUS, tol, nrows)
-            assert any(np.any(level[2] < 0.0) for level in stack)
-            # that stack is the first level of the grid of these cells
-            grid = quadrature._q_engine(recs, ROW_TAUS, tol, nrows)
-            for tau, out in zip(ROW_TAUS, grid):
-                (alone,) = quadrature._q_engine([tables], [tau], tol, nrows)
-                want = _outcome(lambda: quadrature._unwrap(alone))
-                assert _outcome(lambda: quadrature._unwrap(out)) == want
-                if nrows == 1:
-                    # q_p is the value route
-                    public = _outcome(lambda: (
-                        np.empty(0), q_p(P, QPParams(mu, kappa, nu, tau), tol)))
-                    assert public[1:] == want[1:], tau
+    def test_cell_outcome_is_the_same_alone_and_in_any_grid(self):
+        # each cell's lone outcomes, computed once: through the engine, and
+        # through q_chi or q_chi_derivs with a cold isotype cache
+        alone, public, kinds = {}, {}, set()
+
+        @settings(max_examples=100, deadline=None)
+        @given(label=st.sampled_from(("S2", "S3", "CP2", "HP2", "OP2", "MIXED")),
+               ns=st.lists(st.integers(0, quadrature.MAX_DEGREE), min_size=1,
+                           max_size=3, unique=True),
+               taus=st.lists(st.sampled_from(ROW_TAUS), min_size=1, max_size=3,
+                             unique=True),
+               tol=st.sampled_from((1e-13, 1e-10, 1e-4)),
+               nrows=st.sampled_from((1, 3)),
+               cap=st.sampled_from((1, 900, "twice the grid's panels", None)))
+        # settled, refining and failing cells in one grid: n = 16 fails at
+        # tau = 20, and with the derivative rows other cells refine
+        @example(label="CP2", ns=[16, 0, 1],
+                 taus=[quadrature.MIN_TAU, 1e-3, 0.05, 20.0], tol=1e-13,
+                 nrows=3, cap="twice the grid's panels")
+        def check(label, ns, taus, tol, nrows, cap):
+            cells = [(n, tau) for n in ns for tau in taus]
+            tables = [rec for rec in grid_records(label, ns) for _ in taus]
+            grid_taus = [tau for _, tau in cells]
+            keys = [(label, n, tau, tol, nrows) for n, tau in cells]
+            with pytest.MonkeyPatch.context() as mp:
+                # the contract holds at any node budget; a small one keeps
+                # each failing cell cheap and puts budget cuts in more grids
+                mp.setattr(quadrature, "_NODE_BUDGET", 30_000)
+                for tb, tau, key in zip(tables, grid_taus, keys):
+                    if key not in alone:
+                        alone[key] = self.outcomes([tb], [tau], tol, nrows)[0]
+                        kinds.add(kind(tb, tau, tol, alone[key]))
+                if label != "MIXED":
+                    sp = parse_space(label)
+                    for (n, tau), key in zip(cells, keys):
+                        if key not in public:
+                            quadrature._isotype.cache_clear()
+                            public[key] = _public_outcome(sp, n, tau, tol, nrows)
+                if isinstance(cap, str):
+                    Ts = [quadrature._first_truncation(tb, tau, tol)
+                          for tb, tau in zip(tables, grid_taus)]
+                    cap = 2 * (len(initial_breaks(tables, grid_taus, Ts)[0])
+                               - len(tables))
+                if cap is not None:
+                    mp.setattr(quadrature, "_STACK_NODES", cap)
+                assert (self.outcomes(tables, grid_taus, tol, nrows)
+                        == [alone[key] for key in keys])
+                if label == "MIXED":
+                    return
+                quadrature.prefetch(sp, ns, taus, tol, derivs=nrows == 3)
+                assert len(quadrature._ROW) == len(cells)
+                # another tol is another cell, computed alone
+                _public_outcome(sp, ns[0], taus[0],
+                                1e-10 if tol == 1e-4 else 1e-4, nrows)
+                assert len(quadrature._ROW) == len(cells)
+                for (n, tau), key in zip(cells, keys):
+                    assert _public_outcome(sp, n, tau, tol, nrows) == public[key], key
+                assert not quadrature._ROW
+
+        check()
+        assert {"settled", "refined", "error"} <= kinds, kinds
 
 
 class TestSumPanels:
@@ -1284,10 +1115,15 @@ class TestSumPanels:
     stack is negative."""
 
     def stack(self, tables, nrows=3, tol=1e-10):
-        levels = first_levels([tables] * len(ROW_TAUS), ROW_TAUS, tol, nrows)
-        val = np.concatenate([level[2] for level in levels], axis=1)
-        err = np.concatenate([level[3] for level in levels], axis=1)
-        return val, err, [level[2].shape[1] for level in levels]
+        # the first levels of the cells of tables at ROW_TAUS, in one node call
+        recs = [tables] * len(ROW_TAUS)
+        Ts = [quadrature._first_truncation(tables, tau, tol) for tau in ROW_TAUS]
+        breaks, counts = initial_breaks(recs, ROW_TAUS, Ts)
+        cells = np.split(breaks, np.cumsum(counts)[:-1])
+        a = np.concatenate([c[:-1] for c in cells])
+        b = np.concatenate([c[1:] for c in cells])
+        val, err, _ = quadrature._eval_panels(recs, ROW_TAUS, a, b, counts - 1, nrows)
+        return val, err, (counts - 1).tolist()
 
     @staticmethod
     def fsums(x, counts):
@@ -1303,7 +1139,6 @@ class TestSumPanels:
             assert np.all(val >= 0.0)
             I, Iabs, E = quadrature._sum_panels(val, err, counts)
             assert I.shape == Iabs.shape == E.shape == (len(counts), nrows)
-            assert Iabs is I
             assert np.array_equal(Iabs, self.fsums(np.abs(val), counts))
             assert np.array_equal(I, self.fsums(val, counts))
             assert np.array_equal(E, self.fsums(err, counts))
@@ -1530,38 +1365,6 @@ class TestRowBreaks:
             assert got.tolist() == scalar_breaks(tables, tau, T)
             assert got[-1] == T and got[-2] < x
 
-    def test_one_breaks_pass_per_grid_and_one_sum_per_group(self, monkeypatch,
-                                                             empty_row):
-        # a prefetched grid builds its break points in one call and sums each
-        # settle group of first levels in one call; its stacks span isotypes,
-        # and these cells converge there
-        sp = parse_space("CP2")
-        ns, taus = (1, 2, 3), (0.25, 0.5, 1.0, 2.0, 4.0)
-        calls = {}
-        for name in ("_initial_breaks", "_sum_panels", "_log_mag_sign"):
-            fn = getattr(quadrature, name)
-            monkeypatch.setattr(
-                quadrature, name,
-                lambda *a, _fn=fn, _name=name: calls.setdefault(_name, []).append(a)
-                or _fn(*a))
-        groups = spy_groups(monkeypatch)
-        quadrature.prefetch(sp, ns, taus, derivs=False)
-        assert len(calls["_initial_breaks"]) == 1
-        stacks = [stack for group, _ in groups for stack in group]
-        assert len(calls["_sum_panels"]) == len(groups) <= len(stacks)
-        assert len(stacks) == len(calls["_log_mag_sign"]) < len(ns)
-        for stack in stacks:
-            assert 15 * sum(n for n, _ in stack) <= quadrature._STACK_NODES
-        check_groups(groups, [quadrature._isotype(sp, n) for n in ns for _ in taus],
-                     taus * len(ns), quadrature.DEFAULT_TOL)
-        for n in ns:
-            for tau in taus:
-                res = q_chi(sp, n, tau)
-                tables = quadrature._isotype(sp, n)
-                (breaks,) = initial_breaks([tables], [tau], [res.truncation_t])[1]
-                assert res.nodes == 15 * (breaks - 1)
-        assert not empty_row
-
 
 def unwindowed_breaks(tables, taus, Ts, logc=None):
     """``_initial_breaks`` without the mass window, which is all it reads
@@ -1589,7 +1392,7 @@ class TestFarField:
         return out
 
     @pytest.mark.parametrize("label", CENSUS_SPACES)
-    def test_census_far_panels_hold_nothing(self, label, monkeypatch, empty_row):
+    def test_census_far_panels_hold_nothing(self, label, monkeypatch):
         # every panel of the reference layout outside a cell's window holds
         # below 1e-25 of the cell's integral in each moment row, and merging
         # them moves no bit of value, log value, (log q)' or (log q)''
@@ -1741,7 +1544,7 @@ class TestNodeAccuracy:
 
 
 class TestPrefetch:
-    def test_error_cell_raises_the_same_error(self, empty_row):
+    def test_error_cell_raises_the_same_error(self):
         sp = parse_space("S3")
         with pytest.raises(ConvergenceError) as alone:
             q_chi(sp, 5, 400.0, 1e-13)
@@ -1752,12 +1555,12 @@ class TestPrefetch:
         assert fetched.value.best.nodes == alone.value.best.nodes == 399975
         assert fetched.value.best == alone.value.best
 
-    def test_out_of_box_value_refuses_the_grid(self, empty_row):
+    def test_out_of_box_value_refuses_the_grid(self):
         # the grid is refused whole, with the message of the lone-cell call,
         # and the memo it replaces stays empty
         sp, s20 = parse_space("S3"), parse_space("S20")
         quadrature.prefetch(sp, [0], [1.0])
-        assert len(empty_row) == 1
+        assert len(quadrature._ROW) == 1
         for grid, cell in (((sp, [0], [1.0, 500.0]), (sp, 0, 500.0)),
                            ((sp, [0], [1.0, 1e-31]), (sp, 0, 1e-31)),
                            ((sp, [0], [1.0, math.nan]), (sp, 0, math.nan)),
@@ -1769,104 +1572,59 @@ class TestPrefetch:
             with pytest.raises(ParameterRangeError) as fetched:
                 quadrature.prefetch(*grid)
             assert str(fetched.value) == str(alone.value), grid
-            assert not empty_row
+            assert not quadrature._ROW
 
-    def test_scale_is_keyed_at_one(self, empty_row):
+    def test_scale_is_keyed_at_one(self):
         quadrature.prefetch(parse_space("S4", B=2.0), [2], [1.5], derivs=False)
-        assert list(empty_row) == [(parse_space("S4"), 2, 1.5, quadrature.DEFAULT_TOL, 1)]
+        assert list(quadrature._ROW) == [(parse_space("S4"), 2, 1.5, quadrature.DEFAULT_TOL, 1)]
         got = q_chi(parse_space("S4"), 2, 1.5)
-        assert not empty_row
+        assert not quadrature._ROW
         assert _bits(got) == _bits(q_chi(parse_space("S4", B=2.0), 2, 1.5))
 
-    def test_one_row_at_a_time(self, empty_row):
+    def test_one_row_at_a_time(self):
         sp = parse_space("CP2")
         quadrature.prefetch(sp, [1], [0.5, 1.0, 2.0], derivs=False)
-        assert {k[1:3] for k in empty_row} == {(1, 0.5), (1, 1.0), (1, 2.0)}
+        assert {k[1:3] for k in quadrature._ROW} == {(1, 0.5), (1, 1.0), (1, 2.0)}
         quadrature.prefetch(sp, [2], [0.5, 4.0], derivs=False)
-        assert {k[1:3] for k in empty_row} == {(2, 0.5), (2, 4.0)}
+        assert {k[1:3] for k in quadrature._ROW} == {(2, 0.5), (2, 4.0)}
         q_chi(sp, 1, 0.5)  # not in the row: computed alone, memo untouched
-        assert len(empty_row) == 2
+        assert len(quadrature._ROW) == 2
         q_chi(sp, 2, 0.5, 1e-8)  # another tol is another cell
-        assert len(empty_row) == 2
+        assert len(quadrature._ROW) == 2
         q_chi(sp, 2, 0.5)
-        assert {k[1:3] for k in empty_row} == {(2, 4.0)}
+        assert {k[1:3] for k in quadrature._ROW} == {(2, 4.0)}
         q_chi(sp, 2, 4.0)
-        assert not empty_row
+        assert not quadrature._ROW
 
     @pytest.mark.parametrize("derivs", (False, True))
-    def test_a_grid_serves_its_own_kind_only(self, derivs, empty_row):
+    def test_a_grid_serves_its_own_kind_only(self, derivs):
         # the value row of this cell settles in fewer nodes than all three
         # rows do, so each kind has bits of its own
         sp, n, tau, tol = parse_space("OP2"), 3, 0.05, 1e-13
-        value = _hexbits(q_chi(sp, n, tau, tol))
-        deriv = _derivs_outcome(sp, n, tau, tol)
+        value = _public_outcome(sp, n, tau, tol, 1)
+        deriv = _public_outcome(sp, n, tau, tol)
         assert (value[4], deriv[4]) == (420, 570)
         quadrature.prefetch(sp, [n], [tau], tol, derivs=derivs)
-        ((key, out),) = empty_row.items()
+        ((key, out),) = quadrature._ROW.items()
         assert key == (sp, n, tau, tol, 3 if derivs else 1)
         # the other kind computes its cell alone and leaves the entry
         if derivs:
-            assert _hexbits(q_chi(sp, n, tau, tol)) == value
+            assert _public_outcome(sp, n, tau, tol, 1) == value
         else:
-            assert _derivs_outcome(sp, n, tau, tol) == deriv
-        assert list(empty_row) == [key] and empty_row[key] is out
+            assert _public_outcome(sp, n, tau, tol) == deriv
+        assert list(quadrature._ROW) == [key] and quadrature._ROW[key] is out
         # its own kind takes it
         if derivs:
-            assert _derivs_outcome(sp, n, tau, tol) == deriv
+            assert _public_outcome(sp, n, tau, tol) == deriv
         else:
-            assert _hexbits(q_chi(sp, n, tau, tol)) == value
-        assert not empty_row
-
-
-def _derivs_outcome(sp, n, tau, tol):
-    """q_chi_derivs at one cell: the hex of every result field and of d1 and
-    d2, or the error's type, message and best estimate."""
-    try:
-        res, d1, d2 = _quiet_derivs(sp, n, tau, tol)
-    except quadrature.QuadratureError as exc:
-        return _failure(exc)
-    return _hexbits(res) + (d1.hex(), d2.hex())
+            assert _public_outcome(sp, n, tau, tol, 1) == value
+        assert not quadrature._ROW
 
 
 class TestGridPrefetch:
-    """A grid of isotypes and taus of one space, prefetched together, gives
-    each cell the outcome it gets computed alone."""
+    """A grid of isotypes and taus of one space, prefetched together."""
 
-    NS = (0, 1, 7, 8, 16)
-
-    @pytest.mark.parametrize("tol", (1e-10, 1e-4))
-    @pytest.mark.parametrize("label", ("S2", "CP2", "OP2"))
-    def test_grid_cells_equal_cells_alone(self, label, tol, empty_row):
-        sp = parse_space(label)
-        alone = {(n, tau): _derivs_outcome(sp, n, tau, tol)
-                 for n in self.NS for tau in ROW_TAUS}
-        quadrature.prefetch(sp, self.NS, ROW_TAUS, tol)
-        assert {k[1:3] for k in empty_row} == set(alone)
-        for (n, tau), want in alone.items():
-            assert _derivs_outcome(sp, n, tau, tol) == want, (n, tau)
-        assert not empty_row
-
-    def test_refined_larger_t_and_failed_cells_at_tol_min(self, monkeypatch,
-                                                          empty_row):
-        # a stack of settled cells holds cells that refine or raise, all of
-        # which must still match, each at its first T; n = 16 comes first,
-        # so its failing cell at tau = 20 shares the first stack
-        sp, tol = parse_space("CP2"), 1e-13
-        ns, taus = (16, 0, 1), (quadrature.MIN_TAU, 1e-3, 0.05, 20.0)
-        alone = {(n, tau): _derivs_outcome(sp, n, tau, tol) for n in ns for tau in taus}
-        calls = spy_node_calls(monkeypatch)
-        quadrature.prefetch(sp, ns, taus, tol)
-        for (n, tau), want in alone.items():
-            assert _derivs_outcome(sp, n, tau, tol) == want, (n, tau)
-        assert not empty_row
-        kinds = [TestStackedFirstRound.kind(
-            sp, n, tau, tol, out if isinstance(out[0], type) else (None, out))
-            for (n, tau), out in alone.items()]
-        assert set(kinds) == {"settled", "refined", "error"}
-        first_stack = next(len(ends) for first, ends, _ in calls if first)
-        assert set(kinds[:first_stack]) == {"settled", "refined", "error"}
-
-    def test_invalid_cells_refuse_the_grid(self, empty_row):
+    def test_invalid_cells_refuse_the_grid(self):
         # a valid cell beside an invalid one is not computed either: the
         # grid raises what its invalid cell raises alone, n before tau
         sp = parse_space("S3")
@@ -1877,30 +1635,12 @@ class TestGridPrefetch:
             with pytest.raises(ParameterRangeError) as fetched:
                 quadrature.prefetch(sp, sorted({0, n}), [1.0, tau], derivs=False)
             assert str(fetched.value) == str(alone.value), (n, tau)
-            assert not empty_row
+            assert not quadrature._ROW
         with pytest.raises(ParameterRangeError, match="n must be at most 16, got 17"):
             quadrature.prefetch(sp, [0, 17], [1.0, 500.0, 1e-31, math.nan])
-        assert not empty_row
+        assert not quadrature._ROW
 
-    def test_oracles_grid_is_one_breaks_pass_and_few_node_calls(self, monkeypatch,
-                                                                 empty_row):
-        # the isotypes 0..16 of a space at the taus of verify-asymptotics
-        sp = parse_space("OP2")
-        ns, taus = range(quadrature.MAX_DEGREE + 1), (1e-3, 1e-2, 100.0, 400.0)
-        breaks = []
-        initial_breaks = quadrature._initial_breaks
-        monkeypatch.setattr(quadrature, "_initial_breaks",
-                            lambda *a: breaks.append(a) or initial_breaks(*a))
-        calls = spy_node_calls(monkeypatch)
-        quadrature.prefetch(sp, ns, taus)
-        assert len(empty_row) == len(ns) * len(taus)
-        assert len(breaks) == 1
-        # the first levels' node calls, as against those of refinement
-        stacks = [ends for first, ends, _ in calls if first]
-        assert sum(len(ends) for ends in stacks) == len(ns) * len(taus)
-        assert len(stacks) < len(ns)
-
-    def test_oracles_grid_never_refines(self, monkeypatch, empty_row):
+    def test_oracles_grid_never_refines(self, monkeypatch):
         # every first level of the verify-asymptotics grids meets its targets
         # at the default tol, so each cell is finished from its stack's sums
         # and none enters _finish_cell, which a refining cell still does
@@ -1911,57 +1651,19 @@ class TestGridPrefetch:
         ns, taus = range(quadrature.MAX_DEGREE + 1), (1e-3, 1e-2, 100.0, 400.0)
         for label in DEFAULT_SCAN_SELECTORS:
             quadrature.prefetch(parse_space(label), ns, taus, derivs=False)
-            assert len(empty_row) == len(ns) * len(taus)
+            assert len(quadrature._ROW) == len(ns) * len(taus)
         assert not calls
-        empty_row.clear()
         _quiet_derivs(parse_space("CP2"), 0, quadrature.MIN_TAU, quadrature.TOL_MIN)
         assert len(calls) == 1
-
-
-class TestSettleGroups:
-    """A settle group sums the first levels of several node stacks in one
-    call and finishes its cells from those sums; each cell, settled,
-    refining or failing, still gets the outcome it gets alone."""
-
-    def test_group_of_stacks_gives_each_cell_its_outcome_alone(self, monkeypatch):
-        # CP2 at tol 1e-13: n = 16 fails at tau = 20 after refining, and
-        # with the derivative rows other cells refine and settle; a cap of
-        # twice the grid's panels makes it one group of node stacks of
-        # about two cells
-        sp, tol = parse_space("CP2"), quadrature.TOL_MIN
-        cells = [(n, tau) for n in (16, 0, 1)
-                 for tau in (quadrature.MIN_TAU, 1e-3, 0.05, 20.0)]
-        recs = [quadrature._isotype(sp, n) for n, _ in cells]
-        grid_taus = [tau for _, tau in cells]
-        Ts = [quadrature._first_truncation(tb, tau, tol)
-              for tb, tau in zip(recs, grid_taus)]
-        panels = len(initial_breaks(recs, grid_taus, Ts)[0]) - len(recs)
-        monkeypatch.setattr(quadrature, "_STACK_NODES", 2 * panels)
-        for nrows in (1, 3):
-            alone = [_outcome(lambda: quadrature._unwrap(
-                quadrature._q_engine([tb], [tau], tol, nrows)[0]))
-                for tb, tau in zip(recs, grid_taus)]
-            kinds = {TestStackedFirstRound.kind(sp, n, tau, tol, out)
-                     for (n, tau), out in zip(cells, alone)}
-            assert kinds == ({"settled", "error"} if nrows == 1
-                             else {"settled", "refined", "error"}), nrows
-            with pytest.MonkeyPatch.context() as mp:
-                groups = spy_groups(mp)
-                grid = quadrature._q_engine(recs, grid_taus, tol, nrows)
-            check_groups(groups, recs, grid_taus, tol)
-            ((stacks, counts),) = groups
-            assert len(stacks) >= 2 and len(counts) == len(recs)
-            for k, (out, want) in enumerate(zip(grid, alone)):
-                assert _outcome(lambda: quadrature._unwrap(out)) == want, k
 
 
 class TestOneRoute:
     """Every cell goes through one ``_q_engine`` call, which alone computes
     first truncation points: ``q_p`` and a lone catalog cell as a grid of
-    one, a prefetched grid as one grid."""
+    one."""
 
     @pytest.fixture
-    def engine_calls(self, monkeypatch, empty_row):
+    def engine_calls(self, monkeypatch):
         calls, inside = [], []
         q_engine = quadrature._q_engine
         first_truncation = quadrature._first_truncation
@@ -1993,86 +1695,13 @@ class TestOneRoute:
         call()
         assert engine_calls == [("engine", 1, nrows), ("truncation", True)]
 
-    def test_prefetched_grid_is_one_call(self, engine_calls, empty_row):
-        # a value grid and a derivative grid, each taken by calls of its kind
-        sp, ns, taus = parse_space("S5"), (0, 4, 9), (1e-3, 1.0, 20.0)
-        for derivs, call, nrows in ((False, q_chi, 1), (True, _quiet_derivs, 3)):
-            engine_calls.clear()
-            quadrature.prefetch(sp, ns, taus, derivs=derivs)
-            for n in ns:
-                for tau in taus:
-                    call(sp, n, tau)
-            assert not empty_row
-            assert engine_calls == [("engine", 9, nrows)] + [("truncation", True)] * 9
-
-    def test_first_levels_once_at_the_first_t(self, monkeypatch, empty_row):
-        # OP2 at n = 0 and MIN_TAU, which settled only at a fourth, larger T
-        # under a looser tail bound, builds one first level, at its first T
-        calls = spy_node_calls(monkeypatch)
+    def test_first_levels_once_at_the_first_t(self):
+        # OP2 at n = 0 and MIN_TAU settles at its first truncation point
         sp, tau, tol = parse_space("OP2"), quadrature.MIN_TAU, quadrature.DEFAULT_TOL
         res = q_chi(sp, 0, tau, tol)
         T0 = quadrature._first_truncation(
             quadrature._isotype(sp, 0), tau, tol)
-        assert [ends for first, ends, _ in calls if first] == [[T0]]
         assert res.truncation_t == T0
-
-
-class TestPaddedHorner:
-    """A stack of records of different degrees is one Horner loop, each
-    node reading its record's coefficient by index from a table zero-padded
-    at the front to the top degree; each record's slice has the bits of a
-    call on it alone."""
-
-    # mixed signs, zero coefficients (a zero constant term too) and all-ones
-    POLYS = [[2.5], [1.0, 3.0], [0.0, 1.0, 0.5],
-             [1.0, 0.0, -2.0, 0.0, 3.0, 0.0, 0.0, 0.0, 5.0], [-1.0, 1.0] * 8,
-             [1.0] * 17]
-    TAUS = (quadrature.MIN_TAU, 1e-3, 0.05, 1.0, 20.0, 400.0)
-
-    @staticmethod
-    def record(coeffs, mu=0.5, kappa=1.5, nu=2.0):
-        return quadrature._make_tables(quadrature._as_float_coeffs(coeffs), mu, kappa, nu)
-
-    @pytest.mark.parametrize("rows", (1, 3))
-    def test_stack_slices_equal_records_alone(self, rows):
-        recs = [self.record(c) for c in self.POLYS]
-        assert [len(r.coeffs) - 1 for r in recs] == [0, 1, 2, 8, 15, 16]
-        # 15 nodes a row, on both sides of sinh t = 1
-        ts = [np.geomspace(1e-3 * (k + 1), 40.0 / (k + 1), 15 * rows).reshape(rows, 15)
-              for k in range(len(recs))]
-        for t in ts:
-            assert np.sinh(t.min()) < 1.0 < np.sinh(t.max())
-        tau = np.repeat(self.TAUS, rows)[:, None]
-        with np.errstate(over="raise", invalid="raise"):
-            g, sign = quadrature._log_mag_sign(recs, tau, np.concatenate(ts),
-                                               [rows] * len(recs))
-        assert g.shape == sign.shape == (rows * len(recs), 15)
-        for k, (rec, t, tk) in enumerate(zip(recs, ts, self.TAUS)):
-            want_g, want_sign = quadrature._log_mag_sign([rec], tk, t, [rows])
-            rows_k = slice(k * rows, (k + 1) * rows)
-            assert g[rows_k].tobytes() == want_g.tobytes(), k
-            assert sign[rows_k].tobytes() == want_sign.tobytes(), k
-        assert np.any(sign < 0.0) and np.any(sign > 0.0)
-
-    def test_repeated_and_equal_records(self):
-        # one record object at three places between others, and an equal
-        # but separate copy of it: the table holds one column pair per
-        # distinct object, and each slice has its own record's bits
-        a, b, c = (self.record(p) for p in self.POLYS[3:])
-        copy = self.record(self.POLYS[3])
-        recs = [a, b, a, c, copy, a]
-        distinct, which = quadrature._distinct(recs)
-        assert list(map(id, distinct)) == list(map(id, (a, b, c, copy)))
-        assert which == [0, 1, 0, 2, 3, 0]
-        ts = [np.geomspace(1e-3 * (k + 1), 40.0 / (k + 1), 30).reshape(2, 15)
-              for k in range(len(recs))]
-        tau = np.repeat(self.TAUS, 2)[:, None]
-        g, sign = quadrature._log_mag_sign(recs, tau, np.concatenate(ts),
-                                           [2] * len(recs))
-        for k, (rec, t, tk) in enumerate(zip(recs, ts, self.TAUS)):
-            want_g, want_sign = quadrature._log_mag_sign([rec], tk, t, [2])
-            assert g[2 * k:2 * k + 2].tobytes() == want_g.tobytes(), k
-            assert sign[2 * k:2 * k + 2].tobytes() == want_sign.tobytes(), k
 
 
 class TestS3ClosedFormSweep:
@@ -2112,31 +1741,8 @@ class TestTauFloor:
 
 class TestValueRows:
     """``q_chi``, ``q_p`` and ``p_chi`` form the value row alone,
-    ``q_chi_derivs`` all three moment rows."""
-
-    def test_oracles_pass_forms_one_row_per_stack(self, monkeypatch, empty_row):
-        # verify-asymptotics over the default spaces: several stacks per
-        # space, each of the value row alone
-        seen = spy_node_calls(monkeypatch)
-        with redirect_stdout(io.StringIO()):
-            assert main(["verify-asymptotics", "--space", "all", "--n", "0..16"]) == 0
-        stacks = [rows for first, _, rows in seen if first]
-        assert len(stacks) > 2 * len(DEFAULT_SCAN_SELECTORS)
-        assert set(rows for _, _, rows in seen) == {1}
-
-    @pytest.mark.parametrize("derivs", (False, True))
-    def test_every_stack_of_a_grid_forms_its_rows(self, derivs, monkeypatch,
-                                                  empty_row):
-        # at tol 1e-13 some cells refine, in node calls that pass the
-        # cell's scale
-        seen = spy_node_calls(monkeypatch)
-        sp = parse_space("CP2")
-        quadrature.prefetch(sp, range(quadrature.MAX_DEGREE + 1),
-                            (quadrature.MIN_TAU, 1e-3, 0.05, 20.0), 1e-13,
-                            derivs=derivs)
-        assert {first for first, _, _ in seen} == {True, False}
-        assert sum(first for first, _, _ in seen) > 2
-        assert {rows for _, _, rows in seen} == {3 if derivs else 1}
+    ``q_chi_derivs`` all three moment rows (``TestOneRoute`` checks which
+    rows each entry point asks for); the two routes' values agree."""
 
     SWEEP_NS = (0, 3, 8, 16)
     SWEEP_TAUS = (1e-3, 0.05, 1.0, 20.0, 400.0)
@@ -2159,9 +1765,8 @@ class TestValueRows:
                     if _hexbits(value) == _hexbits(deriv):
                         continue
                     differ += 1
-                    kind = TestStackedFirstRound.kind(
-                        sp, n, tau, tol, (None, _hexbits(deriv)))
-                    assert kind != "settled", (label, n, tau)
+                    assert kind(quadrature._isotype(sp, n), tau, tol,
+                                (None, _hexbits(deriv))) != "settled", (label, n, tau)
                     if math.isinf(value.value):
                         # abs_error overflows with the value; the logs agree
                         # within the relative errors

@@ -23,6 +23,7 @@ from .hypergeom import RationalPoly, hypergeom_poly, closed_coeffs
 from .quadrature import (
     QPParams,
     QuadratureResult,
+    ErrorBudget,
     QuadratureError,
     ParameterRangeError,
     ConvergenceError,

@@ -36,11 +36,11 @@ The exponents mu, kappa, nu depend on the space only, so the isotypes of a
 stack differ only in the coefficients of P, which ``_log_mag_sign`` reads
 by index from the Horner tables of its records, zero-padded to the top
 degree.  Each cell of a group is finished before the next group is built:
-one that met its targets is tested on the group's sums, the others refine
-in one bisection sweep (``_finish_cell``) against the stored targets, at
-the cell's scale, and their kept panels are summed once.  Every step is
-per node, panel or cell, so a cell gets the same bits alone and in any grid
-(the property test ``TestGridContract`` in ``tests/test_quadrature.py``).
+one that met its targets is settled on the group's sums, the others refine
+in one bisection sweep (``_finish_cell``) and settle on their kept panels.
+``_settle``, the one error rule, forms each term of a cell's ``ErrorBudget``
+and raises every failure.  Every step is per node, panel or cell, so a cell
+gets the same bits alone and in any grid (the test ``TestGridContract``).
 
 Two numerical realities shape the implementation:
 
@@ -98,6 +98,7 @@ from .spaces import RootData, chi_params, sphere_volume
 __all__ = [
     "QPParams",
     "QuadratureResult",
+    "ErrorBudget",
     "QuadratureError",
     "ParameterRangeError",
     "ConvergenceError",
@@ -195,12 +196,12 @@ class ParameterRangeError(QuadratureError, ValueError):
 class ConvergenceError(QuadratureError):
     """Tolerance not reached; ``best`` is the failing cell's result.
 
-    Three kinds: refinement stops at ``_NODE_BUDGET`` nodes per cell or at
-    the maximum depth (the message gives ``best.nodes``, the panel target
-    tol/2 and the worst moment row's relative panel error, above it); a
-    cancelling integral's rounding floor, or the rounding of a subnormal
-    value, keeps ``best.rel_error`` above tol; or the truncation tail bound
-    does not settle below tol/2.
+    Three kinds, in the order ``_settle`` tests them: refinement stops at
+    ``_NODE_BUDGET`` nodes or the maximum depth (the message gives
+    ``best.nodes``, the panel target tol/2 and the worst moment row's
+    relative panel error, above it); the tail bound does not settle below
+    tol/2; or ``best.rel_error`` stays above tol, the message naming the
+    largest term of ``best.budget``: ``rounding`` or ``representation``.
     """
 
     def __init__(self, message: str, best: "QuadratureResult | None" = None):
@@ -237,21 +238,32 @@ class QPParams:
             raise ParameterRangeError(f"tau must be positive, got {self.tau}")
 
 
+class ErrorBudget(NamedTuple):
+    """The terms of a value's error, relative to it: the panel estimates
+    ``rule``, the bound ``rounding`` on the rules' rounding (32 eps times
+    the integral of |integrand|), the tail bound ``tail`` (at most 1), and
+    ``representation``, 2^-1075 below the normal range and 0.0 above it."""
+
+    rule: float
+    rounding: float
+    tail: float
+    representation: float
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     """Value of a radial integral with accounting.
 
     ``log_value`` stays finite even when ``value`` overflows the double
-    range; ratio-style consumers should prefer it.  ``abs_error`` and
-    ``rel_error`` cover the panel error estimates, floored at a bound on the
-    rounding of the panel rules (32 eps times the integral of |integrand|),
-    the analytic truncation-tail bound and, for a value below the normal
-    range, its rounding to a double (2^-1075).  The floor makes them error
-    bounds rather than readings of roundoff, so they do not depend on the
-    order in which a BLAS build sums the rule products.  They leave out two
-    terms: the rounding of log|integrand| at the nodes, about
-    eps * |log value|, and the representation floor of ``log_value``, a
-    double, so that exp(log_value) is off by up to half an ulp of
+    range; ratio-style consumers should prefer it.  ``rel_error`` is
+    max(rule, rounding) + tail + representation of ``budget``, which only
+    an exactly-zero value lacks, and ``abs_error`` is |value| times the
+    first three terms, plus the least subnormal for the last.  The rounding
+    floor makes them error bounds rather than readings of roundoff, so they
+    do not depend on the order in which a BLAS build sums the rule products.
+    They leave out two terms: the rounding of log|integrand| at the nodes,
+    about eps * |log value|, and the representation floor of ``log_value``,
+    a double, so that exp(log_value) is off by up to half an ulp of
     log_value, relative.
     """
 
@@ -261,6 +273,7 @@ class QuadratureResult:
     truncation_t: float
     log_value: float
     rel_error: float
+    budget: ErrorBudget | None = None
 
 
 class _Coeffs(tuple):
@@ -577,9 +590,9 @@ def _initial_breaks(tables: Sequence[_Tables], taus: Sequence[float],
 
 
 def _targets(I: np.ndarray, Iabs: np.ndarray, tol: float) -> np.ndarray:
-    # the floor is _build_result's, so refinement stops where the reported
-    # error's floor starts
-    return np.maximum(tol * np.abs(I), _ROUND_C * _EPS * Iabs)
+    # half of tol for the panels, half for the tail; the floor is _settle's
+    # rounding term, so refinement stops where the reported error's starts
+    return np.maximum(0.5 * tol * np.abs(I), _ROUND_C * _EPS * Iabs)
 
 
 def _sum_panels(val: np.ndarray, err: np.ndarray, counts: Sequence[int]
@@ -669,38 +682,45 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _build_result(i0: float, iabs0: float, e0: float, scale: float,
-                  nodes: int, T: float, log_tail: float) -> QuadratureResult:
-    """A cell's result from its value row's sums I, Iabs and E: rel_error is
-    E, floored at the rounding bound, over |I|, plus the relative tail bound,
-    capped at 1.  A value below the normal range (subnormal, or 0 after
-    underflow) is off by up to 2^-1075 as a double, which both include."""
+def _settle(i0: float, iabs0: float, e0: float, scale: float, nodes: int,
+            T: float, log_tail: float, tol: float,
+            worst: float | None = None) -> QuadratureResult:
+    """A cell's result from its value row's sums I, Iabs and E, each term of
+    its ``ErrorBudget`` formed once, or the ConvergenceError of the first of
+    its tests to fail: the panels (failed when the caller passes the
+    ``worst`` row's relative panel error), the tail, then rel_error against
+    tol.  I = 0 has no budget; its log, -inf, fails the tail test."""
     if i0 == 0.0:
-        return QuadratureResult(0.0, 0.0, nodes, T, -math.inf, math.inf)
-    sign = 1.0 if i0 > 0 else -1.0
-    log_value = scale + math.log(abs(i0))
-    value = sign * _exp_or_inf(log_value)
-    # Iabs stands in for int |f|; it falls short only where the integrand
-    # changes sign inside a panel
-    err = max(e0, _ROUND_C * _EPS * iabs0)
-    rel = err / abs(i0) + math.exp(min(log_tail - log_value, 0.0))
-    abs_err = math.inf if math.isinf(value) else rel * abs(value)
-    if abs(value) < sys.float_info.min:
-        rel += _exp_or_inf(-1075.0 * _LN2 - log_value)
+        res = QuadratureResult(0.0, 0.0, nodes, T, -math.inf, math.inf)
+    else:
+        log_value = scale + math.log(abs(i0))
+        value = (1.0 if i0 > 0 else -1.0) * _exp_or_inf(log_value)
+        tiny = abs(value) < sys.float_info.min
+        # Iabs stands in for int |f|; it falls short only where the integrand
+        # changes sign inside a panel
+        budget = ErrorBudget(
+            e0 / abs(i0), _ROUND_C * _EPS * iabs0 / abs(i0),
+            math.exp(min(log_tail - log_value, 0.0)),
+            _exp_or_inf(-1075.0 * _LN2 - log_value) if tiny else 0.0)
+        rel = max(budget.rule, budget.rounding) + budget.tail
+        abs_err = math.inf if math.isinf(value) else rel * abs(value)
         # 2^-1075 itself rounds to 0.0; the least subnormal bounds it
-        abs_err += math.ulp(0.0)
-    return QuadratureResult(value, abs_err, nodes, T, log_value, rel)
-
-
-def _accept(res: QuadratureResult, log_tail: float, tol: float) -> None:
-    """Raise the ConvergenceError of a cell's tail test or error test."""
-    if not log_tail <= math.log(tol / 2.0) + res.log_value:
-        raise ConvergenceError(
-            "truncation tail bound failed to settle below tol/2", res)
-    if res.rel_error > tol:
-        raise ConvergenceError(
-            f"rounding or cancellation limits the relative error to "
-            f"{res.rel_error:.3g}, above tol={tol:g}", res)
+        res = QuadratureResult(
+            value, abs_err + math.ulp(0.0) if tiny else abs_err, nodes, T,
+            log_value, rel + budget.representation, budget)
+    if worst is not None:
+        msg = (f"panel refinement did not reach tol={tol:g}: after {nodes} "
+               f"nodes the worst moment's relative error {worst:.4g} exceeds "
+               f"the panel target {0.5 * tol:g}")
+    elif not log_tail <= math.log(tol / 2.0) + res.log_value:
+        msg = "truncation tail bound failed to settle below tol/2"
+    elif res.rel_error > tol:
+        msg = (f"rounding or cancellation limits the relative error to "
+               f"{res.rel_error:.3g}, above tol={tol:g}; its largest term is "
+               f"{max(zip(res.budget, ErrorBudget._fields))[1]}")
+    else:
+        return res
+    raise ConvergenceError(msg, res)
 
 
 def _first_truncation(tables: _Tables, tau: float, tol: float) -> float:
@@ -719,8 +739,8 @@ def _finish_cell(tables: _Tables, tau: float, tol: float, T: float,
     """One cell of ``nrows`` moment rows whose first level missed its
     targets, from its truncation point T, log tail bound and that level:
     panels a and b, their estimates and errors at ``scale``, and the
-    targets of the panel tolerance tol/2.  Then refinement, the tail test
-    and the error test, which a returned cell passed.
+    targets of the panel tolerance tol/2.  Then refinement and the tests of
+    ``_settle``, which a returned cell passed.
 
     The first level is refined in one bisection sweep.  Each generation
     splits the panels that miss their share of the first level's targets;
@@ -756,18 +776,13 @@ def _finish_cell(tables: _Tables, tau: float, tol: float, T: float,
     errs.append(err)
     val, err = np.concatenate(vals, axis=1), np.concatenate(errs, axis=1)
     I, Iabs, E = (x[0] for x in _sum_panels(val, err, [val.shape[1]]))
-    res = _build_result(float(I[0]), float(Iabs[0]), float(E[0]), scale,
-                        nodes, T, log_tail)
-    if not np.all(E <= _targets(I, Iabs, 0.5 * tol)):
+    worst = None
+    if not np.all(E <= _targets(I, Iabs, tol)):
         # some moment row missed tol/2, so the worst E/|I| exceeds it
         with np.errstate(divide="ignore", invalid="ignore"):
             worst = float(np.max(E / np.abs(I)))
-        raise ConvergenceError(
-            f"panel refinement did not reach tol={tol:g}: after "
-            f"{res.nodes} nodes the worst moment's relative error "
-            f"{worst:.4g} exceeds the panel target {0.5 * tol:g}", res)
-    _accept(res, log_tail, tol)
-    return I, res
+    return I, _settle(float(I[0]), float(Iabs[0]), float(E[0]), scale, nodes,
+                      T, log_tail, tol, worst)
 
 
 def _runs(sizes: Sequence[int], cap: int) -> tuple[list[int], list[int]]:
@@ -834,8 +849,7 @@ def _q_engine(tables: Sequence[_Tables], taus: Sequence[float], tol: float,
             scales += sc.tolist()
             s = e
         I, Iabs, E = _sum_panels(val, err, panels[lo:hi])
-        # split the tolerance: half for the panels, half for the tail
-        target = _targets(I, Iabs, 0.5 * tol)
+        target = _targets(I, Iabs, tol)
         met = (E <= target).all(axis=1).tolist()
         group = zip(met, scales, I[:, 0].tolist(), Iabs[:, 0].tolist(),
                     E[:, 0].tolist())
@@ -845,10 +859,9 @@ def _q_engine(tables: Sequence[_Tables], taus: Sequence[float], tol: float,
             e = s + panels[c]
             try:
                 if ok:
-                    res = _build_result(i0, iabs0, e0, scale, 15 * panels[c],
-                                        Ts[c], log_tails[c])
-                    _accept(res, log_tails[c], tol)
-                    out.append((I[k], res))
+                    out.append((I[k], _settle(i0, iabs0, e0, scale,
+                                              15 * panels[c], Ts[c],
+                                              log_tails[c], tol)))
                 else:
                     out.append(_finish_cell(
                         tables[c], taus[c], tol, Ts[c], log_tails[c], nrows,

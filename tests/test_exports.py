@@ -100,3 +100,42 @@ def test_box_bounds_are_read_by_quadrature_only():
                 continue
             readers.update(f"{path.name}:{name}" for name in names if name in BOX_BOUNDS)
     assert not readers, sorted(readers)
+
+
+def _sites(tree, match):
+    """The innermost function around each node of ``tree`` that ``match``
+    accepts, or "<module>" for a node outside every function."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if match(node):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def _refers_to(node, name):
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def test_error_rule_is_stated_by_settle_only():
+    # quadrature._settle forms every term of a cell's error and raises every
+    # ConvergenceError; the rounding floor is read there and by the panel
+    # targets, which stop refinement where that floor starts
+    built, floor = [], set()
+    for path in sorted(pathlib.Path(qflat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        built += [f"{path.stem}.{where}" for where in _sites(
+            tree, lambda node: isinstance(node, ast.Call)
+            and _refers_to(node.func, "ConvergenceError"))]
+        floor.update(f"{path.stem}.{where}" for where in _sites(
+            tree, lambda node: _refers_to(node, "_ROUND_C")
+            and not isinstance(getattr(node, "ctx", None), ast.Store)))
+    assert built == ["quadrature._settle"]
+    assert floor == {"quadrature._targets", "quadrature._settle"}

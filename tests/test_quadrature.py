@@ -312,7 +312,8 @@ class TestQP:
         best = err.value.best
         assert str(err.value) == (
             f"rounding or cancellation limits the relative error to "
-            f"{best.rel_error:.3g}, above tol=1e-13")
+            f"{best.rel_error:.3g}, above tol=1e-13; its largest term is "
+            f"rounding")
         assert 5e-9 < best.rel_error < 1e-8
         # a0 + c a1 is a millionth of its terms, whose 1e-13 errors make
         # up about 1e-7 of it
@@ -320,7 +321,7 @@ class TestQP:
 
 
 class TestErrorRule:
-    """A cell's error is formed once, in ``_build_result``: refinement stops
+    """A cell's error is formed once, in ``_settle``: refinement stops
     at its rounding floor, and a cell succeeds exactly when that reported
     error meets tol."""
 
@@ -335,6 +336,7 @@ class TestErrorRule:
                 except ConvergenceError as exc:
                     assert str(exc).startswith(
                         "rounding or cancellation limits the relative error to ")
+                    assert str(exc).endswith("; its largest term is rounding")
                     assert exc.best.nodes < 1000
                 else:
                     assert res.rel_error <= tol
@@ -356,6 +358,7 @@ class TestErrorRule:
         best = err.value.best
         assert str(err.value).startswith(
             "rounding or cancellation limits the relative error to ")
+        assert str(err.value).endswith("; its largest term is representation")
         # 2^-1075 over the true value, against which the panels' 1e-14 is lost
         assert best.rel_error == pytest.approx(
             self.half_unit_over(Fraction(c) * Fraction(s3_q_closed(1.0))),
@@ -378,6 +381,62 @@ class TestErrorRule:
         res = q_p([c], self.SUBNORMAL_PARAMS)
         true = Fraction(c) * Fraction(s3_q_closed(1.0))
         assert abs(Fraction(res.value) - true) <= Fraction(res.abs_error)
+
+    @classmethod
+    def budget_cell(cls, kind, *args):
+        """The result of a cell of ``test_rel_error_is_the_sum_of_its_budget``,
+        or the best estimate of its failure, and whether it failed."""
+        try:
+            if kind == "subnormal":
+                c, tol = args
+                res = q_p([c], cls.SUBNORMAL_PARAMS, tol)
+            elif kind == "cancelling":
+                k, j = args
+                res = q_p([1.0, cancelling_coeff(10.0 ** -k)],
+                          QPParams(1, 1, 1, 1.0), 10.0 ** j)
+            else:
+                label, n, tau, tol = args
+                res = kind(parse_space(label), n, tau, tol)
+        except ConvergenceError as exc:
+            return exc.best, True
+        return res[0] if isinstance(res, tuple) else res, False
+
+    def test_rel_error_is_the_sum_of_its_budget(self):
+        seen = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(cell=st.one_of(
+            # a tight tol only at tau <= 1, where no catalog cell spends the
+            # node budget
+            st.tuples(st.sampled_from((q_chi, _quiet_derivs)),
+                      st.sampled_from(("S2", "S3", "S7", "CP2", "HP2", "OP2")),
+                      st.integers(0, quadrature.MAX_DEGREE),
+                      st.sampled_from((1e-3, 0.05, 1.0, 20.0, 400.0)),
+                      st.sampled_from((1e-13, 1e-10, 1e-4)),
+                      ).filter(lambda cell: cell[4] > 1e-13 or cell[3] <= 1.0),
+            st.tuples(st.just("subnormal"),
+                      st.sampled_from((5e-324, 1e-320, 1e-310)),
+                      st.sampled_from((1e-13, 1e-10, 1e-4))),
+            st.tuples(st.just("cancelling"), st.integers(1, 8),
+                      st.integers(-13, -4))))
+        def check(cell):
+            res, failed = self.budget_cell(*cell)
+            # a failure's best estimate carries its budget too
+            b = res.budget
+            assert b is not None
+            rel = max(b.rule, b.rounding) + b.tail
+            assert res.rel_error.hex() == (rel + b.representation).hex()
+            tiny = abs(res.value) < sys.float_info.min
+            abs_err = math.inf if math.isinf(res.value) else rel * abs(res.value)
+            if tiny:
+                abs_err += math.ulp(0.0)
+            assert res.abs_error.hex() == abs_err.hex()
+            # only a value below the normal range has a representation term
+            assert (b.representation > 0.0) == tiny
+            seen.update({("failed", failed), ("below normal", tiny)})
+
+        check()
+        assert len(seen) == 4, seen
 
     def test_catalog_rows_never_cancel(self, monkeypatch):
         # every catalog moment row is positive, so Iabs is I, and the

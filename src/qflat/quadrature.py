@@ -4,11 +4,14 @@ Evaluates
 
     Q(tau) = int_0^inf exp(-t^2/tau) P(-sinh^2 t) t^mu sinh(t)^kappa cosh(t)^nu dt
 
-together with its first two log-derivatives in tau, by composite adaptive
-Gauss-Kronrod 7/15 panels on a truncated interval [0, T].  Each panel costs
-15 node evaluations: the 15-point Kronrod rule gives its value and the
-7-point Gauss rule on every other node its error estimate |K15 - G7|
-(the embedded pair of QUADPACK's qk15).  Panels are kept as arrays, and
+for mu, kappa, nu >= 0 and coefficients c_k of P with (-1)^k c_k >= 0, so
+that every term of P(-sinh^2 t) is non-negative and the integrand is
+positive (the class of every catalog weight), together with its first two
+log-derivatives in tau, by composite adaptive Gauss-Kronrod 7/15 panels on
+a truncated interval [0, T].  Each panel costs 15 node evaluations: the
+15-point Kronrod rule gives its value and the 7-point Gauss rule on every
+other node its error estimate |K15 - G7| (the embedded pair of QUADPACK's
+qk15).  Panels are kept as arrays, and
 one evaluator, ``_eval_panels``, takes every batch of them (a stack of
 first levels, or one generation of a cell's refinement sweep) in one node
 call, so the cost per node is numpy arithmetic rather than Python overhead
@@ -33,7 +36,7 @@ groups of whole stacks of at most ``_STACK_NODES // 2`` panels: the
 stacks of a group write their estimates and errors into its arrays, and
 the group has one ``_sum_panels`` call and one test against the targets.
 The exponents mu, kappa, nu depend on the space only, so the isotypes of a
-stack differ only in the coefficients of P, which ``_log_mag_sign`` reads
+stack differ only in the coefficients of P, which ``_log_mag`` reads
 by index from the Horner tables of its records, zero-padded to the top
 degree.  Each cell of a group is finished before the next group is built:
 one that met its targets is settled on the group's sums, the others refine
@@ -51,14 +54,14 @@ Two numerical realities shape the implementation:
   in log space, panels are accumulated after subtracting one common scale,
   and the result records log(value) alongside the value itself (which may
   legitimately overflow to inf within the allowed parameter box).  At a
-  node, log|integrand| is closed-form logs of t, sinh t and cosh t plus the
+  node, log integrand is closed-form logs of t, sinh t and cosh t plus the
   log of one Horner sum of P in a variable x in [-1, 0), so no term of it
-  can overflow (``_log_mag_sign``).
+  can overflow (``_log_mag``).
 * The truncation point T comes from the exponent t^2/tau - lambda*t, placed
   where the integrand has dropped a fixed factor below the requested
-  tolerance.  An analytic majorant of the discarded tail, tight at T for
-  every sign of mu, kappa and nu, is checked a posteriori against the
-  computed value; a cell whose bound is not met fails, at its one T.
+  tolerance.  An analytic majorant of the discarded tail, tight at T, is
+  checked a posteriori against the computed value; a cell whose bound is
+  not met fails, at its one T.
 
 Derivatives in tau are produced by differentiation under the integral sign:
 dQ/dtau inserts a factor t^2/tau^2 and d2Q/dtau2 a factor
@@ -201,7 +204,8 @@ class ConvergenceError(QuadratureError):
     ``best.nodes``, the panel target tol/2 and the worst moment row's
     relative panel error, above it); the tail bound does not settle below
     tol/2; or ``best.rel_error`` stays above tol, the message naming the
-    largest term of ``best.budget``: ``rounding`` or ``representation``.
+    largest term of ``best.budget``: ``representation`` for a value below
+    the normal double range, else ``rounding``.
     """
 
     def __init__(self, message: str, best: "QuadratureResult | None" = None):
@@ -218,7 +222,8 @@ PolyLike = Union[RationalPoly, Sequence[float], Sequence[Fraction], int, float, 
 
 @dataclass(frozen=True)
 class QPParams:
-    """Weight exponents and Gaussian width of a radial integral."""
+    """Weight exponents, each nonnegative, and Gaussian width of a radial
+    integral."""
 
     mu: float
     kappa: float
@@ -230,18 +235,16 @@ class QPParams:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ParameterRangeError(f"{name} must be finite, got {v}")
-        if self.mu + self.kappa <= -1.0:
-            raise ParameterRangeError(
-                f"need mu + kappa > -1 for convergence, got {self.mu + self.kappa}"
-            )
+            if v < 0.0 and name != "tau":
+                raise ParameterRangeError(f"{name} must be nonnegative, got {v}")
         if self.tau <= 0.0:
             raise ParameterRangeError(f"tau must be positive, got {self.tau}")
 
 
 class ErrorBudget(NamedTuple):
     """The terms of a value's error, relative to it: the panel estimates
-    ``rule``, the bound ``rounding`` on the rules' rounding (32 eps times
-    the integral of |integrand|), the tail bound ``tail`` (at most 1), and
+    ``rule``, the bound ``rounding`` on the rules' rounding (32 eps, as the
+    integrand is positive), the tail bound ``tail`` (at most 1), and
     ``representation``, 2^-1075 below the normal range and 0.0 above it."""
 
     rule: float
@@ -352,16 +355,10 @@ def _check_box(coeffs: Sequence[float], params: QPParams, tol: float) -> None:
             f"polynomial degree {len(coeffs) - 1} exceeds supported {MAX_DEGREE}"
         )
     for name in ("mu", "kappa", "nu"):
-        if abs(getattr(params, name)) > MAX_POWER:
+        if getattr(params, name) > MAX_POWER:
             raise ParameterRangeError(
-                f"|{name}| exceeds supported {MAX_POWER}: {getattr(params, name)}"
+                f"{name} exceeds supported {MAX_POWER}: {getattr(params, name)}"
             )
-    # below this the endpoint singularity t^(mu + kappa) outruns refinement
-    # at some tol of the box; every catalog isotype has mu + kappa >= 1
-    if params.mu + params.kappa < -0.1:
-        raise ParameterRangeError(
-            f"mu + kappa below supported -0.1: {params.mu + params.kappa}"
-        )
 
 
 def _log_sinh(t: np.ndarray) -> np.ndarray:
@@ -372,7 +369,7 @@ def _log_sinh(t: np.ndarray) -> np.ndarray:
 class _Tables(NamedTuple):
     """The tau-independent part of a weight: the float coefficients c of P,
     the logs of their magnitudes (-inf for a zero coefficient) and the
-    (deg + 1, 2) Horner table of ``_log_mag_sign`` (c from the top down, and
+    (deg + 1, 2) Horner table of ``_log_mag`` (c from the top down, and
     from the bottom up negated for odd deg), all read-only so one record can
     serve every tau; the exponents mu, kappa, nu and lam = kappa + nu + 2 deg."""
 
@@ -387,7 +384,12 @@ class _Tables(NamedTuple):
 
 def _make_tables(coeffs: Sequence[float], mu: float, kappa: float,
                  nu: float) -> _Tables:
+    """The record of a weight, refused unless (-1)^k c_k >= 0 for every k:
+    then each term of P(-sinh^2 t) is non-negative."""
     c = np.array(coeffs, dtype=float)
+    if (c[::2] < 0.0).any() or (c[1::2] > 0.0).any():
+        raise ParameterRangeError(
+            f"coefficients must alternate in sign, (-1)^k c_k >= 0, got {coeffs}")
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(c))
     # beyond sinh t = 1 the factor (-1)^deg goes into the coefficients
@@ -426,17 +428,17 @@ def _isotype(space: RootData, n: int) -> _Tables:
     return _make_tables(coeffs, ch.mu, ch.kappa, ch.nu)
 
 
-def _log_mag_sign(tables: Sequence[_Tables], tau: float | np.ndarray,
-                  t: np.ndarray, runs: Sequence[int]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(log|integrand|, sign) elementwise at ``tau``, a float or an array
-    that broadcasts against the 2-D ``t``; t must be positive.
+def _log_mag(tables: Sequence[_Tables], tau: float | np.ndarray,
+             t: np.ndarray, runs: Sequence[int]) -> np.ndarray:
+    """log integrand elementwise at ``tau``, a float or an array that
+    broadcasts against the 2-D ``t``; t must be positive.
 
     P(-sinh^2 t) is one Horner sum in x = -exp(-2 |log sinh t|), which lies
     in [-1, 0): x = -sinh^2 t up to sinh t = 1, with the coefficients taken
     from the top down, and x = -1/sinh^2 t beyond it, with them taken from
     the bottom up and negated for odd deg (the reversed polynomial, times
-    (-sinh^2 t)^deg); negation is exact, so only the sign moves.
+    (-sinh^2 t)^deg); negation is exact.  Every term of the sum has the
+    sign of its first, as (-1)^k c_k >= 0, so the sum is non-negative.
 
     ``tables`` is a stack of records that share mu, kappa and nu (as the
     isotypes of one space do), whose nodes are runs of ``runs`` rows of t.
@@ -463,23 +465,22 @@ def _log_mag_sign(tables: Sequence[_Tables], tau: float | np.ndarray,
     for c in steps[1:]:
         p *= x
         p += c.take(pick)
-    sign = np.sign(p)
     with np.errstate(divide="ignore"):
-        g = np.log(np.abs(p)) + 2.0 * deg * up - t * t / tau
+        g = np.log(p) + 2.0 * deg * up - t * t / tau
     tb = tables[0]
     # a zero exponent adds 0 times a finite log, which leaves g's bits as
     # they are; cosh^2 t = 1 + sinh^2 t, so log cosh t = up + log1p(-x) / 2
     g += tb.mu * np.log(t)
     g += tb.kappa * logsh
     g += tb.nu * (up + 0.5 * np.log1p(-x))
-    return g, sign
+    return g
 
 
-def _moment_rows(t: np.ndarray, g: np.ndarray, sign: np.ndarray,
-                 scale: float, nrows: int) -> np.ndarray:
-    """Rows (w, t^2 w, t^4 w) with w = sign * exp(g - scale), or the row w
-    alone when ``nrows`` is 1."""
-    w = sign * np.exp(g - scale)
+def _moment_rows(t: np.ndarray, g: np.ndarray, scale: float,
+                 nrows: int) -> np.ndarray:
+    """Rows (w, t^2 w, t^4 w) with w = exp(g - scale), or the row w alone
+    when ``nrows`` is 1."""
+    w = np.exp(g - scale)
     if nrows == 1:
         return w[None]
     t2 = t * t
@@ -514,16 +515,16 @@ def _eval_panels(tables: Sequence[_Tables], taus: Sequence[float],
     estimate and |K15 - G7| its error, G7 reading the nodes of odd index.
     All nodes go through one node call, with tau as a per-panel column.  A
     run's scale is its entry of ``scales`` or, when that is None, the peak
-    of log|integrand| over its own nodes.  Every step is elementwise or per
+    of log integrand over its own nodes.  Every step is elementwise or per
     panel, so each run gets the bits it gets in a call of its own.
     """
     xs, half = _panel_nodes(a, b)
     tau = np.array(taus, dtype=float).repeat(counts)[:, None]
-    g, sign = _log_mag_sign(tables, tau, xs, counts)
+    g = _log_mag(tables, tau, xs, counts)
     if scales is None:
         starts = np.cumsum(counts) - counts
         scales = np.maximum.reduceat(g.ravel(), 15 * starts)
-    rows = _moment_rows(xs, g, sign, np.repeat(scales, counts)[:, None],
+    rows = _moment_rows(xs, g, np.repeat(scales, counts)[:, None],
                         nrows).reshape(-1, 15)
     shape = nrows, len(half)
     k15 = _gl_rule(rows, _K15_W).reshape(shape) * half
@@ -557,7 +558,7 @@ def _initial_breaks(tables: Sequence[_Tables], taus: Sequence[float],
     within 2e-10 T; those of one kind lie much farther apart, so that takes
     all three kinds meeting to ten digits.
 
-    Against the Gaussian, term j of P peaks near p_j = max(lam_j, 0) tau / 2,
+    Against the Gaussian, term j of P peaks near p_j = lam_j tau / 2 >= 0,
     lam_j = kappa + nu + 2 j, at a log-height of about log|c_j| + p_j^2 / tau.
     The window reaches 12 sigma (a drop of exp(-72)) beyond the p_j of the
     terms within 72 of the highest, clipped to [0, T]; the far field outside
@@ -569,7 +570,7 @@ def _initial_breaks(tables: Sequence[_Tables], taus: Sequence[float],
     lam = np.array([tb.lam for tb in tables])[:, None]
     T = np.array(Ts, dtype=float)[:, None]
     kn = tables[0].kappa + tables[0].nu
-    peak = np.maximum(kn + 2.0 * np.arange(logc.shape[1]), 0.0) * half
+    peak = (kn + 2.0 * np.arange(logc.shape[1])) * half
     height = logc + peak * peak / tau
     span = _PEAK_J[-1] * sigma
     peak[height < height.max(axis=1, keepdims=True) - 0.5 * _PEAK_J[-1] ** 2] = np.nan
@@ -589,19 +590,17 @@ def _initial_breaks(tables: Sequence[_Tables], taus: Sequence[float],
     return breaks, counts
 
 
-def _targets(I: np.ndarray, Iabs: np.ndarray, tol: float) -> np.ndarray:
-    # half of tol for the panels, half for the tail; the floor is _settle's
-    # rounding term, so refinement stops where the reported error's starts
-    return np.maximum(0.5 * tol * np.abs(I), _ROUND_C * _EPS * Iabs)
+def _targets(I: np.ndarray, tol: float) -> np.ndarray:
+    # half of tol for the panels, half for the tail; tol/2 is above _settle's
+    # rounding term at every tol of the box, so refinement never chases it
+    return 0.5 * tol * I
 
 
 def _sum_panels(val: np.ndarray, err: np.ndarray, counts: Sequence[int]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sums I of the estimates, Iabs of their magnitudes and E of their
-    errors over each run of ``counts`` consecutive panels, each of shape
-    (runs, rows), with the bits of ``math.fsum``.  When no estimate is
-    negative, Iabs is I: the magnitudes are the estimates, so their sums
-    have the same bits.
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The sums I of the estimates and E of their errors over each run of
+    ``counts`` consecutive panels, each of shape (runs, rows), with the bits
+    of ``math.fsum``, for values of any sign.
 
     Each row of a run of n values x splits at sigma = 2^k, the power of two
     with max |x| < 2^-K sigma, 2^K >= n + 2 (the extraction of Rump, Ogita
@@ -618,8 +617,7 @@ def _sum_panels(val: np.ndarray, err: np.ndarray, counts: Sequence[int]
     to 0), one near a rounding midpoint, and any non-finite value, where
     the NaN it leaves fails every comparison.
     """
-    signed = not (val >= 0.0).all()
-    x = np.concatenate([val, np.abs(val), err] if signed else [val, err])
+    x = np.concatenate([val, err])
     n = np.asarray(counts)
     starts = n.cumsum() - n
     with np.errstate(over="ignore", invalid="ignore"):
@@ -640,24 +638,22 @@ def _sum_panels(val: np.ndarray, err: np.ndarray, counts: Sequence[int]
         d[i, k] = math.fsum(x[i, starts[k]:starts[k] + n[k]].tolist())
     sums = d.T
     r = len(val)
-    I = sums[:, :r]
-    return I, sums[:, r:2 * r] if signed else I, sums[:, -r:]
+    return sums[:, :r], sums[:, r:]
 
 
 def _log_tail_bound(tables: Sequence[_Tables], taus: Sequence[float],
                     Ts: Sequence[float], logc: np.ndarray) -> np.ndarray:
-    """Log of a bound on the integral of |integrand| over [T, inf), per cell
-    (tau, T) of the records ``tables`` (one per cell, sharing mu, kappa and
-    nu, with ``_log_coeffs`` rows logc), in one array pass.
+    """Log of a bound on the integral of the integrand over [T, inf), per
+    cell (tau, T) of the records ``tables`` (one per cell, sharing mu, kappa
+    and nu, with ``_log_coeffs`` rows logc), in one array pass.
 
-    For t = T + s >= T: sinh T e^s <= sinh t <= sinh T (t/T) e^s (as
-    coth t - 1/t < 1), e^t/2 <= cosh t <= cosh T e^s, t/T <= e^(s/T) and
-    exp(-t^2/tau) <= exp(-T^2/tau - 2T s/tau).  For every sign of mu, kappa
-    and nu, |integrand| <= M e^(-D s), exact at s = 0 when nu >= 0 and the
-    terms of P do not cancel, with log M = log sum_j |c_j| sinh^2j T
-    + mu log T + kappa log sinh T + nu log cosh T - min(nu, 0) log1p(e^-2T)
-    - T^2/tau and D = 2T/tau - (2 deg + kappa_+)(1 + 1/T) - kappa_- - nu
-    - mu_+/T.  The tail is at most M/D, or +inf where D <= 0.
+    For t = T + s >= T: sinh t <= sinh T (t/T) e^s (as coth t - 1/t < 1),
+    cosh t <= cosh T e^s, t/T <= e^(s/T) and exp(-t^2/tau) <=
+    exp(-T^2/tau - 2T s/tau).  With mu, kappa, nu >= 0 the integrand is at
+    most M e^(-D s), exact at s = 0, with log M = log sum_j |c_j| sinh^2j T
+    + mu log T + kappa log sinh T + nu log cosh T - T^2/tau and
+    D = 2T/tau - (2 deg + kappa)(1 + 1/T) - nu - mu/T.  The tail is at most
+    M/D, or +inf where D <= 0.
     """
     tb = tables[0]
     tau, T = np.array(taus, dtype=float), np.array(Ts, dtype=float)
@@ -668,9 +664,9 @@ def _log_tail_bound(tables: Sequence[_Tables], taus: Sequence[float],
     log_m = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
     # log cosh T = T - log 2 + log1p(e^-2T)
     log_m += (tb.mu * np.log(T) + tb.kappa * logsh + tb.nu * (T - _LN2)
-              + max(tb.nu, 0.0) * np.log1p(np.exp(-2.0 * T)) - T * T / tau)
-    D = (2.0 * T / tau - (2.0 * deg + max(tb.kappa, 0.0)) * (1.0 + 1.0 / T)
-         - min(tb.kappa, 0.0) - tb.nu - max(tb.mu, 0.0) / T)
+              + tb.nu * np.log1p(np.exp(-2.0 * T)) - T * T / tau)
+    D = (2.0 * T / tau - (2.0 * deg + tb.kappa) * (1.0 + 1.0 / T) - tb.nu
+         - tb.mu / T)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(D > 0.0, log_m - np.log(D), math.inf)
 
@@ -682,28 +678,27 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _settle(i0: float, iabs0: float, e0: float, scale: float, nodes: int,
-            T: float, log_tail: float, tol: float,
+def _settle(i0: float, e0: float, scale: float, nodes: int, T: float,
+            log_tail: float, tol: float,
             worst: float | None = None) -> QuadratureResult:
-    """A cell's result from its value row's sums I, Iabs and E, each term of
+    """A cell's result from its value row's sums I >= 0 and E, each term of
     its ``ErrorBudget`` formed once, or the ConvergenceError of the first of
     its tests to fail: the panels (failed when the caller passes the
     ``worst`` row's relative panel error), the tail, then rel_error against
-    tol.  I = 0 has no budget; its log, -inf, fails the tail test."""
+    tol.  The integrand is positive, so the rounding term, 32 eps times the
+    integral of |integrand|, is 32 eps of I.  I = 0 has no budget; its log,
+    -inf, fails the tail test."""
     if i0 == 0.0:
         res = QuadratureResult(0.0, 0.0, nodes, T, -math.inf, math.inf)
     else:
-        log_value = scale + math.log(abs(i0))
-        value = (1.0 if i0 > 0 else -1.0) * _exp_or_inf(log_value)
-        tiny = abs(value) < sys.float_info.min
-        # Iabs stands in for int |f|; it falls short only where the integrand
-        # changes sign inside a panel
+        log_value = scale + math.log(i0)
+        value = _exp_or_inf(log_value)
+        tiny = value < sys.float_info.min
         budget = ErrorBudget(
-            e0 / abs(i0), _ROUND_C * _EPS * iabs0 / abs(i0),
-            math.exp(min(log_tail - log_value, 0.0)),
+            e0 / i0, _ROUND_C * _EPS, math.exp(min(log_tail - log_value, 0.0)),
             _exp_or_inf(-1075.0 * _LN2 - log_value) if tiny else 0.0)
         rel = max(budget.rule, budget.rounding) + budget.tail
-        abs_err = math.inf if math.isinf(value) else rel * abs(value)
+        abs_err = math.inf if math.isinf(value) else rel * value
         # 2^-1075 itself rounds to 0.0; the least subnormal bounds it
         res = QuadratureResult(
             value, abs_err + math.ulp(0.0) if tiny else abs_err, nodes, T,
@@ -775,14 +770,14 @@ def _finish_cell(tables: _Tables, tau: float, tol: float, T: float,
     vals.append(val)
     errs.append(err)
     val, err = np.concatenate(vals, axis=1), np.concatenate(errs, axis=1)
-    I, Iabs, E = (x[0] for x in _sum_panels(val, err, [val.shape[1]]))
+    I, E = (x[0] for x in _sum_panels(val, err, [val.shape[1]]))
     worst = None
-    if not np.all(E <= _targets(I, Iabs, tol)):
-        # some moment row missed tol/2, so the worst E/|I| exceeds it
+    if not np.all(E <= _targets(I, tol)):
+        # some moment row missed tol/2, so the worst E/I exceeds it
         with np.errstate(divide="ignore", invalid="ignore"):
-            worst = float(np.max(E / np.abs(I)))
-    return I, _settle(float(I[0]), float(Iabs[0]), float(E[0]), scale, nodes,
-                      T, log_tail, tol, worst)
+            worst = float(np.max(E / I))
+    return I, _settle(float(I[0]), float(E[0]), scale, nodes, T, log_tail,
+                      tol, worst)
 
 
 def _runs(sizes: Sequence[int], cap: int) -> tuple[list[int], list[int]]:
@@ -848,20 +843,18 @@ def _q_engine(tables: Sequence[_Tables], taus: Sequence[float], tol: float,
                 tables[c:d], taus[c:d], a[s:e], b[s:e], panels[c:d], nrows)
             scales += sc.tolist()
             s = e
-        I, Iabs, E = _sum_panels(val, err, panels[lo:hi])
-        target = _targets(I, Iabs, tol)
+        I, E = _sum_panels(val, err, panels[lo:hi])
+        target = _targets(I, tol)
         met = (E <= target).all(axis=1).tolist()
-        group = zip(met, scales, I[:, 0].tolist(), Iabs[:, 0].tolist(),
-                    E[:, 0].tolist())
+        group = zip(met, scales, I[:, 0].tolist(), E[:, 0].tolist())
         s = 0
-        for k, (ok, scale, i0, iabs0, e0) in enumerate(group):
+        for k, (ok, scale, i0, e0) in enumerate(group):
             c = lo + k
             e = s + panels[c]
             try:
                 if ok:
-                    out.append((I[k], _settle(i0, iabs0, e0, scale,
-                                              15 * panels[c], Ts[c],
-                                              log_tails[c], tol)))
+                    out.append((I[k], _settle(i0, e0, scale, 15 * panels[c],
+                                              Ts[c], log_tails[c], tol)))
                 else:
                     out.append(_finish_cell(
                         tables[c], taus[c], tol, Ts[c], log_tails[c], nrows,
@@ -888,38 +881,36 @@ def _unwrap(out) -> tuple[np.ndarray, QuadratureResult]:
 def integrand(P: PolyLike, params: QPParams, t: float) -> float:
     """Integrand value at a finite t >= 0, as a double.
 
-    For t > 0 it is sign * exp(g) from the node evaluator ``_log_mag_sign``,
-    which the integration routines use as well.  At t = 0 it is the limit
-    of P(-sinh^2 t) t^(r-1), r = mu + kappa + 1: P(0) at r = 1; else 0
-    above 1 or where P(0) = 0 (P(-sinh^2 t) is then O(t^2), and r > 0), and
-    copysign(inf, P(0)) below.  Raises OverflowError when the magnitude
-    exceeds e^709, near the top of the double range; the integration
-    routines work in log space and do not share this limit.
+    P must have (-1)^k c_k >= 0 for every coefficient, as ``q_p`` requires,
+    or a ParameterRangeError names that rule.  For t > 0 the value is
+    exp(g) from the node evaluator ``_log_mag``, which the integration
+    routines use as well.  At t = 0 it is the limit of P(-sinh^2 t)
+    t^(mu + kappa): P(0) at mu + kappa = 0, else 0.  Raises OverflowError
+    when the value exceeds e^709, near the top of the double range; the
+    integration routines work in log space and do not share this limit.
     """
     if not 0.0 <= t < math.inf:
         raise ParameterRangeError(f"t must be finite and nonnegative, got {t}")
     coeffs = _as_float_coeffs(P)
     tables = _make_tables(coeffs, params.mu, params.kappa, params.nu)
     if t == 0.0:
-        r = params.mu + params.kappa + 1.0
-        if r > 1.0 or coeffs[0] == 0.0:
-            return 0.0
-        if r == 1.0:
-            return coeffs[0]
-        return math.copysign(math.inf, coeffs[0])
-    g, sign = _log_mag_sign([tables], float(params.tau),
-                            np.array([[float(t)]]), [1])
-    g0 = float(g[0, 0])
+        return coeffs[0] if params.mu + params.kappa == 0.0 else 0.0
+    g0 = float(_log_mag([tables], float(params.tau),
+                        np.array([[float(t)]]), [1])[0, 0])
     if g0 > 709.0:
         raise OverflowError(
             f"integrand magnitude exp({g0:.1f}) exceeds double range"
         )
-    return float(sign[0, 0]) * math.exp(g0)
+    return math.exp(g0)
 
 
 def q_p(P: PolyLike, params: QPParams,
         tol: float = DEFAULT_TOL) -> QuadratureResult:
-    """The radial integral for an arbitrary polynomial and weight exponents.
+    """The radial integral for a polynomial and weight exponents of the
+    catalog's class: mu, kappa, nu >= 0 (``QPParams`` refuses others) and
+    (-1)^k c_k >= 0 for every coefficient of P, so that the integrand is
+    positive.  Anything else is refused with a ParameterRangeError that
+    names the rule, before any node is spent.
 
     On success ``rel_error`` (panels, rounding floor and tail, as described
     at QuadratureResult) is at most ``tol``.  Otherwise a ConvergenceError

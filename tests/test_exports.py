@@ -126,8 +126,8 @@ def _refers_to(node, name):
 
 def test_error_rule_is_stated_by_settle_only():
     # quadrature._settle forms every term of a cell's error and raises every
-    # ConvergenceError; the rounding floor is read there and by the panel
-    # targets, which stop refinement where that floor starts
+    # ConvergenceError; the rounding floor is read there alone, as the panel
+    # target tol/2 lies above it at every tol
     built, floor = [], set()
     for path in sorted(pathlib.Path(qflat.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -138,4 +138,13 @@ def test_error_rule_is_stated_by_settle_only():
             tree, lambda node: _refers_to(node, "_ROUND_C")
             and not isinstance(getattr(node, "ctx", None), ast.Store)))
     assert built == ["quadrature._settle"]
-    assert floor == {"quadrature._targets", "quadrature._settle"}
+    assert floor == {"quadrature._settle"}
+
+
+def test_quadrature_reads_no_sign():
+    # every integrand of q_p's class is positive, so no step of the engine
+    # carries a sign
+    tree = ast.parse((pathlib.Path(qflat.__file__).parent / "quadrature.py").read_text())
+    readers = _sites(tree, lambda node: _refers_to(node, "sign")
+                     or _refers_to(node, "copysign"))
+    assert not readers, readers

@@ -317,6 +317,39 @@ class TestTheoremScan:
                 assert all(c.passed for c in rep.centrality)
 
 
+class TestNumericRouteDefects:
+    """Two regions of the box where the corridor, an absolute test on the
+    curvature samples, gives the numeric route a wrong verdict; each test
+    flips when its ROADMAP item lands."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 13: the corridor is absolute, and S3's curvature "
+        "-1.5/tau^2, right to about 10 eps, spreads by more than 1e-3 below "
+        "tau = 1e-7, so the one flat space is refuted"))
+    def test_s3_is_not_refuted_at_small_tau(self):
+        sp, taus = parse_space("S3"), (1e-8, 1e-7)
+        flat, resid = flat_test(sp, 5, taus)
+        projective, dev = projective_test(sp, 5, taus)
+        assert flat is not FlatVerdict.NOT_FLAT, resid
+        assert projective is not ProjectiveVerdict.NOT_PROJECTIVELY_FLAT, dev
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP items 13 and 2: the true isotype spread falls like 1/tau^3, "
+        "below the corridor's 1e-6 pass line at tau 100 to 400, so every "
+        "non-flat default space reads consistent"))
+    def test_no_non_flat_space_is_consistent_at_large_tau(self):
+        consistent = []
+        for sp in default_scan_spaces():
+            if sp.label == "S3":
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CancellationWarning)
+                verdict, dev = projective_test(sp, 3, (100.0, 400.0))
+            if verdict is ProjectiveVerdict.CONSISTENT:
+                consistent.append((sp.label, dev))
+        assert not consistent, consistent
+
+
 class TestRetry:
     """No numeric verdict retries: each computes one curvature grid, at the
     tol it was given, and an inconclusive deviation stays inconclusive."""

@@ -623,8 +623,10 @@ class TestTruncationSoundness:
         )
         assert mp.log(tail) <= math.log(tol / 2.0) + res.log_value
 
-    # weights against a 30-digit tail of the integrand
-    TAILS = [((1.0, 1.0, 1.0), 1.0, 3.0), ("S3", 1.0, 3.0)]
+    # weights against a 30-digit tail of the integrand; the (1, 1, 1) case
+    # keeps the id it had as the fourth of a longer list
+    TAILS = [pytest.param((1.0, 1.0, 1.0), 1.0, 3.0, id="weight3-1.0-3.0"),
+             ("S3", 1.0, 3.0)]
 
     @pytest.mark.parametrize("weight,tau,T", TAILS)
     def test_tail_bound_holds_for_every_sign(self, weight, tau, T):
@@ -1423,8 +1425,10 @@ class TestWindowGuards:
         ([1.0, -1e-300], (0.0, 0.0, 0.0, 400.0)),
         ([1.0, -1.0] * 8 + [1e-250], (0.0, 0.0, 0.0, 20.0)),
         ([1.0, -1.0] * 8 + [1e-300], (0.0, 8.0, 8.0, 60.0)),
-        # the mass sits on the lower terms, far below the top term's peak
-        ([1.0, -3.0, 1.0, -1e-200], (1.0, 0.0, 2.0, 50.0)),
+        # the mass sits on the lower terms, far below the top term's peak;
+        # it keeps the id it had as the sixth of a longer list
+        pytest.param([1.0, -3.0, 1.0, -1e-200], (1.0, 0.0, 2.0, 50.0),
+                     id="coeffs5-weight5"),
     ]
 
     @pytest.mark.parametrize("coeffs, weight", CASES)

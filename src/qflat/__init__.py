@@ -40,7 +40,6 @@ from .asymptotics import (
     log_qp_large_tau,
 )
 from .flatness import (
-    Mode,
     FieldVerdict,
     ProjectiveVerdict,
     FlatVerdict,

@@ -32,7 +32,6 @@ from typing import Sequence
 from .asymptotics import log_qp_large_tau, watson2
 from .flatness import (
     FlatnessReport,
-    Mode,
     _prefactor_residual,
     describe_exact,
     theorem_expected_verdict,
@@ -104,19 +103,21 @@ def build_parser() -> ArgumentParser:
     parser = _Parser(prog="qflat",
                      description="Curvature data of rank-1 symmetric space "
                                  "quantizations.")
-    # what a subcommand without the option reads: every space, no n, no tau
-    parser.set_defaults(spaces="all", n=None, tau=None)
+    # what a subcommand without the option reads: every space, no n, no
+    # tau, the default tol
+    parser.set_defaults(spaces="all", n=None, tau=None, tol=DEFAULT_TOL)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, fmt="csv"):
+    def common(p, fmt="csv", tol=True):
         p.add_argument("--format", choices=("csv", "json"), default=fmt,
                        dest="fmt")
         p.add_argument("--out", default=None, metavar="PATH")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--timestamps", action="store_true")
 
     p = sub.add_parser("list", help="catalog listing")
-    common(p)
+    common(p, tol=False)
 
     taus = "0.25,0.5,1,2,4"
     for name, hlp in (("qtable", "q_n(tau) table"),
@@ -131,14 +132,12 @@ def build_parser() -> ArgumentParser:
     p = sub.add_parser("centrality", help="exact certificates")
     p.add_argument("--space", dest="spaces", metavar="SPACE", required=True)
     p.add_argument("--n", default="1..5")
-    common(p)
+    common(p, tol=False)
 
     p = sub.add_parser("scan", help="full flatness scan")
     p.add_argument("--spaces", default="all")
     p.add_argument("--n-max", type=int, default=5, dest="n_max")
     p.add_argument("--tau", default=taus)
-    p.add_argument("--mode", choices=tuple(m.value for m in Mode),
-                   default=Mode.PREFACTOR_CORRECTED.value)
     p.add_argument("--expect-theorem", action="store_true")
     common(p, fmt="json")
 
@@ -152,8 +151,9 @@ def build_parser() -> ArgumentParser:
 
 
 def parse_args(argv: Sequence[str] | None = None) -> Namespace:
-    """The parsed namespace, with the normalised ``spaces``, ``n_values``,
-    ``tau_values`` and, for ``scan``, ``mode`` set on it."""
+    """The parsed namespace, with the normalised ``spaces``, ``n_values``
+    and ``tau_values`` set on it; ``tol`` is the default tol for ``list``
+    and ``centrality``, which read none."""
     parser = build_parser()
     ns = parser.parse_args(argv)
     fail = parser.error
@@ -199,8 +199,6 @@ def parse_args(argv: Sequence[str] | None = None) -> Namespace:
 
     ns.spaces = spaces
     ns.n_values = tuple(sorted({n for lo, hi in spans for n in range(lo, hi + 1)}))
-    if scan:
-        ns.mode = Mode(ns.mode)
     return ns
 
 
@@ -410,7 +408,7 @@ def _scan_payload(reports: list[FlatnessReport], cfg: Namespace) -> dict:
         }
         reps.append(entry)
     return {
-        "mode": cfg.mode.value,
+        "mode": "prefactor_corrected",
         "n_max": cfg.n_max,
         "tau_grid": list(cfg.tau_values),
         "tol": cfg.tol,
@@ -438,7 +436,6 @@ def _render(cfg: Namespace) -> tuple[str, bool]:
         reports = theorem_scan(
             [parse_space(lbl) for lbl in cfg.spaces],
             n_max=cfg.n_max, tau_grid=cfg.tau_values, tol=cfg.tol,
-            mode=cfg.mode,
         )
         ok = all(not rep.failures for rep in reports)
         if cfg.expect_theorem:

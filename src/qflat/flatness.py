@@ -20,10 +20,8 @@ Negative verdicts prefer the exact witness when both routes fail.
 On the flatness criterion itself: the raw radial integral q_n carries a
 tau^(m/2) prefactor relative to the matrix coefficient p_n(s) it came from,
 and (log q_n)'' alone is therefore nonzero even in the flat case.  The
-default ``prefactor_corrected`` mode tests (log(tau^(-m/2) q_n))'' = 0,
-i.e. (log q_n)''(tau) = -(m/2)/tau^2, which the 3-sphere satisfies
-identically; ``literal`` mode tests (log q_n)'' = 0 as such and is kept for
-documentation of the discrepancy.
+flatness test is (log(tau^(-m/2) q_n))'' = 0, i.e.
+(log q_n)''(tau) = -(m/2)/tau^2, which the 3-sphere satisfies identically.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from .spaces import Family, RootData, chi_params
 __all__ = [
     "PASS_DEVIATION",
     "FAIL_DEVIATION",
-    "Mode",
     "FieldVerdict",
     "ProjectiveVerdict",
     "FlatVerdict",
@@ -69,11 +66,6 @@ __all__ = [
 
 PASS_DEVIATION = 1e-6
 FAIL_DEVIATION = 1e-3
-
-
-class Mode(str, Enum):
-    PREFACTOR_CORRECTED = "prefactor_corrected"
-    LITERAL = "literal"
 
 
 class FieldVerdict(str, Enum):
@@ -348,14 +340,15 @@ def _prefactor_residual(d2: float, m: int, tau: float) -> float:
     return abs(d2 + 0.5 * m / (tau * tau))
 
 
-def _residual(grid: CurvatureGrid, mode: Mode) -> float:
+def _residual(grid: CurvatureGrid) -> float:
+    """Largest prefactor residual over the valid samples of the grid."""
     m = grid.space.m
     best = math.nan
     for row in grid.values:
         for sig, v in zip(grid.tau_grid, row):
             if math.isnan(v):
                 continue
-            r = abs(v) if mode is Mode.LITERAL else _prefactor_residual(v, m, sig)
+            r = _prefactor_residual(v, m, sig)
             best = r if math.isnan(best) else max(best, r)
     return best
 
@@ -390,11 +383,11 @@ def projective_test(
 
 def flat_test(
     space: RootData, n_max: int, tau_grid: Sequence[float],
-    tol: float = DEFAULT_TOL, mode: Mode = Mode.PREFACTOR_CORRECTED
+    tol: float = DEFAULT_TOL
 ) -> tuple[FlatVerdict, float]:
-    """Numeric vanishing test of the curvature samples, per mode."""
-    mode = Mode(mode)
-    resid = _residual(curvature_samples(space, n_max, tau_grid, tol), mode)
+    """Numeric vanishing test of the prefactor residual
+    |(log q_n)'' + (m/2)/tau^2|: <= 1e-6 is flat, >= 1e-3 is not."""
+    resid = _residual(curvature_samples(space, n_max, tau_grid, tol))
     return _corridor(resid, FlatVerdict.FLAT, FlatVerdict.NOT_FLAT,
                      FlatVerdict.INCONCLUSIVE), resid
 
@@ -408,7 +401,6 @@ class FlatnessReport:
     """Per-space verdict with both its exact and numeric evidence."""
 
     space: RootData
-    mode: Mode
     n_max: int
     tau_grid: tuple[float, ...]
     curvature: tuple[tuple[float, ...], ...]
@@ -429,8 +421,7 @@ def theorem_expected_verdict(space: RootData) -> FieldVerdict:
 
 
 def _scan_one(
-    space: RootData, n_max: int, tau_grid: tuple[float, ...], tol: float,
-    mode: Mode
+    space: RootData, n_max: int, tau_grid: tuple[float, ...], tol: float
 ) -> FlatnessReport:
     checks = tuple(centrality_check(space, range(1, n_max + 1)))
     # n = 1 is always checked and refutes every catalog space but S3 (see
@@ -441,22 +432,22 @@ def _scan_one(
     grid = curvature_samples(space, n_max, tau_grid, tol)
     # projectively flat first (isotype spread), then flat (residual)
     dev = _chi_deviation(grid)
+    resid = _residual(grid)
     if witness is not None:
         verdict = FieldVerdict.NOT_PROJECTIVELY_FLAT
     else:
-        flat = _corridor(_residual(grid, mode), FieldVerdict.FLAT,
+        flat = _corridor(resid, FieldVerdict.FLAT,
                          FieldVerdict.PROJECTIVELY_FLAT_ONLY,
                          FieldVerdict.INCONCLUSIVE)
         verdict = _corridor(dev, flat, FieldVerdict.NOT_PROJECTIVELY_FLAT,
                             FieldVerdict.INCONCLUSIVE)
     return FlatnessReport(
         space=space,
-        mode=mode,
         n_max=n_max,
         tau_grid=grid.tau_grid,
         curvature=grid.values,
         max_chi_deviation=dev,
-        prefactor_residual=_residual(grid, Mode.PREFACTOR_CORRECTED),
+        prefactor_residual=resid,
         verdict=verdict,
         exact_witness=witness,
         centrality=checks,
@@ -468,7 +459,7 @@ def _scan_one(
 def theorem_scan(
     spaces: Sequence[RootData], n_max: int = 5,
     tau_grid: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
-    tol: float = DEFAULT_TOL, mode: Mode = Mode.PREFACTOR_CORRECTED,
+    tol: float = DEFAULT_TOL,
 ) -> list[FlatnessReport]:
     """One flatness report per space, in input order.
 
@@ -483,5 +474,4 @@ def theorem_scan(
     _check_grid(spaces, (n_max,), [s.B * s.B * t for s in spaces for t in grid], tol)
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    mode = Mode(mode)
-    return [_scan_one(s, n_max, grid, tol, mode) for s in spaces]
+    return [_scan_one(s, n_max, grid, tol) for s in spaces]

@@ -17,6 +17,7 @@ import pytest
 
 from qflat import asymptotics, cli, quadrature
 from qflat.cli import main, parse_args, run
+from qflat.flatness import FieldVerdict
 from qflat.spaces import parse_space
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -205,6 +206,21 @@ class TestParseArgs:
             out, code = capture(["list"])
             assert code == 0, value
             assert len(out.splitlines()) == 10
+
+    def test_mode_and_unread_tol_removed(self, capsys):
+        # one flatness criterion, so no --mode; list and centrality read no
+        # tolerance, so no --tol there
+        for argv, extra in (
+            (["scan"], ["--mode", "literal"]),
+            (["scan"], ["--mode", "prefactor_corrected"]),
+            (["list"], ["--tol", "1e-10"]),
+            (["centrality", "--space", "S3"], ["--tol", "1e-10"]),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(argv + extra)
+            assert exc.value.code == 1, argv
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(extra)}" in err, argv
 
 
 class TestOneBox:
@@ -447,11 +463,16 @@ class TestScan:
         verdicts = {r["space"]: r["verdict"] for r in doc["reports"]}
         assert verdicts == {"S2": "not_projectively_flat", "S3": "flat"}
 
-    def test_expectation_mismatch_in_literal_mode(self):
-        _, code = capture(["scan", "--spaces", "S3", "--n-max", "2",
-                           "--tau", "1", "--mode", "literal",
-                           "--expect-theorem"])
+    def test_expectation_mismatch_exits_2(self, monkeypatch):
+        # an expectation that S2 contradicts: the verdicts are printed all
+        # the same, and only --expect-theorem turns the mismatch into exit 2
+        monkeypatch.setattr(cli, "theorem_expected_verdict",
+                            lambda space: FieldVerdict.FLAT)
+        argv = ["scan", "--spaces", "S2", "--n-max", "1", "--tau", "1"]
+        out, code = capture(argv + ["--expect-theorem"])
         assert code == 2
+        assert json.loads(out)["reports"][0]["verdict"] == "not_projectively_flat"
+        assert capture(argv) == (out, 0)
 
     def test_witness_payload(self):
         out, _ = capture(["scan", "--spaces", "CP2", "--n-max", "1",
@@ -765,6 +786,17 @@ class TestJsonSchema:
         ):
             out, _ = capture(argv)
             jsonschema.validate(json.loads(out), schema)
+
+    def test_scan_mode_is_the_one_criterion(self):
+        import jsonschema
+
+        schema = self.schema()
+        doc = json.loads(capture(["scan", "--spaces", "S3", "--n-max", "1",
+                                  "--tau", "1"])[0])
+        assert doc["mode"] == "prefactor_corrected"
+        jsonschema.validate(doc, schema)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(dict(doc, mode="literal"), schema)
 
     def test_rationals_never_serialized_as_floats(self):
         out, _ = capture(["centrality", "--space", "CP2", "--n", "1..4",

@@ -11,7 +11,6 @@ from qflat.flatness import (
     CurvatureGrid,
     FieldVerdict,
     FlatVerdict,
-    Mode,
     ProjectiveVerdict,
     SqrtRational,
     centrality_check,
@@ -244,13 +243,6 @@ class TestFlatTest:
         assert verdict is FlatVerdict.FLAT
         assert resid <= PASS_DEVIATION
 
-    def test_s3_literal_residual(self):
-        verdict, resid = flat_test(
-            parse_space("S3"), 3, (1.0,), 1e-10, mode=Mode.LITERAL
-        )
-        assert verdict is FlatVerdict.NOT_FLAT
-        assert resid == pytest.approx(1.5, abs=1e-6)
-
     def test_s2_not_flat(self):
         verdict, _ = flat_test(parse_space("S2"), 2, (1.0,), 1e-10)
         assert verdict is FlatVerdict.NOT_FLAT
@@ -281,10 +273,31 @@ class TestTheoremScan:
             assert verdict is ProjectiveVerdict.NOT_PROJECTIVELY_FLAT
             assert dev >= FAIL_DEVIATION
 
-    def test_literal_mode_s3(self):
-        rep = theorem_scan([parse_space("S3")], n_max=2, tau_grid=(1.0,),
-                           tol=1e-10, mode=Mode.LITERAL)[0]
-        assert rep.verdict is FieldVerdict.PROJECTIVELY_FLAT_ONLY
+    @pytest.mark.parametrize("label, offset, step, verdict", [
+        ("S3", 0.0, 0.0, FieldVerdict.FLAT),
+        ("S3", 1e-2, 0.0, FieldVerdict.PROJECTIVELY_FLAT_ONLY),
+        ("S3", 1e-5, 0.0, FieldVerdict.INCONCLUSIVE),
+        ("S3", 0.0, 5e-6, FieldVerdict.INCONCLUSIVE),
+        ("S3", 0.0, 5e-3, FieldVerdict.NOT_PROJECTIVELY_FLAT),
+        ("S3", math.nan, 0.0, FieldVerdict.INCONCLUSIVE),
+        # the exact witness outranks a numerically flat grid
+        ("CP2", 0.0, 0.0, FieldVerdict.NOT_PROJECTIVELY_FLAT),
+    ])
+    def test_verdict_table(self, monkeypatch, label, offset, step, verdict):
+        # crafted grids: row n is the flat curvature -(m/2)/tau^2 plus
+        # offset + n * step, so at n_max 2 the prefactor residual is
+        # offset + 2 * step and the spread across n is 2 * step
+        def samples(space, n_max, tau_grid, tol):
+            rows = tuple(tuple(-0.5 * space.m / (t * t) + offset + n * step
+                               for t in tau_grid) for n in range(n_max + 1))
+            return CurvatureGrid(space, tau_grid, rows, ())
+
+        monkeypatch.setattr(flatness, "curvature_samples", samples)
+        rep = theorem_scan([parse_space(label)], n_max=2, tau_grid=GRID)[0]
+        assert rep.verdict is verdict
+        assert (rep.exact_witness is not None) == (label == "CP2")
+        assert rep.prefactor_residual == pytest.approx(
+            offset + 2 * step, abs=1e-12, nan_ok=True)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -27,10 +27,9 @@ flatness test is (log(tau^(-m/2) q_n))'' = 0, i.e.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .hypergeom import _top_ratio
 from .quadrature import (
@@ -110,8 +109,7 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, d * n
 
 
-@dataclass(frozen=True)
-class SqrtRational:
+class SqrtRational(NamedTuple):
     """Exact positive real of the form rat * sqrt(radicand).
 
     ``radicand`` is a squarefree positive integer; the value is rational
@@ -163,8 +161,7 @@ def describe_exact(x) -> str:
 # exact certificates
 
 
-@dataclass(frozen=True)
-class CentralityCheck:
+class CentralityCheck(NamedTuple):
     """One instance of the centrality identity, evaluated exactly.
 
     lhs = Gamma(A+2n)Gamma(c) / (Gamma(A+n)Gamma(c+n)) as a rational
@@ -179,8 +176,7 @@ class CentralityCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class RationalityArgument:
+class RationalityArgument(NamedTuple):
     """The n = 2A specialization: A/(A+2n) = 1/5 forces 5^mu rational."""
 
     n_used: int
@@ -281,8 +277,7 @@ def _rationality(space: RootData,
 # numeric curvature route
 
 
-@dataclass(frozen=True)
-class CurvatureGrid:
+class CurvatureGrid(NamedTuple):
     """Curvature samples d^2/d(Im s)^2 log q_n(B^2 Im s) over (n, grid).
 
     Failed cells hold nan and are listed in ``failures`` with their error
@@ -396,8 +391,7 @@ def flat_test(
 # the full scan
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
+class FlatnessReport(NamedTuple):
     """Per-space verdict with both its exact and numeric evidence."""
 
     space: RootData

@@ -15,9 +15,8 @@ the one ``Fraction`` of each coefficient is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 __all__ = [
     "RationalPoly",
@@ -56,16 +55,19 @@ def _top_ratio(a: int, d: int, e: int, f: int, n: int) -> tuple[int, int]:
     return num, den
 
 
-@dataclass(frozen=True)
-class RationalPoly:
-    """Dense polynomial over Q; index equals degree, constant term first."""
-
+class _RationalPolyFields(NamedTuple):
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+
+class RationalPoly(_RationalPolyFields):
+    """Dense polynomial over Q; index equals degree, constant term first."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs) -> "RationalPoly":
+        if not coeffs:
             raise ValueError("a polynomial needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        return super().__new__(cls, tuple(Fraction(c) for c in coeffs))
 
     @property
     def degree(self) -> int:

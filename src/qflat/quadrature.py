@@ -89,7 +89,6 @@ import itertools
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
@@ -220,25 +219,29 @@ class CancellationWarning(RuntimeWarning):
 PolyLike = Union[RationalPoly, Sequence[float], Sequence[Fraction], int, float, Fraction]
 
 
-@dataclass(frozen=True)
-class QPParams:
-    """Weight exponents, each nonnegative, and Gaussian width of a radial
-    integral."""
-
+class _QPParamsFields(NamedTuple):
     mu: float
     kappa: float
     nu: float
     tau: float
 
-    def __post_init__(self) -> None:
-        for name in ("mu", "kappa", "nu", "tau"):
-            v = getattr(self, name)
+
+class QPParams(_QPParamsFields):
+    """Weight exponents, each nonnegative, and Gaussian width of a radial
+    integral."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "QPParams":
+        self = super().__new__(cls, *args, **kwargs)
+        for name, v in zip(self._fields, self):
             if not math.isfinite(v):
                 raise ParameterRangeError(f"{name} must be finite, got {v}")
             if v < 0.0 and name != "tau":
                 raise ParameterRangeError(f"{name} must be nonnegative, got {v}")
         if self.tau <= 0.0:
             raise ParameterRangeError(f"tau must be positive, got {self.tau}")
+        return self
 
 
 class ErrorBudget(NamedTuple):
@@ -253,7 +256,6 @@ class ErrorBudget(NamedTuple):
     representation: float
 
 
-@dataclass(frozen=True)
 class QuadratureResult:
     """Value of a radial integral with accounting.
 
@@ -267,16 +269,35 @@ class QuadratureResult:
     They leave out two terms: the rounding of log|integrand| at the nodes,
     about eps * |log value|, and the representation floor of ``log_value``,
     a double, so that exp(log_value) is off by up to half an ulp of
-    log_value, relative.
+    log_value, relative.  It is not a tuple, so that a caller can tell it
+    from the (result, d1, d2) of ``q_chi_derivs``.
     """
 
-    value: float
-    abs_error: float
-    nodes: int
-    truncation_t: float
-    log_value: float
-    rel_error: float
-    budget: ErrorBudget | None = None
+    __slots__ = ("value", "abs_error", "nodes", "truncation_t", "log_value",
+                 "rel_error", "budget")
+
+    def __init__(self, value: float, abs_error: float, nodes: int,
+                 truncation_t: float, log_value: float, rel_error: float,
+                 budget: ErrorBudget | None = None) -> None:
+        self.value = value
+        self.abs_error = abs_error
+        self.nodes = nodes
+        self.truncation_t = truncation_t
+        self.log_value = log_value
+        self.rel_error = rel_error
+        self.budget = budget
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not QuadratureResult:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return "QuadratureResult(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
 
 class _Coeffs(tuple):

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "Family",
@@ -59,15 +59,7 @@ _PREFIX = {
 DEFAULT_SCAN_SELECTORS = ("S2", "S3", "S4", "S5", "S7", "CP2", "CP3", "HP2", "OP2")
 
 
-@dataclass(frozen=True)
-class RootData:
-    """Root multiplicity data of a rank-1 space.
-
-    ``size`` is the m of S^m or the n of CP^n / HP^n (2 for the Cayley
-    plane).  ``B`` is the value of the long root on the unit radial
-    direction; it depends on the metric normalization and defaults to 1.
-    """
-
+class _RootDataFields(NamedTuple):
     family: Family
     size: int
     m: int
@@ -75,7 +67,20 @@ class RootData:
     m_half: int
     B: float = 1.0
 
-    def __post_init__(self) -> None:
+
+class RootData(_RootDataFields):
+    """Root multiplicity data of a rank-1 space.
+
+    ``size`` is the m of S^m or the n of CP^n / HP^n (2 for the Cayley
+    plane).  ``B`` is the value of the long root on the unit radial
+    direction; it depends on the metric normalization and defaults to 1.
+    ``_replace`` and ``_make`` skip the checks; ``with_scale`` does not.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "RootData":
+        self = super().__new__(cls, *args, **kwargs)
         if self.m != self.m_beta + self.m_half + 1:
             raise ValueError(
                 f"dimension identity violated: m={self.m} but "
@@ -89,17 +94,17 @@ class RootData:
             raise ValueError("spheres have a reduced root system (m_half = 0)")
         if not (self.B > 0 and math.isfinite(self.B)):
             raise ValueError(f"B must be positive and finite, got {self.B}")
+        return self
 
     @property
     def label(self) -> str:
         return f"{_PREFIX[self.family]}{self.size}"
 
     def with_scale(self, B: float) -> "RootData":
-        return replace(self, B=B)
+        return RootData(*self[:5], B)
 
 
-@dataclass(frozen=True)
-class ChiParams:
+class ChiParams(NamedTuple):
     """Exact per-isotype parameters for the index-n spherical representation.
 
     ``a``, ``b``, ``c`` are the hypergeometric parameters of the spherical

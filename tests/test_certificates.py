@@ -6,7 +6,6 @@ values one ``Fraction`` operation at a time; they are the reference that
 every value, string and error message must match.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -178,7 +177,7 @@ def test_centrality_index_errors(n_set):
 def test_centrality_off_the_catalog(monkeypatch, fields, label):
     # parameters no RootData yields, through a substituted chi_params
     sp = parse_space(label)
-    ch = replace(chi_params(sp, 0), **fields)
+    ch = chi_params(sp, 0)._replace(**fields)
     monkeypatch.setattr(flatness, "chi_params", lambda space, n: ch)
     new = outcome(centrality_check, sp, [1, 2, 3])
     ref = outcome(ref_centrality, ch.A, ch.c, ch.mu, [1, 2, 3])
@@ -193,7 +192,7 @@ def test_centrality_zero_base_denominator(monkeypatch):
     # A + 2n = 0 at n = 1: a ZeroDivisionError as before, whose message is
     # Fraction's own and names the numerator it was handed
     sp = parse_space("S3")
-    ch = replace(chi_params(sp, 0), A=Fraction(-2))
+    ch = chi_params(sp, 0)._replace(A=Fraction(-2))
     monkeypatch.setattr(flatness, "chi_params", lambda space, n: ch)
     with pytest.raises(ZeroDivisionError):
         centrality_check(sp, [1])

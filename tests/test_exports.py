@@ -148,3 +148,34 @@ def test_quadrature_reads_no_sign():
     readers = _sites(tree, lambda node: _refers_to(node, "sign")
                      or _refers_to(node, "copysign"))
     assert not readers, readers
+
+
+# start-up is timed up to the parsed argv, so an import moved into a
+# function body only moves its cost past that point; cli reads
+# centrality_check through flatness at each call, where bench/tracing.py
+# wraps it
+DEFERRED_IMPORTS = {"cli._rows_centrality: from .flatness import centrality_check"}
+
+
+def test_imports_are_module_level_and_none_is_dataclasses():
+    # @dataclass writes, compiles and runs the source of every method of
+    # every record at import; a NamedTuple compiles only its constructor
+    deferred, dataclasses = set(), []
+    for path in sorted(pathlib.Path(qflat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                deferred.update(
+                    f"{path.stem}.{node.name}: {ast.unparse(inner)}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom)))
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            dataclasses += [f"{path.name}: {ast.unparse(node)}" for name in modules
+                            if name.split(".")[0] == "dataclasses"]
+    assert not deferred - DEFERRED_IMPORTS, sorted(deferred - DEFERRED_IMPORTS)
+    assert not dataclasses, dataclasses

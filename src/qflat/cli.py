@@ -50,7 +50,6 @@ from .quadrature import (
     q_chi,
     q_chi_derivs,
     _isotype,
-    _unit_scale,
 )
 from .spaces import DEFAULT_SCAN_SELECTORS, chi_params, parse_space
 
@@ -219,20 +218,11 @@ def _csv_cell(v) -> str:
     return "" if v is None else str(v)
 
 
-def _csv_format(col: str):
-    """The formatter of a CSV column: a tau (always a float) in full, an
-    error bound rounded out to two digits, any other value as
-    ``_csv_cell`` has it."""
-    if col == "tau":
-        return repr
-    if col == "abs_err":
-        return lambda v: _fmt_sci(_round_out_2sig(v))
-    return _csv_cell
-
-
 def _render_csv(kind: str, rows: list[dict]) -> str:
+    # a tau (always a float) prints in full, any other value as _csv_cell
+    # has it
     cols = _CSV_COLUMNS[kind]
-    fmts = [_csv_format(c) for c in cols]
+    fmts = [repr if c == "tau" else _csv_cell for c in cols]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cols)
@@ -315,7 +305,8 @@ def _rows_table(cfg: Namespace, with_residual: bool) -> tuple[list[dict], bool]:
                 try:
                     res, _, d2 = q_chi_derivs(sp, n, tau, cfg.tol)
                     row.update(q=res.value, log_q=res.log_value,
-                               abs_err=res.abs_error, dlogq2=d2, status="ok")
+                               abs_err=_round_out_2sig(res.abs_error),
+                               dlogq2=d2, status="ok")
                 except QuadratureError as exc:
                     d2 = math.nan
                     row.update(q=math.nan, log_q=math.nan, abs_err=math.nan,
@@ -354,7 +345,7 @@ def _rows_asymptotics(cfg: Namespace) -> tuple[list[dict], bool]:
             # the floats of the cached record are those of the exact
             # parameters; n and m were validated at parse time.  Coerced
             # once here, they pass the laws' coercion at every tau unchecked
-            rec = _isotype(_unit_scale(sp), n)
+            rec = _isotype(sp, n)
             coeffs = _as_float_coeffs(rec.coeffs.tolist())
             for tau in _SMALL_TAUS + _LARGE_TAUS:
                 small = tau in _SMALL_TAUS

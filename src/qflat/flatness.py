@@ -318,34 +318,24 @@ def curvature_samples(
     return CurvatureGrid(space, grid, tuple(rows), tuple(failures))
 
 
-def _chi_deviation(grid: CurvatureGrid) -> float:
-    """Largest spread across n, maximized over fully valid grid columns."""
-    best = math.nan
-    for i in range(len(grid.tau_grid)):
-        col = [row[i] for row in grid.values]
-        if any(math.isnan(v) for v in col):
-            continue
-        spread = max(col) - min(col)
-        best = spread if math.isnan(best) else max(best, spread)
-    return best
-
-
 def _prefactor_residual(d2: float, m: int, tau: float) -> float:
     """|(log q)'' + (m/2)/tau^2|, the curvature of tau^(-m/2) q."""
     return abs(d2 + 0.5 * m / (tau * tau))
 
 
-def _residual(grid: CurvatureGrid) -> float:
-    """Largest prefactor residual over the valid samples of the grid."""
-    m = grid.space.m
-    best = math.nan
-    for row in grid.values:
-        for sig, v in zip(grid.tau_grid, row):
-            if math.isnan(v):
-                continue
-            r = _prefactor_residual(v, m, sig)
-            best = r if math.isnan(best) else max(best, r)
-    return best
+def _spreads(grid: CurvatureGrid) -> tuple[float, float]:
+    """The largest spread across n, over the fully valid columns of the
+    grid, and the largest prefactor residual, over its valid samples."""
+    dev = resid = math.nan
+    for sig, col in zip(grid.tau_grid, zip(*grid.values)):
+        valid = [v for v in col if not math.isnan(v)]
+        for v in valid:
+            r = _prefactor_residual(v, grid.space.m, sig)
+            resid = r if math.isnan(resid) else max(resid, r)
+        if len(valid) == len(col):
+            spread = max(col) - min(col)
+            dev = spread if math.isnan(dev) else max(dev, spread)
+    return dev, resid
 
 
 def _corridor(dev: float, passed, failed, undecided):
@@ -370,7 +360,7 @@ def projective_test(
     _check_grid((space,), (n_max,), (), tol)
     if n_max < 1:
         raise ValueError(f"need n_max >= 1 to compare isotypes, got {n_max}")
-    dev = _chi_deviation(curvature_samples(space, n_max, tau_grid, tol))
+    dev, _ = _spreads(curvature_samples(space, n_max, tau_grid, tol))
     return _corridor(dev, ProjectiveVerdict.CONSISTENT,
                      ProjectiveVerdict.NOT_PROJECTIVELY_FLAT,
                      ProjectiveVerdict.INCONCLUSIVE), dev
@@ -382,7 +372,7 @@ def flat_test(
 ) -> tuple[FlatVerdict, float]:
     """Numeric vanishing test of the prefactor residual
     |(log q_n)'' + (m/2)/tau^2|: <= 1e-6 is flat, >= 1e-3 is not."""
-    resid = _residual(curvature_samples(space, n_max, tau_grid, tol))
+    _, resid = _spreads(curvature_samples(space, n_max, tau_grid, tol))
     return _corridor(resid, FlatVerdict.FLAT, FlatVerdict.NOT_FLAT,
                      FlatVerdict.INCONCLUSIVE), resid
 
@@ -425,8 +415,7 @@ def _scan_one(
     rationality = _rationality(space, checks) if witness is None else None
     grid = curvature_samples(space, n_max, tau_grid, tol)
     # projectively flat first (isotype spread), then flat (residual)
-    dev = _chi_deviation(grid)
-    resid = _residual(grid)
+    dev, resid = _spreads(grid)
     if witness is not None:
         verdict = FieldVerdict.NOT_PROJECTIVELY_FLAT
     else:

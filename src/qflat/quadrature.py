@@ -439,10 +439,10 @@ def _log_coeffs(tables: Sequence[_Tables]) -> np.ndarray:
 
 @functools.lru_cache(maxsize=512)
 def _isotype(space: RootData, n: int) -> _Tables:
-    """The record of isotype n of ``space``, which must be given at B = 1.
+    """The record of isotype n of ``space``.
 
-    512 entries hold every catalog space with m <= MAX_DIM at every
-    n <= MAX_DEGREE; the callers validate n and m before the lookup.
+    512 entries hold every catalog space with m <= MAX_DIM, at one B, at
+    every n <= MAX_DEGREE; the callers validate n and m before the lookup.
     """
     ch = chi_params(space, n)
     coeffs = _as_float_coeffs(hypergeom_poly(ch.A, n, ch.c))
@@ -948,13 +948,8 @@ def q_p(P: PolyLike, params: QPParams,
     return _unwrap(out)[1]
 
 
-def _unit_scale(space: RootData) -> RootData:
-    # the scale B never enters a cell's integral
-    return space if space.B == 1.0 else space.with_scale(1.0)
-
-
 # The cells of the last prefetched grid: (I, result), or the QuadratureError
-# the cell raises, keyed by (space at B = 1, n, tau, tol, moment rows).
+# the cell raises, keyed by (space, n, tau, tol, moment rows).
 _ROW: dict = {}
 
 
@@ -963,12 +958,11 @@ def _grid(space: RootData, ns: Sequence[int], taus: Sequence[float],
     """The cells (n, tau) of ``space`` as one grid of ``_q_engine``, keyed as
     ``_ROW`` is; checked whole first, so the cache holds no out-of-box record."""
     _check_grid((space,), ns, taus, tol)
-    key = _unit_scale(space)
-    recs = {n: _isotype(key, n) for n in ns}
+    recs = {n: _isotype(space, n) for n in ns}
     cells = {(n, tau): recs[n] for n in ns for tau in taus}
     outcomes = _q_engine(list(cells.values()), [tau for _, tau in cells], tol,
                          nrows) if cells else ()
-    return {(key, n, tau, tol, nrows): out
+    return {(space, n, tau, tol, nrows): out
             for (n, tau), out in zip(cells, outcomes)}
 
 
@@ -978,13 +972,13 @@ def prefetch(space: RootData, ns: Sequence[int], taus: Sequence[float],
     ``taus`` ahead of their calls, as one grid of ``_q_engine``.
 
     Each outcome waits in a one-grid memo, which every call here replaces,
-    until a call of its kind takes it for the same space (at any B), n, tau
-    and tol: a derivative grid (``derivs``, the default) serves
-    ``q_chi_derivs``, a value grid serves ``q_chi``, and a call of the other
-    kind computes its cell alone and leaves the memo untouched.  Those calls
-    give the bits, and raise the errors, they give without it.  A grid with
-    any value outside the box is refused whole, with the ParameterRangeError
-    its first such cell raises alone, and leaves the memo empty.
+    until a call of its kind takes it for the same space, n, tau and tol: a
+    derivative grid (``derivs``, the default) serves ``q_chi_derivs``, a
+    value grid serves ``q_chi``, and a call of the other kind computes its
+    cell alone and leaves the memo untouched.  Those calls give the bits,
+    and raise the errors, they give without it.  A grid with any value
+    outside the box is refused whole, with the ParameterRangeError its first
+    such cell raises alone, and leaves the memo empty.
     """
     _ROW.clear()
     _ROW.update(_grid(space, ns, [float(t) for t in taus], tol, 3 if derivs else 1))
@@ -994,7 +988,7 @@ def _cell(space: RootData, n: int, tau: float, tol: float,
           nrows: int) -> tuple[np.ndarray, QuadratureResult]:
     """One cell of ``nrows`` moment rows, from the prefetched grid (which
     validated it) or else validated and computed as a grid of one."""
-    key = (_unit_scale(space), n, tau, tol, nrows)
+    key = (space, n, tau, tol, nrows)
     out = _ROW.pop(key, None)
     if out is None:
         out = _grid(space, (n,), (tau,), tol, nrows)[key]

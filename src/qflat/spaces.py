@@ -42,17 +42,13 @@ class Family(Enum):
     CAYLEY_PLANE = "CayleyPlane"
 
 
-_MIN_SIZE = {
-    Family.SPHERE: 2,
-    Family.COMPLEX_PROJECTIVE: 1,
-    Family.QUATERNIONIC_PROJECTIVE: 1,
-}
-
-_PREFIX = {
-    Family.SPHERE: "S",
-    Family.COMPLEX_PROJECTIVE: "CP",
-    Family.QUATERNIONIC_PROJECTIVE: "HP",
-    Family.CAYLEY_PLANE: "OP",
+# Each family's selector prefix, least size, and (m, m_beta, m_half) at a
+# size; the Cayley plane has the one size 2.
+_FAMILIES = {
+    Family.SPHERE: ("S", 2, lambda k: (k, k - 1, 0)),
+    Family.COMPLEX_PROJECTIVE: ("CP", 1, lambda k: (2 * k, 1, 2 * k - 2)),
+    Family.QUATERNIONIC_PROJECTIVE: ("HP", 1, lambda k: (4 * k, 3, 4 * k - 4)),
+    Family.CAYLEY_PLANE: ("OP", 2, lambda k: (16, 7, 8)),
 }
 
 #: Space selectors exercised by the full flatness scan.
@@ -98,7 +94,7 @@ class RootData(_RootDataFields):
 
     @property
     def label(self) -> str:
-        return f"{_PREFIX[self.family]}{self.size}"
+        return f"{_FAMILIES[self.family][0]}{self.size}"
 
     def with_scale(self, B: float) -> "RootData":
         return RootData(*self[:5], B)
@@ -136,36 +132,26 @@ def make_space(family: Family, size: int | None = None, B: float = 1.0) -> RootD
     if family is Family.CAYLEY_PLANE:
         if size not in (None, 2):
             raise ValueError("the Cayley plane takes no size parameter")
-        return RootData(family, 2, 16, 7, 8, B)
-    if size is None:
+        size = 2
+    elif size is None:
         raise ValueError(f"{family.name} requires a size parameter")
-    if size < _MIN_SIZE[family]:
-        raise ValueError(
-            f"size {size} below minimum {_MIN_SIZE[family]} for {family.name}"
-        )
-    if family is Family.SPHERE:
-        return RootData(family, size, size, size - 1, 0, B)
-    if family is Family.COMPLEX_PROJECTIVE:
-        return RootData(family, size, 2 * size, 1, 2 * size - 2, B)
-    if family is Family.QUATERNIONIC_PROJECTIVE:
-        return RootData(family, size, 4 * size, 3, 4 * size - 4, B)
-    raise ValueError(f"unknown family: {family!r}")
+    _, least, mults = _FAMILIES[family]
+    if size < least:
+        raise ValueError(f"size {size} below minimum {least} for {family.name}")
+    return RootData(family, size, *mults(size), B)
 
 
-_SELECTOR_RE = re.compile(r"^(S|CP|HP)(\d+)$")
+_SELECTOR_RE = re.compile(
+    r"^(%s)(\d+)$" % "|".join(prefix for prefix, _, _ in _FAMILIES.values()))
 
 
 def parse_space(selector: str, B: float = 1.0) -> RootData:
     """Parse a selector such as ``S3``, ``CP2``, ``HP2`` or ``OP2``."""
-    s = selector.strip()
-    if s == "OP2":
-        return make_space(Family.CAYLEY_PLANE, B=B)
-    mo = _SELECTOR_RE.match(s)
-    if mo is None:
+    mo = _SELECTOR_RE.match(selector.strip())
+    family = mo and next(f for f, row in _FAMILIES.items() if row[0] == mo[1])
+    if family is None or (family is Family.CAYLEY_PLANE and mo[2] != "2"):
         raise ValueError(f"unknown space selector: {selector!r}")
-    fam = {"S": Family.SPHERE, "CP": Family.COMPLEX_PROJECTIVE,
-           "HP": Family.QUATERNIONIC_PROJECTIVE}[mo.group(1)]
-    return make_space(fam, int(mo.group(2)), B=B)
+    return make_space(family, int(mo[2]), B=B)
 
 
 def default_scan_spaces(B: float = 1.0) -> tuple[RootData, ...]:

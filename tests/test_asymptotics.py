@@ -232,7 +232,7 @@ class TestOracleReferences:
         for n in range(quadrature.MAX_DEGREE + 1):
             ch = chi_params(sp, n)
             exact = hypergeom_poly(ch.A, n, ch.c)
-            coeffs = quadrature._isotype(quadrature._unit_scale(sp), n).coeffs
+            coeffs = quadrature._isotype(sp, n).coeffs
             for cached in (coeffs, coeffs.tolist(), tuple(coeffs.tolist()),
                            quadrature._as_float_coeffs(coeffs.tolist())):
                 for tau in (1e-3, 1e-2):

@@ -327,6 +327,22 @@ class TestQTable:
                 assert abs(mpmath.mpf(res.value) - exact) <= res.abs_error, row
             assert res.abs_error <= float(row["abs_err"]), row
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_json_abs_err_is_the_csv_bound(self, name):
+        # JSON prints the bound the CSV prints, rounded out once, and not the
+        # raw bound, whose last digits follow sub-ulp panel terms
+        argv = GOLDEN_RUNS[name]
+        rows = json.loads(capture(argv + ["--format", "json"])[0])["rows"]
+        table = list(csv.DictReader(io.StringIO(capture(argv)[0])))
+        assert len(rows) == len(table) > 0
+        for row, line in zip(rows, table):
+            assert [str(row[k]) for k in ("space", "n")] == [line["space"], line["n"]]
+            assert row["tau"] == float(line["tau"])
+            assert row["abs_err"] == float(line["abs_err"]), row
+            res, _, _ = quadrature.q_chi_derivs(parse_space(row["space"]),
+                                                row["n"], row["tau"])
+            assert row["abs_err"] >= res.abs_error, row
+
     def test_curvature_adds_residual_column(self):
         out, _ = capture(["curvature", "--space", "S3", "--n", "0", "--tau", "1"])
         header = out.splitlines()[0]

@@ -275,31 +275,48 @@ class TestTheoremScan:
             assert verdict is ProjectiveVerdict.NOT_PROJECTIVELY_FLAT
             assert dev >= FAIL_DEVIATION
 
-    @pytest.mark.parametrize("label, offset, step, verdict", [
-        ("S3", 0.0, 0.0, FieldVerdict.FLAT),
-        ("S3", 1e-2, 0.0, FieldVerdict.PROJECTIVELY_FLAT_ONLY),
-        ("S3", 1e-5, 0.0, FieldVerdict.INCONCLUSIVE),
-        ("S3", 0.0, 5e-6, FieldVerdict.INCONCLUSIVE),
-        ("S3", 0.0, 5e-3, FieldVerdict.NOT_PROJECTIVELY_FLAT),
-        ("S3", math.nan, 0.0, FieldVerdict.INCONCLUSIVE),
+    VERDICT_CASES = [
+        ("S3", 0.0, 0.0, None, FieldVerdict.FLAT),
+        ("S3", 1e-2, 0.0, None, FieldVerdict.PROJECTIVELY_FLAT_ONLY),
+        ("S3", 1e-5, 0.0, None, FieldVerdict.INCONCLUSIVE),
+        ("S3", 0.0, 5e-6, None, FieldVerdict.INCONCLUSIVE),
+        ("S3", 0.0, 5e-3, None, FieldVerdict.NOT_PROJECTIVELY_FLAT),
+        ("S3", math.nan, 0.0, None, FieldVerdict.INCONCLUSIVE),
         # the exact witness outranks a numerically flat grid
-        ("CP2", 0.0, 0.0, FieldVerdict.NOT_PROJECTIVELY_FLAT),
-    ])
-    def test_verdict_table(self, monkeypatch, label, offset, step, verdict):
+        ("CP2", 0.0, 0.0, None, FieldVerdict.NOT_PROJECTIVELY_FLAT),
+        # one failed sample: its column leaves the spread, but the bump of
+        # another sample in it still counts in the residual
+        ("S3", 0.0, 0.0, 1e-2, FieldVerdict.PROJECTIVELY_FLAT_ONLY),
+    ]
+
+    @pytest.mark.parametrize(
+        "label, offset, step, hole, verdict", VERDICT_CASES,
+        ids=["-".join([lbl, str(off), str(st)] + ["hole"] * (h is not None)
+                      + [v.value]) for lbl, off, st, h, v in VERDICT_CASES])
+    def test_verdict_table(self, monkeypatch, label, offset, step, hole,
+                           verdict):
         # crafted grids: row n is the flat curvature -(m/2)/tau^2 plus
         # offset + n * step, so at n_max 2 the prefactor residual is
-        # offset + 2 * step and the spread across n is 2 * step
+        # offset + 2 * step and the spread across n is 2 * step; a ``hole``
+        # fails sample (1, 0) and adds itself to sample (2, 0)
         def samples(space, n_max, tau_grid, tol):
-            rows = tuple(tuple(-0.5 * space.m / (t * t) + offset + n * step
-                               for t in tau_grid) for n in range(n_max + 1))
-            return CurvatureGrid(space, tau_grid, rows, ())
+            rows = [[-0.5 * space.m / (t * t) + offset + n * step
+                     for t in tau_grid] for n in range(n_max + 1)]
+            if hole is not None:
+                rows[1][0] = math.nan
+                rows[2][0] += hole
+            return CurvatureGrid(space, tau_grid,
+                                 tuple(tuple(row) for row in rows), ())
 
         monkeypatch.setattr(flatness, "curvature_samples", samples)
         rep = theorem_scan([parse_space(label)], n_max=2, tau_grid=GRID)[0]
         assert rep.verdict is verdict
         assert (rep.exact_witness is not None) == (label == "CP2")
         assert rep.prefactor_residual == pytest.approx(
-            offset + 2 * step, abs=1e-12, nan_ok=True)
+            offset + 2 * step + (hole or 0.0), abs=1e-12, nan_ok=True)
+        assert rep.max_chi_deviation == pytest.approx(
+            math.nan if math.isnan(offset) else 2 * step, abs=1e-12,
+            nan_ok=True)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from qflat import quadrature
 from qflat.quadrature import (
+    DEFAULT_TOL,
     CancellationWarning,
     ConvergenceError,
     ParameterRangeError,
@@ -857,17 +858,16 @@ class TestIsotypeCache:
         assert tables.horner[:, 0].tolist() == c[::-1].tolist()
         assert tables.horner[:, 1].tolist() == ((-1.0) ** n * c).tolist()
 
-    def test_scale_does_not_enter_the_key(self):
-        cache = quadrature._isotype
-        cache.cache_clear()
-        a = q_chi(parse_space("S4"), 2, 1.5)
-        b = q_chi(parse_space("S4", B=2.0), 2, 1.5)
-        assert cache.cache_info().currsize == 1
-        assert cache.cache_info().hits == 1
-        assert _bits(a) == _bits(b)
-        ta = quadrature._isotype(parse_space("S4"), 2)
-        tb = quadrature._isotype(quadrature._unit_scale(parse_space("S4", B=2.0)), 2)
-        assert ta is tb
+    def test_scaled_record_has_the_unit_bits(self):
+        # the scale B never enters a cell's integral: a scaled space's record
+        # equals the unit record field by field, with the same array bits
+        unit = quadrature._isotype(parse_space("S4"), 2)
+        scaled = quadrature._isotype(parse_space("S4", B=2.0), 2)
+        for name, a, b in zip(unit._fields, unit, scaled):
+            assert type(a) is type(b) and np.shape(a) == np.shape(b), name
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+        assert _hexbits(q_chi(parse_space("S4"), 2, 1.5)) == _hexbits(
+            q_chi(parse_space("S4", B=2.0), 2, 1.5))
 
     def test_arbitrary_polynomials_stay_out(self):
         quadrature._isotype(parse_space("S3"), 1)
@@ -1531,31 +1531,52 @@ class TestPrefetch:
         assert fetched.value.best.nodes == alone.value.best.nodes == 399975
         assert fetched.value.best == alone.value.best
 
-    def test_out_of_box_value_refuses_the_grid(self):
-        # the grid is refused whole, with the message of the lone-cell call,
-        # and the memo it replaces stays empty
-        sp, s20 = parse_space("S3"), parse_space("S20")
-        quadrature.prefetch(sp, [0], [1.0])
+    @pytest.mark.parametrize("label, ns, taus, tol, derivs, n, tau", [
+        ("S3", [0], [1.0, 500.0], DEFAULT_TOL, True, 0, 500.0),
+        ("S3", [0], [1.0, 1e-31], DEFAULT_TOL, True, 0, 1e-31),
+        ("S3", [0], [1.0, math.nan], DEFAULT_TOL, True, 0, math.nan),
+        ("S3", [17], [1.0], DEFAULT_TOL, True, 17, 1.0),
+        ("S20", [0], [1.0], DEFAULT_TOL, True, 0, 1.0),
+        ("S3", [0], [1.0], 1e-14, True, 0, 1.0),
+        ("S3", [0], [1.0, 500.0], DEFAULT_TOL, False, 0, 500.0),
+        ("S3", [0], [1.0, 1e-31], DEFAULT_TOL, False, 0, 1e-31),
+        ("S3", [0], [1.0, math.nan], DEFAULT_TOL, False, 0, math.nan),
+        ("S3", [0, 17], [1.0, 1.0], DEFAULT_TOL, False, 17, 1.0),
+        ("S3", [0, 17], [1.0, 500.0], DEFAULT_TOL, False, 17, 500.0),
+        ("S3", [0, 17], [1.0, 500.0, 1e-31, math.nan], DEFAULT_TOL, True,
+         17, 500.0),
+    ], ids=["tau-high", "tau-low", "tau-nan", "n-high", "m-high", "tol-low",
+            "value-tau-high", "value-tau-low", "value-tau-nan", "value-n-high",
+            "value-n-before-tau", "n-before-every-tau"])
+    def test_out_of_box_value_refuses_the_grid(self, label, ns, taus, tol,
+                                               derivs, n, tau):
+        # a valid cell beside an invalid one is not computed either: the
+        # grid is refused whole, with the message of its invalid cell's
+        # lone call (n before tau), and the memo it replaces stays empty
+        sp = parse_space(label)
+        quadrature.prefetch(parse_space("S3"), [0], [1.0])
         assert len(quadrature._ROW) == 1
-        for grid, cell in (((sp, [0], [1.0, 500.0]), (sp, 0, 500.0)),
-                           ((sp, [0], [1.0, 1e-31]), (sp, 0, 1e-31)),
-                           ((sp, [0], [1.0, math.nan]), (sp, 0, math.nan)),
-                           ((sp, [17], [1.0]), (sp, 17, 1.0)),
-                           ((s20, [0], [1.0]), (s20, 0, 1.0)),
-                           ((sp, [0], [1.0], 1e-14), (sp, 0, 1.0, 1e-14))):
-            with pytest.raises(ParameterRangeError) as alone:
-                q_chi(*cell)
-            with pytest.raises(ParameterRangeError) as fetched:
-                quadrature.prefetch(*grid)
-            assert str(fetched.value) == str(alone.value), grid
-            assert not quadrature._ROW
-
-    def test_scale_is_keyed_at_one(self):
-        quadrature.prefetch(parse_space("S4", B=2.0), [2], [1.5], derivs=False)
-        assert list(quadrature._ROW) == [(parse_space("S4"), 2, 1.5, quadrature.DEFAULT_TOL, 1)]
-        got = q_chi(parse_space("S4"), 2, 1.5)
+        with pytest.raises(ParameterRangeError) as alone:
+            q_chi(sp, n, tau, tol)
+        with pytest.raises(ParameterRangeError) as fetched:
+            quadrature.prefetch(sp, ns, taus, tol, derivs=derivs)
+        assert str(fetched.value) == str(alone.value)
+        if n > quadrature.MAX_DEGREE:
+            assert str(fetched.value) == f"n must be at most 16, got {n}"
         assert not quadrature._ROW
-        assert _bits(got) == _bits(q_chi(parse_space("S4", B=2.0), 2, 1.5))
+
+    def test_scaled_space_takes_its_own_cell(self):
+        # a scaled space's prefetched cell is taken by that space's call, not
+        # by the unit space's, and has the bits of the B = 1 cell
+        unit, scaled = parse_space("S4"), parse_space("S4", B=2.0)
+        quadrature.prefetch(scaled, [2], [1.5], derivs=False)
+        key = (scaled, 2, 1.5, DEFAULT_TOL, 1)
+        assert list(quadrature._ROW) == [key]
+        alone = q_chi(unit, 2, 1.5)
+        assert list(quadrature._ROW) == [key]
+        got = q_chi(scaled, 2, 1.5)
+        assert not quadrature._ROW
+        assert _hexbits(got) == _hexbits(alone)
 
     def test_one_row_at_a_time(self):
         sp = parse_space("CP2")
@@ -1599,22 +1620,6 @@ class TestPrefetch:
 
 class TestGridPrefetch:
     """A grid of isotypes and taus of one space, prefetched together."""
-
-    def test_invalid_cells_refuse_the_grid(self):
-        # a valid cell beside an invalid one is not computed either: the
-        # grid raises what its invalid cell raises alone, n before tau
-        sp = parse_space("S3")
-        bad = [(0, 500.0), (0, 1e-31), (0, math.nan), (17, 1.0), (17, 500.0)]
-        for n, tau in bad:
-            with pytest.raises(ParameterRangeError) as alone:
-                q_chi(sp, n, tau)
-            with pytest.raises(ParameterRangeError) as fetched:
-                quadrature.prefetch(sp, sorted({0, n}), [1.0, tau], derivs=False)
-            assert str(fetched.value) == str(alone.value), (n, tau)
-            assert not quadrature._ROW
-        with pytest.raises(ParameterRangeError, match="n must be at most 16, got 17"):
-            quadrature.prefetch(sp, [0, 17], [1.0, 500.0, 1e-31, math.nan])
-        assert not quadrature._ROW
 
     def test_oracles_grid_never_refines(self, monkeypatch):
         # every first level of the verify-asymptotics grids meets its targets

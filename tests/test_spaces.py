@@ -84,6 +84,41 @@ class TestMakeSpace:
             RootData(Family.SPHERE, 4, m=4, m_beta=1, m_half=2)
 
 
+def classification(family, size):
+    """(size, m, m_beta, m_half) of the rank-1 classification, or the
+    message that refuses the family at that size."""
+    if family is Family.CAYLEY_PLANE:
+        if size in (None, 2):
+            return 2, 16, 7, 8
+        return "the Cayley plane takes no size parameter"
+    if size is None:
+        return f"{family.name} requires a size parameter"
+    least = 2 if family is Family.SPHERE else 1
+    if size < least:
+        return f"size {size} below minimum {least} for {family.name}"
+    if family is Family.SPHERE:
+        return size, size, size - 1, 0
+    if family is Family.COMPLEX_PROJECTIVE:
+        return size, 2 * size, 1, 2 * size - 2
+    return size, 4 * size, 3, 4 * size - 4
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("size", [None, *range(21)])
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.name)
+    def test_sizes(self, family, size):
+        want = classification(family, size)
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as exc:
+                make_space(family, size)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == want
+            return
+        sp = make_space(family, size)
+        assert sp == RootData(family, *want, 1.0)
+        assert parse_space(sp.label) == sp
+
+
 class TestSelectors:
     def test_parse(self):
         assert parse_space("S3").label == "S3"
@@ -92,9 +127,16 @@ class TestSelectors:
         assert parse_space("OP2").label == "OP2"
 
     def test_rejects_unknown(self):
-        for bad in ("X3", "s3", "OP3", "CP", "S", ""):
-            with pytest.raises(ValueError):
+        # each refusal keeps its exact type and message
+        refusals = [(bad, f"unknown space selector: {bad!r}")
+                    for bad in ("X3", "s3", "OP3", "OP", "CP", "S", "")]
+        refusals += [("CP0", "size 0 below minimum 1 for COMPLEX_PROJECTIVE"),
+                     ("S1", "size 1 below minimum 2 for SPHERE")]
+        for bad, message in refusals:
+            with pytest.raises(ValueError) as exc:
                 parse_space(bad)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == message
 
     def test_default_scan(self):
         assert [s.label for s in default_scan_spaces()] == list(DEFAULT_SCAN_SELECTORS)
